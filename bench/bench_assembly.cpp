@@ -23,9 +23,8 @@ void print_table() {
               "xpoints", "die WxH", "tracks", "pads", "transistors", "DRC");
   for (int w = 1; w <= 5; ++w) {
     silc::layout::Library lib;
-    silc::core::SiliconCompiler cc(lib);
-    const silc::core::CompileResult chip = cc.compile_behavioral(
-        counter_source(w),
+    const silc::core::CompileResult chip = silc::core::compile(
+        lib, silc::core::Flow::Behavioral, counter_source(w),
         {.name = "c" + std::to_string(w), .stop_after = "extract"});
     std::printf("%-6d %-7d %-9zu %5lldx%-6lld %-7d %-6d %-11zu %s\n", w,
                 chip.stats.pla.num_terms, chip.stats.pla.crosspoints,
@@ -41,9 +40,9 @@ void BM_AssembleCounter(benchmark::State& state) {
   const std::string src = counter_source(static_cast<int>(state.range(0)));
   for (auto _ : state) {
     silc::layout::Library lib;
-    silc::core::SiliconCompiler cc(lib);
-    benchmark::DoNotOptimize(
-        cc.compile_behavioral(src, {.stop_after = "extract", .skip = {"drc"}}));
+    benchmark::DoNotOptimize(silc::core::compile(
+        lib, silc::core::Flow::Behavioral, src,
+        {.stop_after = "extract", .skip = {"drc"}}));
   }
 }
 BENCHMARK(BM_AssembleCounter)->DenseRange(1, 5);
@@ -52,9 +51,8 @@ void BM_AssembleAndVerify(benchmark::State& state) {
   const std::string src = counter_source(2);
   for (auto _ : state) {
     silc::layout::Library lib;
-    silc::core::SiliconCompiler cc(lib);
-    benchmark::DoNotOptimize(
-        cc.compile_behavioral(src, {.verify_cycles = 8}));
+    benchmark::DoNotOptimize(silc::core::compile(
+        lib, silc::core::Flow::Behavioral, src, {.verify_cycles = 8}));
   }
 }
 BENCHMARK(BM_AssembleAndVerify);

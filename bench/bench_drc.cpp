@@ -1,13 +1,12 @@
-// DRC engine tracking: flat vs hierarchical vs tiled wall clock on real
-// artwork — the committed traffic-light chip and a PDP-8 boot ROM (the
+// DRC engine tracking: flat vs hierarchical wall clock on real artwork — the committed traffic-light chip and a PDP-8 boot ROM (the
 // RIM-loader bootstrap plus deterministic fill, generated at 4096 bits so
 // the NOR-NOR tile array dwarfs the FSM chips the compile bench measures).
 //
 // Emits BENCH_drc.json: per-design rect counts, per-mode ms (hier both
-// cold and warm-cache, tiled at 1 and hardware threads), whether every
-// mode produced byte-identical violation sets — the engine's core
-// contract, enforced here with a non-zero exit on divergence or on a
-// dirty verdict (the generators must produce clean layouts) — and, since
+// cold and warm-cache), whether flat, cold hier, and warm hier produced
+// byte-identical violation sets — the engine's core contract, enforced
+// here with a non-zero exit on divergence or on a dirty verdict (the
+// generators must produce clean layouts) — and, since
 // the persistent store (src/store/), a store round-trip leg: the warmed
 // VerdictCache is saved to a file, reloaded into a fresh cache, and the
 // re-check must replay all-hits with identical violations (the "store"
@@ -18,7 +17,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/compiler.hpp"
@@ -42,9 +40,6 @@ struct ModeTimes {
   double flat_ms = 0;
   double hier_cold_ms = 0;
   double hier_warm_ms = 0;
-  double tiled1_ms = 0;
-  double tiledN_ms = 0;
-  int tiled_threads = 1;
   std::size_t violations = 0;
   bool identical = true;
   /// Verdict-cache counters over one cold + one warm hier check (the last
@@ -80,10 +75,8 @@ ModeTimes measure(const std::string& name, const silc::layout::Cell& chip,
   m.design = name;
   const auto flat_shapes = silc::layout::flatten(chip);
   m.rects = flat_shapes.size();
-  const unsigned hw = std::thread::hardware_concurrency();
-  m.tiled_threads = static_cast<int>(hw > 1 ? hw : 1);
 
-  Result flat, hier, tiled1, tiledN;
+  Result flat, hier, warm;
   for (int r = 0; r < reps; ++r) {
     auto t0 = Clock::now();
     flat = silc::drc::check_flat(flat_shapes);
@@ -94,27 +87,16 @@ ModeTimes measure(const std::string& name, const silc::layout::Cell& chip,
     hier = silc::drc::check_hier(chip, silc::tech::nmos(), &cache);
     m.hier_cold_ms += ms_since(t0);
     t0 = Clock::now();
-    (void)silc::drc::check_hier(chip, silc::tech::nmos(), &cache);
+    warm = silc::drc::check_hier(chip, silc::tech::nmos(), &cache);
     m.hier_warm_ms += ms_since(t0);
     m.cache = cache.stats();
-
-    t0 = Clock::now();
-    tiled1 = silc::drc::check_tiled(flat_shapes, silc::tech::nmos(), 1);
-    m.tiled1_ms += ms_since(t0);
-    t0 = Clock::now();
-    tiledN = silc::drc::check_tiled(flat_shapes, silc::tech::nmos(),
-                                    m.tiled_threads);
-    m.tiledN_ms += ms_since(t0);
   }
   m.flat_ms /= reps;
   m.hier_cold_ms /= reps;
   m.hier_warm_ms /= reps;
-  m.tiled1_ms /= reps;
-  m.tiledN_ms /= reps;
   m.violations = flat.violations.size();
   m.identical = flat.violations == hier.violations &&
-                flat.violations == tiled1.violations &&
-                flat.violations == tiledN.violations;
+                flat.violations == warm.violations;
 
   // Store round-trip: warm a fresh cache, push it through a file, and
   // re-check against a cache that knows only what the file told it.
@@ -178,11 +160,10 @@ int main(int argc, char** argv) {
     rows.push_back(measure("pdp8_rom", *rom.cell, reps));
   }
 
-  std::printf("=== DRC engine: flat vs hier vs tiled (%d rep%s) ===\n", reps,
+  std::printf("=== DRC engine: flat vs hier (%d rep%s) ===\n", reps,
               reps == 1 ? "" : "s");
-  std::printf("%-10s %8s %9s %10s %10s %9s %12s %6s %11s\n", "design",
-              "rects", "flat ms", "hier ms", "warm ms", "tiled ms",
-              "tiled(N) ms", "same", "cache h/m");
+  std::printf("%-10s %8s %9s %10s %10s %6s %11s\n", "design", "rects",
+              "flat ms", "hier ms", "warm ms", "same", "cache h/m");
   bool all_identical = true;
   bool all_clean = true;
   for (const ModeTimes& m : rows) {
@@ -190,10 +171,9 @@ int main(int argc, char** argv) {
     std::snprintf(hm, sizeof hm, "%llu/%llu",
                   static_cast<unsigned long long>(m.cache.hits),
                   static_cast<unsigned long long>(m.cache.misses));
-    std::printf("%-10s %8zu %9.2f %10.2f %10.3f %9.2f %12.2f %6s %11s\n",
+    std::printf("%-10s %8zu %9.2f %10.2f %10.3f %6s %11s\n",
                 m.design.c_str(), m.rects, m.flat_ms, m.hier_cold_ms,
-                m.hier_warm_ms, m.tiled1_ms, m.tiledN_ms,
-                m.identical ? "yes" : "NO", hm);
+                m.hier_warm_ms, m.identical ? "yes" : "NO", hm);
     all_identical = all_identical && m.identical;
     all_clean = all_clean && m.violations == 0;
   }
@@ -210,8 +190,6 @@ int main(int argc, char** argv) {
     std::fprintf(f,
                  "    {\"design\": \"%s\", \"rects\": %zu, \"flat_ms\": %.2f, "
                  "\"hier_cold_ms\": %.2f, \"hier_warm_ms\": %.3f, "
-                 "\"tiled_1t_ms\": %.2f, \"tiled_threads\": %d, "
-                 "\"tiled_nt_ms\": %.2f, "
                  "\"violations\": %zu, \"identical_across_modes\": %s, "
                  "\"cache\": {\"hits\": %llu, \"misses\": %llu, "
                  "\"entries\": %llu, \"bytes\": %llu}, "
@@ -219,8 +197,7 @@ int main(int argc, char** argv) {
                  "\"replay_warm_ms\": %.3f, \"replay_misses\": %llu, "
                  "\"identical\": %s}}%s\n",
                  m.design.c_str(), m.rects, m.flat_ms, m.hier_cold_ms,
-                 m.hier_warm_ms, m.tiled1_ms, m.tiled_threads, m.tiledN_ms,
-                 m.violations, m.identical ? "true" : "false",
+                 m.hier_warm_ms, m.violations, m.identical ? "true" : "false",
                  static_cast<unsigned long long>(m.cache.hits),
                  static_cast<unsigned long long>(m.cache.misses),
                  static_cast<unsigned long long>(m.cache.entries),

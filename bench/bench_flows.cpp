@@ -24,10 +24,9 @@
 //     --budgets without re-running anything (the ci.sh self-test uses
 //     this to prove the gate actually fails);
 //   * --trace=FILE exports the traced runs as Chrome trace-event JSON.
-// Every run also times the pla-check stage under all three engines
-// (symbolic proof / compiled netlist diff / interpreted replay) so the
-// symbolic speedup stays measured against the oracles it replaced;
-// --pla=MODE picks the engine the suite's own batches verify with.
+// Every run also times the pla-check stage's symbolic proof against the
+// interpreted replay oracle on the same designs, so the symbolic speedup
+// stays measured against the engine it replaced.
 //
 // Since the persistent store (src/store/, PR 9) the bench also measures
 // the warm-compile path: --cache-dir=DIR runs the same batch against an
@@ -103,16 +102,17 @@ void print_flow_table() {
               "area", "DRC", "verified", "transistors");
 
   silc::layout::Library lib;
-  silc::core::SiliconCompiler cc(lib);
-  const auto b = cc.compile_behavioral(kBehavioralCounter,
-                                       {.name = "beh", .verify_cycles = 16});
+  const auto b = silc::core::compile(lib, silc::core::Flow::Behavioral,
+                                     kBehavioralCounter,
+                                     {.name = "beh", .verify_cycles = 16});
   std::printf("%-12s %-12zu %-12lld %-10s %-12s %-10zu\n", "behavioral",
               std::string(kBehavioralCounter).size(),
               static_cast<long long>(b.stats.area()),
               b.drc.ok() ? "clean" : "FAIL", b.verified ? "yes" : "no",
               b.transistors);
 
-  const auto s = cc.compile_structural(kStructuralCounter);
+  const auto s = silc::core::compile(lib, silc::core::Flow::Structural,
+                                     kStructuralCounter);
   const auto sbb = s.chip != nullptr ? s.chip->bbox() : silc::geom::Rect{};
   std::printf("%-12s %-12zu %-12lld %-10s %-12s %-10zu\n", "structural",
               std::string(kStructuralCounter).size(),
@@ -156,19 +156,12 @@ void print_encoding_table() {
 
 // --------------------------------------------- compile pipeline tracking --
 
-/// pla-check engine for every behavioral job in the suite (--pla=MODE).
-/// Symbolic is the pipeline default; the compiled leg in ci.sh keeps the
-/// fallback engine benched so it cannot rot.
-silc::sim::PlaCheckMode g_pla_mode = silc::sim::PlaCheckMode::Symbolic;
-
 silc::core::CompileOptions bench_verify(const std::string& name) {
   silc::core::CompileOptions o;
   o.name = name;
   o.verify_cycles = 16;
   o.gate_verify_cycles = 128;
   o.gate_verify_lanes = 8;
-  o.pla_verify_cycles = 64;
-  o.pla_check_mode = g_pla_mode;
   return o;
 }
 
@@ -412,9 +405,6 @@ bool write_artifacts(const std::string& path,
   return true;
 }
 
-/// Measure the compile pipeline, print the table, emit JSON. Returns 0 on
-/// success, 1 when a design failed, thread counts disagreed, tracing cost
-/// more than its limit on the full batch, or a latency budget broke.
 double pla_stage_ms_per_run(const silc::core::BatchResult& r) {
   for (const silc::core::StageProfile& s : r.profile) {
     if (s.stage == "pla-check") {
@@ -429,23 +419,39 @@ struct PlaModeMs {
   double ms_per_run;
 };
 
-/// One serial batch per pla-check engine so the JSON tracks all three
-/// costs side by side — the symbolic win stays visible against the
-/// sampling engines it replaced, whichever mode the suite itself ran in.
-std::vector<PlaModeMs> measure_pla_modes(int reps) {
+/// pla-check cost per engine, so the JSON keeps the symbolic win visible
+/// against the replay oracle it replaced. Symbolic is the pipeline stage
+/// itself, read from the serial batch's profile; the pipeline never runs
+/// replay, so it is timed directly on each behavioral design's programmed
+/// personality, at the 64 cycles x every lane the suite once verified
+/// with.
+std::vector<PlaModeMs> measure_pla_modes(const silc::core::BatchResult& serial,
+                                         int reps) {
   using silc::sim::PlaCheckMode;
-  std::vector<PlaModeMs> out;
-  const PlaCheckMode saved = g_pla_mode;
-  for (const PlaCheckMode mode : {PlaCheckMode::Symbolic,
-                                  PlaCheckMode::Compiled,
-                                  PlaCheckMode::Replay}) {
-    g_pla_mode = mode;
-    const silc::core::BatchResult r = silc::core::compile_many(
-        bench_jobs(reps), 1);
-    out.push_back({silc::sim::to_string(mode), pla_stage_ms_per_run(r)});
+  double replay_ms = 0;
+  int runs = 0;
+  for (const silc::core::BatchJob& job : bench_jobs(reps)) {
+    if (job.flow != silc::core::Flow::Behavioral) continue;
+    silc::layout::Library lib;
+    silc::core::CompileOptions o = job.options;
+    o.stop_after = "assemble";
+    silc::core::DesignDB db(lib, job.flow, job.source, o);
+    if (!silc::core::Pipeline::behavioral().run(db)) continue;
+    silc::sim::SimConfig sc;
+    sc.threads = 1;  // as compile_many pins it
+    const auto t0 = std::chrono::steady_clock::now();
+    (void)silc::sim::check_pla(*db.design, *db.fsm,
+                               db.assembled->personality, 64, /*lanes=*/0,
+                               /*seed=*/2u, sc, PlaCheckMode::Replay);
+    replay_ms += std::chrono::duration<double, std::milli>(
+                     std::chrono::steady_clock::now() - t0)
+                     .count();
+    ++runs;
   }
-  g_pla_mode = saved;
-  return out;
+  return {{silc::sim::to_string(PlaCheckMode::Symbolic),
+           pla_stage_ms_per_run(serial)},
+          {silc::sim::to_string(PlaCheckMode::Replay),
+           runs > 0 ? replay_ms / runs : 0.0}};
 }
 
 /// The incremental-recompilation measurement (PR 10): edit-to-verdict on
@@ -541,6 +547,9 @@ IncrMeasure measure_incr(bool smoke) {
   return m;
 }
 
+/// Measure the compile pipeline, print the table, emit JSON. Returns 0 on
+/// success, 1 when a design failed, thread counts disagreed, tracing cost
+/// more than its limit on the full batch, or a latency budget broke.
 int run_suite(const std::string& json_path, bool smoke,
               const std::string& trace_path, const std::string& budgets_path,
               double overhead_limit, const std::string& cache_dir,
@@ -562,10 +571,8 @@ int run_suite(const std::string& json_path, bool smoke,
   const unsigned hw = std::thread::hardware_concurrency();
   const int many = static_cast<int>(hw > 1 ? hw : 2);
 
-  std::printf("=== compile pipeline: %zu jobs (%zu designs x %d reps, "
-              "pla-check %s) ===\n",
-              jobs.size(), designs.size(), reps,
-              silc::sim::to_string(g_pla_mode));
+  std::printf("=== compile pipeline: %zu jobs (%zu designs x %d reps) ===\n",
+              jobs.size(), designs.size(), reps);
   BatchResult serial;
   const SerialWalls wallclocks = serial_walls(jobs, walls, laps, &serial);
   const double untraced_ms = wallclocks.untraced_ms;
@@ -631,11 +638,11 @@ int run_suite(const std::string& json_path, bool smoke,
   }
 
   // The incremental edit-to-verdict leg: only on the primary
-  // configuration — the persist and pla-engine CI legs re-run this suite
-  // and would pay the counter12 cold compile again for numbers that
-  // cannot change with their flags.
+  // configuration — the persist CI legs re-run this suite and would pay
+  // the counter12 cold compile again for numbers that cannot change with
+  // their flags.
   IncrMeasure incr;
-  if (cache_dir.empty() && g_pla_mode == silc::sim::PlaCheckMode::Symbolic) {
+  if (cache_dir.empty()) {
     incr = measure_incr(smoke);
     if (!incr.active) {
       std::printf("ERROR: incremental leg could not assemble counter12\n");
@@ -652,7 +659,7 @@ int run_suite(const std::string& json_path, bool smoke,
 
   std::printf("%s", serial.profile_text().c_str());
   const std::vector<PlaModeMs> pla_modes =
-      measure_pla_modes(smoke ? 1 : reps);
+      measure_pla_modes(serial, smoke ? 1 : reps);
   std::printf("pla-check per engine:");
   for (const PlaModeMs& m : pla_modes) {
     std::printf("  %s %.3f ms/run", m.name, m.ms_per_run);
@@ -702,8 +709,9 @@ int run_suite(const std::string& json_path, bool smoke,
                  i + 1 < serial.profile.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"pla_check_mode\": \"%s\",\n",
-               silc::sim::to_string(g_pla_mode));
+  std::fprintf(
+      f, "  \"pla_check_mode\": \"%s\",\n",
+      silc::sim::to_string(silc::core::CompileOptions::pla_check_mode));
   std::fprintf(f, "  \"pla_check_mode_ms\": [");
   for (std::size_t i = 0; i < pla_modes.size(); ++i) {
     std::fprintf(f, "%s{\"mode\": \"%s\", \"ms_per_run\": %.3f}",
@@ -874,9 +882,9 @@ int run_suite(const std::string& json_path, bool smoke,
 void BM_BehavioralFlow(benchmark::State& state) {
   for (auto _ : state) {
     silc::layout::Library lib;
-    silc::core::SiliconCompiler cc(lib);
-    benchmark::DoNotOptimize(cc.compile_behavioral(
-        kBehavioralCounter, {.stop_after = "extract", .skip = {"drc"}}));
+    benchmark::DoNotOptimize(silc::core::compile(
+        lib, silc::core::Flow::Behavioral, kBehavioralCounter,
+        {.stop_after = "extract", .skip = {"drc"}}));
   }
 }
 BENCHMARK(BM_BehavioralFlow);
@@ -884,9 +892,9 @@ BENCHMARK(BM_BehavioralFlow);
 void BM_StructuralFlow(benchmark::State& state) {
   for (auto _ : state) {
     silc::layout::Library lib;
-    silc::core::SiliconCompiler cc(lib);
-    benchmark::DoNotOptimize(
-        cc.compile_structural(kStructuralCounter, {.skip = {"drc"}}));
+    benchmark::DoNotOptimize(silc::core::compile(
+        lib, silc::core::Flow::Structural, kStructuralCounter,
+        {.skip = {"drc"}}));
   }
 }
 BENCHMARK(BM_StructuralFlow);
@@ -916,18 +924,6 @@ int main(int argc, char** argv) {
       cache_dir = argv[i] + 12;
     else if (std::strncmp(argv[i], "--artifacts=", 12) == 0)
       artifacts_path = argv[i] + 12;
-    else if (std::strncmp(argv[i], "--pla=", 6) == 0) {
-      const std::string mode = argv[i] + 6;
-      if (mode == "symbolic") g_pla_mode = silc::sim::PlaCheckMode::Symbolic;
-      else if (mode == "compiled")
-        g_pla_mode = silc::sim::PlaCheckMode::Compiled;
-      else if (mode == "replay") g_pla_mode = silc::sim::PlaCheckMode::Replay;
-      else {
-        std::printf("ERROR: --pla=%s (want symbolic|compiled|replay)\n",
-                    mode.c_str());
-        return 1;
-      }
-    }
     else if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
     else passthrough.push_back(argv[i]);
   }

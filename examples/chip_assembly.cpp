@@ -31,9 +31,8 @@ int main() {
   std::vector<place::Block> macros;
   for (int w = 1; w <= 5; ++w) {
     const auto t0 = std::chrono::steady_clock::now();
-    core::SiliconCompiler cc(lib);
-    const core::CompileResult chip = cc.compile_behavioral(
-        counter_source(w),
+    const core::CompileResult chip = core::compile(
+        lib, core::Flow::Behavioral, counter_source(w),
         {.name = "counter" + std::to_string(w), .stop_after = "extract"});
     const double ms = std::chrono::duration<double, std::milli>(
                           std::chrono::steady_clock::now() - t0)

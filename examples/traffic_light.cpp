@@ -31,10 +31,9 @@ int main() {
     })";
 
   layout::Library lib("traffic");
-  core::SiliconCompiler cc(lib);
   const core::CompileResult chip =
-      cc.compile_behavioral(source, {.name = "traffic_chip",
-                                     .verify_cycles = 32});
+      core::compile(lib, core::Flow::Behavioral, source,
+                    {.name = "traffic_chip", .verify_cycles = 32});
 
   std::printf("traffic-light controller chip\n");
   std::printf("  state bits    : %d\n", chip.stats.state_bits);

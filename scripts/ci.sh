@@ -11,8 +11,8 @@
 #     vectors/sec per word backend x thread count), the flows bench
 #     must produce BENCH_compile.json (per-stage ms + compile_many batch
 #     throughput at 1 and N threads), and the drc bench must produce
-#     BENCH_drc.json (flat vs hier vs tiled ms, byte-identical violation
-#     sets enforced) so perf regressions are visible; set
+#     BENCH_drc.json (flat vs hier ms, byte-identical violation sets
+#     enforced) so perf regressions are visible; set
 #     SILC_SKIP_BENCH=1 to bypass on machines without google-benchmark;
 #   * the flows smoke bench enforces scripts/latency_budgets.txt (every
 #     profiled stage must hold its per-stage ms budget), and the gate is
@@ -20,9 +20,6 @@
 #     checker fail;
 #   * the budget gate is hardened against truncation: an empty or missing
 #     budget table must fail the checker, never pass as "nothing to do";
-#   * a second flows smoke leg runs the whole batch on the compiled
-#     pla-check engine (--pla=compiled) so the symbolic prover's fallback
-#     path stays exercised end to end;
 #   * the persistent-store leg runs the smoke batch twice against one
 #     --cache-dir in separate processes: the warm run must be
 #     byte-identical to the cold run and record store hits; a store
@@ -180,15 +177,6 @@ elif [ -x "$BUILD_DIR/bench_flows" ]; then
   fi
   rm -rf "$CACHE_DIR"
   echo "persistent-store leg: warm hits byte-identical, corruption cold-starts"
-
-  # --- one batch leg on the compiled pla-check engine -------------------
-  # The symbolic prover is the default; this leg keeps the compiled
-  # fallback engine exercised end to end (batch determinism + all designs
-  # clean) so it cannot rot between prover failures. No --budgets: the
-  # budget table is calibrated for the default engine.
-  "$BUILD_DIR/bench_flows" --smoke --pla=compiled \
-      --json="$BUILD_DIR/BENCH_compile_pla_compiled.json"
-  echo "pla_check_mode=compiled batch leg: ok"
 else
   echo "ERROR: $BUILD_DIR/bench_flows was not built (google-benchmark" \
        "missing?); set SILC_SKIP_BENCH=1 to bypass" >&2
@@ -197,8 +185,8 @@ fi
 
 # --- smoke drc bench: BENCH_drc.json tracks the checking modes ----------
 # bench_drc needs only libsilc (built unconditionally) and enforces the
-# engine contract — byte-identical violation sets across flat/hier/tiled
-# and clean generated artwork (non-zero exit) — so it always runs.
+# engine contract — byte-identical violation sets across flat, cold hier,
+# warm hier and a store replay, and clean generated artwork (non-zero exit) — so it always runs.
 "$BUILD_DIR/bench_drc" --smoke --json="$BUILD_DIR/BENCH_drc.json"
 echo "--- BENCH_drc.json (smoke) ---"
 cat "$BUILD_DIR/BENCH_drc.json"

@@ -14,8 +14,10 @@
 //     in the engines (DRC seams, extraction window fixpoints, sim eval
 //     passes) poll the ambient token via check_cancel() without every
 //     signature between the pipeline and the loop having to thread a
-//     parameter through. Worker crews must re-install the token in each
-//     worker thread (thread_locals do not inherit) — see drc::check_tiled.
+//     parameter through. The ambient token is a thread_local, so a worker
+//     thread does not inherit it: code that polls on a worker must install
+//     the token there itself (core::compile does, which covers every
+//     compile_many job).
 //
 //   * check_cancel(where) — polls and throws Cancelled. The pipeline
 //     catches Cancelled at the stage boundary and turns it into a

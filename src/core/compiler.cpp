@@ -8,12 +8,6 @@
 
 namespace silc::core {
 
-bool verify_chip_against_rtl(const layout::Cell& chip, const rtl::Design& design,
-                             int cycles, unsigned seed, std::string& detail) {
-  return verify_chip_against_rtl(extract::extract(chip), design, cycles, seed,
-                                 detail);
-}
-
 bool verify_chip_against_rtl(const extract::Netlist& nl,
                              const rtl::Design& design, int cycles,
                              unsigned seed, std::string& detail) {

@@ -1,28 +1,9 @@
-// The silicon compiler driver: "design tools that take a completely
-// textual description of a design and translate it to layout data."
-//
-// Since the stage-pipeline refactor this header is a thin façade over
-// core/pipeline.hpp, where the machinery lives:
-//
-//   * DesignDB — per-design artifact store (parsed design, tabulated FSM,
-//     assembled chip + programmed personality, CIF, DRC result, extracted
-//     netlist, verification reports), compute-once/lookup-later;
-//   * Pipeline — named, timed stages with a stop_after/skip policy;
-//     behavioral flow: parse -> tabulate -> assemble -> cif -> drc ->
-//     extract -> gate-check -> pla-check -> artwork-check; structural
-//     flow: parse -> cif -> drc -> extract;
-//   * DiagStream — structured (severity, stage, message) diagnostics;
-//     malformed source, DRC violations, extraction warnings, and
-//     simulation mismatches come back as diagnostics on the
-//     CompileResult, never as exceptions out of compile_*;
-//   * compile_many — the batch front end: N designs across a worker
-//     crew, deterministic results, aggregate stage-timing profile.
-//
-// SiliconCompiler keeps the original two-method surface, matching the
-// paper's two rival definitions: compile_behavioral (ISPS-style text ->
-// tabulate -> PLA + registers + pads -> CIF) and compile_structural (a
-// SILC generator program -> layout -> CIF). Both return the emitted CIF
-// plus the verification evidence the 1979 methodology called for.
+// The artwork check, the behavioral flow's last verification step: the
+// transistors extracted from an assembled FSM chip, run under the
+// switch-level simulator against the behavioral model. The pipeline's
+// artwork-check stage runs it on the netlist the DesignDB already holds,
+// so a compile extracts once. The compiler itself is core::compile
+// (core/pipeline.hpp, included here).
 #pragma once
 
 #include <string>
@@ -31,35 +12,10 @@
 
 namespace silc::core {
 
-class SiliconCompiler {
- public:
-  explicit SiliconCompiler(layout::Library& lib) : lib_(&lib) {}
-
-  /// Behavioral flow: ISPS-style source -> complete verified chip.
-  CompileResult compile_behavioral(const std::string& rtl_source,
-                                   const CompileOptions& options = {}) {
-    return compile(*lib_, Flow::Behavioral, rtl_source, options);
-  }
-
-  /// Structural flow: SILC program -> layout -> CIF. The program's return
-  /// value (or last write_cif) names the chip cell.
-  CompileResult compile_structural(const std::string& silc_source,
-                                   const CompileOptions& options = {}) {
-    return compile(*lib_, Flow::Structural, silc_source, options);
-  }
-
- private:
-  layout::Library* lib_;
-};
-
-/// Drive an assembled FSM chip through `cycles` of random stimulus from its
-/// pads and compare every output against the behavioral simulator.
-/// Returns true when all cycles match; detail describes the run.
-bool verify_chip_against_rtl(const layout::Cell& chip, const rtl::Design& design,
-                             int cycles, unsigned seed, std::string& detail);
-/// Same, over an already-extracted netlist (the pipeline's artwork-check
-/// stage passes the netlist the DesignDB already holds, so a compile
-/// extracts exactly once).
+/// Drive an already-extracted FSM chip netlist through `cycles` of random
+/// stimulus from its pads and compare every output against the behavioral
+/// simulator. Returns true when all cycles match; detail describes the run
+/// (extraction warnings fail the check with their own detail).
 bool verify_chip_against_rtl(const extract::Netlist& netlist,
                              const rtl::Design& design, int cycles,
                              unsigned seed, std::string& detail);

@@ -279,10 +279,6 @@ bool stage_drc(DesignDB& db) {
     case drc::Mode::Flat:
       db.drc = drc::check_flat(db.flattened().shapes);
       break;
-    case drc::Mode::Tiled:
-      db.drc = drc::check_tiled(db.flattened().shapes, tech::nmos(),
-                                db.options.drc_threads);
-      break;
     case drc::Mode::Hier:
       // Any failure inside the hier path (a poisoned decomposition, an
       // injected fault) degrades to the flat engine — byte-identical
@@ -398,25 +394,14 @@ Pipeline make_behavioral() {
     }
     // Check the personality actually programmed into the NOR-NOR planes
     // against the tabulated spec, pre-artwork — the same discipline the
-    // gate path gets, for the tabulate->PLA lowering. The default engine
-    // is the symbolic cube-containment proof; if the prover itself fails
-    // (never a mismatch verdict — those are final), degrade to the
-    // compiled netlist diff, mirroring the hier->flat fallbacks.
-    sim::SimConfig sc;
-    sc.threads = db.options.sim_threads;
-    const auto run_check = [&](sim::PlaCheckMode mode) {
-      return sim::check_pla(*db.design, *db.fsm, db.assembled->personality,
-                            db.options.pla_verify_cycles,
-                            /*lanes=*/0, /*seed=*/2u, sc, mode);
-    };
-    db.pla_check = run_check(db.options.pla_check_mode);
-    if (db.pla_check->error &&
-        db.options.pla_check_mode == sim::PlaCheckMode::Symbolic) {
-      db.diags.warning("pla-check", "symbolic prover failed (" +
-                                        db.pla_check->detail +
-                                        "); falling back to compiled");
-      db.pla_check = run_check(sim::PlaCheckMode::Compiled);
-    }
+    // gate path gets, for the tabulate->PLA lowering — with the symbolic
+    // cube-containment proof. A prover that throws comes back as an
+    // error report and fails the stage like a mismatch verdict.
+    db.pla_check = sim::check_pla(*db.design, *db.fsm,
+                                  db.assembled->personality,
+                                  CompileOptions::pla_verify_cycles,
+                                  /*lanes=*/0, /*seed=*/2u, /*sim=*/{},
+                                  CompileOptions::pla_check_mode);
     if (!db.pla_check->ok) {
       db.diags.error("pla-check",
                      db.pla_check->detail + "; artwork check skipped");
@@ -722,7 +707,6 @@ BatchResult compile_many(const std::vector<BatchJob>& jobs, int threads) {
         auto lib = std::make_unique<layout::Library>(job.options.name);
         CompileOptions opt = job.options;
         opt.sim_threads = 1;  // one level of parallelism: across designs
-        opt.drc_threads = 1;
         if (opt.drc_cache == nullptr) opt.drc_cache = &drc_cache;
         if (opt.extract_cache == nullptr) opt.extract_cache = &extract_cache;
         // The batch owns the persistence cycle; jobs get the shared

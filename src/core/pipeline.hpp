@@ -126,30 +126,24 @@ struct CompileOptions {
                                  // always runs the widest word; this
                                  // bounds the behavioral references)
   int gate_verify_lanes = 16;    // independent behavioral stimulus lanes
-  int pla_verify_cycles = 256;   // pla-check: cycles for the sampling
-                                 // modes (Compiled/Replay), every lane;
-                                 // the symbolic proof ignores it
-  /// Engine for the pla-check stage (see sim::PlaCheckMode). Symbolic
-  /// (the default) proves the programmed personality equal to the
-  /// tabulated FSM over the whole care space by cube containment —
-  /// orders of magnitude faster than simulating — and degrades to the
-  /// Compiled netlist diff (with a warning diag) if the prover throws;
-  /// Compiled and Replay sample pla_verify_cycles random cycles per lane.
-  sim::PlaCheckMode pla_check_mode = sim::PlaCheckMode::Symbolic;
+  /// The pla-check stage's engine, fixed: the symbolic proof (see
+  /// sim::PlaCheckMode) decides the programmed personality against the
+  /// tabulated FSM over the whole care space by cube containment. If the
+  /// prover throws, the stage fails with a structured error diag. The
+  /// cycle count sizes only the sampling oracle, which the stage never
+  /// runs; both are constants, not options, so no caller can set them.
+  static constexpr sim::PlaCheckMode pla_check_mode =
+      sim::PlaCheckMode::Symbolic;
+  static constexpr int pla_verify_cycles = 256;
   /// Threads for the compiled-simulator checks (0 = auto). compile_many
   /// pins this to 1 so design-level parallelism is never oversubscribed
   /// by per-design sim pools.
   int sim_threads = 0;
   /// DRC engine mode for the drc stage. Hier (the default) proves each
   /// unique cell once against the rule table and re-checks only
-  /// interaction windows; Flat is the exhaustive baseline; Tiled
-  /// partitions flat geometry across drc_threads workers. All modes
+  /// interaction windows; Flat is the exhaustive baseline. Both modes
   /// produce identical violation sets (see drc/drc.hpp).
   drc::Mode drc_mode = drc::Mode::Hier;
-  /// Workers for tiled DRC (0 = hardware concurrency; always clamped to
-  /// it). compile_many pins this to 1 — across designs is the one level
-  /// of parallelism a batch uses.
-  int drc_threads = 1;
   /// Per-cell DRC verdict cache (non-owning, thread-safe). compile_many
   /// points every job of a batch at one shared cache so designs stop
   /// re-proving the standard cells they have in common; null makes the
@@ -162,7 +156,7 @@ struct CompileOptions {
   /// interaction windows; Flat is the exhaustive baseline. Both produce
   /// byte-identical canonical netlists (see extract/extract.hpp), and with
   /// Hier a full compile never pays the shared chip flatten unless DRC
-  /// runs in Flat/Tiled mode.
+  /// runs in Flat mode.
   extract::Mode extract_mode = extract::Mode::Hier;
   /// Per-cell netlist cache for hierarchical extraction (non-owning,
   /// thread-safe) — the extract-stage mirror of drc_cache: compile_many

@@ -121,8 +121,6 @@ std::uint64_t ResultCache::fingerprint(Flow flow, const std::string& source,
   f.mix(static_cast<std::uint64_t>(options.verify_cycles));
   f.mix(static_cast<std::uint64_t>(options.gate_verify_cycles));
   f.mix(static_cast<std::uint64_t>(options.gate_verify_lanes));
-  f.mix(static_cast<std::uint64_t>(options.pla_verify_cycles));
-  f.mix(static_cast<std::uint64_t>(options.pla_check_mode));
   f.mix(static_cast<std::uint64_t>(options.drc_mode));
   f.mix(static_cast<std::uint64_t>(options.extract_mode));
   return f.h;

@@ -10,12 +10,14 @@
 // tech::Tech::rebuild_drc_tables()); the engine (drc/rules.hpp) stays
 // untouched.
 //
-// Three checking modes share that one engine:
+// Two checking modes share that one engine:
 //
 //   * Flat (check_flat): the exhaustive baseline — every rule against the
 //     full flattened geometry, accelerated by the geometry kernel's
 //     windowed queries (RectSet::covers/overlapping scan only the rects
-//     near each probe instead of sweeping whole layers).
+//     near each probe instead of sweeping whole layers). It is the oracle
+//     the hierarchical engine is tested against and the engine the
+//     compiler falls back to when a hierarchical check fails.
 //
 //   * Hier (check_hier): assembled-by-construction chips tile the same
 //     cells dozens of times, so each unique layout::Cell is proved once —
@@ -28,20 +30,14 @@
 //     parent's own wiring. The decomposition recurses, so a chip's PLA is
 //     itself checked cell-by-cell.
 //
-//   * Tiled (check_tiled): flat geometry partitioned into a fixed grid of
-//     tiles, each checked with a max-rule-distance halo and fanned across
-//     a worker pool. A violation is owned by the tile containing its
-//     anchor corner, and results are canonicalized (sorted + deduped), so
-//     output is bit-identical at any thread count.
-//
-// All modes agree. Violations are locally anchored — spacing reports the
+// Both modes agree. Violations are locally anchored — spacing reports the
 // offending gap, area rules one canonical rect each, component rules a
 // whole pulled component — so every report is decided by evidence the
-// window of its anchor-owning tile (or seam) is guaranteed to hold, and
-// windowed checks reproduce the flat verdict byte for byte: fuzzed with
-// dense random soups and random hierarchies (tiled at several thread
-// counts; hier under every non-transposing instance orientation). Two
-// documented residuals, neither of which can drop an offence:
+// window of its anchor-owning seam is guaranteed to hold, and windowed
+// checks reproduce the flat verdict byte for byte: fuzzed with dense
+// random soups and random hierarchies under every non-transposing
+// instance orientation. Two documented residuals, neither of which can
+// drop an offence:
 //   * instances reused under transposing orientations (R90 family)
 //     re-slab the canonical decomposition, so hier spacing/width
 //     fragments may split or merge differently than flat's (the offending
@@ -85,9 +81,9 @@ struct Violation {
   std::string detail;
   /// A deterministic point ON the offending geometry — every rule's
   /// decisive evidence lies within the technology halo of it (or belongs
-  /// to a pulled component, see LayerTable::window). Tiled ownership and
-  /// windowed re-checks key on this, never on the `where` bbox, whose
-  /// corners can be far from any geometry. Not part of identity.
+  /// to a pulled component, see LayerTable::window). Windowed re-checks
+  /// key on this, never on the `where` bbox, whose corners can be far
+  /// from any geometry. Not part of identity.
   geom::Point anchor{};
 
   /// "rule at rect (detail)" — the one-line rendering summaries and the
@@ -113,8 +109,8 @@ struct Result {
   [[nodiscard]] std::string summary() const;
   /// Count of violations whose rule name starts with `prefix`.
   [[nodiscard]] std::size_t count(const std::string& prefix) const;
-  /// Sort violations canonically and drop exact duplicates (tiling and
-  /// interaction-window checks can find the same offence twice). Every
+  /// Sort violations canonically and drop exact duplicates (overlapping
+  /// interaction windows can find the same offence twice). Every
   /// check entry point returns a canonical Result.
   void canonicalize();
 };
@@ -208,23 +204,9 @@ class VerdictCache {
   mutable std::uint64_t poisoned_ = 0;
 };
 
-enum class Mode : std::uint8_t { Flat, Hier, Tiled };
+enum class Mode : std::uint8_t { Flat, Hier };
 
 [[nodiscard]] const char* to_string(Mode m);
-
-struct CheckOptions {
-  Mode mode = Mode::Flat;
-  /// Tiled-mode worker count: 0 = hardware concurrency; always clamped to
-  /// hardware concurrency, and no crew is spun up when that yields 1.
-  int threads = 1;
-  /// Hier mode: shared per-cell verdicts (optional — a local cache is used
-  /// when null, which still collapses repeated cells within one chip).
-  VerdictCache* cache = nullptr;
-};
-
-/// Check a cell in the requested mode (Flat and Tiled flatten internally).
-[[nodiscard]] Result check(const layout::Cell& top, const tech::Tech& technology,
-                           const CheckOptions& options);
 
 /// Check a cell, flattened internally (Mode::Flat).
 [[nodiscard]] Result check(const layout::Cell& top,
@@ -234,18 +216,11 @@ struct CheckOptions {
 [[nodiscard]] Result check_flat(const std::vector<layout::Shape>& shapes,
                                 const tech::Tech& technology = tech::nmos());
 
-/// Check pre-flattened geometry tile-parallel: fixed grid + halo, fanned
-/// across `threads` workers (0 = hardware concurrency). Bit-identical
-/// results at any thread count.
-[[nodiscard]] Result check_tiled(const std::vector<layout::Shape>& shapes,
-                                 const tech::Tech& technology = tech::nmos(),
-                                 int threads = 0);
-
 /// Check a cell hierarchically: unique cells once (cached in `cache` when
 /// given), interaction windows re-verified.
 ///
 /// Hier→flat fallback matrix (enforced by core::stage_drc and proved
-/// byte-identical by tests/test_fault.cpp, since all modes agree):
+/// byte-identical by tests/test_fault.cpp, since both modes agree):
 ///
 ///   failure inside check_hier        | what happens
 ///   ---------------------------------+------------------------------------
@@ -279,7 +254,7 @@ struct IncrStats {
 /// through check_hier against the warm per-cell `cache`: unchanged cells
 /// hit (their content hash didn't move), edited cells and the interaction
 /// windows touching them are re-proved. Byte-identity with a cold
-/// check_hier/check_flat is inherited from the proven all-modes-agree
+/// check_hier/check_flat is inherited from the proven flat == hier
 /// contract; the randomized differential harness in
 /// tests/test_incremental.cpp re-proves it end to end.
 ///

@@ -120,7 +120,7 @@ LayerTable LayerTable::window(const geom::RectSet& win, Coord halo) {
   std::array<RectSet, tech::kNumLayers> soup;
   // Component-semantic layers first (from the rule table: cuts, buried
   // windows, channels): whole components whose bbox meets the window, so
-  // no tile or seam ever judges a truncated component. A component that
+  // no seam window ever judges a truncated component. A component that
   // does not meet the window is omitted entirely — a truncated variant
   // could anchor a phantom report. Pulled regions widen the collection
   // window by the halo so their cover evidence is complete too.
@@ -228,17 +228,6 @@ Rect component_bbox(const std::vector<Rect>& comp, std::int64_t* area = nullptr)
 }  // namespace
 
 RuleEngine::RuleEngine(const Tech& t) : tech_(&t), halo_(t.max_rule_dist()) {}
-
-void RuleEngine::prewarm(LayerTable& g) const {
-  for (int i = 0; i < tech::kNumLayers; ++i) {
-    g.labels(static_cast<Layer>(i));  // also normalizes the canonical rects
-  }
-  for (const DrcRule& r : tech_->drc_rules) {
-    (void)g.get(r.layer);
-    for (const std::string& o : r.operands) (void)g.get(o);
-    if (!r.excuse.empty()) (void)g.get(r.excuse);
-  }
-}
 
 void RuleEngine::run(LayerTable& g, Result& out) const {
   for (const DrcRule& r : tech_->drc_rules) {

@@ -11,9 +11,10 @@
 // DrcRule::Kind has one evaluator; the rule's layer names, distances, and
 // violation-name prefix are data, so a new technology (or an extra rule in
 // an existing one) is a table edit, not code. The engine itself is
-// window-agnostic: flat, tiled, and hierarchical checking all build a
-// LayerTable for their region of interest, run the same engine, and apply
-// their own ownership filter to the violations.
+// window-agnostic: flat and hierarchical checking both build a LayerTable
+// for their region of interest (the whole chip, a cell, a seam window),
+// run the same engine, and apply their own ownership filter to the
+// violations.
 #pragma once
 
 #include <array>
@@ -87,7 +88,7 @@ class LayerTable {
 };
 
 /// The rule-table interpreter. Construct once per technology; run against
-/// as many LayerTables as needed (per cell, per tile, per seam window).
+/// as many LayerTables as needed (per chip, per cell, per seam window).
 class RuleEngine {
  public:
   explicit RuleEngine(const tech::Tech& t);
@@ -95,11 +96,6 @@ class RuleEngine {
   /// Evaluate every table rule against `g`, appending violations to `out`
   /// (unsorted; callers canonicalize via Result::canonicalize()).
   void run(LayerTable& g, Result& out) const;
-
-  /// Force-evaluate everything lazy a shared table may serve concurrently
-  /// (derived layers referenced by any rule, per-layer labels, canonical
-  /// rects) so worker threads only ever read it.
-  void prewarm(LayerTable& g) const;
 
   /// Layer expressions whose rules judge whole components (contact cuts,
   /// buried windows, transistor channels): windowed checks must pull these

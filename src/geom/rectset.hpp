@@ -41,7 +41,7 @@ class RectSet {
 
   /// Windowed query: the canonical rects whose closed region meets the
   /// closed window `w`, unclipped, in canonical order. This is the query
-  /// surface tiled/hierarchical DRC and future region-local analyses are
+  /// surface hierarchical DRC and future region-local analyses are
   /// built on — O(rects up to the window's top band) with no sweep.
   [[nodiscard]] std::vector<Rect> overlapping(const Rect& w) const;
   /// The region clipped to the window `w` (canonical).

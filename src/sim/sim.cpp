@@ -541,7 +541,6 @@ CrosscheckReport crosscheck(const rtl::Design& design,
 const char* to_string(PlaCheckMode mode) {
   switch (mode) {
     case PlaCheckMode::Symbolic: return "symbolic";
-    case PlaCheckMode::Compiled: return "compiled";
     case PlaCheckMode::Replay: return "replay";
   }
   return "?";
@@ -549,12 +548,11 @@ const char* to_string(PlaCheckMode mode) {
 
 namespace {
 
-/// Shared admission guard: every mode packs minterms into 32-bit cubes
+/// Shared admission guard: both modes pack minterms into 32-bit cubes
 /// (the replay packs them literally; the symbolic engine's Cube algebra is
-/// 32-bit; the compiled lowering indexes columns by the same layout), so
-/// an over-wide FSM is a structured rejection, not a silent wrap. Shape
-/// drift between the personality and the tabulation is likewise caught
-/// here once, before any engine trusts the indices.
+/// 32-bit), so an over-wide FSM is a structured rejection, not a silent
+/// wrap. Shape drift between the personality and the tabulation is
+/// likewise caught here once, before any engine trusts the indices.
 bool pla_admit(const rtl::Design& design, const synth::TabulatedFsm& fsm,
                const logic::PlaTerms& personality, PlaCheckReport& r) {
   int in_bits = 0;
@@ -652,131 +650,9 @@ PlaCheckReport check_pla_symbolic(const synth::TabulatedFsm& fsm,
   return r;
 }
 
-/// Lower the programmed personality + feedback registers into a gate
-/// netlist: one shared AND-plane term net per cube, a NOR per output
-/// column, DFFs on the state columns — the same structure the artwork
-/// implements, runnable on the fused bit-parallel tape.
-net::Netlist pla_netlist(const rtl::Design& design,
-                         const synth::TabulatedFsm& fsm,
-                         const logic::PlaTerms& personality) {
-  net::Netlist nl;
-  const int sb = fsm.state_bits;
-  const int nbits = personality.num_inputs;
-  std::vector<int> col(static_cast<std::size_t>(nbits), -1);
-  for (int k = 0; k < sb; ++k) {
-    col[static_cast<std::size_t>(k)] =
-        nl.add_net(fsm.input_names[static_cast<std::size_t>(k)]);
-  }
-  int pos = sb;
-  for (const rtl::Signal* s : design.of_kind(rtl::SignalKind::Input)) {
-    for (int b = 0; b < s->width; ++b, ++pos) {
-      // Input naming mirrors bit_blast so run()'s poke resolves the same
-      // stimulus keys: bare name when 1 bit wide, "name[b]" otherwise.
-      col[static_cast<std::size_t>(pos)] = nl.add_input(
-          s->width == 1 ? s->name : s->name + "[" + std::to_string(b) + "]");
-    }
-  }
-  std::vector<int> ncol(static_cast<std::size_t>(nbits), -1);
-  const auto inverted = [&](int i) {
-    int& n = ncol[static_cast<std::size_t>(i)];
-    if (n < 0) {
-      n = nl.add_gate(net::GateKind::Not,
-                      {col[static_cast<std::size_t>(i)]});
-    }
-    return n;
-  };
-  std::vector<int> term(personality.terms.size(), -1);
-  for (std::size_t t = 0; t < personality.terms.size(); ++t) {
-    const logic::Cube& c = personality.terms[t];
-    std::vector<int> lits;
-    for (std::uint32_t m = c.mask; m != 0; m &= m - 1) {
-      const int i = __builtin_ctz(m);
-      lits.push_back((c.value >> i) & 1u ? col[static_cast<std::size_t>(i)]
-                                         : inverted(i));
-    }
-    term[t] = lits.empty() ? nl.add_gate(net::GateKind::Const1, {})
-              : lits.size() == 1
-                  ? lits[0]
-                  : nl.add_gate(net::GateKind::And, lits);
-  }
-  const auto column = [&](std::size_t k, const std::string& name) {
-    const std::vector<int>& sel = personality.output_terms[k];
-    if (sel.empty()) return nl.add_gate(net::GateKind::Const1, {}, name);
-    std::vector<int> terms;
-    terms.reserve(sel.size());
-    for (const int t : sel) terms.push_back(term[static_cast<std::size_t>(t)]);
-    return nl.add_gate(net::GateKind::Nor, terms, name);
-  };
-  std::size_t k = 0;
-  for (; k < static_cast<std::size_t>(sb); ++k) {
-    nl.add_gate_driving(net::GateKind::Dff, {column(k, "")}, col[k], "");
-  }
-  for (const rtl::Signal* s : design.of_kind(rtl::SignalKind::Output)) {
-    for (int b = 0; b < s->width; ++b, ++k) {
-      const std::string name =
-          s->width == 1 ? s->name : s->name + "[" + std::to_string(b) + "]";
-      nl.mark_output(column(k, name), name);
-    }
-  }
-  return nl;
-}
-
-/// Compiled mode: run the lowered personality and the design's gate tape
-/// side by side, every lane of the widest configured word per pass, and
-/// diff the recorded output traces.
-PlaCheckReport check_pla_compiled(const rtl::Design& design,
-                                  const synth::TabulatedFsm& fsm,
-                                  const logic::PlaTerms& personality,
-                                  int cycles, int lanes, unsigned seed,
-                                  const SimConfig& sim) {
-  SILC_OBS_SPAN("sim.pla.compiled", "sim");
-  SILC_FAULT_POINT("sim.pla.compiled");
-  PlaCheckReport r;
-  r.mode = PlaCheckMode::Compiled;
-  r.cycles = std::max(0, cycles);
-  r.terms = personality.term_count();
-
-  CompiledSim ref(design, sim);
-  CompiledSim pla(pla_netlist(design, fsm, personality), sim);
-  r.lanes = lanes <= 0 ? ref.lanes() : std::min(lanes, ref.lanes());
-
-  std::vector<Trace> stimuli;
-  stimuli.reserve(static_cast<std::size_t>(r.lanes));
-  for (int l = 0; l < r.lanes; ++l) {
-    stimuli.push_back(
-        random_stimulus(design, r.cycles, seed + static_cast<unsigned>(l)));
-  }
-  core::check_cancel("sim.pla.compiled");
-  const std::vector<Trace> want = ref.run(stimuli);
-  std::vector<std::string> probes;
-  for (const rtl::Signal* s : design.of_kind(rtl::SignalKind::Output)) {
-    probes.push_back(s->name);
-  }
-  const std::vector<Trace> got = pla.run(stimuli, probes);
-  for (int l = 0; l < r.lanes; ++l) {
-    const TraceDiff d = diff_traces(got[static_cast<std::size_t>(l)],
-                                    want[static_cast<std::size_t>(l)]);
-    if (d.identical) continue;
-    r.mismatch_lane = l;
-    r.mismatch_cycle = d.cycle;
-    r.mismatch_signal = d.signal;
-    std::ostringstream os;
-    os << "pla vs compiled, lane " << l << " cycle " << d.cycle << " signal "
-       << d.signal << ": " << d.a << " != " << d.b;
-    r.detail = os.str();
-    return r;
-  }
-  std::ostringstream os;
-  os << "pla(" << r.terms << " terms) == compiled over " << r.cycles
-     << " cycles x " << r.lanes << " lanes (netlist tape)";
-  r.ok = true;
-  r.detail = os.str();
-  return r;
-}
-
 /// Replay mode: the original interpreted oracle — personality.evaluate()
 /// per output bit per cycle against the compiled tape. Slow by design;
-/// the other two engines are differentially tested against it.
+/// the symbolic engine is differentially tested against it.
 PlaCheckReport check_pla_replay(const rtl::Design& design,
                                 const synth::TabulatedFsm& fsm,
                                 const logic::PlaTerms& personality, int cycles,
@@ -881,9 +757,6 @@ PlaCheckReport check_pla(const rtl::Design& design,
     switch (mode) {
       case PlaCheckMode::Symbolic:
         return check_pla_symbolic(fsm, personality);
-      case PlaCheckMode::Compiled:
-        return check_pla_compiled(design, fsm, personality, cycles, lanes,
-                                  seed, sim);
       case PlaCheckMode::Replay:
         return check_pla_replay(design, fsm, personality, cycles, lanes, seed,
                                 sim);

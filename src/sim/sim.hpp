@@ -41,8 +41,8 @@
 //     This is the compiler's behavioral-vs-gates check.
 //   * check_pla(): the PLA path's pre-artwork equivalence check — the
 //     personality actually programmed into the NOR-NOR planes, proven
-//     against the tabulated spec symbolically (default), or cross-checked
-//     as a compiled netlist / interpreted replay (see PlaCheckMode).
+//     against the tabulated spec symbolically, or replayed against the
+//     compiled tape as the test oracle (see PlaCheckMode).
 #pragma once
 
 #include <cstdint>
@@ -476,19 +476,14 @@ enum class PlaCheckMode : std::uint8_t {
   /// Cube-containment equivalence proof (logic::check_cover_equiv) of the
   /// personality's complement covers against `fsm.function`, per output
   /// bit, honoring don't-cares. Exhaustive over the whole care space, no
-  /// simulation, and orders of magnitude faster than either sampling
-  /// mode; `cycles`/`lanes`/`seed` are ignored.
+  /// simulation, and orders of magnitude faster than sampling;
+  /// `cycles`/`lanes`/`seed`/`sim` are ignored. The compiler's pla-check
+  /// stage always runs this engine.
   Symbolic,
-  /// Lower the personality + feedback registers into a net::Netlist, run
-  /// it and the design's gate tape side by side on the widest-word
-  /// backend over seeded random stimulus, and diff the traces. Sampling,
-  /// not proof — kept as the structural cross-check of the same lowering
-  /// the artwork will implement, and as the fallback when the symbolic
-  /// engine throws.
-  Compiled,
   /// The original interpreted replay: personality.evaluate() per output
-  /// bit per cycle against the compiled tape. Slowest; retained as the
-  /// differential oracle the other two engines are tested against.
+  /// bit per cycle against the compiled tape over seeded random stimulus.
+  /// Sampling, not proof, and slow; retained as the differential oracle
+  /// the symbolic engine is tested against.
   Replay,
 };
 
@@ -513,7 +508,7 @@ struct PlaCheckReport {
   bool has_counterexample = false;
   std::uint32_t counterexample = 0;
   /// The engine threw (detail carries the exception) — the report is an
-  /// engine failure, not a verdict. Callers may retry another mode.
+  /// engine failure, not a verdict.
   bool error = false;
 };
 
@@ -521,19 +516,15 @@ struct PlaCheckReport {
 /// holds the *programmed* NOR-NOR planes — the complement cover of each
 /// output, out_k = NOR of its selected terms — and is checked against the
 /// design per `mode` (see PlaCheckMode): a symbolic equivalence proof
-/// against `fsm.function` by default, or a sampled diff against the
-/// design's compiled gate tape (Compiled lowers the personality to a
-/// netlist; Replay interprets it cycle by cycle). All modes reject FSMs
-/// whose minterm exceeds the 32-bit cube packing (state_bits + input bits
-/// > 32) with a structured failure rather than wrapping silently.
+/// against `fsm.function` by default, or the Replay oracle's sampled diff
+/// against the design's compiled gate tape. Both modes reject FSMs whose
+/// minterm exceeds the 32-bit cube packing (state_bits + input bits > 32)
+/// with a structured failure rather than wrapping silently.
 ///
-/// `cycles`/`lanes`/`seed` drive the sampling modes (`lanes` = 0 uses
-/// every lane of the configured word); `sim` tunes the compiled models
-/// (batch callers pin sim.threads so design-level parallelism is not
-/// oversubscribed). Exceptions other than core::Cancelled are caught into
-/// an ok=false report with `error` set; callers that want
-/// symbolic-with-fallback run Symbolic first and retry Compiled when
-/// `error` (see core's pla-check stage).
+/// `cycles`/`lanes`/`seed` drive Replay (`lanes` = 0 uses every lane of
+/// the configured word); `sim` tunes its compiled model. Exceptions other
+/// than core::Cancelled are caught into an ok=false report with `error`
+/// set; core's pla-check stage turns that into an error diag.
 [[nodiscard]] PlaCheckReport check_pla(const rtl::Design& design,
                                        const synth::TabulatedFsm& fsm,
                                        const logic::PlaTerms& personality,

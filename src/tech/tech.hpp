@@ -145,9 +145,8 @@ struct Tech {
   void rebuild_drc_tables();
 
   /// The largest interaction distance any rule can reach: geometry farther
-  /// apart than this cannot affect one another's verdict. Tiled and
-  /// hierarchical DRC use it as the halo around tile cores and interaction
-  /// windows.
+  /// apart than this cannot affect one another's verdict. Hierarchical
+  /// DRC uses it as the halo around interaction windows.
   [[nodiscard]] Coord max_rule_dist() const;
 
   /// Content hash of the DRC rule set (derived layers + rule table +

@@ -3,15 +3,14 @@
 #include <gtest/gtest.h>
 
 #include "cif/cif.hpp"
-#include "core/compiler.hpp"
+#include "core/pipeline.hpp"
 
 namespace silc::core {
 namespace {
 
 TEST(Compiler, BehavioralFlowCompilesAndVerifies) {
   layout::Library lib;
-  SiliconCompiler cc(lib);
-  const CompileResult r = cc.compile_behavioral(R"(
+  const CompileResult r = compile(lib, Flow::Behavioral, R"(
     processor gray2 (input en; output code<2>;) {
       reg count<2>;
       code = {count[1], count[1] ^ count[0]};
@@ -43,8 +42,7 @@ TEST(Compiler, BehavioralFlowCompilesAndVerifies) {
 
 TEST(Compiler, StructuralFlowCompilesSilcProgram) {
   layout::Library lib;
-  SiliconCompiler cc(lib);
-  const CompileResult r = cc.compile_structural(R"(
+  const CompileResult r = compile(lib, Flow::Structural, R"(
     func inv_chain(n) {
       let c = cell("chain");
       let i = inv(8);
@@ -61,20 +59,18 @@ TEST(Compiler, StructuralFlowCompilesSilcProgram) {
 
 TEST(Compiler, StructuralFlowReportsMissingCell) {
   layout::Library lib;
-  SiliconCompiler cc(lib);
-  const CompileResult r = cc.compile_structural("print(1 + 1);");
+  const CompileResult r = compile(lib, Flow::Structural, "print(1 + 1);");
   EXPECT_EQ(r.chip, nullptr);
   EXPECT_FALSE(r.ok());
   EXPECT_TRUE(r.has_errors());
 }
 
 TEST(Compiler, BehavioralRejectsBadSourceWithDiagnostic) {
-  // Malformed source is data, not control flow: compile_* never throws,
+  // Malformed source is data, not control flow: compile() never throws,
   // it returns a parse-stage error diagnostic on a failed result.
   layout::Library lib;
-  SiliconCompiler cc(lib);
   CompileResult r;
-  ASSERT_NO_THROW(r = cc.compile_behavioral("processor x ("));
+  ASSERT_NO_THROW(r = compile(lib, Flow::Behavioral, "processor x ("));
   EXPECT_FALSE(r.ok());
   ASSERT_FALSE(r.diags.empty());
   EXPECT_EQ(r.diags[0].stage, "parse");
@@ -83,9 +79,8 @@ TEST(Compiler, BehavioralRejectsBadSourceWithDiagnostic) {
 
 TEST(Compiler, StructuralRejectsBadSourceWithDiagnostic) {
   layout::Library lib;
-  SiliconCompiler cc(lib);
   CompileResult r;
-  ASSERT_NO_THROW(r = cc.compile_structural("func ("));
+  ASSERT_NO_THROW(r = compile(lib, Flow::Structural, "func ("));
   EXPECT_FALSE(r.ok());
   ASSERT_FALSE(r.diags.empty());
   EXPECT_EQ(r.diags[0].stage, "parse");

@@ -1,9 +1,8 @@
 // DRC negative tests: every rule family must catch a deliberately broken
 // layout (the generator tests prove the absence of false positives; these
 // prove the absence of false negatives rule by rule). Plus the engine
-// contracts: flat, hierarchical, and tiled modes report byte-identical
-// violation sets at any thread count; results are canonical (sorted,
-// deduped); the verdict cache hits across libraries; and the rule table is
+// contracts: flat and hierarchical modes report byte-identical violation
+// sets; results are canonical (sorted, deduped); the verdict cache hits across libraries; and the rule table is
 // data (a technology edit changes verdicts with no engine change).
 #include <gtest/gtest.h>
 
@@ -213,7 +212,7 @@ const Cell& dirty_chip(Library& lib) {
   return chip;
 }
 
-TEST(DrcModes, FlatHierTiledAgreeOnDirtyHierarchy) {
+TEST(DrcModes, FlatHierAgreeOnDirtyHierarchy) {
   Library lib;
   const Cell& chip = dirty_chip(lib);
   const Result flat = check(chip);
@@ -228,18 +227,11 @@ TEST(DrcModes, FlatHierTiledAgreeOnDirtyHierarchy) {
   const Result hier = check_hier(chip, tech::nmos(), &cache);
   EXPECT_EQ(flat.violations, hier.violations)
       << "flat:\n" << flat.summary() << "\nhier:\n" << hier.summary();
-
-  const auto shapes = layout::flatten(chip);
-  for (const int threads : {1, 2, 3}) {
-    const Result tiled = check_tiled(shapes, tech::nmos(), threads);
-    EXPECT_EQ(flat.violations, tiled.violations)
-        << threads << " threads:\n" << tiled.summary();
-  }
 }
 
-TEST(DrcModes, FlatHierTiledAgreeOnAssembledChip) {
+TEST(DrcModes, FlatHierAgreeOnAssembledChip) {
   // A real assembled-by-construction chip (the committed traffic design):
-  // clean in every mode, byte-identical violation sets.
+  // clean in both modes, byte-identical violation sets.
   layout::Library lib;
   core::CompileOptions o;
   o.name = "traffic";
@@ -247,20 +239,16 @@ TEST(DrcModes, FlatHierTiledAgreeOnAssembledChip) {
   const auto r = core::compile(lib, core::Flow::Behavioral,
                                silc_fixtures::kTrafficSource, o);
   ASSERT_NE(r.chip, nullptr);
-  const auto shapes = layout::flatten(*r.chip);
-  const Result flat = check_flat(shapes);
+  const Result flat = check_flat(layout::flatten(*r.chip));
   EXPECT_TRUE(flat.ok()) << flat.summary();
   const Result hier = check_hier(*r.chip);
   EXPECT_EQ(flat.violations, hier.violations) << hier.summary();
-  for (const int threads : {1, 2}) {
-    const Result tiled = check_tiled(shapes, tech::nmos(), threads);
-    EXPECT_EQ(flat.violations, tiled.violations) << tiled.summary();
-  }
 }
 
 /// Randomized adversarial sweep of the mode contract: dense soups where
-/// violations abound, tiled at several thread counts, random hierarchies
-/// with overlapping instances. Byte-identity for tiled and for hier under
+/// violations abound, split across two fully overlapping instances so the
+/// hier engine re-checks the whole soup as one seam window, and random
+/// hierarchies with overlapping instances. Byte-identity under
 /// non-transposing orientations; under transposing reuse, spacing/width
 /// fragments may re-slab but per-rule offence presence must still match
 /// (nothing is ever dropped).
@@ -273,19 +261,21 @@ TEST(DrcModes, FuzzedSoupsAndHierarchiesAgree) {
       [&](unsigned seed) {
         std::mt19937 rng(seed);
         std::uniform_int_distribution<int> c(0, 400), w(1, 50), li(0, 5);
-        std::vector<layout::Shape> shapes;
+        layout::Library lib;
+        layout::Cell* halves[] = {&lib.create("even"), &lib.create("odd")};
         for (int i = 0; i < 500; ++i) {
           const int x = c(rng), y = c(rng);
-          shapes.push_back(
-              {layers[li(rng)], Rect{x, y, x + w(rng), y + w(rng)}});
+          halves[i % 2]->add_rect(layers[li(rng)],
+                                  {x, y, x + w(rng), y + w(rng)});
         }
-        const Result flat = check_flat(shapes);
+        layout::Cell& top = lib.create("soup");
+        for (const layout::Cell* half : halves) {
+          top.add_instance(*half, {geom::Orient::R0, {0, 0}});
+        }
+        const Result flat = check(top);
         EXPECT_FALSE(flat.ok());  // dense soup: the sweep must exercise rules
-        for (const int threads : {1, 3}) {
-          EXPECT_EQ(flat.violations,
-                    check_tiled(shapes, tech::nmos(), threads).violations)
-              << "soup seed " << seed << " threads " << threads;
-        }
+        EXPECT_EQ(flat.violations, check_hier(top).violations)
+            << "soup seed " << seed;
       });
   const geom::Orient plain[] = {geom::Orient::R0, geom::Orient::R180,
                                 geom::Orient::MX, geom::Orient::MY};

@@ -7,7 +7,8 @@
 //     a Severity::Cancelled diagnostic — never a hang, never a throw, even
 //     against an injected multi-second stall;
 //   * an injected exception at any stage boundary becomes a structured
-//     error diagnostic on that compile alone;
+//     error diagnostic on that compile alone, and so does a pla-check
+//     prover failure (there is no second engine to fall back to);
 //   * hierarchical DRC / extraction failures degrade to the flat engines
 //     with a warning, byte-identical artifacts (the fallback matrix in
 //     drc/drc.hpp and extract/extract.hpp);
@@ -25,6 +26,7 @@
 // adversarial-input tests run in both builds.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <string>
@@ -68,7 +70,6 @@ CompileOptions quick(const std::string& name) {
   o.name = name;
   o.gate_verify_cycles = 64;
   o.gate_verify_lanes = 4;
-  o.pla_verify_cycles = 32;
   o.verify_cycles = 4;
   o.deadline_ms = 30000;
   return o;
@@ -92,16 +93,6 @@ bool artifacts_equal(const CompileResult& a, const CompileResult& b) {
          a.transistors == b.transistors && a.rect_count == b.rect_count &&
          a.drc.violations == b.drc.violations &&
          a.verify_detail == b.verify_detail;
-}
-
-/// Like artifacts_equal, but tolerating a different verification summary:
-/// what a verify-engine fallback must preserve — the chip, the checks all
-/// passing — while the substitute engine words its verdict differently.
-bool artifacts_equal_modulo_verify(const CompileResult& a,
-                                   const CompileResult& b) {
-  return a.ok() == b.ok() && a.verified == b.verified && a.cif == b.cif &&
-         a.transistors == b.transistors && a.rect_count == b.rect_count &&
-         a.drc.violations == b.drc.violations;
 }
 
 // ------------------------------------------------------------ cancellation --
@@ -229,15 +220,9 @@ TEST(Inject, HierDrcFailureFallsBackToFlatByteIdentical) {
   EXPECT_TRUE(r.ok()) << r.diag_text();  // a warning, not an error
 }
 
-TEST(Inject, SymbolicPlaProverFailureFallsBackToCompiled) {
+TEST(Inject, SymbolicPlaProverFailureIsAStructuredPlaCheckError) {
   if (!fault::kEnabled) GTEST_SKIP() << "built with SILC_FAULT=OFF";
   const DisarmOnExit disarm;
-  layout::Library base_lib("base");
-  const CompileResult base = core::compile(
-      base_lib, Flow::Behavioral, silc_fixtures::kGray2Source,
-      quick("gray2"));
-  ASSERT_TRUE(base.ok()) << base.diag_text();
-
   Schedule s;
   s.triggers.push_back({"sim.pla.symbolic", Kind::Throw, 0, true, 0, ""});
   Injector::global().arm(s);
@@ -248,14 +233,23 @@ TEST(Inject, SymbolicPlaProverFailureFallsBackToCompiled) {
                                     quick("gray2")));
   Injector::global().disarm();
 
-  // The proof engine is down, not the personality: pla-check degrades to
-  // the compiled netlist diff with a warning and the compile still passes.
-  EXPECT_TRUE(diag_mentions(r, "falling back to compiled")) << r.diag_text();
-  EXPECT_TRUE(r.ok()) << r.diag_text();
-  EXPECT_TRUE(artifacts_equal_modulo_verify(r, base))
-      << "fallback changed the artifacts";
-  EXPECT_NE(r.verify_detail.find("netlist tape"), std::string::npos)
-      << r.verify_detail;
+  // The proof engine is down: there is no second engine to fall back to,
+  // so pla-check fails with an error diag naming the fault, and the
+  // pipeline stops before the artwork run.
+  EXPECT_FALSE(r.ok()) << r.diag_text();
+  const auto pla_error = std::find_if(
+      r.diags.begin(), r.diags.end(), [](const core::Diag& d) {
+        return d.stage == "pla-check" && d.severity == Severity::Error;
+      });
+  ASSERT_NE(pla_error, r.diags.end()) << r.diag_text();
+  EXPECT_NE(pla_error->message.find("injected fault at sim.pla.symbolic"),
+            std::string::npos)
+      << pla_error->message;
+  const auto artwork = std::find_if(
+      r.timings.begin(), r.timings.end(),
+      [](const core::StageTiming& t) { return t.stage == "artwork-check"; });
+  ASSERT_NE(artwork, r.timings.end());
+  EXPECT_FALSE(artwork->ran);
 }
 
 TEST(Inject, HierExtractFailureFallsBackToFlatByteIdentical) {
@@ -464,12 +458,10 @@ struct SitePlan {
     kHardFail,  // victim fails with a structured "injected fault" diag
     kDegrade,   // victim's artifacts stay byte-identical (fallback path)
     kBenign,    // victim's whole outcome stays identical (recompute/delay)
-    // The pla-check sites exist only on the behavioral flow, so both
-    // verify expectations tolerate an unreached site (fired == 0: the
-    // victim was structural and must be untouched).
-    kVerifyFallback,  // symbolic prover down: compiled fallback, same
-                      // artifacts modulo the verify summary, still ok
-    kVerifyHardFail,  // both pla engines down: structured failure
+    // The pla-check sites exist only on the behavioral flow, so this
+    // expectation tolerates an unreached site (fired == 0: the victim was
+    // structural and must be untouched).
+    kVerifyHardFail,  // pla-check prover down: structured failure
   } expect;
   int delay_ms = 0;
 };
@@ -486,7 +478,7 @@ constexpr SitePlan kSitePlans[] = {
     {"drc.hier.cell", Kind::Delay, SitePlan::kBenign, 5},
     {"extract.hier.window", Kind::Delay, SitePlan::kBenign, 5},
     {"sim.pla.symbolic", Kind::Delay, SitePlan::kBenign, 5},
-    {"sim.pla.symbolic", Kind::Throw, SitePlan::kVerifyFallback, 0},
+    {"sim.pla.symbolic", Kind::Throw, SitePlan::kVerifyHardFail, 0},
     {"sim.pla.*", Kind::Throw, SitePlan::kVerifyHardFail, 0},
 };
 
@@ -566,24 +558,10 @@ void run_chaos_round(const std::vector<core::BatchJob>& jobs,
         EXPECT_TRUE(got.same_outcome(want))
             << label << "\n" << got.diag_text();
         break;
-      case SitePlan::kVerifyFallback:
-        // Symbolic prover down. Behavioral victims degrade to the compiled
-        // diff — same artifacts, different verify wording, plus the
-        // warning; structural victims never reach the site.
-        if (fired == 0) {
-          EXPECT_TRUE(got.same_outcome(want))
-              << label << "\n" << got.diag_text();
-          break;
-        }
-        EXPECT_TRUE(got.ok()) << label << "\n" << got.diag_text();
-        EXPECT_TRUE(artifacts_equal_modulo_verify(got, want))
-            << label << "\n" << got.diag_text();
-        EXPECT_TRUE(diag_mentions(got, "falling back to compiled"))
-            << label << "\n" << got.diag_text();
-        break;
       case SitePlan::kVerifyHardFail:
-        // Every pla-check engine down (prefix trigger): behavioral victims
-        // fail structurally; structural victims never reach the sites.
+        // pla-check prover down (by exact site or prefix trigger):
+        // behavioral victims fail structurally; structural victims never
+        // reach the sites.
         if (fired == 0) {
           EXPECT_TRUE(got.same_outcome(want))
               << label << "\n" << got.diag_text();

@@ -255,7 +255,7 @@ TEST_P(RectSetPropertyTest, BooleanAlgebraIdentities) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RectSetPropertyTest, ::testing::Range(0, 12));
 
-// ---------------------------------------- edge cases the tiled DRC leans on --
+// -------------------------------------- edge cases the windowed DRC leans on --
 
 TEST(RectSet, ErosionLargerThanShapeIsEmpty) {
   const RectSet s(Rect{0, 0, 10, 6});

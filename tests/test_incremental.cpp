@@ -2,8 +2,8 @@
 // recompile-from-scratch, byte-identical — at every grain. The main
 // harness drives randomized edit sequences (move/resize/delete shapes,
 // relabel nets, add/remove instances, retech) through an
-// IncrementalSession and diffs every verdict against cold flat / hier /
-// tiled recomputes under both rule tables and both 1 and 4 threads.
+// IncrementalSession and diffs every verdict against cold flat and hier
+// recomputes under both rule tables.
 // Around it: the edge cases an interactive loop lives on (an edit that
 // CURES a violation, an edit inside a seam window, a naming-only edit
 // that must invalidate extraction but not DRC, the empty-EditSet no-op
@@ -136,15 +136,14 @@ TEST(Incremental, RandomizedEditSequencesMatchScratch) {
           EXPECT_EQ(last.netlist, xflat) << netlist_diff(last.netlist, xflat);
         }
 
-        // The other modes on the final state: a cold hierarchical run and
-        // a tiled run alternating 1 and 4 threads across the sweep.
+        // Both modes on the final state: a cold hierarchical run and the
+        // flat oracle over the same flatten.
         const drc::Result hier = drc::check_hier(top, cur());
         EXPECT_EQ(last.drc.violations, hier.violations)
             << drc_diff(last.drc, hier);
-        const drc::Result tiled = drc::check_tiled(
-            layout::flatten(top), cur(), (seed % 2) != 0 ? 4 : 1);
-        EXPECT_EQ(last.drc.violations, tiled.violations)
-            << drc_diff(last.drc, tiled);
+        const drc::Result flat = drc::check_flat(layout::flatten(top), cur());
+        EXPECT_EQ(last.drc.violations, flat.violations)
+            << drc_diff(last.drc, flat);
         const extract::Netlist xhier = extract::extract_hier(top, cur());
         EXPECT_EQ(last.netlist, xhier) << netlist_diff(last.netlist, xhier);
       });

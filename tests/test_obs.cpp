@@ -482,7 +482,6 @@ std::vector<core::BatchJob> traced_batch() {
   fast.verify_cycles = 8;
   fast.gate_verify_cycles = 64;
   fast.gate_verify_lanes = 4;
-  fast.pla_verify_cycles = 32;
   std::vector<core::BatchJob> jobs;
   core::CompileOptions g = fast;
   g.name = "gray2";

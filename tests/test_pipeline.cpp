@@ -6,7 +6,6 @@
 #include <algorithm>
 #include <thread>
 
-#include "core/compiler.hpp"
 #include "core/pipeline.hpp"
 #include "design_sources.hpp"
 
@@ -22,7 +21,6 @@ CompileOptions fast_verify(const std::string& name) {
   o.verify_cycles = 8;
   o.gate_verify_cycles = 64;
   o.gate_verify_lanes = 4;
-  o.pla_verify_cycles = 32;
   return o;
 }
 
@@ -50,6 +48,9 @@ TEST(Pipeline, FullRunTimesEveryStage) {
       compile(lib, Flow::Behavioral, kGray2, fast_verify("gray2"));
   EXPECT_TRUE(r.ok()) << r.diag_text();
   EXPECT_TRUE(r.verified);
+  // pla-check always runs the symbolic prover.
+  EXPECT_NE(r.verify_detail.find("symbolic proof"), std::string::npos)
+      << r.verify_detail;
   ASSERT_EQ(r.timings.size(), 9u);
   for (const StageTiming& t : r.timings) {
     EXPECT_TRUE(t.ran) << t.stage;
@@ -65,33 +66,6 @@ TEST(Pipeline, FullRunTimesEveryStage) {
                      [&](const Diag& d) { return d.stage == stage; }))
         << "no diagnostic from stage " << stage;
   }
-}
-
-TEST(Pipeline, PlaCheckModeSelectsTheEngine) {
-  // Same design through all three pla-check engines: every mode passes,
-  // produces the same chip, and stamps its own verdict wording into the
-  // verification summary.
-  CompileResult results[3];
-  const sim::PlaCheckMode modes[3] = {sim::PlaCheckMode::Symbolic,
-                                      sim::PlaCheckMode::Compiled,
-                                      sim::PlaCheckMode::Replay};
-  for (int i = 0; i < 3; ++i) {
-    layout::Library lib;
-    CompileOptions o = fast_verify("gray2");
-    o.pla_check_mode = modes[i];
-    results[i] = compile(lib, Flow::Behavioral, kGray2, o);
-    ASSERT_TRUE(results[i].ok())
-        << sim::to_string(modes[i]) << ": " << results[i].diag_text();
-    EXPECT_TRUE(results[i].verified);
-    EXPECT_EQ(results[i].cif, results[0].cif);
-    EXPECT_EQ(results[i].transistors, results[0].transistors);
-  }
-  EXPECT_NE(results[0].verify_detail.find("symbolic proof"),
-            std::string::npos) << results[0].verify_detail;
-  EXPECT_NE(results[1].verify_detail.find("netlist tape"), std::string::npos)
-      << results[1].verify_detail;
-  EXPECT_NE(results[2].verify_detail.find("== compiled over"),
-            std::string::npos) << results[2].verify_detail;
 }
 
 TEST(Pipeline, StopAfterProducesPartialArtifacts) {
@@ -212,9 +186,8 @@ TEST(Pipeline, ExtractsAndFlattensExactlyOnce) {
 
 TEST(Pipeline, MalformedBehavioralSourceIsAParseDiagnostic) {
   layout::Library lib;
-  SiliconCompiler cc(lib);
   CompileResult r;
-  ASSERT_NO_THROW(r = cc.compile_behavioral("processor x ("));
+  ASSERT_NO_THROW(r = compile(lib, Flow::Behavioral, "processor x ("));
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.chip, nullptr);
   ASSERT_FALSE(r.diags.empty());
@@ -225,9 +198,8 @@ TEST(Pipeline, MalformedBehavioralSourceIsAParseDiagnostic) {
 
 TEST(Pipeline, MalformedStructuralSourceIsAParseDiagnostic) {
   layout::Library lib;
-  SiliconCompiler cc(lib);
   CompileResult r;
-  ASSERT_NO_THROW(r = cc.compile_structural("let = nonsense ;;;"));
+  ASSERT_NO_THROW(r = compile(lib, Flow::Structural, "let = nonsense ;;;"));
   EXPECT_FALSE(r.ok());
   ASSERT_FALSE(r.diags.empty());
   EXPECT_EQ(r.diags[0].stage, "parse");

@@ -88,7 +88,6 @@ CompileOptions quick(const std::string& name) {
   o.name = name;
   o.gate_verify_cycles = 64;
   o.gate_verify_lanes = 4;
-  o.pla_verify_cycles = 32;
   o.verify_cycles = 4;
   o.deadline_ms = 30000;
   return o;
@@ -285,7 +284,8 @@ TEST(Store, WriterReaderRoundTripAndBoundsChecks) {
   // A string length larger than the remaining bytes is rejected.
   store::Writer lw;
   lw.u32(1000000);  // claims a megabyte that is not there
-  store::Reader lied(lw.take().append("abc", 3));
+  const std::string lied_bytes = lw.take().append("abc", 3);
+  store::Reader lied(lied_bytes);  // Reader keeps a reference: no temporary
   EXPECT_EQ(lied.str(), "");
   EXPECT_FALSE(lied.ok());
 }
@@ -463,7 +463,6 @@ TEST(StoreInvalidation, FingerprintMissesOnEveryInputEdit) {
   // deadlines, cache wiring, cache_dir.
   CompileOptions threads = base_opt;
   threads.sim_threads = 7;
-  threads.drc_threads = 3;
   threads.deadline_ms = 12345;
   threads.cache_dir = "/somewhere/else";
   EXPECT_EQ(ResultCache::fingerprint(Flow::Behavioral,
