@@ -1,11 +1,12 @@
 // Incremental recompilation tracking: edit-to-verdict latency on an
 // enable-gated 12-bit counter chip — large enough that the batch
-// compiler's superlinear stages (routing, flat checking) dominate a cold
-// compile while the incremental path stays proportional to the edit's
-// footprint. Per rep: a single-cell edit re-verified through the warm
-// IncrementalSession and a no-op verify (the baseline verbatim path, the
-// "microseconds" claim); cold legs are sampled separately because a full
-// recompile of this chip costs seconds, not milliseconds. Every edit is
+// compiler's chip-wide stages (hierarchical DRC and extraction) dominate a
+// cold compile while the incremental path stays proportional to the
+// edit's footprint. Per rep: a single-cell edit re-verified through the
+// warm IncrementalSession and a no-op verify (the baseline verbatim path,
+// the "microseconds" claim); cold legs are sampled separately because a
+// full recompile of this chip costs hundreds of milliseconds (~0.3 s on
+// a 4-core x86 box), not tens. Every edit is
 // cumulative (the victim shape only ever moves further), so no rep ever
 // revisits a previously cached window fingerprint — each measured verify
 // is a genuinely novel edit, not a warm replay.

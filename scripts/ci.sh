@@ -238,6 +238,7 @@ if [ -n "${SILC_FUZZ_TRIALS:-}" ]; then
   "$BUILD_DIR/test_incremental" --gtest_filter='Incremental.Randomized*'
   "$BUILD_DIR/test_extract_equiv" --gtest_filter='*Random*:*Fuzz*'
   "$BUILD_DIR/test_drc" --gtest_filter='*Fuzz*'
+  "$BUILD_DIR/test_logic_oracle"
   echo "long-fuzz leg (SILC_FUZZ_TRIALS=$SILC_FUZZ_TRIALS): ok"
 fi
 

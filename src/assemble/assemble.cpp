@@ -51,7 +51,6 @@ FsmChipResult assemble_fsm_chip(Library& lib, const synth::TabulatedFsm& fsm,
   st.pla = p.stats;
   result.personality = p.personality;
 
-  const Rect pla_bb = p.cell->bbox();
   const Coord pla_top = p.cell->find_port("in0")->rect.y1;
   const Coord rx = p.cell->find_port("out0")->rect.x1;
   const Rect vdd_port = p.cell->find_port("vdd")->rect;  // [-1,7] x [vy,vy+6]
@@ -221,7 +220,6 @@ FsmChipResult assemble_fsm_chip(Library& lib, const synth::TabulatedFsm& fsm,
   const Rect bb = chip.bbox();
   st.width = bb.width();
   st.height = bb.height();
-  (void)pla_bb;
   return result;
 }
 

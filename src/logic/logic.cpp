@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <map>
-#include <set>
 #include <stdexcept>
+#include <unordered_map>
 
 namespace silc::logic {
 
@@ -103,40 +103,66 @@ bool TruthTable::implemented_by(const std::vector<Cube>& cover) const {
 
 // ------------------------------------------------------- Quine-McCluskey --
 
+// Cube t of the ternary table has digits d_i = (t / 3^i) % 3: 0 or 1 binds
+// variable i to that value, 2 leaves it free. Its two halves on a free
+// variable i sit at t - 3^i (i = 1) and t - 2*3^i (i = 0), and widening a
+// bound variable i moves it to t + (2 - d_i) * 3^i.
 std::vector<Cube> prime_implicants(const TruthTable& f) {
+  const int n = f.num_inputs();
   const std::uint32_t full_mask = f.size() - 1;
-  // Level 0: all care-ON and DC minterms as full cubes.
-  std::set<Cube> current;
-  for (std::uint32_t r = 0; r < f.size(); ++r) {
-    if (f.get(r) != Tri::Zero) current.insert({full_mask, r});
-  }
-  std::vector<Cube> primes;
-  while (!current.empty()) {
-    std::set<Cube> next;
-    std::set<Cube> combined;
-    // Group by mask so only same-shape cubes combine.
-    std::map<std::uint32_t, std::vector<Cube>> by_mask;
-    for (const Cube& c : current) by_mask[c.mask].push_back(c);
-    for (const auto& [mask, cubes] : by_mask) {
-      std::set<Cube> in_group(cubes.begin(), cubes.end());
-      for (const Cube& c : cubes) {
-        for (int b = 0; b < f.num_inputs(); ++b) {
-          const std::uint32_t bit = 1u << b;
-          if ((mask & bit) == 0 || (c.value & bit) == 0) continue;
-          const Cube partner{mask, c.value ^ bit};
-          if (in_group.count(partner) != 0) {
-            next.insert({mask & ~bit, c.value & ~bit});
-            combined.insert(c);
-            combined.insert(partner);
-          }
+  std::vector<std::uint32_t> pow3(static_cast<std::size_t>(n) + 1, 1);
+  for (int i = 0; i < n; ++i) pow3[i + 1] = pow3[i] * 3;
+  const std::uint32_t total = pow3[n];
+
+  // Visit every cube in ascending t, stepping its (mask, value) like an
+  // odometer whose digits run 0 -> 1 -> 2 (free) and carry.
+  const auto for_each_cube = [&](auto&& visit) {
+    Cube c{full_mask, 0};
+    for (std::uint32_t t = 0; t < total; ++t) {
+      if (t > 0) {
+        std::uint32_t bit = 1;
+        for (; (c.mask & bit) == 0; bit <<= 1) c.mask |= bit;  // 2 -> 0
+        if ((c.value & bit) == 0) {
+          c.value |= bit;  // 0 -> 1
+        } else {
+          c.mask &= ~bit;  // 1 -> 2
+          c.value &= ~bit;
         }
       }
+      visit(t, c);
     }
-    for (const Cube& c : current) {
-      if (combined.count(c) == 0) primes.push_back(c);
+  };
+
+  // imp[t]: every minterm of cube t is ON or don't-care.
+  std::vector<std::uint8_t> imp(total);
+  for_each_cube([&](std::uint32_t t, const Cube& c) {
+    const std::uint32_t free = full_mask & ~c.mask;
+    if (free == 0) {
+      imp[t] = f.get(c.value) != Tri::Zero;
+    } else {
+      const std::uint32_t step = pow3[__builtin_ctz(free)];
+      imp[t] = imp[t - step] & imp[t - 2 * step];
     }
-    current = std::move(next);
-  }
+  });
+
+  // A prime is an implicant that no single-literal widening keeps one.
+  std::vector<Cube> primes;
+  for_each_cube([&](std::uint32_t t, const Cube& c) {
+    if (imp[t] == 0) return;
+    for (int i = 0; i < n; ++i) {
+      if ((c.mask >> i & 1u) == 0) continue;
+      const std::uint32_t d = c.value >> i & 1u;
+      if (imp[t + (2 - d) * pow3[i]] != 0) return;
+    }
+    primes.push_back(c);
+  });
+  // Quine-McCluskey order: level by level (free-variable count), each level
+  // in Cube order.
+  std::sort(primes.begin(), primes.end(), [](const Cube& a, const Cube& b) {
+    const int la = a.literal_count();
+    const int lb = b.literal_count();
+    return la != lb ? la > lb : a < b;
+  });
   return primes;
 }
 
@@ -147,7 +173,6 @@ namespace {
 // primes; limited search with greedy fallback.
 struct CoverSolver {
   const std::vector<std::vector<int>>& row_cols;  // per row: candidate columns
-  int num_cols;
   std::vector<int> best;
   bool have_best = false;
   long long budget = 200000;
@@ -236,7 +261,7 @@ std::vector<Cube> cover_select(const TruthTable& f, std::vector<Cube> primes,
         if (primes[p].covers(ons[r])) row_cols[r].push_back(static_cast<int>(p));
       }
     }
-    CoverSolver solver{row_cols, static_cast<int>(primes.size()), {}, false};
+    CoverSolver solver{row_cols, {}, false};
     std::vector<int> cur;
     std::vector<std::uint8_t> done(ons.size(), 0);
     solver.solve(cur, done, ons.size());
@@ -286,19 +311,32 @@ std::vector<Cube> minimize_heuristic(const TruthTable& f) {
 }
 
 std::vector<Cube> minimize_heuristic(const TruthTable& f, std::vector<Cube> seed) {
-  const std::vector<std::uint32_t> offs = f.off_set();
-  // Expand: raise literals (largest cubes first profit most, so try cubes
-  // with many literals first and greedily drop each literal whose removal
-  // keeps the cube off the OFF-set).
+  std::vector<std::uint8_t> off(f.size());
+  for (std::uint32_t r = 0; r < f.size(); ++r) off[r] = f.get(r) == Tri::Zero;
+  // Does cube c cover an OFF row? Enumerate its minterms; seeds expand
+  // through the same cubes over and over, so remember each answer.
+  std::unordered_map<std::uint64_t, bool> memo;
+  const std::uint32_t full_mask = f.size() - 1;
+  const auto hits_off = [&](const Cube& c) {
+    const auto [it, fresh] =
+        memo.try_emplace((std::uint64_t{c.mask} << 32) | c.value, false);
+    if (!fresh) return it->second;
+    const std::uint32_t free = full_mask & ~c.mask;
+    std::uint32_t s = 0;
+    do {
+      if (off[c.value | s] != 0) return it->second = true;
+      s = (s - free) & free;  // next subset of the free variables
+    } while (s != 0);
+    return false;
+  };
+  // Expand: greedily drop each literal, in variable order, whose removal
+  // keeps the cube off the OFF-set.
   for (Cube& c : seed) {
     for (int b = 0; b < f.num_inputs(); ++b) {
       const std::uint32_t bit = 1u << b;
       if ((c.mask & bit) == 0) continue;
       const Cube widened{c.mask & ~bit, c.value & ~bit};
-      const bool hits_off = std::any_of(
-          offs.begin(), offs.end(),
-          [&widened](std::uint32_t r) { return widened.covers(r); });
-      if (!hits_off) c = widened;
+      if (!hits_off(widened)) c = widened;
     }
   }
   // Containment pruning.

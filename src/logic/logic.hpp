@@ -5,13 +5,34 @@
 // minimized sum-of-products cover. This module provides:
 //   * TruthTable  - explicit function representation (with don't-cares)
 //   * Cube        - a product term as (mask, value) bit pairs
-//   * minimize_qm - Quine-McCluskey prime generation + branch-and-bound
+//   * prime_implicants - every prime of ON + DC, from a dense ternary
+//                   table over all 3^n cubes: cube t is an implicant when
+//                   both halves on one free variable are, and a prime when
+//                   no single-literal widening is still an implicant
+//   * minimize_qm - a cover from those primes: essentials, then branch-and-bound
 //                   unate covering (minimum cover for small charts, greedy
 //                   completion for large ones)
-//   * minimize_heuristic - espresso-flavored expand/irredundant pass, much
-//                   faster for wide functions
+//   * minimize_heuristic - espresso-flavored expand / containment /
+//                   irredundant pass for wide functions; expand asks "does
+//                   the widened cube hit the OFF-set?" of an OFF bitmap by
+//                   enumerating the cube's minterms, memoized per cube
 //   * minimize_multi - multi-output minimization with product-term sharing,
 //                   the form a PLA personality wants
+//
+// Exact-output contract: every entry point returns the same cubes in the
+// same order as the original set-based Quine-McCluskey and OFF-set-scan
+// expand, kept as the test oracle in fixtures/logic_oracle.hpp and fuzzed
+// against it by tests/test_logic_oracle.cpp. The order is part of the
+// result: cover selection picks among primes in Quine-McCluskey order
+// (ascending free-variable count, then Cube order), the heuristic's
+// std::sort is unstable so where its ties land depends on input order, and
+// minimize_multi numbers shared terms by first use — so a reordering
+// changes the PLA.
+//
+// Memory: prime_implicants (and so minimize_qm) allocates one byte per
+// ternary cube, 3^n bytes: 59 KB at the 10 inputs minimize() sends it,
+// 1.6 MB at 13, 3.5 GB at 20. Direct callers with wide tables should use
+// minimize_heuristic, whose OFF bitmap is 2^n bytes plus its memo.
 #pragma once
 
 #include <cstdint>
@@ -74,7 +95,8 @@ class TruthTable {
   std::vector<std::uint8_t> rows_;
 };
 
-/// Quine-McCluskey: all prime implicants of on-set plus dc-set.
+/// All prime implicants of on-set plus dc-set, in Quine-McCluskey order:
+/// ascending free-variable count, then Cube order. Needs 3^n bytes.
 [[nodiscard]] std::vector<Cube> prime_implicants(const TruthTable& f);
 
 /// Prime-implicant minimization. Minimum-cardinality cover when the
@@ -84,12 +106,14 @@ class TruthTable {
                                             int bnb_limit = 26);
 
 /// Espresso-flavored heuristic: seed with on-set rows (or a given cover),
-/// expand cubes against the off-set, then drop redundant cubes.
+/// expand each cube literal by literal in variable order while it stays
+/// off the off-set, then drop contained and redundant cubes. Seed cubes
+/// must lie within the table's inputs (mask and value below size()).
 [[nodiscard]] std::vector<Cube> minimize_heuristic(const TruthTable& f);
 [[nodiscard]] std::vector<Cube> minimize_heuristic(const TruthTable& f,
                                                    std::vector<Cube> seed);
 
-/// Auto-select: QM for narrow functions, heuristic for wide ones.
+/// Auto-select: QM up to 10 inputs, the heuristic past that.
 [[nodiscard]] std::vector<Cube> minimize(const TruthTable& f);
 
 // ---- multi-output ----

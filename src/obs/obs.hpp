@@ -49,9 +49,10 @@
 //        SILC_OBS_SPAN("mystage.cell:" + cell.name(), "mystage");
 //      Span names are "subsystem.thing[:instance]"; the category (second
 //      argument, a string literal) groups related spans in the viewer and
-//      is one of "stage", "batch", "drc", "extract", "sim", "cache" — add
-//      a new category only with a new subsystem. Pipeline stages
-//      themselves are spanned by Pipeline::run; you get those for free.
+//      is one of "stage", "batch", "drc", "extract", "sim", "cache",
+//      "incr", "pla" — add a new category only with a new subsystem.
+//      Pipeline stages themselves are spanned by Pipeline::run; you get
+//      those for free.
 //   2. Count what the work did with literal-named counters:
 //        SILC_OBS_COUNT("mystage.windows", windows.size());
 //      Counter names are "subsystem.noun[.verb]" and values must be

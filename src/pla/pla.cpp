@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "cells/cells.hpp"
+#include "obs/obs.hpp"
 
 namespace silc::pla {
 
@@ -199,8 +200,11 @@ PlaResult generate_from_personality(Library& lib,
 
 PlaResult generate(Library& lib, const logic::MultiFunction& f,
                    const PlaOptions& options) {
-  const logic::PlaTerms personality =
-      logic::minimize_multi(complement(f), options.use_heuristic_minimizer);
+  logic::PlaTerms personality;
+  {
+    SILC_OBS_SPAN("pla.minimize:" + options.name, "pla");
+    personality = logic::minimize_multi(complement(f));
+  }
   return generate_from_personality(lib, personality, options);
 }
 

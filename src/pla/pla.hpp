@@ -31,7 +31,6 @@ namespace silc::pla {
 
 struct PlaOptions {
   std::string name = "pla";
-  bool use_heuristic_minimizer = false;
 };
 
 struct PlaStats {

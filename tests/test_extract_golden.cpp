@@ -10,21 +10,14 @@
 //   SILC_REGEN_GOLDEN=1 ./test_extract_golden
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
-
 #include "core/compiler.hpp"
 #include "design_sources.hpp"
 #include "extract/extract.hpp"
+#include "golden.hpp"
 #include "mem/mem.hpp"
 
 namespace silc::extract {
 namespace {
-
-std::string golden_path(const std::string& name) {
-  return std::string(SILC_SOURCE_DIR) + "/fixtures/golden/" + name + ".net";
-}
 
 /// The PDP-8 RIM loader (the bootstrap traditionally toggled in at 7756),
 /// filled to 64 words with a deterministic 12-bit LCG — the same seed
@@ -42,44 +35,6 @@ std::vector<std::uint32_t> pdp8_boot_words(std::size_t total) {
   return words;
 }
 
-/// Compare against the committed golden text, printing a node-level
-/// mismatch report (line number, expected, actual) on failure.
-void expect_matches_golden(const Netlist& nl, const std::string& name) {
-  const std::string text = to_text(nl);
-  const std::string path = golden_path(name);
-  if (std::getenv("SILC_REGEN_GOLDEN") != nullptr) {
-    std::ofstream out(path);
-    ASSERT_TRUE(out.good()) << "cannot write " << path;
-    out << text;
-    GTEST_SKIP() << "regenerated " << path;
-  }
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good()) << "missing golden fixture " << path
-                         << " (run with SILC_REGEN_GOLDEN=1 to create)";
-  std::stringstream want;
-  want << in.rdbuf();
-
-  if (text == want.str()) return;
-  std::istringstream got_s(text), want_s(want.str());
-  std::string got_line, want_line, report;
-  int line = 0, shown = 0;
-  while (shown < 10) {
-    const bool g = static_cast<bool>(std::getline(got_s, got_line));
-    const bool w = static_cast<bool>(std::getline(want_s, want_line));
-    if (!g && !w) break;
-    ++line;
-    if (!g) got_line = "<eof>";
-    if (!w) want_line = "<eof>";
-    if (got_line != want_line) {
-      report += "  line " + std::to_string(line) + "\n    golden:  " +
-                want_line + "\n    current: " + got_line + "\n";
-      ++shown;
-    }
-    if (!g || !w) break;
-  }
-  ADD_FAILURE() << name << " diverges from " << path << ":\n" << report;
-}
-
 TEST(ExtractGolden, TrafficChip) {
   layout::Library lib;
   core::CompileOptions o;
@@ -92,7 +47,7 @@ TEST(ExtractGolden, TrafficChip) {
   const Netlist flat = extract(*r.chip);
   EXPECT_EQ(flat, hier);  // cross-mode identity on real artwork
   EXPECT_TRUE(hier.warnings.empty());
-  expect_matches_golden(hier, "traffic");
+  silc_fixtures::expect_matches_golden(to_text(hier), "traffic.net");
 }
 
 TEST(ExtractGolden, Pdp8BootRom) {
@@ -104,7 +59,7 @@ TEST(ExtractGolden, Pdp8BootRom) {
   const Netlist flat = extract(*rom.cell);
   EXPECT_EQ(flat, hier);
   EXPECT_TRUE(hier.warnings.empty());
-  expect_matches_golden(hier, "pdp8_rom");
+  silc_fixtures::expect_matches_golden(to_text(hier), "pdp8_rom.net");
 }
 
 }  // namespace

@@ -1,16 +1,25 @@
 // PLA generator tests: for a range of programmed functions the artwork must
 // be design-rule clean, extract to the expected device population, and —
 // the silicon-compilation acid test — switch-level simulate to exactly the
-// programmed truth table on every input combination.
+// programmed truth table on every input combination. The counter12
+// personality is also pinned as text in fixtures/golden/counter12.pla, so
+// any change to the minimizer's covers (terms, their order, or the
+// per-output term lists) shows up as a line diff. To regenerate after an
+// *intentional* change:
+//   SILC_REGEN_GOLDEN=1 ./test_pla --gtest_filter='Pla.Counter12PersonalityGolden'
 #include <gtest/gtest.h>
 
 #include <functional>
 
+#include "design_sources.hpp"
 #include "drc/drc.hpp"
 #include "extract/extract.hpp"
+#include "golden.hpp"
 #include "logic/logic.hpp"
 #include "pla/pla.hpp"
+#include "rtl/rtl.hpp"
 #include "swsim/swsim.hpp"
+#include "synth/synth.hpp"
 
 namespace silc {
 namespace {
@@ -157,6 +166,31 @@ TEST(Pla, ComplementHelper) {
   EXPECT_EQ(c.outputs[0].get(1), logic::Tri::Zero);
   EXPECT_EQ(c.outputs[0].get(0), logic::Tri::One);
   EXPECT_EQ(c.outputs[0].get(2), logic::Tri::DontCare);
+}
+
+/// The personality as text: one line per product term, then one line per
+/// output listing its term indices in cover order.
+std::string personality_text(const logic::PlaTerms& p) {
+  std::string s = "inputs " + std::to_string(p.num_inputs) + "\nterms " +
+                  std::to_string(p.terms.size()) + "\n";
+  for (const logic::Cube& c : p.terms) s += c.to_string(p.num_inputs) + "\n";
+  s += "outputs " + std::to_string(p.output_terms.size()) + "\n";
+  for (std::size_t k = 0; k < p.output_terms.size(); ++k) {
+    s += "out" + std::to_string(k) + ":";
+    for (const int t : p.output_terms[k]) s += " " + std::to_string(t);
+    s += "\n";
+  }
+  return s;
+}
+
+TEST(Pla, Counter12PersonalityGolden) {
+  const synth::TabulatedFsm fsm =
+      synth::tabulate(rtl::parse(silc_fixtures::counter_source(12)));
+  layout::Library lib;
+  const pla::PlaResult p =
+      pla::generate(lib, fsm.function, {.name = "counter12_pla"});
+  silc_fixtures::expect_matches_golden(personality_text(p.personality),
+                                      "counter12.pla");
 }
 
 }  // namespace
