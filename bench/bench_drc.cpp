@@ -2,8 +2,9 @@
 // RIM-loader bootstrap plus deterministic fill, generated at 4096 bits so
 // the NOR-NOR tile array dwarfs the FSM chips the compile bench measures).
 //
-// Emits BENCH_drc.json: per-design rect counts, per-mode ms (hier both
-// cold and warm-cache), whether flat, cold hier, and warm hier produced
+// Emits BENCH_drc.json: the box's hardware thread count, per-design rect
+// counts, per-mode ms (hier both cold and warm-cache), whether flat, cold
+// hier, and warm hier produced
 // byte-identical violation sets — the engine's core contract, enforced
 // here with a non-zero exit on divergence or on a dirty verdict (the
 // generators must produce clean layouts) — and, since
@@ -17,6 +18,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/compiler.hpp"
@@ -183,8 +185,10 @@ int main(int argc, char** argv) {
     std::printf("ERROR: cannot write %s\n", json_path.c_str());
     return 1;
   }
-  std::fprintf(f, "{\n  \"smoke\": %s,\n  \"designs\": [\n",
-               smoke ? "true" : "false");
+  std::fprintf(f,
+               "{\n  \"smoke\": %s,\n  \"hardware_threads\": %u,\n"
+               "  \"designs\": [\n",
+               smoke ? "true" : "false", std::thread::hardware_concurrency());
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const ModeTimes& m = rows[i];
     std::fprintf(f,

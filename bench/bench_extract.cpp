@@ -4,8 +4,9 @@
 // (stop_after=extract) with the extract stage in Flat vs Hier mode sharing
 // one NetlistCache across the batch.
 //
-// Emits BENCH_extract.json: per-design rect counts, per-mode ms (hier both
-// cold and warm-cache), the batch's extract-stage totals per mode, whether
+// Emits BENCH_extract.json: the box's hardware thread count, per-design
+// rect counts, per-mode ms (hier both cold and warm-cache), the batch's
+// extract-stage totals per mode, whether
 // flat and hier produced byte-identical canonical netlists — the engine's
 // core contract, enforced here with a non-zero exit on divergence, on any
 // extraction warning (the generators must produce clean artwork), or on
@@ -20,6 +21,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/compiler.hpp"
@@ -257,8 +259,10 @@ int main(int argc, char** argv) {
     std::printf("ERROR: cannot write %s\n", json_path.c_str());
     return 1;
   }
-  std::fprintf(f, "{\n  \"smoke\": %s,\n  \"designs\": [\n",
-               smoke ? "true" : "false");
+  std::fprintf(f,
+               "{\n  \"smoke\": %s,\n  \"hardware_threads\": %u,\n"
+               "  \"designs\": [\n",
+               smoke ? "true" : "false", std::thread::hardware_concurrency());
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const ModeTimes& m = rows[i];
     std::fprintf(f,

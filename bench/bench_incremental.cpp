@@ -5,14 +5,15 @@
 // edit's footprint. Per rep: a single-cell edit re-verified through the
 // warm IncrementalSession and a no-op verify (the baseline verbatim path,
 // the "microseconds" claim); cold legs are sampled separately because a
-// full recompile of this chip costs hundreds of milliseconds (~0.3 s on
-// a 4-core x86 box), not tens. Every edit is
+// full recompile of this chip costs over a hundred milliseconds (~0.15 s
+// on a 4-core x86 box), not tens. Every edit is
 // cumulative (the victim shape only ever moves further), so no rep ever
 // revisits a previously cached window fingerprint — each measured verify
 // is a genuinely novel edit, not a warm replay.
 //
-// Emits BENCH_incremental.json and enforces the contract itself with a
-// non-zero exit: incremental == scratch byte-for-byte, the edited verify
+// Emits BENCH_incremental.json (with the box's hardware thread count) and
+// enforces the contract itself with a non-zero exit: incremental ==
+// scratch byte-for-byte, the edited verify
 // reuses at least one cell, and the single-cell edit's drc+extract
 // re-verify is at least 10x faster than a cold compile (the full batch
 // pipeline — what a non-incremental flow re-runs after any edit; the
@@ -27,6 +28,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/compiler.hpp"
@@ -228,7 +230,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::fprintf(f,
-               "{\n  \"smoke\": %s,\n  \"design\": \"counter12\",\n"
+               "{\n  \"smoke\": %s,\n  \"hardware_threads\": %u,\n"
+               "  \"design\": \"counter12\",\n"
                "  \"cells\": %zu,\n  \"rects\": %zu,\n"
                "  \"cold_ms\": %.3f,\n  \"cold_verify_ms\": %.3f,\n"
                "  \"edit_ms\": %.3f,\n"
@@ -236,7 +239,8 @@ int main(int argc, char** argv) {
                "  \"speedup_floor\": %.1f,\n  \"cells_reused\": %zu,\n"
                "  \"cells_reproved\": %zu,\n  \"identical\": %s,\n"
                "  \"noop_reused\": %s\n}\n",
-               smoke ? "true" : "false", m.cells, m.rects, m.cold_ms,
+               smoke ? "true" : "false", std::thread::hardware_concurrency(),
+               m.cells, m.rects, m.cold_ms,
                m.cold_verify_ms, m.edit_ms, m.noop_ms, speedup, kSpeedupFloor,
                m.cells_reused, m.cells_reproved, m.identical ? "true" : "false",
                m.noop_reused ? "true" : "false");

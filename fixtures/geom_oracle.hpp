@@ -1,0 +1,252 @@
+// Test-only oracle for src/geom's RectSet scanline: the original sweep that
+// re-sorts every band's active list and the std::map band collector, kept
+// verbatim so the linear-band production kernel can be checked against it
+// (tests/test_geom_oracle.cpp). The production contract is that every
+// RectSet operation returns the same canonical rect vector, in the same
+// order, as its counterpart here. The operations are restated over plain
+// rect vectors so that each oracle entry point stands alone.
+#pragma once
+
+#include <algorithm>
+#include <map>
+#include <tuple>
+#include <utility>
+#include <vector>
+
+#include "geom/geom.hpp"
+
+namespace silc_fixtures::geom_oracle {
+
+using silc::geom::Coord;
+using silc::geom::Rect;
+
+namespace detail {
+
+struct Interval {
+  Coord lo, hi;
+};
+
+// Merge a sorted-by-lo interval list into a disjoint, sorted union.
+inline std::vector<Interval> merge_intervals(std::vector<Interval> in) {
+  if (in.empty()) return in;
+  std::sort(in.begin(), in.end(),
+            [](const Interval& a, const Interval& b) { return a.lo < b.lo; });
+  std::vector<Interval> out;
+  out.push_back(in.front());
+  for (std::size_t i = 1; i < in.size(); ++i) {
+    if (in[i].lo <= out.back().hi) {
+      out.back().hi = std::max(out.back().hi, in[i].hi);
+    } else {
+      out.push_back(in[i]);
+    }
+  }
+  return out;
+}
+
+// Set operations on disjoint sorted interval lists.
+enum class Op { Union, Intersect, Subtract };
+
+inline std::vector<Interval> combine(const std::vector<Interval>& a,
+                                     const std::vector<Interval>& b, Op op) {
+  switch (op) {
+    case Op::Union: {
+      std::vector<Interval> all = a;
+      all.insert(all.end(), b.begin(), b.end());
+      return merge_intervals(std::move(all));
+    }
+    case Op::Intersect: {
+      std::vector<Interval> out;
+      std::size_t i = 0, j = 0;
+      while (i < a.size() && j < b.size()) {
+        const Coord lo = std::max(a[i].lo, b[j].lo);
+        const Coord hi = std::min(a[i].hi, b[j].hi);
+        if (lo < hi) out.push_back({lo, hi});
+        if (a[i].hi < b[j].hi) {
+          ++i;
+        } else {
+          ++j;
+        }
+      }
+      return out;
+    }
+    case Op::Subtract: {
+      std::vector<Interval> out;
+      std::size_t j = 0;
+      for (const Interval& ia : a) {
+        Coord cur = ia.lo;
+        while (j < b.size() && b[j].hi <= cur) ++j;
+        std::size_t k = j;
+        while (k < b.size() && b[k].lo < ia.hi) {
+          if (b[k].lo > cur) out.push_back({cur, b[k].lo});
+          cur = std::max(cur, b[k].hi);
+          ++k;
+        }
+        if (cur < ia.hi) out.push_back({cur, ia.hi});
+      }
+      return out;
+    }
+  }
+  return {};
+}
+
+// Scanline slab decomposition over one or two rect lists: calls `emit` for
+// each y-band with the op-combined interval list. Inputs need not be
+// disjoint for Union; Intersect/Subtract require each input disjoint within
+// any band, which holds for normalized sets.
+template <typename Emit>
+void sweep(const std::vector<Rect>& a, const std::vector<Rect>& b, Op op,
+           Emit emit) {
+  std::vector<Coord> ys;
+  ys.reserve(2 * (a.size() + b.size()));
+  for (const Rect& r : a) {
+    ys.push_back(r.y0);
+    ys.push_back(r.y1);
+  }
+  for (const Rect& r : b) {
+    ys.push_back(r.y0);
+    ys.push_back(r.y1);
+  }
+  std::sort(ys.begin(), ys.end());
+  ys.erase(std::unique(ys.begin(), ys.end()), ys.end());
+  if (ys.size() < 2) return;
+
+  // Event-driven active lists, sorted by y0.
+  std::vector<Rect> sa = a, sb = b;
+  std::sort(sa.begin(), sa.end(),
+            [](const Rect& r, const Rect& s) { return r.y0 < s.y0; });
+  std::sort(sb.begin(), sb.end(),
+            [](const Rect& r, const Rect& s) { return r.y0 < s.y0; });
+  std::size_t ia = 0, ib = 0;
+  std::vector<Rect> act_a, act_b;
+
+  for (std::size_t band = 0; band + 1 < ys.size(); ++band) {
+    const Coord yl = ys[band], yh = ys[band + 1];
+    while (ia < sa.size() && sa[ia].y0 <= yl) act_a.push_back(sa[ia++]);
+    while (ib < sb.size() && sb[ib].y0 <= yl) act_b.push_back(sb[ib++]);
+    std::erase_if(act_a, [yl](const Rect& r) { return r.y1 <= yl; });
+    std::erase_if(act_b, [yl](const Rect& r) { return r.y1 <= yl; });
+
+    std::vector<Interval> va, vb;
+    va.reserve(act_a.size());
+    vb.reserve(act_b.size());
+    for (const Rect& r : act_a) va.push_back({r.x0, r.x1});
+    for (const Rect& r : act_b) vb.push_back({r.x0, r.x1});
+    va = merge_intervals(std::move(va));
+    vb = merge_intervals(std::move(vb));
+    emit(yl, yh, combine(va, vb, op));
+  }
+}
+
+// Collect sweep output into canonical rects, merging vertically-adjacent
+// bands whose x-extents match exactly.
+class Collector {
+ public:
+  void band(Coord yl, Coord yh, const std::vector<Interval>& xs) {
+    if (xs.empty()) {
+      open_.clear();
+      return;
+    }
+    std::map<std::pair<Coord, Coord>, std::size_t> next;
+    for (const Interval& iv : xs) {
+      auto it = open_.find({iv.lo, iv.hi});
+      if (it != open_.end() && out_[it->second].y1 == yl) {
+        out_[it->second].y1 = yh;
+        next.emplace(std::pair{iv.lo, iv.hi}, it->second);
+      } else {
+        out_.push_back({iv.lo, yl, iv.hi, yh});
+        next.emplace(std::pair{iv.lo, iv.hi}, out_.size() - 1);
+      }
+    }
+    open_ = std::move(next);
+  }
+  std::vector<Rect> take() {
+    std::sort(out_.begin(), out_.end(), [](const Rect& a, const Rect& b) {
+      return std::tie(a.y0, a.x0, a.y1, a.x1) < std::tie(b.y0, b.x0, b.y1, b.x1);
+    });
+    return std::move(out_);
+  }
+
+ private:
+  std::vector<Rect> out_;
+  std::map<std::pair<Coord, Coord>, std::size_t> open_;
+};
+
+inline std::vector<Rect> run_op(const std::vector<Rect>& a,
+                                const std::vector<Rect>& b, Op op) {
+  Collector c;
+  sweep(a, b, op, [&c](Coord yl, Coord yh, const std::vector<Interval>& xs) {
+    c.band(yl, yh, xs);
+  });
+  return c.take();
+}
+
+}  // namespace detail
+
+/// RectSet(soup).rects(): drop empty rects, then one Union sweep.
+inline std::vector<Rect> normalize(std::vector<Rect> soup) {
+  std::erase_if(soup, [](const Rect& r) { return r.empty(); });
+  return detail::run_op(soup, {}, detail::Op::Union);
+}
+
+/// The boolean operations over canonical inputs (`a`, `b` = rects()).
+inline std::vector<Rect> unite(const std::vector<Rect>& a,
+                               const std::vector<Rect>& b) {
+  return detail::run_op(a, b, detail::Op::Union);
+}
+inline std::vector<Rect> intersect(const std::vector<Rect>& a,
+                                   const std::vector<Rect>& b) {
+  return detail::run_op(a, b, detail::Op::Intersect);
+}
+inline std::vector<Rect> subtract(const std::vector<Rect>& a,
+                                  const std::vector<Rect>& b) {
+  return detail::run_op(a, b, detail::Op::Subtract);
+}
+
+/// RectSet::covers over a canonical `set`: sweep `r` minus the canonical
+/// rects that overlap it.
+inline bool covers(const std::vector<Rect>& set, const Rect& r) {
+  if (r.empty()) return true;
+  std::vector<Rect> local;
+  for (const Rect& s : set) {
+    if (s.y0 >= r.y1) break;
+    if (s.overlaps(r)) local.push_back(s);
+  }
+  return detail::run_op({r}, local, detail::Op::Subtract).empty();
+}
+
+inline std::vector<Rect> clipped(const std::vector<Rect>& set, const Rect& w) {
+  std::vector<Rect> out;
+  for (const Rect& s : set) {
+    if (s.y0 >= w.y1) break;
+    const Rect c = s.intersect(w);
+    if (!c.empty()) out.push_back(c);
+  }
+  return normalize(std::move(out));
+}
+
+inline std::vector<Rect> dilated(const std::vector<Rect>& set, Coord d) {
+  if (d == 0) return set;
+  std::vector<Rect> grown;
+  grown.reserve(set.size());
+  for (const Rect& r : set) grown.push_back(r.inflated(d));
+  return normalize(std::move(grown));
+}
+
+inline std::vector<Rect> eroded(const std::vector<Rect>& set, Coord d) {
+  if (d == 0) return set;
+  if (set.empty()) return {};
+  Rect box;
+  for (const Rect& r : set) box = box.bound(r);
+  const std::vector<Rect> window = {box.inflated(2 * d)};
+  const std::vector<Rect> complement = subtract(window, set);
+  return intersect(subtract(window, dilated(complement, d)), set);
+}
+
+inline std::vector<Rect> scaled(const std::vector<Rect>& set, Coord k) {
+  std::vector<Rect> out;
+  out.reserve(set.size());
+  for (const Rect& r : set) out.push_back({r.x0 * k, r.y0 * k, r.x1 * k, r.y1 * k});
+  return out;
+}
+
+}  // namespace silc_fixtures::geom_oracle

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <map>
 #include <numeric>
+#include <tuple>
 #include <utility>
 
 namespace silc::geom {
@@ -13,36 +13,39 @@ struct Interval {
   Coord lo, hi;
 };
 
-// Merge a sorted-by-lo interval list into a disjoint, sorted union.
-std::vector<Interval> merge_intervals(std::vector<Interval> in) {
-  if (in.empty()) return in;
-  std::sort(in.begin(), in.end(),
-            [](const Interval& a, const Interval& b) { return a.lo < b.lo; });
-  std::vector<Interval> out;
-  out.push_back(in.front());
-  for (std::size_t i = 1; i < in.size(); ++i) {
-    if (in[i].lo <= out.back().hi) {
-      out.back().hi = std::max(out.back().hi, in[i].hi);
-    } else {
-      out.push_back(in[i]);
-    }
-  }
-  return out;
-}
-
 // Set operations on disjoint sorted interval lists.
 enum class Op { Union, Intersect, Subtract };
 
-std::vector<Interval> combine(const std::vector<Interval>& a,
-                              const std::vector<Interval>& b, Op op) {
+// Append `iv` to a closed-interval union built in lo order: overlapping and
+// abutting intervals merge.
+void push_union(std::vector<Interval>& out, const Interval& iv) {
+  if (!out.empty() && iv.lo <= out.back().hi) {
+    out.back().hi = std::max(out.back().hi, iv.hi);
+  } else {
+    out.push_back(iv);
+  }
+}
+
+// The union of an active list (sorted by x0) as disjoint sorted intervals.
+void band_union(const std::vector<Rect>& act, std::vector<Interval>& out) {
+  out.clear();
+  for (const Rect& r : act) push_union(out, {r.x0, r.x1});
+}
+
+void combine(const std::vector<Interval>& a, const std::vector<Interval>& b,
+             Op op, std::vector<Interval>& out) {
+  out.clear();
   switch (op) {
     case Op::Union: {
-      std::vector<Interval> all = a;
-      all.insert(all.end(), b.begin(), b.end());
-      return merge_intervals(std::move(all));
+      // Both inputs are sorted by lo: merge them in lo order, then union.
+      std::size_t i = 0, j = 0;
+      while (i < a.size() || j < b.size()) {
+        const bool take_a = j == b.size() || (i < a.size() && a[i].lo <= b[j].lo);
+        push_union(out, take_a ? a[i++] : b[j++]);
+      }
+      return;
     }
     case Op::Intersect: {
-      std::vector<Interval> out;
       std::size_t i = 0, j = 0;
       while (i < a.size() && j < b.size()) {
         const Coord lo = std::max(a[i].lo, b[j].lo);
@@ -54,10 +57,9 @@ std::vector<Interval> combine(const std::vector<Interval>& a,
           ++j;
         }
       }
-      return out;
+      return;
     }
     case Op::Subtract: {
-      std::vector<Interval> out;
       std::size_t j = 0;
       for (const Interval& ia : a) {
         Coord cur = ia.lo;
@@ -70,16 +72,58 @@ std::vector<Interval> combine(const std::vector<Interval>& a,
         }
         if (cur < ia.hi) out.push_back({cur, ia.hi});
       }
-      return out;
+      return;
     }
   }
-  return {};
 }
+
+bool by_y0_x0(const Rect& r, const Rect& s) {
+  return r.y0 < s.y0 || (r.y0 == s.y0 && r.x0 < s.x0);
+}
+
+// One input's event list and its active list, kept sorted by x0.
+class Active {
+ public:
+  // Canonical inputs are already in (y0, x0) order and are read in place.
+  explicit Active(const std::vector<Rect>& in) : events_(&in) {
+    if (!std::is_sorted(in.begin(), in.end(), by_y0_x0)) {
+      sorted_ = in;
+      std::sort(sorted_.begin(), sorted_.end(), by_y0_x0);
+      events_ = &sorted_;
+    }
+  }
+
+  // Enter the band starting at `yl`: merge the rects starting at or before
+  // it (already in x0 order) after any active rect with an equal x0, then
+  // drop rects ending at or before it — in that order, so a zero-height
+  // rect enters and leaves in the same band.
+  const std::vector<Rect>& advance(Coord yl) {
+    const std::vector<Rect>& ev = *events_;
+    const std::size_t first = next_;
+    while (next_ < ev.size() && ev[next_].y0 <= yl) ++next_;
+    spare_.clear();
+    std::size_t i = 0, j = first;
+    while (i < act_.size() || j < next_) {
+      const bool take_act = j == next_ || (i < act_.size() && act_[i].x0 <= ev[j].x0);
+      const Rect& r = take_act ? act_[i++] : ev[j++];
+      if (r.y1 > yl) spare_.push_back(r);
+    }
+    act_.swap(spare_);
+    return act_;
+  }
+
+ private:
+  const std::vector<Rect>* events_;
+  std::vector<Rect> sorted_;
+  std::size_t next_ = 0;
+  std::vector<Rect> act_, spare_;
+};
 
 // Scanline slab decomposition over one or two rect lists: calls `emit` for
 // each y-band with the op-combined interval list. Inputs need not be
 // disjoint for Union; Intersect/Subtract require each input disjoint within
-// any band, which holds for normalized sets.
+// any band, which holds for normalized sets. Each band costs one linear
+// pass over the active lists, with buffers reused across bands.
 template <typename Emit>
 void sweep(const std::vector<Rect>& a, const std::vector<Rect>& b, Op op,
            Emit emit) {
@@ -97,65 +141,61 @@ void sweep(const std::vector<Rect>& a, const std::vector<Rect>& b, Op op,
   ys.erase(std::unique(ys.begin(), ys.end()), ys.end());
   if (ys.size() < 2) return;
 
-  // Event-driven active lists, sorted by y0.
-  std::vector<Rect> sa = a, sb = b;
-  std::sort(sa.begin(), sa.end(),
-            [](const Rect& r, const Rect& s) { return r.y0 < s.y0; });
-  std::sort(sb.begin(), sb.end(),
-            [](const Rect& r, const Rect& s) { return r.y0 < s.y0; });
-  std::size_t ia = 0, ib = 0;
-  std::vector<Rect> act_a, act_b;
-
+  Active act_a(a), act_b(b);
+  // A plain normalize (Union with nothing) emits a's band union directly.
+  const bool only_a = op == Op::Union && b.empty();
+  std::vector<Interval> va, vb, xs;
   for (std::size_t band = 0; band + 1 < ys.size(); ++band) {
     const Coord yl = ys[band], yh = ys[band + 1];
-    while (ia < sa.size() && sa[ia].y0 <= yl) act_a.push_back(sa[ia++]);
-    while (ib < sb.size() && sb[ib].y0 <= yl) act_b.push_back(sb[ib++]);
-    std::erase_if(act_a, [yl](const Rect& r) { return r.y1 <= yl; });
-    std::erase_if(act_b, [yl](const Rect& r) { return r.y1 <= yl; });
-
-    std::vector<Interval> va, vb;
-    va.reserve(act_a.size());
-    vb.reserve(act_b.size());
-    for (const Rect& r : act_a) va.push_back({r.x0, r.x1});
-    for (const Rect& r : act_b) vb.push_back({r.x0, r.x1});
-    va = merge_intervals(std::move(va));
-    vb = merge_intervals(std::move(vb));
-    emit(yl, yh, combine(va, vb, op));
+    band_union(act_a.advance(yl), va);
+    if (only_a) {
+      emit(yl, yh, va);
+      continue;
+    }
+    band_union(act_b.advance(yl), vb);
+    combine(va, vb, op, xs);
+    emit(yl, yh, xs);
   }
 }
 
 // Collect sweep output into canonical rects, merging vertically-adjacent
-// bands whose x-extents match exactly.
+// bands whose x-extents match exactly. Each band's intervals are sorted and
+// disjoint, and so are the previous band's open slabs, so one two-pointer
+// pass matches them. Slabs are created in (y0, x0) order, which is the
+// canonical order.
 class Collector {
  public:
   void band(Coord yl, Coord yh, const std::vector<Interval>& xs) {
-    if (xs.empty()) {
-      open_.clear();
-      return;
-    }
-    std::map<std::pair<Coord, Coord>, std::size_t> next;
+    next_.clear();
+    std::size_t j = 0;
     for (const Interval& iv : xs) {
-      auto it = open_.find({iv.lo, iv.hi});
-      if (it != open_.end() && out_[it->second].y1 == yl) {
-        out_[it->second].y1 = yh;
-        next.emplace(std::pair{iv.lo, iv.hi}, it->second);
+      while (j < open_.size() && open_[j].lo < iv.lo) ++j;
+      if (j < open_.size() && open_[j].lo == iv.lo && open_[j].hi == iv.hi) {
+        Rect& slab = out_[open_[j].slab];
+        assert(slab.y1 == yl);  // open slabs end where this band starts
+        slab.y1 = yh;
+        next_.push_back(open_[j]);
       } else {
         out_.push_back({iv.lo, yl, iv.hi, yh});
-        next.emplace(std::pair{iv.lo, iv.hi}, out_.size() - 1);
+        next_.push_back({iv.lo, iv.hi, out_.size() - 1});
       }
     }
-    open_ = std::move(next);
+    open_.swap(next_);
   }
   std::vector<Rect> take() {
-    std::sort(out_.begin(), out_.end(), [](const Rect& a, const Rect& b) {
+    assert(std::is_sorted(out_.begin(), out_.end(), [](const Rect& a, const Rect& b) {
       return std::tie(a.y0, a.x0, a.y1, a.x1) < std::tie(b.y0, b.x0, b.y1, b.x1);
-    });
+    }));
     return std::move(out_);
   }
 
  private:
+  struct Open {
+    Coord lo, hi;
+    std::size_t slab;
+  };
   std::vector<Rect> out_;
-  std::map<std::pair<Coord, Coord>, std::size_t> open_;
+  std::vector<Open> open_, next_;
 };
 
 std::vector<Rect> run_op(const std::vector<Rect>& a, const std::vector<Rect>& b,
@@ -222,13 +262,16 @@ bool RectSet::covers(const Rect& r) const {
   if (r.empty()) return true;
   // Only rects overlapping `r` can contribute to covering it, and the
   // canonical list is sorted by y0, so the scan ends at the first band
-  // past r — per-query cost is local, not a full-region sweep.
-  std::vector<Rect> local;
+  // past r. Canonical rects are disjoint, so they cover `r` exactly when
+  // their overlaps with it add up to its area: no sweep is needed.
+  std::int64_t covered = 0;
   for (const Rect& s : rects()) {
     if (s.y0 >= r.y1) break;
-    if (s.overlaps(r)) local.push_back(s);
+    if (!s.overlaps(r)) continue;
+    if (s.contains(r)) return true;
+    covered += s.intersect(r).area();
   }
-  return run_op({r}, local, Op::Subtract).empty();
+  return covered == r.area();
 }
 
 bool RectSet::intersects(const Rect& r) const {

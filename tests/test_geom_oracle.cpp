@@ -1,0 +1,169 @@
+// Differential fuzz of the RectSet scanline against its oracle
+// (fixtures/geom_oracle.hpp: the original per-band sort and std::map
+// collector). The contract is exact: every operation returns the same
+// canonical rects in the same order, because hash(), the verdict-cache keys,
+// violation sets and netlists are all built from that vector. Inputs are
+// random rect soups of 1..4k rects with duplicates, nested and abutting
+// rects, zero-width and zero-height rects and negative coordinates.
+//
+// Honors fixtures/fuzz_env.hpp: SILC_FUZZ_TRIALS scales the sweep,
+// SILC_FUZZ_SEED reruns one failing trial.
+#include <gtest/gtest.h>
+
+#include <random>
+#include <string>
+#include <vector>
+
+#include "fuzz_env.hpp"
+#include "geom/rectset.hpp"
+#include "geom_oracle.hpp"
+
+namespace silc::geom {
+namespace {
+
+namespace oracle = silc_fixtures::geom_oracle;
+
+std::string text(const std::vector<Rect>& rs) {
+  std::string s;
+  for (const Rect& r : rs) s += to_string(r) + " ";
+  return s.empty() ? "<empty>" : s;
+}
+
+void expect_same(const RectSet& got, const std::vector<Rect>& want,
+                 const char* what) {
+  EXPECT_TRUE(got.rects() == want)
+      << what << " differs from the oracle\n    oracle:  " << text(want)
+      << "\n    current: " << text(got.rects());
+}
+
+Coord coord(std::mt19937& rng, Coord span) {
+  return static_cast<Coord>(rng() % static_cast<unsigned>(2 * span + 1)) - span;
+}
+
+/// A rect with corners in [-span, span]^2; may be empty.
+Rect random_rect(std::mt19937& rng, Coord span) {
+  const Coord x0 = coord(rng, span), y0 = coord(rng, span);
+  const Coord w = static_cast<Coord>(rng() % static_cast<unsigned>(span / 2 + 2));
+  const Coord h = static_cast<Coord>(rng() % static_cast<unsigned>(span / 2 + 2));
+  return {x0, y0, x0 + w, y0 + h};
+}
+
+/// A soup of `n` rects: fresh ones mixed with duplicates, nested copies,
+/// edge-abutting neighbours and zero-width / zero-height slivers of
+/// earlier ones.
+std::vector<Rect> random_soup(std::mt19937& rng, std::size_t n, Coord span) {
+  std::vector<Rect> soup;
+  soup.reserve(n);
+  while (soup.size() < n) {
+    const unsigned kind = soup.empty() ? 0 : rng() % 8;
+    const Rect p = soup.empty() ? Rect{} : soup[rng() % soup.size()];
+    switch (kind) {
+      case 1:  // duplicate
+        soup.push_back(p);
+        break;
+      case 2: {  // nested (possibly degenerate when p is small)
+        const Coord dx = p.width() / 3, dy = p.height() / 3;
+        soup.push_back({p.x0 + dx, p.y0 + dy, p.x1 - dx, p.y1 - dy});
+        break;
+      }
+      case 3: {  // abutting on the right or on top
+        const Rect q = random_rect(rng, span);
+        if (rng() % 2 == 0) {
+          soup.push_back({p.x1, p.y0, p.x1 + q.width(), p.y1});
+        } else {
+          soup.push_back({p.x0, p.y1, p.x1, p.y1 + q.height()});
+        }
+        break;
+      }
+      case 4:  // zero width
+        soup.push_back({p.x1, p.y0, p.x1, p.y1});
+        break;
+      case 5:  // zero height
+        soup.push_back({p.x0, p.y1, p.x1, p.y1});
+        break;
+      default:
+        soup.push_back(random_rect(rng, span));
+        break;
+    }
+  }
+  return soup;
+}
+
+/// Queries for covers(): the set's own rects, sub-rects of them, rects
+/// spanning neighbours, random and empty rects.
+std::vector<Rect> covers_queries(std::mt19937& rng, const std::vector<Rect>& set,
+                                 Coord span) {
+  std::vector<Rect> qs;
+  for (int i = 0; i < 24; ++i) {
+    if (set.empty() || i % 4 == 3) {
+      qs.push_back(random_rect(rng, span));
+      continue;
+    }
+    const Rect& s = set[rng() % set.size()];
+    const Rect& t = set[rng() % set.size()];
+    switch (i % 4) {
+      case 0:
+        qs.push_back(s);
+        break;
+      case 1:
+        qs.push_back({s.x0 + s.width() / 4, s.y0, s.x1, s.y1 - s.height() / 4});
+        break;
+      default:
+        qs.push_back(s.bound(t));
+        break;
+    }
+  }
+  qs.push_back({3, 3, 3, 9});
+  return qs;
+}
+
+void check_trial(unsigned seed) {
+  std::mt19937 rng(seed);
+  // Sizes cycle 1..4, ..32, ..256, ..4096 rects; spans from a tiny grid
+  // (heavy overlap and abutment) to a sparse one.
+  static constexpr std::size_t kCaps[] = {4, 32, 256, 4096};
+  static constexpr Coord kSpans[] = {3, 12, 60, 400};
+  const std::size_t cap = kCaps[seed % 4];
+  const Coord span = kSpans[(seed / 4) % 4];
+  const std::vector<Rect> soup_a = random_soup(rng, 1 + rng() % cap, span);
+  const std::vector<Rect> soup_b = random_soup(rng, 1 + rng() % cap, span);
+
+  const RectSet a(soup_a);
+  RectSet b;
+  for (const Rect& r : soup_b) b.add(r);
+  const std::vector<Rect> ca = oracle::normalize(soup_a);
+  const std::vector<Rect> cb = oracle::normalize(soup_b);
+  expect_same(a, ca, "normalize");
+  expect_same(b, cb, "normalize(add)");
+
+  expect_same(a.unite(b), oracle::unite(ca, cb), "unite");
+  expect_same(a.intersect(b), oracle::intersect(ca, cb), "intersect");
+  expect_same(a.subtract(b), oracle::subtract(ca, cb), "subtract");
+  expect_same(b.subtract(a), oracle::subtract(cb, ca), "subtract(reversed)");
+  expect_same(a.unite(RectSet()), oracle::unite(ca, {}), "unite(empty)");
+
+  const Coord d = static_cast<Coord>(rng() % 4);
+  expect_same(a.dilated(d), oracle::dilated(ca, d), "dilated");
+  expect_same(a.eroded(d), oracle::eroded(ca, d), "eroded");
+  expect_same(b.eroded(d + 1), oracle::eroded(cb, d + 1), "eroded(b)");
+  const Coord k = 1 + static_cast<Coord>(rng() % 3);
+  expect_same(a.scaled(k), oracle::scaled(ca, k), "scaled");
+
+  for (int i = 0; i < 4; ++i) {
+    const Rect w = random_rect(rng, span);
+    expect_same(a.clipped(w), oracle::clipped(ca, w), "clipped");
+  }
+  for (const Rect& q : covers_queries(rng, ca, span)) {
+    EXPECT_EQ(a.covers(q), oracle::covers(ca, q))
+        << "covers(" << to_string(q) << ") differs from the oracle";
+  }
+}
+
+TEST(GeomOracle, RandomSoupsMatchExactly) {
+  silc_fixtures::fuzz_seeds("test_geom_oracle",
+                            "GeomOracle.RandomSoupsMatchExactly", 1, 200,
+                            check_trial);
+}
+
+}  // namespace
+}  // namespace silc::geom
