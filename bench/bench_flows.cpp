@@ -160,8 +160,6 @@ silc::core::CompileOptions bench_verify(const std::string& name) {
   silc::core::CompileOptions o;
   o.name = name;
   o.verify_cycles = 16;
-  o.gate_verify_cycles = 128;
-  o.gate_verify_lanes = 8;
   return o;
 }
 

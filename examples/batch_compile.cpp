@@ -35,8 +35,6 @@ silc::core::CompileOptions verified(const std::string& name) {
   silc::core::CompileOptions o;
   o.name = name;
   o.verify_cycles = 16;
-  o.gate_verify_cycles = 256;
-  o.gate_verify_lanes = 8;
   return o;
 }
 

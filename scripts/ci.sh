@@ -31,8 +31,9 @@
 #     and requires the edited verifies to have reused warm cells;
 #   * setting SILC_FUZZ_TRIALS adds a nightly-depth long-fuzz leg that
 #     re-runs the randomized differential harnesses at that trial count,
-#     including the minimizer and RectSet scanline oracles (failures print
-#     their seed and a one-line repro command);
+#     including the minimizer and RectSet scanline oracles and the
+#     gate-check proof's table-tamper and RTL-mutant sweeps (failures
+#     print their seed and a one-line repro command);
 #   * a chaos smoke rerun pins one extra seeded fault schedule
 #     (SILC_CHAOS_SEED) beyond the 50 rounds baked into test_fault;
 #   * the library and every tier-1 test must also build and pass with the
@@ -241,6 +242,7 @@ if [ -n "${SILC_FUZZ_TRIALS:-}" ]; then
   "$BUILD_DIR/test_drc" --gtest_filter='*Fuzz*'
   "$BUILD_DIR/test_logic_oracle"
   "$BUILD_DIR/test_geom_oracle"
+  "$BUILD_DIR/test_gate_proof"
   echo "long-fuzz leg (SILC_FUZZ_TRIALS=$SILC_FUZZ_TRIALS): ok"
 fi
 

@@ -363,18 +363,18 @@ Pipeline make_behavioral() {
   p.stage("drc", stage_drc);
   p.stage("extract", stage_extract);
   p.stage("gate-check", [](DesignDB& db) {
-    if (!require(db, "gate-check", db.design.has_value(), "parsed design")) {
+    if (!require(db, "gate-check", db.design.has_value() && db.fsm.has_value(),
+                 "design + FSM")) {
       return false;
     }
-    // Behavioral-vs-gates: the compiled bit-parallel simulator covers
-    // thousands of vectors for less than the artwork check's cost (the
-    // compiled side carries every lane of the widest word per pass).
-    sim::CrosscheckOptions co;
-    co.cycles = db.options.gate_verify_cycles;
-    co.lanes = db.options.gate_verify_lanes;
-    co.switch_cycles = 0;  // swsim is reserved for the extracted artwork
-    co.sim.threads = db.options.sim_threads;
-    db.gate_check = sim::crosscheck(*db.design, co);
+    // Behavioral-vs-gates as a proof: the tabulated FSM is the behavioral
+    // simulator run over every state/input pair, so the compiled gates
+    // checked against it on every minterm (a few bit-parallel passes)
+    // decide every input sequence. A prover that throws fails the stage
+    // at the boundary with a structured error diag.
+    sim::SimConfig sc;
+    sc.threads = db.options.sim_threads;
+    db.gate_check = sim::prove_gates(*db.design, *db.fsm, sc);
     if (!db.gate_check->ok) {
       // The cheap check failed; the pipeline stops before the expensive
       // artwork run.

@@ -24,7 +24,12 @@
 //     runtime errors) are caught at the stage boundary and surfaced as
 //     error diagnostics instead of crashing the caller. A stage returning
 //     false stops the pipeline — the cheap gate-check failing skips the
-//     expensive artwork run.
+//     expensive artwork run. The three verification stages each decide
+//     one lowering: gate-check proves the bit-blasted gates equal to the
+//     tabulated FSM over every minterm (sim::prove_gates), pla-check
+//     proves the programmed NOR-NOR personality equal to it over the
+//     whole care space (sim::check_pla), and artwork-check samples the
+//     extracted transistors under the switch-level simulator.
 //
 //   * compile_many — the batch front end ("heavy traffic"): N independent
 //     designs dispatched across a persistent worker crew (same
@@ -121,11 +126,13 @@ struct CompileOptions {
   std::vector<std::string> skip;
   int verify_cycles = 32;  // artwork-check: switch-level cycles on the
                            // extracted chip (slow, relaxation-based)
-  int gate_verify_cycles = 512;  // gate-check: cycles per lane under the
-                                 // compiled simulator (the compiled side
-                                 // always runs the widest word; this
-                                 // bounds the behavioral references)
-  int gate_verify_lanes = 16;    // independent behavioral stimulus lanes
+  /// The gate-check stage proves the gates against the tabulated FSM
+  /// over every minterm (sim::prove_gates); it samples nothing. These
+  /// size only the sampled oracle, sim::crosscheck (cycles per lane,
+  /// behavioral stimulus lanes), which tests and benches run beside the
+  /// stage; constants, not options, so no caller can set them.
+  static constexpr int gate_verify_cycles = 512;
+  static constexpr int gate_verify_lanes = 16;
   /// The pla-check stage's engine, fixed: the symbolic proof (see
   /// sim::PlaCheckMode) decides the programmed personality against the
   /// tabulated FSM over the whole care space by cube containment. If the
@@ -230,7 +237,7 @@ struct DesignDB {
   layout::Cell* chip = nullptr;                    // assemble / parse
   std::optional<std::string> cif;                  // cif
   std::optional<drc::Result> drc;                  // drc
-  std::optional<sim::CrosscheckReport> gate_check;   // gate-check
+  std::optional<sim::GateProofReport> gate_check;    // gate-check
   std::optional<sim::PlaCheckReport> pla_check;      // pla-check
   bool artwork_ok = false;                         // artwork-check
   std::string artwork_detail;

@@ -119,8 +119,10 @@ std::uint64_t ResultCache::fingerprint(Flow flow, const std::string& source,
   f.mix(options.skip.size());
   for (const std::string& s : options.skip) f.mix_str(s);
   f.mix(static_cast<std::uint64_t>(options.verify_cycles));
-  f.mix(static_cast<std::uint64_t>(options.gate_verify_cycles));
-  f.mix(static_cast<std::uint64_t>(options.gate_verify_lanes));
+  // The gate-check engine, not a setting: a result stored by a build
+  // whose gate-check sampled (it mixed its cycle and lane counts here)
+  // can never be replayed as this build's proof.
+  f.mix_str("gate-check:exhaustive-proof");
   f.mix(static_cast<std::uint64_t>(options.drc_mode));
   f.mix(static_cast<std::uint64_t>(options.extract_mode));
   return f.h;

@@ -2,11 +2,13 @@
 // slots, and drive the bit-parallel kernel over the configured word
 // backend / thread pool. crosscheck(): the three-model equivalence harness
 // (behavioral / compiled / switch-level). check_pla(): the programmed-PLA
-// equivalence check — symbolic proof, compiled-netlist diff, or the
-// interpreted replay oracle, per PlaCheckMode.
+// equivalence check — symbolic proof or the interpreted replay oracle, per
+// PlaCheckMode. prove_gates(): the gates against the tabulated FSM over
+// every minterm.
 #include "sim/sim.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -771,6 +773,167 @@ PlaCheckReport check_pla(const rtl::Design& design,
     r.detail = std::string("pla check error: ") + e.what();
     return r;
   }
+}
+
+// --------------------------------------------------------------- gate proof --
+
+namespace {
+
+/// Lane l of a 64-lane limb carries bit j of l, for the six low bits.
+constexpr std::uint64_t kLanePattern[6] = {
+    0xAAAAAAAAAAAAAAAAull, 0xCCCCCCCCCCCCCCCCull, 0xF0F0F0F0F0F0F0F0ull,
+    0xFF00FF00FF00FF00ull, 0xFFFF0000FFFF0000ull, 0xFFFFFFFF00000000ull};
+
+[[noreturn]] void gate_proof_reject(const std::string& why) {
+  throw std::runtime_error("gate proof rejected: " + why);
+}
+
+}  // namespace
+
+GateProofReport prove_gates(const rtl::Design& design,
+                            const synth::TabulatedFsm& fsm,
+                            const SimConfig& sim) {
+  SILC_OBS_SPAN("sim.gate.prove", "sim");
+  const int n = static_cast<int>(fsm.input_names.size());
+  const std::size_t sb = static_cast<std::size_t>(fsm.state_bits);
+  const std::size_t nouts = fsm.output_names.size();
+  if (n > 32 || fsm.function.num_inputs != n ||
+      fsm.function.outputs.size() != nouts || fsm.state_bits < 0 ||
+      sb > static_cast<std::size_t>(n) || sb > nouts) {
+    gate_proof_reject("table shape does not match its bit names");
+  }
+
+  CompiledSim cs(design, sim);
+  const net::Netlist& nl = cs.netlist();
+  const auto slot_of = [&](const std::string& name) {
+    const int net = nl.find_net(name);
+    if (net < 0) gate_proof_reject("no net for table bit " + name);
+    return static_cast<std::uint32_t>(net);
+  };
+  // Table bits and the gate slots that carry them, resolved once: the
+  // minterm bits (registers, then inputs), the outputs' nets, and for each
+  // next-state bit the register's own Q slot, which the commit writes.
+  std::vector<std::uint32_t> in_slot;
+  for (const std::string& name : fsm.input_names) in_slot.push_back(slot_of(name));
+  std::vector<std::uint32_t> out_slot(in_slot.begin(), in_slot.begin() + sb);
+  for (std::size_t k = sb; k < nouts; ++k) {
+    out_slot.push_back(slot_of(fsm.output_names[k]));
+    if (!cs.live_[out_slot.back()]) {
+      gate_proof_reject("output " + fsm.output_names[k] + " was fused away");
+    }
+  }
+
+  // The minterm bits are exactly the gates' sources: distinct nets, the
+  // state bits exactly its registers, the rest primary inputs. Same start
+  // state: every register powers on 0, like BehavioralSim's.
+  std::vector<std::uint32_t> distinct = in_slot;
+  std::sort(distinct.begin(), distinct.end());
+  if (std::adjacent_find(distinct.begin(), distinct.end()) != distinct.end()) {
+    gate_proof_reject("two table bits name one net");
+  }
+  const std::size_t w = static_cast<std::size_t>(cs.words_per_slot_);
+  std::uint64_t* const v = cs.slot_words();
+  if (cs.tape_.dffs.size() != sb) {
+    gate_proof_reject(std::to_string(cs.tape_.dffs.size()) +
+                      " registers in the gates, " + std::to_string(sb) +
+                      " state bits in the table");
+  }
+  for (std::size_t j = 0; j < in_slot.size(); ++j) {
+    const std::uint32_t slot = in_slot[j];
+    if (j >= sb) {
+      if (std::find(nl.inputs().begin(), nl.inputs().end(),
+                    static_cast<int>(slot)) == nl.inputs().end()) {
+        gate_proof_reject(fsm.input_names[j] + " is not a primary input");
+      }
+      continue;
+    }
+    if (std::none_of(cs.tape_.dffs.begin(), cs.tape_.dffs.end(),
+                     [&](const auto& qd) { return qd.first == slot; })) {
+      gate_proof_reject(fsm.input_names[j] + " is not a register");
+    }
+    if (std::any_of(v + slot * w, v + (slot + 1) * w,
+                    [](std::uint64_t limb) { return limb != 0; })) {
+      gate_proof_reject("register " + fsm.input_names[j] +
+                        " powers on nonzero");
+    }
+  }
+
+  GateProofReport r;
+  r.minterms = std::uint64_t{1} << n;
+  const int lanes = cs.lanes();
+  const int lane_bits = 6 + std::countr_zero(w);
+  const std::uint64_t passes =
+      (r.minterms + static_cast<std::uint64_t>(lanes) - 1) /
+      static_cast<std::uint64_t>(lanes);
+  for (std::uint64_t pass = 0; pass < passes; ++pass) {
+    core::check_cancel("sim.gate.prove");
+    SILC_FAULT_POINT("sim.gate.prove");
+    // Lane l decides minterm base + l. Below lane_bits a minterm bit is a
+    // fixed lane pattern; at and above it, it is constant for the pass.
+    const std::uint64_t base = pass * static_cast<std::uint64_t>(lanes);
+    for (int j = 0; j < n; ++j) {
+      std::uint64_t* const limbs = v + in_slot[static_cast<std::size_t>(j)] * w;
+      for (std::size_t i = 0; i < w; ++i) {
+        if (j < 6) {
+          limbs[i] = kLanePattern[j];
+          continue;
+        }
+        const std::uint64_t bit = j < lane_bits ? i >> (j - 6) : base >> j;
+        limbs[i] = (bit & 1u) != 0 ? ~std::uint64_t{0} : 0;
+      }
+    }
+
+    // The lowest disagreeing lane of the pass, first table output on ties.
+    int bad_lane = lanes;
+    std::size_t bad_k = 0;
+    const auto compare = [&](std::size_t k) {
+      const logic::TruthTable& table = fsm.function.outputs[k];
+      for (std::size_t i = 0; i < w; ++i) {
+        std::uint64_t want = 0, care = 0;
+        for (std::uint64_t b = 0; b < 64; ++b) {
+          const std::uint64_t m = base + i * 64 + b;
+          if (m >= r.minterms) break;
+          const logic::Tri t = table.get(static_cast<std::uint32_t>(m));
+          if (t != logic::Tri::DontCare) care |= std::uint64_t{1} << b;
+          if (t == logic::Tri::One) want |= std::uint64_t{1} << b;
+        }
+        const std::uint64_t diff = (v[out_slot[k] * w + i] ^ want) & care;
+        if (diff == 0) continue;
+        const int lane = static_cast<int>(i) * 64 + std::countr_zero(diff);
+        if (lane < bad_lane || (lane == bad_lane && k < bad_k)) {
+          bad_lane = lane;
+          bad_k = k;
+        }
+        return;
+      }
+    };
+    cs.eval_now();
+    for (std::size_t k = sb; k < nouts; ++k) compare(k);
+    commit_tape(cs.tape_, cs.word_, v, cs.scratch_.data());
+    for (std::size_t k = 0; k < sb; ++k) compare(k);
+
+    if (bad_lane < lanes) {
+      const std::uint32_t m =
+          static_cast<std::uint32_t>(base + static_cast<std::uint64_t>(bad_lane));
+      const bool wanted = fsm.function.outputs[bad_k].get(m) == logic::Tri::One;
+      r.mismatch_signal = fsm.output_names[bad_k];
+      r.counterexample = m;
+      std::ostringstream os;
+      os << "gates vs table, " << r.mismatch_signal << ": gates drive "
+         << (wanted ? 0 : 1) << ", table wants " << (wanted ? 1 : 0)
+         << " at minterm " << m << " (" << render_minterm(fsm, m) << ")";
+      r.detail = os.str();
+      return r;
+    }
+  }
+
+  std::ostringstream os;
+  os << "gates == table: exhaustive proof over all " << r.minterms
+     << " minterms (" << sb << " state + " << n - static_cast<int>(sb)
+     << " input bits)";
+  r.ok = true;
+  r.detail = os.str();
+  return r;
 }
 
 }  // namespace silc::sim

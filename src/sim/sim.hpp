@@ -35,10 +35,14 @@
 //     transistor network (depletion pullups, enhancement pulldown trees,
 //     two-phase dynamic master/slave registers) so the *same* design can be
 //     run under swsim without needing artwork;
+//   * prove_gates(): the compiler's behavioral-vs-gates check — the
+//     bit-blasted gates driven through every minterm of the tabulated
+//     FSM, one minterm per lane of the widest word, so the verdict is an
+//     exhaustive proof rather than a sample.
 //   * crosscheck(): one stimulus, three models — rtl::BehavioralSim,
 //     sim::CompiledSim, and swsim::Simulator — with a cycle-by-cycle
 //     trace diff (and an optional VCD dump of the diverging traces).
-//     This is the compiler's behavioral-vs-gates check.
+//     The sampled oracle prove_gates is tested against.
 //   * check_pla(): the PLA path's pre-artwork equivalence check — the
 //     personality actually programmed into the NOR-NOR planes, proven
 //     against the tabulated spec symbolically, or replayed against the
@@ -66,7 +70,7 @@ namespace silc::logic {
 struct PlaTerms;  // the programmed personality check_pla replays
 }
 namespace silc::synth {
-struct TabulatedFsm;  // its bit-assignment conventions drive the replay
+struct TabulatedFsm;  // the spec prove_gates and check_pla decide against
 }
 
 namespace silc::sim {
@@ -320,6 +324,11 @@ struct IncrTapeStats {
   bool identical = false;          ///< netlist unchanged: tape kept verbatim
 };
 
+struct GateProofReport;
+GateProofReport prove_gates(const rtl::Design& design,
+                            const synth::TabulatedFsm& fsm,
+                            const SimConfig& sim);
+
 class CompiledSim {
  public:
   /// Compile an existing gate netlist (copied; names resolve via name_map).
@@ -409,6 +418,11 @@ class CompiledSim {
   std::map<std::string, int> widths_;       // declared widths (Design ctor)
   std::vector<std::string> output_names_;   // default run() probes
   bool dirty_ = true;
+
+  // Drives whole lane limbs of pre-resolved slots, not named lanes.
+  friend GateProofReport prove_gates(const rtl::Design&,
+                                     const synth::TabulatedFsm&,
+                                     const SimConfig&);
 };
 
 // ------------------------------------------------- switch-level lowering --
@@ -433,6 +447,40 @@ class CompiledSim {
 /// One two-phase clock cycle: raise and lower phi1 then phi2, settling
 /// after every edge. Returns false with `detail` when a settle fails.
 [[nodiscard]] bool switch_cycle(swsim::Simulator& sw, std::string& detail);
+
+// ------------------------------------------------------------ gate proof --
+
+/// What prove_gates decided.
+struct GateProofReport {
+  bool ok = false;
+  /// Size of the space decided: 2^n for n state + input bits, every
+  /// minterm of the tabulated FSM.
+  std::uint64_t minterms = 0;
+  /// The first disagreement ("" when ok): the table output whose gate
+  /// value differs (fsm.output_names, so next-state bits read "r'[b]"),
+  /// and the lowest minterm, in synth::tabulate's layout, where it does.
+  std::string mismatch_signal;
+  std::uint32_t counterexample = 0;
+  std::string detail;
+};
+
+/// Prove the design's bit-blasted gates equal to its tabulated FSM
+/// (synth::tabulate, which ran rtl::BehavioralSim over every minterm): one
+/// CompiledSim, every minterm of `fsm` driven across the word's lanes,
+/// each output bit compared to the table after eval and each register to
+/// the next-state bits after the clock commit. Both models power on with
+/// every register 0 (asserted on the compiled side), so equal transition
+/// and output functions make their traces equal for every input sequence
+/// — the verdict crosscheck samples, decided exhaustively.
+///
+/// A disagreement is data (ok = false with a witness). A design and table
+/// that do not describe the same machine (signal missing, register count
+/// off, more than 32 minterm bits) throw std::runtime_error, as do
+/// cancellation (core::Cancelled, checked once per pass) and the
+/// "sim.gate.prove" fault point.
+[[nodiscard]] GateProofReport prove_gates(const rtl::Design& design,
+                                          const synth::TabulatedFsm& fsm,
+                                          const SimConfig& sim = {});
 
 // -------------------------------------------------------------- crosscheck --
 

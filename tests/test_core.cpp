@@ -19,9 +19,11 @@ TEST(Compiler, BehavioralFlowCompilesAndVerifies) {
   ASSERT_NE(r.chip, nullptr);
   EXPECT_TRUE(r.drc.ok()) << r.drc.summary();
   EXPECT_TRUE(r.verified) << r.verify_detail;
-  // All three pre-silicon checks ran: behavioral-vs-gates (compiled tape),
-  // programmed-PLA replay, and the switch-level artwork run.
-  EXPECT_NE(r.verify_detail.find("crosscheck"), std::string::npos)
+  // All three pre-silicon checks ran: the gates proven against the
+  // tabulated FSM, the programmed PLA proven against it, and the
+  // switch-level artwork run.
+  EXPECT_NE(r.verify_detail.find("gates == table: exhaustive proof"),
+            std::string::npos)
       << r.verify_detail;
   EXPECT_NE(r.verify_detail.find("pla("), std::string::npos)
       << r.verify_detail;

@@ -7,8 +7,9 @@
 //     a Severity::Cancelled diagnostic — never a hang, never a throw, even
 //     against an injected multi-second stall;
 //   * an injected exception at any stage boundary becomes a structured
-//     error diagnostic on that compile alone, and so does a pla-check
-//     prover failure (there is no second engine to fall back to);
+//     error diagnostic on that compile alone, and so does a gate-check or
+//     pla-check prover failure (there is no second engine to fall back
+//     to);
 //   * hierarchical DRC / extraction failures degrade to the flat engines
 //     with a warning, byte-identical artifacts (the fallback matrix in
 //     drc/drc.hpp and extract/extract.hpp);
@@ -42,6 +43,7 @@
 #include "layout/layout.hpp"
 #include "rtl/rtl.hpp"
 #include "sim/sim.hpp"
+#include "synth/synth.hpp"
 
 namespace silc {
 namespace {
@@ -68,8 +70,6 @@ struct DisarmOnExit {
 CompileOptions quick(const std::string& name) {
   CompileOptions o;
   o.name = name;
-  o.gate_verify_cycles = 64;
-  o.gate_verify_lanes = 4;
   o.verify_cycles = 4;
   o.deadline_ms = 30000;
   return o;
@@ -250,6 +250,53 @@ TEST(Inject, SymbolicPlaProverFailureIsAStructuredPlaCheckError) {
       [](const core::StageTiming& t) { return t.stage == "artwork-check"; });
   ASSERT_NE(artwork, r.timings.end());
   EXPECT_FALSE(artwork->ran);
+}
+
+TEST(Inject, GateProverFailureIsAStructuredGateCheckError) {
+  if (!fault::kEnabled) GTEST_SKIP() << "built with SILC_FAULT=OFF";
+  const DisarmOnExit disarm;
+  Schedule s;
+  s.triggers.push_back({"sim.gate.prove", Kind::Throw, 0, true, 0, ""});
+  Injector::global().arm(s);
+  layout::Library lib("gate-prover-down");
+  CompileResult r;
+  EXPECT_NO_THROW(r = core::compile(lib, Flow::Behavioral,
+                                    silc_fixtures::kGray2Source,
+                                    quick("gray2")));
+  Injector::global().disarm();
+
+  // pla-check's contract: no second engine, so gate-check fails with an
+  // error diag naming the fault and no later verification stage runs.
+  EXPECT_FALSE(r.ok()) << r.diag_text();
+  const auto gate_error = std::find_if(
+      r.diags.begin(), r.diags.end(), [](const core::Diag& d) {
+        return d.stage == "gate-check" && d.severity == Severity::Error;
+      });
+  ASSERT_NE(gate_error, r.diags.end()) << r.diag_text();
+  EXPECT_NE(gate_error->message.find("injected fault at sim.gate.prove"),
+            std::string::npos)
+      << gate_error->message;
+  for (const core::StageTiming& t : r.timings) {
+    if (t.stage == "pla-check" || t.stage == "artwork-check") {
+      EXPECT_FALSE(t.ran) << t.stage;
+    }
+  }
+}
+
+TEST(Cancel, GateProofPollsTheAmbientToken) {
+  const rtl::Design design =
+      rtl::parse(silc_fixtures::counter_source(12));
+  const synth::TabulatedFsm fsm = synth::tabulate(design);
+  CancelToken token;
+  token.cancel();
+  const core::CancelScope scope(&token);
+  try {
+    (void)sim::prove_gates(design, fsm);
+    FAIL() << "prove_gates ignored a cancelled token";
+  } catch (const core::Cancelled& c) {
+    EXPECT_NE(std::string(c.what()).find("sim.gate.prove"), std::string::npos)
+        << c.what();
+  }
 }
 
 TEST(Inject, HierExtractFailureFallsBackToFlatByteIdentical) {
@@ -458,10 +505,10 @@ struct SitePlan {
     kHardFail,  // victim fails with a structured "injected fault" diag
     kDegrade,   // victim's artifacts stay byte-identical (fallback path)
     kBenign,    // victim's whole outcome stays identical (recompute/delay)
-    // The pla-check sites exist only on the behavioral flow, so this
-    // expectation tolerates an unreached site (fired == 0: the victim was
-    // structural and must be untouched).
-    kVerifyHardFail,  // pla-check prover down: structured failure
+    // The prover sites (gate-check, pla-check) exist only on the
+    // behavioral flow, so this expectation tolerates an unreached site
+    // (fired == 0: the victim was structural and must be untouched).
+    kVerifyHardFail,  // a verification prover down: structured failure
   } expect;
   int delay_ms = 0;
 };
@@ -477,6 +524,8 @@ constexpr SitePlan kSitePlans[] = {
     {"extract.cache.store", Kind::Corrupt, SitePlan::kBenign, 0},
     {"drc.hier.cell", Kind::Delay, SitePlan::kBenign, 5},
     {"extract.hier.window", Kind::Delay, SitePlan::kBenign, 5},
+    {"sim.gate.prove", Kind::Delay, SitePlan::kBenign, 5},
+    {"sim.gate.prove", Kind::Throw, SitePlan::kVerifyHardFail, 0},
     {"sim.pla.symbolic", Kind::Delay, SitePlan::kBenign, 5},
     {"sim.pla.symbolic", Kind::Throw, SitePlan::kVerifyHardFail, 0},
     {"sim.pla.*", Kind::Throw, SitePlan::kVerifyHardFail, 0},
@@ -559,7 +608,7 @@ void run_chaos_round(const std::vector<core::BatchJob>& jobs,
             << label << "\n" << got.diag_text();
         break;
       case SitePlan::kVerifyHardFail:
-        // pla-check prover down (by exact site or prefix trigger):
+        // A prover down (by exact site or prefix trigger):
         // behavioral victims fail structurally; structural victims never
         // reach the sites.
         if (fired == 0) {

@@ -480,8 +480,6 @@ TEST(TraceExport, WriteChromeTraceProducesAReadableFile) {
 std::vector<core::BatchJob> traced_batch() {
   core::CompileOptions fast;
   fast.verify_cycles = 8;
-  fast.gate_verify_cycles = 64;
-  fast.gate_verify_lanes = 4;
   std::vector<core::BatchJob> jobs;
   core::CompileOptions g = fast;
   g.name = "gray2";

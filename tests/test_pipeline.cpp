@@ -19,8 +19,6 @@ CompileOptions fast_verify(const std::string& name) {
   CompileOptions o;
   o.name = name;
   o.verify_cycles = 8;
-  o.gate_verify_cycles = 64;
-  o.gate_verify_lanes = 4;
   return o;
 }
 
@@ -51,6 +49,17 @@ TEST(Pipeline, FullRunTimesEveryStage) {
   // pla-check always runs the symbolic prover.
   EXPECT_NE(r.verify_detail.find("symbolic proof"), std::string::npos)
       << r.verify_detail;
+  // gate-check proves over every minterm: gray2 has 2 state bits and 1
+  // input bit, so 2^3.
+  const auto gate_note = std::find_if(
+      r.diags.begin(), r.diags.end(),
+      [](const Diag& d) { return d.stage == "gate-check"; });
+  ASSERT_NE(gate_note, r.diags.end()) << r.diag_text();
+  EXPECT_EQ(gate_note->severity, Severity::Note);
+  EXPECT_NE(gate_note->message.find("proof"), std::string::npos)
+      << gate_note->message;
+  EXPECT_NE(gate_note->message.find("all 8 minterms"), std::string::npos)
+      << gate_note->message;
   ASSERT_EQ(r.timings.size(), 9u);
   for (const StageTiming& t : r.timings) {
     EXPECT_TRUE(t.ran) << t.stage;

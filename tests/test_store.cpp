@@ -86,8 +86,6 @@ struct TempDir {
 CompileOptions quick(const std::string& name) {
   CompileOptions o;
   o.name = name;
-  o.gate_verify_cycles = 64;
-  o.gate_verify_lanes = 4;
   o.verify_cycles = 4;
   o.deadline_ms = 30000;
   return o;
