@@ -458,8 +458,8 @@ std::vector<PlaModeMs> measure_pla_modes(const silc::core::BatchResult& serial,
 /// the `incr` block next to the batch/persist numbers CI tracks. Cold is
 /// a full batch recompile (what every edit costs without
 /// incrementality); the edit leg nudges the smallest leaf cell one step
-/// further each rep (cumulative, so no rep replays a cached window
-/// fingerprint) and re-verifies through a warm IncrementalSession. The
+/// further each rep (cumulative, so no rep replays a cached top) and
+/// re-verifies through a warm IncrementalSession. The
 /// per-stage times feed the drc.incr/extract.incr latency-budget rows.
 struct IncrMeasure {
   bool active = false;
@@ -531,8 +531,9 @@ IncrMeasure measure_incr(bool smoke) {
     const auto t0 = Clock::now();
     const silc::core::IncrVerdict noop = sess.verify(lib, top);
     m.noop_ms += ms_since(t0);
-    m.noop_reused = m.noop_reused && noop.drc_stats.verdict_reused &&
-                    noop.extract_stats.netlist_reused;
+    m.noop_reused = m.noop_reused &&
+                    noop.drc_stats.path == silc::core::IncrPath::Verbatim &&
+                    noop.extract_stats.path == silc::core::IncrPath::Verbatim;
 
     const silc::drc::Result scratch =
         silc::drc::check_flat(silc::layout::flatten(top));

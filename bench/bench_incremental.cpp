@@ -8,8 +8,8 @@
 // full recompile of this chip costs over a hundred milliseconds (~0.15 s
 // on a 4-core x86 box), not tens. Every edit is
 // cumulative (the victim shape only ever moves further), so no rep ever
-// revisits a previously cached window fingerprint — each measured verify
-// is a genuinely novel edit, not a warm replay.
+// revisits a previously cached top — each measured verify is a genuinely
+// novel edit, not a warm replay.
 //
 // Emits BENCH_incremental.json (with the box's hardware thread count) and
 // enforces the contract itself with a non-zero exit: incremental ==
@@ -174,8 +174,9 @@ int main(int argc, char** argv) {
     const auto t2 = Clock::now();
     const silc::core::IncrVerdict noop = sess.verify(lib, top);
     m.noop_ms += ms_since(t2);
-    m.noop_reused = m.noop_reused && noop.drc_stats.verdict_reused &&
-                    noop.extract_stats.netlist_reused;
+    m.noop_reused = m.noop_reused &&
+                    noop.drc_stats.path == silc::core::IncrPath::Verbatim &&
+                    noop.extract_stats.path == silc::core::IncrPath::Verbatim;
 
     // Byte-identity against scratch, every rep.
     const silc::drc::Result scratch =

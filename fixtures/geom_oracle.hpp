@@ -1,7 +1,8 @@
 // Test-only oracle for src/geom's RectSet scanline: the original sweep that
 // re-sorts every band's active list and the std::map band collector, kept
 // verbatim so the linear-band production kernel can be checked against it
-// (tests/test_geom_oracle.cpp). The production contract is that every
+// (tests/test_geom_oracle.cpp). Also the original label_components pair
+// scan, the oracle for the production sweep over disjoint rects. The production contract is that every
 // RectSet operation returns the same canonical rect vector, in the same
 // order, as its counterpart here. The operations are restated over plain
 // rect vectors so that each oracle entry point stands alone.
@@ -9,6 +10,7 @@
 
 #include <algorithm>
 #include <map>
+#include <numeric>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -247,6 +249,52 @@ inline std::vector<Rect> scaled(const std::vector<Rect>& set, Coord k) {
   out.reserve(set.size());
   for (const Rect& r : set) out.push_back({r.x0 * k, r.y0 * k, r.x1 * k, r.y1 * k});
   return out;
+}
+
+/// geom::label_components as first written: every pair whose x-extents
+/// overlap or abut, in x0 order (quadratic under a wide rail).
+inline std::vector<int> label_components(const std::vector<Rect>& rects) {
+  const std::size_t n = rects.size();
+  std::vector<int> parent(n);
+  std::iota(parent.begin(), parent.end(), 0);
+  const auto find = [&parent](int x) {
+    while (parent[static_cast<std::size_t>(x)] != x) {
+      parent[static_cast<std::size_t>(x)] =
+          parent[static_cast<std::size_t>(parent[static_cast<std::size_t>(x)])];
+      x = parent[static_cast<std::size_t>(x)];
+    }
+    return x;
+  };
+  const auto unite = [&parent, &find](int a, int b) {
+    a = find(a);
+    b = find(b);
+    if (a != b) parent[static_cast<std::size_t>(a)] = b;
+  };
+  std::vector<int> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), [&rects](int a, int b) {
+    return rects[static_cast<std::size_t>(a)].x0 <
+           rects[static_cast<std::size_t>(b)].x0;
+  });
+  for (std::size_t i = 0; i < n; ++i) {
+    const Rect& ri = rects[static_cast<std::size_t>(order[i])];
+    for (std::size_t j = i + 1; j < n; ++j) {
+      const Rect& rj = rects[static_cast<std::size_t>(order[j])];
+      if (rj.x0 > ri.x1) break;
+      if (ri.edge_connected(rj)) unite(order[i], order[j]);
+    }
+  }
+  std::vector<int> labels(n);
+  std::vector<int> remap(n, -1);
+  int next = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const int root = find(static_cast<int>(i));
+    if (remap[static_cast<std::size_t>(root)] < 0) {
+      remap[static_cast<std::size_t>(root)] = next++;
+    }
+    labels[i] = remap[static_cast<std::size_t>(root)];
+  }
+  return labels;
 }
 
 }  // namespace silc_fixtures::geom_oracle

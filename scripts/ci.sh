@@ -31,7 +31,8 @@
 #     and requires the edited verifies to have reused warm cells;
 #   * setting SILC_FUZZ_TRIALS adds a nightly-depth long-fuzz leg that
 #     re-runs the randomized differential harnesses at that trial count,
-#     including the minimizer and RectSet scanline oracles and the
+#     including the incremental edit/undo chains and footprint cases,
+#     the minimizer, RectSet scanline and label_components oracles and the
 #     gate-check proof's table-tamper and RTL-mutant sweeps (failures
 #     print their seed and a one-line repro command);
 #   * a chaos smoke rerun pins one extra seeded fault schedule
@@ -237,7 +238,7 @@ cat "$BUILD_DIR/BENCH_incremental.json"
 # each failure prints its seed and a one-line repro command.
 if [ -n "${SILC_FUZZ_TRIALS:-}" ]; then
   echo "SILC_FUZZ_TRIALS=$SILC_FUZZ_TRIALS: long-fuzz leg"
-  "$BUILD_DIR/test_incremental" --gtest_filter='Incremental.Randomized*'
+  "$BUILD_DIR/test_incremental" --gtest_filter='Incremental.*:Footprint.*'
   "$BUILD_DIR/test_extract_equiv" --gtest_filter='*Random*:*Fuzz*'
   "$BUILD_DIR/test_drc" --gtest_filter='*Fuzz*'
   "$BUILD_DIR/test_logic_oracle"

@@ -1,39 +1,54 @@
 // Edit tracking for incremental recompilation.
 //
-// A LibrarySnapshot is a cheap per-cell fingerprint of a library under a
-// tech (geometry hash, naming hash, flat shape count, bbox — the same
-// fields the per-cell verdict/netlist caches key on, plus the tech
-// signatures). Diffing two snapshots yields an EditSet: which cells
-// changed, how (geometry vs naming), and whether the tech's rule tables
-// moved underneath everything.
+// A LibrarySnapshot is a per-cell record of a library under a tech: the
+// fingerprint the per-cell verdict/netlist caches key on (geometry hash,
+// naming hash, flat shape count, bbox) plus the cell's own content (shapes,
+// labels, ports, instance list). Diffing two snapshots yields an EditSet:
+// which cells changed, how (geometry vs naming), whether the tech's rule
+// tables moved underneath everything, and — for one named top cell — the
+// edit's *footprint*: where in chip coordinates the flattened geometry or
+// labelling actually changed.
 //
 // == How a stage declares its invalidation footprint ==
 //
-// Every verification stage that wants an incremental entry point declares,
-// in its own header next to that entry point, which EditSet axes it reads.
+// Every verification stage with an incremental entry point declares, in
+// its own header next to that entry point, which EditSet axes it reads.
 // The convention:
 //
-//   1. Geometry axis (`CellEdit::geometry_changed`, `EditSet::cells`
-//      added/removed): invalidates any stage that consumes shapes. DRC is
-//      purely geometric — `drc::check_flat` never sees a label — so DRC's
-//      footprint is geometry + drc-signature only.
-//   2. Naming axis (`CellEdit::naming_changed`): invalidates stages that
-//      consume labels, port names, or instance names. Extraction names
-//      electrical nodes from flattened labels, so its footprint is
-//      geometry + naming + extract-signature. A naming-only edit therefore
-//      re-runs extraction but may reuse a DRC baseline verbatim.
+//   1. Geometry axis (`CellEdit::geometry_changed`,
+//      `EditSet::geometry_footprint`): invalidates any stage that consumes
+//      shapes. DRC is purely geometric — `drc::check_flat` never sees a
+//      label — so DRC reads geometry + drc-signature only.
+//   2. Naming axis (`CellEdit::naming_changed`, `EditSet::naming_footprint`):
+//      labels, instance names (which prefix flattened labels) and the top
+//      cell's ports (which name nodes). Extraction reads geometry + naming
+//      + extract-signature, so a naming-only edit re-runs extraction but
+//      hands the DRC baseline back verbatim.
 //   3. Tech axis (`tech_drc_changed` / `tech_extract_changed`): a changed
 //      rule-table signature invalidates that stage for EVERY cell; the
-//      per-cell caches already key on the signature, so the incremental
-//      path degrades to a cold hierarchical run, not a wrong answer.
+//      per-cell caches key on the signature, so the stage degrades to a
+//      cold hierarchical run, not a wrong answer.
 //
-// A stage may reuse its baseline result verbatim only when every axis of
-// its declared footprint is clean. Anything finer-grained (per-cell, per
-// window) is the job of the stage's own cache, which the incremental entry
-// points drive warm — the EditSet is the coarse gate, the caches are the
-// fine one. The house invariant holds at every grain:
+// A stage reuses its baseline verbatim when its footprint axes are empty
+// and its tech axis is clean. Otherwise an IncrementalSession serves each
+// stage by the first of these paths that applies (core::IncrPath):
+//
+//   verbatim   nothing the stage reads changed;
+//   top hit    the per-cell cache already holds the whole edited top (an
+//              undo back to a state a full run proved);
+//   footprint  re-verify only the footprint (dilated by the stage's halo)
+//              against the live layout and splice the result into the
+//              baseline — no cell below the top is re-proved;
+//   full       the hierarchical engine over the warm per-cell caches (a
+//              cold verify, a tech change, a switched top, or a tripped
+//              stage guard);
+//   flat       the exhaustive engine, when anything above throws.
+//
+// Footprint results live only as the session baseline; they never enter
+// the per-cell caches. The house invariant holds on every path:
 // edit-then-incremental == recompile-from-scratch, byte-identical
-// (tests/test_incremental.cpp enforces it over randomized edit sequences).
+// (tests/test_incremental.cpp enforces it over randomized edit sequences
+// and long edit/undo chains).
 #pragma once
 
 #include <cstdint>
@@ -42,6 +57,7 @@
 #include <vector>
 
 #include "geom/geom.hpp"
+#include "geom/rectset.hpp"
 #include "layout/layout.hpp"
 #include "tech/tech.hpp"
 
@@ -52,19 +68,36 @@ namespace silc::core {
 /// which is exactly the invalidation the per-cell caches need).
 struct CellFingerprint {
   std::uint64_t geometry = 0;
+  /// layout::naming_hash plus the cell's own ports (naming_hash leaves
+  /// ports out because the per-cell netlist cache must not key on them;
+  /// the snapshot must see them, since the top's ports name nodes).
   std::uint64_t naming = 0;
   std::size_t flat_shapes = 0;
   geom::Rect bbox{};
-
-  friend bool operator==(const CellFingerprint&,
-                         const CellFingerprint&) = default;
 };
 
-/// Fingerprints of every cell in a library plus the tech signatures the
-/// verification stages key on. Taking one costs a hash walk over the
-/// library — microseconds, not a compile.
+/// One placement in a snapshot: the child by name, so two snapshots of
+/// different libraries compare by content.
+struct InstanceRecord {
+  std::string child;
+  geom::Transform transform{};
+  std::string name;
+};
+
+/// One cell in a snapshot: its fingerprint and its own content.
+struct CellRecord {
+  CellFingerprint fp;
+  std::vector<layout::Shape> shapes;
+  std::vector<layout::TextLabel> labels;
+  std::vector<layout::Port> ports;
+  std::vector<InstanceRecord> instances;
+};
+
+/// Every cell of a library plus the tech signatures the verification
+/// stages key on. Taking one costs a hash walk and a copy of each cell's
+/// own content — microseconds, not a compile.
 struct LibrarySnapshot {
-  std::map<std::string, CellFingerprint> cells;
+  std::map<std::string, CellRecord> cells;
   std::uint64_t drc_signature = 0;
   std::uint64_t extract_signature = 0;
 
@@ -80,15 +113,32 @@ struct CellEdit {
   bool added = false;            ///< present in `after` only
   bool removed = false;          ///< present in `before` only
   bool geometry_changed = false; ///< geometry hash / shape count / bbox moved
-  bool naming_changed = false;   ///< naming hash moved
+  bool naming_changed = false;   ///< labels, instance names or ports moved
 };
 
-/// The delta between two snapshots: the coarse invalidation gate every
+/// The delta between two snapshots: the invalidation gate every
 /// incremental entry point consults (see the conventions block above).
 struct EditSet {
   std::vector<CellEdit> cells;
   bool tech_drc_changed = false;
   bool tech_extract_changed = false;
+
+  /// True when diff() was given a top present in both snapshots; the two
+  /// footprints below are then exact, otherwise they are empty and
+  /// meaningless.
+  bool has_footprint = false;
+  /// Where the top's flattened geometry changed, in chip coordinates: the
+  /// multiset difference of each reached cell's own shapes and the bbox of
+  /// every placement present on one side only, mapped through the
+  /// placements down from the top.
+  geom::RectSet geometry_footprint;
+  /// Mask layers (bit tech::index(layer)) the geometry footprint may
+  /// touch; layers outside it are flattened identically before and after.
+  std::uint32_t geometry_layers = 0;
+  /// Where the top's flattened labelling changed: label and top-port points
+  /// added, removed or changed, plus the extent of every renamed, added or
+  /// removed placement.
+  geom::RectSet naming_footprint;
 
   /// Nothing moved on any axis: every stage may reuse its baseline.
   [[nodiscard]] bool empty() const {
@@ -97,13 +147,29 @@ struct EditSet {
   /// Only the naming axis moved: stages with a geometry-only footprint
   /// (DRC) may reuse their baseline; label-consuming stages may not.
   [[nodiscard]] bool naming_only() const;
-  /// True when any cell edit (or a tech change) touches geometry.
-  [[nodiscard]] bool geometry_touched() const;
   /// One-line human summary for spans and diagnostics.
   [[nodiscard]] std::string summary() const;
 };
 
+/// Diff two snapshots. With a non-empty `top` present in both, also compute
+/// that top's geometry and naming footprints (memoized per cell, bottom-up;
+/// cells the top does not reach contribute nothing).
 [[nodiscard]] EditSet diff(const LibrarySnapshot& before,
-                           const LibrarySnapshot& after);
+                           const LibrarySnapshot& after,
+                           const std::string& top = "");
+
+/// Which path served one stage of one incremental verify (see the
+/// conventions block above). Guard is the full path taken because the
+/// stage's footprint guard tripped.
+enum class IncrPath : std::uint8_t {
+  Verbatim,
+  TopHit,
+  Footprint,
+  Full,
+  Guard,
+  FlatFallback,
+};
+
+[[nodiscard]] const char* to_string(IncrPath p);
 
 }  // namespace silc::core

@@ -21,22 +21,21 @@ IncrVerdict IncrementalSession::verify(const layout::Library& lib,
   SILC_OBS_SPAN("incr.verify", "incr");
   IncrVerdict v;
   const LibrarySnapshot after = snapshot(lib, tech_);
-  const bool warm = has_baseline_ && top_name_ == top.name();
-  if (warm) {
-    v.edits = diff(snap_, after);
+  if (top_name_ == top.name() && base_drc_.result.has_value()) {
+    v.edits = diff(snap_, after, top.name());
   } else {
     v.cold = true;
+    base_drc_ = {};
+    base_net_ = {};
   }
 
-  const drc::Result* drc_base = warm ? &base_drc_ : nullptr;
-  const extract::Netlist* net_base = warm ? &base_net_ : nullptr;
   using Clock = std::chrono::steady_clock;
   const auto t0 = Clock::now();
-  v.drc = drc::check_incremental(top, tech_, *drc_cache_, v.edits, drc_base,
+  v.drc = drc::check_incremental(top, tech_, *drc_cache_, v.edits, base_drc_,
                                  &v.drc_stats);
   const auto t1 = Clock::now();
   v.netlist = extract::extract_incremental(top, tech_, *extract_cache_,
-                                           v.edits, net_base,
+                                           v.edits, base_net_,
                                            &v.extract_stats);
   const auto t2 = Clock::now();
   v.drc_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
@@ -44,9 +43,6 @@ IncrVerdict IncrementalSession::verify(const layout::Library& lib,
 
   snap_ = after;
   top_name_ = top.name();
-  base_drc_ = v.drc;
-  base_net_ = v.netlist;
-  has_baseline_ = true;
   return v;
 }
 

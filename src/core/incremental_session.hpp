@@ -1,16 +1,17 @@
 // The interactive edit-verify loop: an IncrementalSession owns warm
 // per-cell caches (drc::VerdictCache, extract::NetlistCache), the last
-// library snapshot, and the last verified results. Each verify() call
-// diffs the library against the snapshot (core::EditSet), hands the edit
-// set plus baselines to the stages' incremental entry points, and records
-// the new state as the next baseline — so an unedited verify is a verbatim
-// baseline return, a one-cell edit re-proves one cell plus its interaction
-// windows, and the verdict is byte-identical to a recompile from scratch
-// at every step (tests/test_incremental.cpp).
+// library snapshot, and each stage's baseline (the last verdicts plus what
+// the footprint paths need: a DRC layer table, the top's partial netlist).
+// Each verify() diffs the library against the snapshot (core::EditSet,
+// footprints included), hands the edit set and baselines to the stages'
+// incremental entry points, and keeps the results as the next baselines —
+// so an unedited verify is a verbatim baseline return, an edit re-checks
+// only the chip region it changed, and the verdict is byte-identical to a
+// recompile from scratch at every step (tests/test_incremental.cpp).
 //
-// The PR 9 persistent store doubles as a cross-process baseline:
-// load_store() warms the per-cell caches from a silc.store written by an
-// earlier process, so even the FIRST verify of a session reuses cells.
+// The persistent store doubles as a cross-process baseline: load_store()
+// warms the per-cell caches from a silc.store written by an earlier
+// process, so even the FIRST verify of a session reuses cells.
 #pragma once
 
 #include <memory>
@@ -38,7 +39,7 @@ struct IncrVerdict {
   /// First verify of this top (no baseline existed yet).
   bool cold = false;
 
-  /// Cells served from warm caches across both stages.
+  /// Cells not re-proved, summed over both stages.
   [[nodiscard]] std::size_t cells_reused() const {
     return drc_stats.cells_reused + extract_stats.cells_reused;
   }
@@ -47,6 +48,10 @@ struct IncrVerdict {
 class IncrementalSession {
  public:
   explicit IncrementalSession(const tech::Tech& technology = tech::nmos());
+  // The DRC baseline's layer table points at tech_, so a session stays
+  // where it was built.
+  IncrementalSession(const IncrementalSession&) = delete;
+  IncrementalSession& operator=(const IncrementalSession&) = delete;
 
   /// Swap the rule set (the "retech" edit): the next verify() sees the
   /// signature change through the snapshot diff and re-proves whatever
@@ -80,9 +85,8 @@ class IncrementalSession {
   std::unique_ptr<extract::NetlistCache> extract_cache_;
   LibrarySnapshot snap_;
   std::string top_name_;
-  drc::Result base_drc_;
-  extract::Netlist base_net_;
-  bool has_baseline_ = false;
+  drc::Baseline base_drc_;
+  extract::Baseline base_net_;
 };
 
 }  // namespace silc::core

@@ -95,6 +95,12 @@ std::uint64_t verdict_checksum(const std::vector<Violation>& vs) {
 
 }  // namespace
 
+VerdictCache::Key VerdictCache::key_for(const layout::Cell& c,
+                                        const Tech& technology) {
+  return {technology.drc_signature(), layout::geometry_hash(c),
+          c.flat_shape_count(), c.bbox()};
+}
+
 std::shared_ptr<const std::vector<Violation>> VerdictCache::find(
     const Key& k) const {
   const std::lock_guard<std::mutex> lk(m_);

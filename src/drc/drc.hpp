@@ -57,6 +57,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -148,6 +149,10 @@ class VerdictCache {
     }
   };
 
+  /// The whole-cell key check_hier files a cell's verdict under.
+  [[nodiscard]] static Key key_for(const layout::Cell& c,
+                                   const tech::Tech& technology);
+
   /// Violations in cell-local coordinates; instances transform them.
   [[nodiscard]] std::shared_ptr<const std::vector<Violation>> find(
       const Key& k) const;
@@ -237,26 +242,51 @@ enum class Mode : std::uint8_t { Flat, Hier };
                                 const tech::Tech& technology = tech::nmos(),
                                 VerdictCache* cache = nullptr);
 
-/// What the incremental entry point did with one edit: how much of the
-/// baseline survived. Mirrored as incr.* counters.
+/// What the incremental entry point did with one edit: which path served
+/// it and how much of the baseline survived. Mirrored as incr.* counters.
 struct IncrStats {
   std::size_t cells_total = 0;    ///< unique cells under top
-  std::size_t cells_reused = 0;   ///< verdicts served from the warm cache
+  std::size_t cells_reused = 0;   ///< verdicts not recomputed
   std::size_t cells_reproved = 0; ///< verdicts recomputed (edited cells)
-  bool verdict_reused = false;    ///< baseline Result returned verbatim
-  bool fell_back_flat = false;    ///< degraded to a flat recompute
+  core::IncrPath path = core::IncrPath::Full;
+  std::size_t footprint_rects = 0; ///< re-checked region, canonical rects
+};
+
+class LayerTable;  // drc/rules.hpp
+
+/// What an incremental session carries from one DRC verify to the next:
+/// the last verdict, and a layer table of the geometry it was proved on
+/// (masks and component labels, built lazily — only a footprint verify
+/// ever normalizes or labels it). Default-constructed means no baseline.
+struct Baseline {
+  std::optional<Result> result;
+  std::shared_ptr<LayerTable> table;
 };
 
 /// Invalidation footprint (see src/core/incremental.hpp conventions): DRC
 /// reads GEOMETRY and the DRC RULE SIGNATURE only — check_flat never sees
-/// a label — so a naming-only EditSet (and an empty one) returns
-/// `baseline` verbatim. Any geometry or rule-table movement re-proves
-/// through check_hier against the warm per-cell `cache`: unchanged cells
-/// hit (their content hash didn't move), edited cells and the interaction
-/// windows touching them are re-proved. Byte-identity with a cold
-/// check_hier/check_flat is inherited from the proven flat == hier
-/// contract; the randomized differential harness in
-/// tests/test_incremental.cpp re-proves it end to end.
+/// a label. With a baseline, the first matching path serves the check:
+///
+///   * verbatim — no geometry footprint and no rule change;
+///   * top hit — `cache` already holds the edited top's whole verdict;
+///   * footprint — Z is the geometry footprint dilated by the seam halo
+///     (rule reach + lambda), grown by every spacing-layer rect the edit
+///     re-slabbed (a canonical rect present on one side only: its spacing
+///     pairs can report gaps far from the edit). Baseline violations
+///     clear of Z are kept; the seam-window engine re-checks Z on the
+///     live geometry (check_seams). No cell below the top is re-proved,
+///     and the verdict is not stored in `cache`.
+///     Net guard: the spacing rules' same-net exemption reads full-layout
+///     component labels, so a split or join inside Z can flip a verdict
+///     anywhere along the nets involved. The footprint path is taken only
+///     when, on every label-reading layer, the rects outside Z are
+///     partitioned into nets the same way before and after the edit;
+///   * full — check_hier against the warm per-cell `cache` (no baseline,
+///     a rule change, or a tripped guard).
+///
+/// `baseline` is updated in place to the new verdict. Byte-identity with a
+/// cold check_hier/check_flat holds on every path; the randomized and
+/// long-chain harnesses in tests/test_incremental.cpp re-prove it.
 ///
 /// Fallback matrix: same as check_hier's, applied locally — any
 /// std::exception (incl. fault::InjectedFault at site "incr.drc") degrades
@@ -265,7 +295,7 @@ struct IncrStats {
                                        const tech::Tech& technology,
                                        VerdictCache& cache,
                                        const core::EditSet& edits,
-                                       const Result* baseline,
+                                       Baseline& baseline,
                                        IncrStats* stats = nullptr);
 
 }  // namespace silc::drc

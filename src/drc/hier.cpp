@@ -56,8 +56,7 @@ class HierChecker {
   std::shared_ptr<const std::vector<Violation>> verdict_of(const Cell& c) {
     const auto seen = by_cell_.find(&c);
     if (seen != by_cell_.end()) return seen->second;
-    const VerdictCache::Key key{tech_.drc_signature(), layout::geometry_hash(c),
-                                c.flat_shape_count(), c.bbox()};
+    const VerdictCache::Key key = VerdictCache::key_for(c, tech_);
     auto v = cache_->find(key);
     if (v == nullptr) {
       Result r = check_cell(c);
@@ -130,57 +129,21 @@ class HierChecker {
       pool.violations = *pv;
     }
 
-    const auto in_seams = [&seams](const Violation& v) {
-      return seams.intersects(v.where.inflated(1));
-    };
-    for (Violation& v : inherited) {
-      if (!in_seams(v)) out.violations.push_back(std::move(v));
-    }
-    for (Violation& v : pool.violations) {
-      if (!in_seams(v)) out.violations.push_back(std::move(v));
-    }
-
     SILC_OBS_COUNT("drc.windows", seams.rects().size());
     SILC_OBS_COUNT("drc.window_area", seams.area());
 
-    // Re-verify the seams against the full local geometry. Each window's
-    // raw verdict is cached by content fingerprint, so re-checking a cell
-    // after a small edit re-runs the engine only over the windows whose
-    // geometry (or the connectivity running through them) actually
-    // changed — the incremental-recompilation hot path. The keep-filter
-    // runs on retrieval: the cached verdict is the engine's raw output
-    // for that soup, valid under any seam layout that reproduces it.
+    // Re-verify the seams against the full local geometry (which may grow
+    // them), then keep the isolated verdicts outside the final seams.
     if (!seams.empty()) {
       SILC_OBS_SPAN("drc.seams:" + cell.name(), "drc");
       LayerTable full(layout::flatten(cell), tech_);
-      const RectSet dilated = seams.dilated(h);
-      for (const auto& comp : dilated.components()) {
-        core::check_cancel("drc.hier.seam");
-        SILC_FAULT_POINT("drc.hier.seam");
-        LayerTable soup = [&] {
-          SILC_OBS_SPAN("drc.window.soup", "drc");
-          return full.window(RectSet(comp), h);
-        }();
-        Rect cb;
-        for (const Rect& r : comp) cb = cb.bound(r);
-        const auto [whash, wrects] = [&] {
-          SILC_OBS_SPAN("drc.window.fp", "drc");
-          return window_fingerprint(soup);
-        }();
-        const VerdictCache::Key wkey{tech_.drc_signature(), whash, wrects, cb};
-        auto wv = cache_->find(wkey);
-        if (wv == nullptr) {
-          SILC_OBS_COUNT("drc.window.reproved", 1);
-          Result sr;
-          engine_.run(soup, sr);
-          wv = cache_->store(wkey, std::move(sr.violations));
-        } else {
-          SILC_OBS_COUNT("drc.window.reused", 1);
-        }
-        for (const Violation& v : *wv) {
-          if (in_seams(v)) out.violations.push_back(v);
-        }
-      }
+      check_seams(full, seams, h, engine_, out.violations);
+    }
+    for (Violation& v : inherited) {
+      if (!in_seams(seams, v)) out.violations.push_back(std::move(v));
+    }
+    for (Violation& v : pool.violations) {
+      if (!in_seams(seams, v)) out.violations.push_back(std::move(v));
     }
     out.canonicalize();
     return out;
@@ -188,7 +151,7 @@ class HierChecker {
 
   /// Content hash of the cell's own shapes (layer + rect, stored order),
   /// ignoring instances. Salted so a pool key can never collide with a
-  /// whole-cell or window key in the shared VerdictCache.
+  /// whole-cell key in the shared VerdictCache.
   static std::uint64_t own_shapes_hash(const Cell& cell) {
     std::uint64_t x = 0x9001f00d5a17ed00ULL;  // pool-domain salt
     const auto mix = [&x](std::uint64_t v) {
@@ -205,45 +168,6 @@ class HierChecker {
     return x;
   }
 
-  /// Content fingerprint of one seam-window soup: per layer, the canonical
-  /// rects and their full-layout connectivity partition, the latter
-  /// renumbered in first-appearance order so only the grouping structure
-  /// (which rects are the same net) enters the hash. Geometry alone would
-  /// be unsound: the spacing rules' same-net exemption consults the
-  /// full-layout component labels, so a distant edit that splits or joins
-  /// a net running through the window must change the fingerprint and
-  /// force a re-check. Salted so a window key can never collide with a
-  /// whole-cell key in the shared (and persisted) VerdictCache.
-  static std::pair<std::uint64_t, std::uint64_t> window_fingerprint(
-      LayerTable& soup) {
-    std::uint64_t x = 0x57ea6f1d0a7ab10cULL;  // window-domain salt
-    const auto mix = [&x](std::uint64_t v) {
-      x ^= v;
-      x *= 1099511628211ULL;
-    };
-    std::uint64_t count = 0;
-    for (int i = 0; i < tech::kNumLayers; ++i) {
-      const auto l = static_cast<tech::Layer>(i);
-      const std::vector<Rect>& rects = soup.mask(l).rects();
-      if (rects.empty()) continue;
-      mix(0x10001u + static_cast<std::uint64_t>(i));
-      const std::vector<int>& labels = soup.labels(l);
-      std::map<int, int> renum;
-      for (std::size_t j = 0; j < rects.size(); ++j) {
-        const Rect& r = rects[j];
-        mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(r.x0)));
-        mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(r.y0)));
-        mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(r.x1)));
-        mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(r.y1)));
-        const auto part =
-            renum.emplace(labels[j], static_cast<int>(renum.size()));
-        mix(static_cast<std::uint64_t>(part.first->second) + 0x9e3779b9u);
-      }
-      count += rects.size();
-    }
-    return {x, count};
-  }
-
   const Tech& tech_;
   RuleEngine engine_;
   VerdictCache* cache_;
@@ -252,6 +176,54 @@ class HierChecker {
 };
 
 }  // namespace
+
+void check_seams(LayerTable& full, RectSet& seams, Coord h,
+                 const RuleEngine& engine, std::vector<Violation>& out) {
+  const Coord lambda = engine.tech().lambda;
+  for (;;) {
+    std::vector<Violation> found;
+    RectSet grow;
+    const RectSet dilated = seams.dilated(h);
+    for (const auto& comp : dilated.components()) {
+      core::check_cancel("drc.hier.seam");
+      SILC_FAULT_POINT("drc.hier.seam");
+      const RectSet win(comp);
+      LayerTable soup = [&] {
+        SILC_OBS_SPAN("drc.window.soup", "drc");
+        return full.window(win, h);
+      }();
+      Result sr;
+      {
+        SILC_OBS_SPAN("drc.window.check", "drc");
+        engine.run(soup, sr);
+      }
+      // A window owns only its own seams: its soup is exact within reach
+      // of them, not near another window's seams, where a truncated soup
+      // can invent offences (a channel missing the buried window that
+      // trims it). Within lambda of its seams every derived region is
+      // exact, so a region rect reaching further may be one the soup's
+      // edge cut short: grow the seams by it and check again.
+      if (sr.violations.empty()) continue;
+      const RectSet own = seams.intersect(win);
+      const RectSet exact = own.dilated(lambda);
+      for (Violation& v : sr.violations) {
+        if (!in_seams(own, v)) continue;
+        if (engine.reports_region_rect(v) &&
+            !exact.covers(v.where.inflated(1))) {
+          grow.add(v.where.inflated(1));
+        }
+        found.push_back(std::move(v));
+      }
+    }
+    if (grow.empty()) {
+      out.insert(out.end(), std::make_move_iterator(found.begin()),
+                 std::make_move_iterator(found.end()));
+      return;
+    }
+    SILC_OBS_COUNT("drc.seams.regrown", 1);
+    seams = seams.unite(grow);
+  }
+}
 
 Result check_hier(const Cell& top, const Tech& technology,
                   VerdictCache* cache) {

@@ -1,55 +1,205 @@
-// Incremental DRC: the EditSet is the coarse gate, the warm VerdictCache
-// is the fine one. A clean footprint returns the baseline verbatim;
-// anything else re-proves through check_hier, where unchanged cells hit
-// their cached verdicts and only edited cells plus the interaction
-// windows touching them pay for geometry again.
+// Incremental DRC: serve one edit by the cheapest exact path — baseline
+// verbatim, whole-top cache hit, footprint re-check, or a full
+// hierarchical run (see check_incremental in drc.hpp for the contract).
+#include <algorithm>
 #include <exception>
+#include <set>
+#include <tuple>
 
 #include "core/cancel.hpp"
 #include "drc/drc.hpp"
+#include "drc/rules.hpp"
 #include "fault/fault.hpp"
 #include "obs/obs.hpp"
 
 namespace silc::drc {
 
+namespace {
+
+using core::IncrPath;
+using geom::Rect;
+using geom::RectSet;
+
+/// RectSet's canonical order.
+bool canon_less(const Rect& a, const Rect& b) {
+  return std::tie(a.y0, a.x0, a.y1, a.x1) < std::tie(b.y0, b.x0, b.y1, b.x1);
+}
+
+/// Walk two canonical rect lists: `common(i, j)` for a rect on both sides,
+/// `one_side(r)` for a rect on one side only.
+template <typename Common, typename OneSide>
+void walk_rects(const std::vector<Rect>& b, const std::vector<Rect>& a,
+                Common common, OneSide one_side) {
+  std::size_t i = 0;
+  std::size_t j = 0;
+  while (i < b.size() || j < a.size()) {
+    if (j == a.size() || (i < b.size() && canon_less(b[i], a[j]))) {
+      one_side(b[i++]);
+    } else if (i == b.size() || canon_less(a[j], b[i])) {
+      one_side(a[j++]);
+    } else {
+      common(i++, j++);
+    }
+  }
+}
+
+/// Grow `zone` by every label-reading-layer rect present in one
+/// decomposition only, then run the net guard: false when some such
+/// layer's rects outside the zone group into nets differently before and
+/// after the edit.
+bool splice_zone(LayerTable& before, LayerTable& after, const tech::Tech& t,
+                 std::uint32_t changed, RectSet& zone) {
+  const std::vector<tech::Layer> layers = label_read_layers(t);
+  for (const tech::Layer l : layers) {
+    if ((changed >> tech::index(l) & 1u) == 0) continue;
+    walk_rects(before.mask(l).rects(), after.mask(l).rects(),
+               [](std::size_t, std::size_t) {},
+               [&zone](const Rect& r) { zone.add(r); });
+  }
+  const Rect zb = zone.bbox();
+  for (const tech::Layer l : layers) {
+    if ((changed >> tech::index(l) & 1u) == 0) continue;
+    const std::vector<Rect>& b = before.mask(l).rects();
+    const std::vector<int>& bl = before.labels(l);
+    const std::vector<int>& al = after.labels(l);
+    // Outside the zone the two labellings must be one bijection.
+    std::vector<int> b2a(b.size(), -1);
+    std::vector<int> a2b(after.mask(l).rects().size(), -1);
+    bool same = true;
+    walk_rects(b, after.mask(l).rects(),
+               [&](std::size_t i, std::size_t j) {
+                 if (!same) return;
+                 if (zb.contains(b[i]) && zone.covers(b[i])) return;
+                 int& fwd = b2a[static_cast<std::size_t>(bl[i])];
+                 int& back = a2b[static_cast<std::size_t>(al[j])];
+                 if (fwd < 0 && back < 0) {
+                   fwd = al[j];
+                   back = bl[i];
+                 } else if (fwd != al[j] || back != bl[i]) {
+                   same = false;
+                 }
+               },
+               [](const Rect&) {});
+    if (!same) return false;
+  }
+  return true;
+}
+
+/// The footprint path: splice a re-check of the edit's zone into the
+/// baseline verdict. Empty when the net guard trips.
+std::optional<Result> footprint_check(const layout::Cell& top,
+                                      const tech::Tech& t,
+                                      const core::EditSet& edits,
+                                      Baseline& base, std::size_t& rects) {
+  SILC_OBS_SPAN("drc.footprint", "drc");
+  const RuleEngine engine(t);
+  const geom::Coord h = engine.halo() + t.lambda;
+  auto fresh = std::make_shared<LayerTable>(*base.table, layout::flatten(top),
+                                            edits.geometry_layers,
+                                            edits.geometry_footprint);
+  RectSet zone = edits.geometry_footprint.dilated(h);
+  if (!splice_zone(*base.table, *fresh, t, edits.geometry_layers, zone)) {
+    return std::nullopt;
+  }
+  Result out;
+  check_seams(*fresh, zone, h, engine, out.violations);
+  for (const Violation& v : base.result->violations) {
+    if (!in_seams(zone, v)) out.violations.push_back(v);
+  }
+  out.canonicalize();
+  rects = zone.rects().size();
+  base.table = std::move(fresh);
+  return out;
+}
+
+/// Cells under the top whose geometry the edit changed.
+std::size_t edited_cells(const std::vector<const layout::Cell*>& cells,
+                         const core::EditSet& edits) {
+  std::set<std::string> edited;
+  for (const core::CellEdit& e : edits.cells) {
+    if (e.geometry_changed) edited.insert(e.cell);
+  }
+  return static_cast<std::size_t>(
+      std::count_if(cells.begin(), cells.end(), [&](const layout::Cell* c) {
+        return edited.count(c->name()) != 0;
+      }));
+}
+
+}  // namespace
+
 Result check_incremental(const layout::Cell& top, const tech::Tech& technology,
                          VerdictCache& cache, const core::EditSet& edits,
-                         const Result* baseline, IncrStats* stats) {
+                         Baseline& baseline, IncrStats* stats) {
   SILC_OBS_SPAN("incr.drc", "drc");
   IncrStats local;
   IncrStats& st = stats != nullptr ? *stats : local;
   st = IncrStats{};
-  st.cells_total = layout::dependency_order(top).size();
-
-  // DRC's footprint is geometry + rule signature only, so a naming-only
-  // edit (or none at all) cannot move the verdict: hand the baseline back
-  // without touching geometry. This is the microseconds path.
-  if (baseline != nullptr && (edits.empty() || edits.naming_only())) {
-    st.cells_reused = st.cells_total;
-    st.verdict_reused = true;
-    SILC_OBS_COUNT("incr.cells_reused", static_cast<std::int64_t>(st.cells_reused));
-    return *baseline;
-  }
-
-  const obs::CacheStats before = cache.stats();
-  try {
-    SILC_FAULT_POINT("incr.drc");
-    Result r = check_hier(top, technology, &cache);
-    const obs::CacheStats after = cache.stats();
-    st.cells_reused = static_cast<std::size_t>(after.hits - before.hits);
-    st.cells_reproved = static_cast<std::size_t>(after.misses - before.misses);
-    SILC_OBS_COUNT("incr.cells_reused", static_cast<std::int64_t>(st.cells_reused));
+  const std::vector<const layout::Cell*> cells = layout::dependency_order(top);
+  st.cells_total = cells.size();
+  const auto served = [&](IncrPath path, std::size_t reproved) {
+    st.path = path;
+    st.cells_reproved = std::min(reproved, st.cells_total);
+    st.cells_reused = st.cells_total - st.cells_reproved;
+    SILC_OBS_COUNT("incr.cells_reused",
+                   static_cast<std::int64_t>(st.cells_reused));
     SILC_OBS_COUNT("incr.cells_reproved",
                    static_cast<std::int64_t>(st.cells_reproved));
-    return r;
+  };
+  const bool warm = baseline.result.has_value() && !edits.tech_drc_changed;
+  // The next baseline's table: patched from this one when the edit says
+  // which layers moved, otherwise built (lazily) from scratch.
+  const auto next_table = [&] {
+    std::vector<layout::Shape> flat = layout::flatten(top);
+    baseline.table =
+        warm && edits.has_footprint && baseline.table != nullptr
+            ? std::make_shared<LayerTable>(*baseline.table, flat,
+                                           edits.geometry_layers,
+                                           edits.geometry_footprint)
+            : std::make_shared<LayerTable>(flat, technology);
+  };
+
+  if (warm && (edits.empty() || edits.naming_only() ||
+               (edits.has_footprint && edits.geometry_footprint.empty()))) {
+    served(IncrPath::Verbatim, 0);
+    return *baseline.result;
+  }
+
+  try {
+    SILC_FAULT_POINT("incr.drc");
+    if (const auto hit = cache.find(VerdictCache::key_for(top, technology))) {
+      baseline.result = Result{*hit};
+      next_table();
+      served(IncrPath::TopHit, 0);
+      return *baseline.result;
+    }
+    bool guard = false;
+    if (warm && edits.has_footprint && baseline.table != nullptr) {
+      std::optional<Result> r =
+          footprint_check(top, technology, edits, baseline, st.footprint_rects);
+      if (r.has_value()) {
+        baseline.result = std::move(r);
+        served(IncrPath::Footprint, edited_cells(cells, edits));
+        return *baseline.result;
+      }
+      guard = true;
+      SILC_OBS_COUNT("incr.drc.guard", 1);
+    }
+    const obs::CacheStats before = cache.stats();
+    baseline.result = check_hier(top, technology, &cache);
+    next_table();
+    const obs::CacheStats after = cache.stats();
+    served(guard ? IncrPath::Guard : IncrPath::Full,
+           static_cast<std::size_t>(after.misses - before.misses));
+    return *baseline.result;
   } catch (const core::Cancelled&) {
     throw;  // deadlines win; retrying on the slower flat path would be worse
   } catch (const std::exception&) {
-    st.fell_back_flat = true;
-    st.cells_reproved = st.cells_total;
     SILC_OBS_COUNT("incr.fallback_flat", 1);
-    Result r = check_flat(layout::flatten(top), technology);
-    return r;
+    std::vector<layout::Shape> flat = layout::flatten(top);
+    baseline.result = check_flat(flat, technology);
+    baseline.table = std::make_shared<LayerTable>(flat, technology);
+    served(IncrPath::FlatFallback, st.cells_total);
+    return *baseline.result;
   }
 }
 

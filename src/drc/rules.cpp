@@ -37,6 +37,18 @@ std::vector<std::string> component_semantic_layers(const Tech& t) {
   return out;
 }
 
+std::vector<Layer> label_read_layers(const Tech& t) {
+  std::vector<Layer> out;
+  for (const DrcRule& r : t.drc_rules) {
+    Layer l{};
+    if (r.kind == DrcRule::Kind::Spacing && LayerTable::mask_layer(r.layer, l) &&
+        std::find(out.begin(), out.end(), l) == out.end()) {
+      out.push_back(l);
+    }
+  }
+  return out;
+}
+
 // -------------------------------------------------------------- LayerTable --
 
 LayerTable::LayerTable(const std::vector<layout::Shape>& shapes,
@@ -50,6 +62,76 @@ LayerTable::LayerTable(const std::vector<layout::Shape>& shapes,
 LayerTable::LayerTable(std::array<RectSet, tech::kNumLayers> masks,
                        const Tech& t)
     : tech_(&t), masks_(std::move(masks)) {}
+
+LayerTable::LayerTable(const LayerTable& base,
+                       const std::vector<layout::Shape>& shapes,
+                       std::uint32_t changed, const RectSet& region)
+    : tech_(base.tech_) {
+  const auto dirty = [changed](Layer l) {
+    return (changed >> tech::index(l) & 1u) != 0;
+  };
+  for (const layout::Shape& s : shapes) {
+    if (dirty(s.layer)) masks_[tech::index(s.layer)].add(s.rect);
+  }
+  for (int i = 0; i < tech::kNumLayers; ++i) {
+    const Layer l = static_cast<Layer>(i);
+    if (dirty(l)) continue;
+    masks_[tech::index(l)] = base.masks_[tech::index(l)];
+    labels_[tech::index(l)] = base.labels_[tech::index(l)];
+    labels_done_[tech::index(l)] = base.labels_done_[tech::index(l)];
+  }
+  // Derived layers are pointwise booleans of the masks, and the masks
+  // changed only inside `region`: outside it each derived layer is the
+  // base's, inside it is re-derived from the new masks clipped to it.
+  const DerivedLayer* none = nullptr;
+  const auto def = [&](const std::string& name) {
+    for (const DerivedLayer& d : tech_->drc_derived) {
+      if (d.name == name) return &d;
+    }
+    return none;
+  };
+  const auto reads_dirty = [&](const auto& self,
+                               const std::string& name) -> bool {
+    Layer l{};
+    if (mask_layer(name, l)) return dirty(l);
+    const DerivedLayer* d = def(name);
+    return d == nullptr || self(self, d->a) || self(self, d->b);
+  };
+  const Rect rb = region.bbox();
+  std::map<std::string, RectSet> local;
+  const auto in_region = [&](const auto& self,
+                             const std::string& name) -> const RectSet& {
+    const auto seen = local.find(name);
+    if (seen != local.end()) return seen->second;
+    RectSet v;
+    Layer l{};
+    if (mask_layer(name, l)) {
+      std::vector<Rect> near;
+      for (const Rect& r : masks_[tech::index(l)].rects()) {
+        if (rb.touches(r) && region.touches(r)) near.push_back(r);
+      }
+      v = RectSet(std::move(near)).intersect(region);
+    } else {
+      const DerivedLayer& d = *def(name);
+      const RectSet& a = self(self, d.a);
+      const RectSet& b = self(self, d.b);
+      switch (d.op) {
+        case DerivedLayer::Op::Intersect: v = a.intersect(b); break;
+        case DerivedLayer::Op::Subtract: v = a.subtract(b); break;
+        case DerivedLayer::Op::Union: v = a.unite(b); break;
+      }
+    }
+    return local.emplace(name, std::move(v)).first->second;
+  };
+  for (const auto& [name, set] : base.derived_) {
+    if (!reads_dirty(reads_dirty, name)) {
+      derived_.emplace(name, set);
+    } else if (def(name) != nullptr) {
+      derived_.emplace(
+          name, set.subtract(region).unite(in_region(in_region, name)));
+    }
+  }
+}
 
 const RectSet& LayerTable::get(const std::string& name) {
   for (int i = 0; i < tech::kNumLayers; ++i) {
@@ -227,7 +309,19 @@ Rect component_bbox(const std::vector<Rect>& comp, std::int64_t* area = nullptr)
 
 }  // namespace
 
-RuleEngine::RuleEngine(const Tech& t) : tech_(&t), halo_(t.max_rule_dist()) {}
+RuleEngine::RuleEngine(const Tech& t) : tech_(&t), halo_(t.max_rule_dist()) {
+  for (const DrcRule& r : t.drc_rules) {
+    if (r.kind == DrcRule::Kind::Width) region_rules_.push_back(r.name + ".width");
+    if (r.kind == DrcRule::Kind::CrossSpacing) {
+      region_rules_.push_back(r.name + ".space");
+    }
+  }
+  std::sort(region_rules_.begin(), region_rules_.end());
+}
+
+bool RuleEngine::reports_region_rect(const Violation& v) const {
+  return std::binary_search(region_rules_.begin(), region_rules_.end(), v.rule);
+}
 
 void RuleEngine::run(LayerTable& g, Result& out) const {
   for (const DrcRule& r : tech_->drc_rules) {

@@ -35,12 +35,25 @@ namespace silc::drc {
 [[nodiscard]] std::vector<std::string> component_semantic_layers(
     const tech::Tech& t);
 
+/// Mask layers whose rules read component labels (spacing rules on a mask
+/// layer: their same-net exemption consults the full-layout partition).
+[[nodiscard]] std::vector<tech::Layer> label_read_layers(const tech::Tech& t);
+
 /// Geometry context for one engine run: mask layers + derived-layer cache.
 class LayerTable {
  public:
   LayerTable(const std::vector<layout::Shape>& shapes, const tech::Tech& t);
   LayerTable(std::array<geom::RectSet, tech::kNumLayers> masks,
              const tech::Tech& t);
+  /// The table of an edited layout, from the table of its pre-edit
+  /// version, when the edit changed only the mask layers whose bit
+  /// (tech::index) is set in `changed` and only inside `region`. Those
+  /// layers are rebuilt from `shapes`; every other mask layer (with its
+  /// labels) is copied from `base`, and so is every derived layer base
+  /// already computed, re-derived inside `region` where it reads a
+  /// changed layer.
+  LayerTable(const LayerTable& base, const std::vector<layout::Shape>& shapes,
+             std::uint32_t changed, const geom::RectSet& region);
 
   [[nodiscard]] const geom::RectSet& mask(tech::Layer l) const {
     return masks_[tech::index(l)];
@@ -104,6 +117,12 @@ class RuleEngine {
     return drc::component_semantic_layers(*tech_);
   }
 
+  /// True when `v` is one rect of a computed region's canonical
+  /// decomposition (width, cross-spacing): its extent follows the region
+  /// along a whole horizontal run, so a windowed soup decides it exactly
+  /// only when it lies well inside the window.
+  [[nodiscard]] bool reports_region_rect(const Violation& v) const;
+
   /// Halo distance for windowed checking (tech::Tech::max_rule_dist()).
   [[nodiscard]] geom::Coord halo() const { return halo_; }
   [[nodiscard]] const tech::Tech& tech() const { return *tech_; }
@@ -124,6 +143,29 @@ class RuleEngine {
 
   const tech::Tech* tech_;
   geom::Coord halo_;
+  std::vector<std::string> region_rules_;  // violation rule names, sorted
 };
+
+/// The ownership test both sides of a seam split share: a violation
+/// belongs to the re-checked region when its `where`, grown by one unit,
+/// meets the seams' interior. Violations failing it keep their isolated
+/// verdict; the rest come from check_seams — so callers filter against
+/// the seams check_seams leaves behind.
+[[nodiscard]] inline bool in_seams(const geom::RectSet& seams,
+                                   const Violation& v) {
+  return seams.intersects(v.where.inflated(1));
+}
+
+/// Re-verify `seams` against the full geometry `full`: one engine run per
+/// connected window of the seams dilated by `h`, over the unclipped
+/// windowed soup (LayerTable::window, labels from `full`). Appends every
+/// violation that meets its own window's seams (in_seams) to `out`. A
+/// region rect (RuleEngine::reports_region_rect) reaching past those seams
+/// may be cut short by the soup's edge, so `seams` grows by it and the
+/// check repeats until none does. Hierarchical DRC runs it over a cell's
+/// interaction seams, the incremental footprint path over an edit's
+/// dilated footprint.
+void check_seams(LayerTable& full, geom::RectSet& seams, geom::Coord h,
+                 const RuleEngine& engine, std::vector<Violation>& out);
 
 }  // namespace silc::drc

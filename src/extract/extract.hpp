@@ -66,6 +66,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -194,6 +195,10 @@ class NetlistCache {
     friend bool operator<(const Key& a, const Key& b);
   };
 
+  /// The key extract_hier files a cell's partial netlist under.
+  [[nodiscard]] static Key key_for(const layout::Cell& c,
+                                   const tech::Tech& technology);
+
   [[nodiscard]] std::shared_ptr<const CellNet> find(const Key& k) const;
   /// Insert and return the stored entry (the first writer wins when two
   /// workers race on the same miss).
@@ -281,25 +286,43 @@ enum class Mode : std::uint8_t { Flat, Hier };
                                    const tech::Tech& technology = tech::nmos(),
                                    NetlistCache* cache = nullptr);
 
-/// What the incremental entry point did with one edit: how much of the
-/// baseline survived. Mirrored as incr.* counters.
+/// What the incremental entry point did with one edit: which path served
+/// it and how much of the baseline survived. Mirrored as incr.* counters.
 struct IncrStats {
   std::size_t cells_total = 0;    ///< unique cells under top
-  std::size_t cells_reused = 0;   ///< partial netlists served from cache
+  std::size_t cells_reused = 0;   ///< partial netlists not recomputed
   std::size_t cells_reproved = 0; ///< partial netlists re-extracted
-  bool netlist_reused = false;    ///< baseline Netlist returned verbatim
-  bool fell_back_flat = false;    ///< degraded to a flat re-extract
+  core::IncrPath path = core::IncrPath::Full;
+  std::size_t footprint_rects = 0; ///< base windows, canonical rects
+};
+
+/// What an incremental session carries from one extraction to the next:
+/// the last netlist and the top's partial netlist it was finalized from
+/// (null after a flat fallback). Default-constructed means no baseline.
+struct Baseline {
+  std::optional<Netlist> netlist;
+  std::shared_ptr<const CellNet> top;
 };
 
 /// Invalidation footprint (see src/core/incremental.hpp conventions):
-/// extraction reads GEOMETRY, NAMING (labels / port names / instance
-/// names, which become node names), and the EXTRACT RULE SIGNATURE — so
-/// only a truly empty EditSet returns `baseline` verbatim. A naming-only
-/// edit re-runs (unlike DRC), but the warm per-cell `cache` keys on
-/// naming_hash, so unrenamed cells still hit and only the edited cells
-/// plus the stitch windows pay again. Byte-identity with a cold
-/// extract_hier/extract_flat is inherited from the proven modes-agree
-/// contract; tests/test_incremental.cpp re-proves it end to end.
+/// extraction reads GEOMETRY, NAMING (labels, instance names, the top's
+/// ports) and the EXTRACT RULE SIGNATURE. With a baseline, the first
+/// matching path serves the extraction:
+///
+///   * verbatim — both footprints empty and no rule change;
+///   * top hit — `cache` already holds the edited top's partial netlist;
+///   * footprint — the baseline top partial netlist is the one stitch
+///     contributor and both footprints, inflated by the stitch halo, are
+///     the base windows: inside the grown windows connectivity is
+///     re-solved on the live layout and labels are read from it; outside,
+///     the baseline is carried as fragments and nets re-merge through the
+///     stitch union-find. No cell below the top is re-extracted, and the
+///     result is not stored in `cache`;
+///   * full — extract_hier against the warm per-cell `cache`.
+///
+/// `baseline` is updated in place. Byte-identity with a cold
+/// extract_hier/extract_flat holds on every path; the randomized and
+/// long-chain harnesses in tests/test_incremental.cpp re-prove it.
 ///
 /// Fallback matrix: same as extract_hier's, applied locally — any
 /// std::exception (incl. fault::InjectedFault at site "incr.extract")
@@ -309,7 +332,7 @@ struct IncrStats {
                                           const tech::Tech& technology,
                                           NetlistCache& cache,
                                           const core::EditSet& edits,
-                                          const Netlist* baseline,
+                                          Baseline& baseline,
                                           IncrStats* stats = nullptr);
 
 }  // namespace silc::extract

@@ -49,6 +49,7 @@
 #include "core/cancel.hpp"
 #include "extract/connect.hpp"
 #include "extract/extract.hpp"
+#include "extract/hier.hpp"
 #include "fault/fault.hpp"
 #include "store/store.hpp"
 
@@ -467,18 +468,11 @@ class HierExtractor {
         h_(std::max<Coord>(t.lambda, 2)),
         cache_(cache != nullptr ? cache : &local_) {}
 
-  Netlist extract_top(const Cell& top) {
-    return finalize(top, *net_of(top));
-  }
-
- private:
+  /// The cell's partial netlist: memoized, then cached, then built.
   std::shared_ptr<const CellNet> net_of(const Cell& c) {
     const auto seen = by_cell_.find(&c);
     if (seen != by_cell_.end()) return seen->second;
-    const NetlistCache::Key key{tech_.extract_signature(),
-                                layout::geometry_hash(c),
-                                layout::naming_hash(c), c.flat_shape_count(),
-                                c.bbox()};
+    const NetlistCache::Key key = NetlistCache::key_for(c, tech_);
     auto net = cache_->find(key);
     if (net == nullptr) {
       net = cache_->store(
@@ -488,6 +482,7 @@ class HierExtractor {
     return net;
   }
 
+ private:
   CellNet build(const Cell& c) {
     SILC_OBS_SPAN("extract.cell:" + c.name(), "extract");
     SILC_OBS_COUNT("extract.cells", 1);
@@ -562,7 +557,30 @@ class HierExtractor {
       }
     }
     if (wx.empty()) return concat(contribs);
+    return stitch_windows(c, contribs, std::move(wx), /*relabel=*/false);
+  }
 
+ public:
+  /// The footprint path: `base` is the top's partial netlist before the
+  /// edit, `c` the live top. It is the one contributor (identity
+  /// transform, no prefix), and the edit's footprints, inflated by the
+  /// halo, are the base windows.
+  CellNet restitch(const Cell& c, const CellNet& base,
+                   const RectSet& geometry, const RectSet& naming) {
+    SILC_OBS_SPAN("extract.footprint", "extract");
+    return stitch_windows(c, {{&base, Transform{}, ""}},
+                          geometry.dilated(h_).unite(naming.dilated(h_)),
+                          /*relabel=*/true);
+  }
+
+ private:
+  /// Stitch `contribs`, whose geometry is the live subtree of `c`: grow
+  /// the base windows `wx` to the fixpoint, re-solve connectivity inside
+  /// them, and carry every contributor over as fragments outside. With
+  /// `relabel`, contributor labels inside the windows are dropped and the
+  /// live labels of `c` there are read instead.
+  CellNet stitch_windows(const Cell& c, const std::vector<Contrib>& contribs,
+                         RectSet wx, bool relabel) {
     // Fixpoint: pull whole semantic components into the window region
     // until everything near it is wholly inside it. Soup collection and
     // component labeling are the expensive part, so the loop is split:
@@ -639,10 +657,13 @@ class HierExtractor {
       std::uint8_t cls = 0;
       Rect rect{};
       int elem = -1;
+      int node = -1;  // the contributor node it was cut from
     };
     struct ContribFrags {
       std::vector<int> whole;  // element id, or -1 when split, -2 when empty
-      std::vector<std::vector<FragRect>> split;  // per node; empty if whole
+      std::vector<FragRect> split;  // every split node's fragments, by node
+      std::vector<Rect> split_rects;  // parallel to `split`, for `grid`
+      std::unique_ptr<RectGrid> grid;
     };
     std::vector<ContribFrags> frags(contribs.size());
     CellNet out;
@@ -659,7 +680,6 @@ class HierExtractor {
       const Transform& tr = contribs[k].t;
       ContribFrags& f = frags[k];
       f.whole.assign(static_cast<std::size_t>(cn.node_count), -2);
-      f.split.resize(static_cast<std::size_t>(cn.node_count));
 
       // Transformed pieces, grouped by node.
       std::vector<std::vector<std::pair<std::uint8_t, Rect>>> by_node(
@@ -685,27 +705,33 @@ class HierExtractor {
         // Split node: per layer, region minus windows re-labelled into
         // connected fragments (the cached node-level unions are not
         // trusted across the window boundary — the cell's surviving
-        // contact/buried groups re-join them below).
+        // contact/buried groups re-join them below). Only the pieces the
+        // windows reach are cut; the rest stay as they are, so the
+        // fragments are one disjoint cover of the region outside.
         f.whole[n] = -1;
         for (int cls = 0; cls < detail::kClasses; ++cls) {
-          std::vector<Rect> rs;
-          for (const auto& [pc, r] : prs) {
-            if (pc == cls) rs.push_back(r);
-          }
-          if (rs.empty()) continue;
+          std::vector<Rect> rem;
+          std::vector<Rect> cut;
           std::vector<int> near;
-          for (const Rect& r : rs) {
+          for (const auto& [pc, r] : prs) {
+            if (pc != cls) continue;
+            const std::size_t before = near.size();
             wgrid.for_touching(r, [&](int wi) { near.push_back(wi); });
+            (near.size() == before ? rem : cut).push_back(r);
           }
-          std::sort(near.begin(), near.end());
-          near.erase(std::unique(near.begin(), near.end()), near.end());
-          std::vector<Rect> nwx;
-          nwx.reserve(near.size());
-          for (const int wi : near) {
-            nwx.push_back(wx.rects()[static_cast<std::size_t>(wi)]);
+          if (rem.empty() && cut.empty()) continue;
+          if (!cut.empty()) {
+            std::sort(near.begin(), near.end());
+            near.erase(std::unique(near.begin(), near.end()), near.end());
+            std::vector<Rect> nwx;
+            nwx.reserve(near.size());
+            for (const int wi : near) {
+              nwx.push_back(wx.rects()[static_cast<std::size_t>(wi)]);
+            }
+            const RectSet left =
+                RectSet(std::move(cut)).subtract(RectSet(std::move(nwx)));
+            rem.insert(rem.end(), left.rects().begin(), left.rects().end());
           }
-          const std::vector<Rect> rem =
-              RectSet(std::move(rs)).subtract(RectSet(std::move(nwx))).rects();
           const std::vector<int> labels = geom::label_components(rem);
           int max_label = -1;
           for (const int l : labels) max_label = std::max(max_label, l);
@@ -713,45 +739,34 @@ class HierExtractor {
           for (int& e : elem_of) e = dsu.add();
           for (std::size_t i = 0; i < rem.size(); ++i) {
             const int elem = elem_of[static_cast<std::size_t>(labels[i])];
-            f.split[n].push_back(
-                {static_cast<std::uint8_t>(cls), rem[i], elem});
+            f.split.push_back({static_cast<std::uint8_t>(cls), rem[i], elem,
+                               static_cast<int>(n)});
+            f.split_rects.push_back(rem[i]);
             out.pieces.push_back(
                 {static_cast<std::uint8_t>(cls), rem[i], elem});
           }
         }
       }
+      if (f.split.empty()) continue;
+      f.grid = std::make_unique<RectGrid>(f.split_rects);
 
       // Surviving junctions re-join the split fragments they overlap
       // (each junction's pieces all belong to one contributor node, so
       // this only reconnects within a node — exactly the unions the
       // subtraction discarded but the windows did not displace).
-      std::vector<Rect> split_rects;
-      std::vector<int> split_elems;
-      std::vector<int> split_cls;
-      for (const auto& per_node : f.split) {
-        for (const FragRect& fr : per_node) {
-          split_rects.push_back(fr.rect);
-          split_elems.push_back(fr.elem);
-          split_cls.push_back(fr.cls);
-        }
-      }
-      if (!split_rects.empty()) {
-        RectGrid sgrid(split_rects);
-        for (const detail::Junction& j : cn.junctions) {
-          const Rect jb = contribs[k].t.apply(j.bbox);
-          if (wix.touches(jb)) continue;  // displaced: the window re-owns it
-          int first = -1;
-          sgrid.for_touching(jb, [&](int i) {
-            if (!j.joins(split_cls[static_cast<std::size_t>(i)])) return;
-            if (!split_rects[static_cast<std::size_t>(i)].overlaps(jb)) return;
-            const int e = split_elems[static_cast<std::size_t>(i)];
-            if (first < 0) {
-              first = e;
-            } else {
-              dsu.unite(first, e);
-            }
-          });
-        }
+      for (const detail::Junction& j : cn.junctions) {
+        const Rect jb = contribs[k].t.apply(j.bbox);
+        if (wix.touches(jb)) continue;  // displaced: the window re-owns it
+        int first = -1;
+        f.grid->for_touching(jb, [&](int i) {
+          const FragRect& fr = f.split[static_cast<std::size_t>(i)];
+          if (!j.joins(fr.cls) || !fr.rect.overlaps(jb)) return;
+          if (first < 0) {
+            first = fr.elem;
+          } else {
+            dsu.unite(first, fr.elem);
+          }
+        });
       }
     }
     }
@@ -765,12 +780,10 @@ class HierExtractor {
       std::vector<int> belems;
       std::vector<std::uint8_t> bcls;
       for (const ContribFrags& f : frags) {
-        for (const auto& per_node : f.split) {
-          for (const FragRect& fr : per_node) {
-            brects.push_back(fr.rect);
-            belems.push_back(fr.elem);
-            bcls.push_back(fr.cls);
-          }
+        for (const FragRect& fr : f.split) {
+          brects.push_back(fr.rect);
+          belems.push_back(fr.elem);
+          bcls.push_back(fr.cls);
         }
       }
       RectGrid bgrid(brects);
@@ -797,7 +810,7 @@ class HierExtractor {
     std::vector<detail::ProtoTransistor> pending;
     for (std::size_t k = 0; k < contribs.size(); ++k) {
       const CellNet& cn = *contribs[k].net;
-      const ContribFrags& f = frags[k];
+      ContribFrags& f = frags[k];
       for (const detail::ProtoTransistor& lt : cn.transistors) {
         const Rect ch = contribs[k].t.apply(lt.channel);
         if (wix.touches(ch)) continue;  // window re-owns this channel
@@ -805,17 +818,21 @@ class HierExtractor {
         const auto candidates = [&](const std::vector<int>& nodes, int cls,
                                     const Rect& probe) {
           std::vector<int> elems;
+          bool split = false;
           for (const int node : nodes) {
-            const auto ns = static_cast<std::size_t>(node);
-            if (f.whole[ns] >= 0) {
-              elems.push_back(f.whole[ns]);
-              continue;
-            }
-            for (const FragRect& fr : f.split[ns]) {
-              if (fr.cls == cls && fr.rect.overlaps(probe)) {
+            const int w = f.whole[static_cast<std::size_t>(node)];
+            if (w >= 0) elems.push_back(w);
+            split = split || w == -1;
+          }
+          if (split) {
+            f.grid->for_touching(probe, [&](int i) {
+              const FragRect& fr = f.split[static_cast<std::size_t>(i)];
+              if (fr.cls == cls && fr.rect.overlaps(probe) &&
+                  std::find(nodes.begin(), nodes.end(), fr.node) !=
+                      nodes.end()) {
                 elems.push_back(fr.elem);
               }
-            }
+            });
           }
           std::sort(elems.begin(), elems.end());
           elems.erase(std::unique(elems.begin(), elems.end()), elems.end());
@@ -899,25 +916,37 @@ class HierExtractor {
     // Labels: carried over against their fragment when the windows never
     // reach the point; re-resolved against the stitched pieces otherwise
     // (the window may have re-bound — or carved away — the conductor
-    // under them).
+    // under them). Relabelling reads the windows' labels from the live
+    // layout instead of trusting the contributors'.
     std::vector<CellNet::Label> retry;
     for (std::size_t k = 0; k < contribs.size(); ++k) {
       const CellNet& cn = *contribs[k].net;
-      const ContribFrags& f = frags[k];
+      ContribFrags& f = frags[k];
       for (const CellNet::Label& l : cn.labels) {
         CellNet::Label moved{contribs[k].prefix + l.text, l.layer,
                              contribs[k].t.apply(l.at), -1};
-        if (l.node >= 0 && !wx.contains(moved.at)) {
+        const bool inside = wx.contains(moved.at);
+        if (relabel && inside) continue;
+        if (l.node >= 0 && !inside) {
           const auto ns = static_cast<std::size_t>(l.node);
           if (f.whole[ns] >= 0) {
             moved.node = final_of_elem[static_cast<std::size_t>(f.whole[ns])];
           } else {
+            // The node's first fragment (in cut order) holding the point.
             const int cls = detail::class_of(l.layer);
-            for (const FragRect& fr : f.split[ns]) {
-              if (fr.cls == cls && fr.rect.contains(moved.at)) {
-                moved.node = final_of_elem[static_cast<std::size_t>(fr.elem)];
-                break;
+            int first = -1;
+            f.grid->for_touching({moved.at.x, moved.at.y, moved.at.x,
+                                  moved.at.y},
+                                 [&](int i) {
+              const FragRect& fr = f.split[static_cast<std::size_t>(i)];
+              if (fr.node == l.node && fr.cls == cls &&
+                  fr.rect.contains(moved.at) && (first < 0 || i < first)) {
+                first = i;
               }
+            });
+            if (first >= 0) {
+              moved.node = final_of_elem[static_cast<std::size_t>(
+                  f.split[static_cast<std::size_t>(first)].elem)];
             }
           }
           out.labels.push_back(std::move(moved));
@@ -926,8 +955,51 @@ class HierExtractor {
         retry.push_back(std::move(moved));
       }
     }
+    if (relabel) live_labels(c, wx, retry);
     resolve_against(out.pieces, anchors, std::move(retry), out.labels);
     return out;
+  }
+
+  /// Append every label of `c`'s subtree whose point lies in `wx`, named
+  /// as layout::flatten_with_labels names it (the top's ports are not
+  /// labels here: finalize adds them).
+  static void live_labels(const Cell& c, const RectSet& wx,
+                          std::vector<CellNet::Label>& out) {
+    std::map<const Cell*, Rect> extents;
+    const Rect wb = wx.bbox();
+    const auto walk = [&](const auto& self, const Cell& cell,
+                          const Transform& t, const std::string& prefix) -> void {
+      for (const layout::TextLabel& l : cell.labels()) {
+        const Point p = t.apply(l.at);
+        if (wx.contains(p)) out.push_back({prefix + l.text, l.layer, p, -1});
+      }
+      for (const Instance& i : cell.instances()) {
+        const Rect e = label_extent(*i.cell, extents);
+        if (e.empty()) continue;
+        const Transform ct = t * i.transform;
+        const Rect placed = ct.apply(e);
+        if (!wb.touches(placed) || !wx.touches(placed)) continue;
+        self(self, *i.cell, ct, prefix + i.name + ".");
+      }
+    };
+    walk(walk, c, Transform{}, "");
+  }
+
+  /// Bounding box (grown by one unit) of every label point in a cell's
+  /// subtree; empty when the subtree carries no labels.
+  static Rect label_extent(const Cell& c, std::map<const Cell*, Rect>& memo) {
+    const auto seen = memo.find(&c);
+    if (seen != memo.end()) return seen->second;
+    Rect e;
+    for (const layout::TextLabel& l : c.labels()) {
+      e = e.bound({l.at.x - 1, l.at.y - 1, l.at.x + 1, l.at.y + 1});
+    }
+    for (const Instance& i : c.instances()) {
+      const Rect ce = label_extent(*i.cell, memo);
+      if (!ce.empty()) e = e.bound(i.transform.apply(ce));
+    }
+    memo.emplace(&c, e);
+    return e;
   }
 
   /// The no-interaction fast path: offset node spaces and transform.
@@ -1006,10 +1078,11 @@ class HierExtractor {
     }
   }
 
+ public:
   /// Top-of-chip finalization: the cached CellNet becomes a public
   /// canonical Netlist (the top cell's ports join in as labels, exactly as
   /// layout::flatten_with_labels feeds them to the flat extractor).
-  Netlist finalize(const Cell& top, const CellNet& cn) const {
+  static Netlist finalize(const Cell& top, const CellNet& cn) {
     Netlist out;
     const auto n = static_cast<std::size_t>(cn.node_count);
     out.node_names.assign(n, "");
@@ -1045,6 +1118,7 @@ class HierExtractor {
     return out;
   }
 
+ private:
   const Tech& tech_;
   Coord h_;
   NetlistCache* cache_;
@@ -1057,7 +1131,36 @@ class HierExtractor {
 Netlist extract_hier(const Cell& top, const Tech& technology,
                      NetlistCache* cache) {
   HierExtractor hx(technology, cache);
-  return hx.extract_top(top);
+  return HierExtractor::finalize(top, *hx.net_of(top));
 }
+
+NetlistCache::Key NetlistCache::key_for(const Cell& c, const Tech& technology) {
+  return {technology.extract_signature(), layout::geometry_hash(c),
+          layout::naming_hash(c), c.flat_shape_count(), c.bbox()};
+}
+
+namespace detail {
+
+std::shared_ptr<const CellNet> hier_net(const Cell& top, const Tech& technology,
+                                        NetlistCache& cache) {
+  HierExtractor hx(technology, &cache);
+  return hx.net_of(top);
+}
+
+std::shared_ptr<const CellNet> restitch(const Cell& top,
+                                        const Tech& technology,
+                                        const CellNet& base,
+                                        const RectSet& geometry,
+                                        const RectSet& naming) {
+  HierExtractor hx(technology, nullptr);
+  return std::make_shared<const CellNet>(
+      hx.restitch(top, base, geometry, naming));
+}
+
+Netlist finalize(const Cell& top, const CellNet& net) {
+  return HierExtractor::finalize(top, net);
+}
+
+}  // namespace detail
 
 }  // namespace silc::extract

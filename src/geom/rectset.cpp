@@ -387,45 +387,139 @@ const std::vector<std::vector<Rect>>& RectSet::components() const {
   return comps_;
 }
 
-std::vector<int> label_components(const std::vector<Rect>& rects) {
-  const std::size_t n = rects.size();
-  std::vector<int> parent(n);
-  std::iota(parent.begin(), parent.end(), 0);
-  const auto find = [&parent](int x) {
+namespace {
+
+/// Path-halving union-find over rect indices.
+struct Components {
+  std::vector<int> parent;
+
+  explicit Components(std::size_t n) : parent(n) {
+    std::iota(parent.begin(), parent.end(), 0);
+  }
+  int find(int x) {
     while (parent[static_cast<std::size_t>(x)] != x) {
       parent[static_cast<std::size_t>(x)] =
           parent[static_cast<std::size_t>(parent[static_cast<std::size_t>(x)])];
       x = parent[static_cast<std::size_t>(x)];
     }
     return x;
-  };
-  const auto unite = [&parent, &find](int a, int b) {
+  }
+  void unite(int a, int b) {
     a = find(a);
     b = find(b);
     if (a != b) parent[static_cast<std::size_t>(a)] = b;
-  };
+  }
+};
 
-  // Sweep by x to avoid all-pairs comparison: only rects whose x-extents
-  // overlap (or abut) can be edge-connected.
+/// Connectivity of pairwise-disjoint rects (every RectSet decomposition)
+/// in O(n log n + touching pairs), given `order` sorted by (x0, y0): sweep
+/// left to right, keeping the rects that span the sweep line sorted by y0.
+/// Disjoint rects spanning one vertical line have disjoint y-ranges, so
+/// the rects whose closed y-range meets a new rect's are one contiguous
+/// run of that list. Returns false, with `cc` partly merged, on
+/// overlapping or degenerate input.
+bool sweep_disjoint(const std::vector<Rect>& rects,
+                    const std::vector<int>& order, Components& cc) {
+  const std::size_t n = rects.size();
+  const auto at = [&rects](int i) -> const Rect& {
+    return rects[static_cast<std::size_t>(i)];
+  };
+  // Rects leave the sweep in x1 order, which is known up front.
+  std::vector<int> by_x1(order);
+  std::sort(by_x1.begin(), by_x1.end(),
+            [&](int a, int b) { return at(a).x1 < at(b).x1; });
+  std::size_t gone = 0;
+  std::vector<int> open;  // rects with x0 < sweep <= x1, by y0
+  const auto y0_less = [&](int a, Coord y) { return at(a).y0 < y; };
+  const auto evict = [&](Coord x, bool inclusive) {
+    for (; gone < n; ++gone) {
+      const Rect& r = at(by_x1[gone]);
+      if (r.x1 > x || (r.x1 == x && !inclusive)) break;
+      open.erase(std::lower_bound(open.begin(), open.end(), r.y0, y0_less));
+    }
+  };
+  for (std::size_t g = 0; g < n;) {
+    const Coord x = at(order[g]).x0;
+    std::size_t e = g;
+    while (e < n && at(order[e]).x0 == x) ++e;
+    evict(x, false);
+    for (std::size_t k = g; k < e; ++k) {
+      const int i = order[k];
+      const Rect& r = at(i);
+      if (r.empty()) return false;
+      if (k > g) {  // same x0, sorted by y0: only the previous can touch
+        const Rect& p = at(order[k - 1]);
+        if (p.y1 > r.y0) return false;
+        if (p.y1 == r.y0) cc.unite(order[k - 1], i);
+      }
+      // Open rects with y0 <= r.y1, walked down while their y1 >= r.y0.
+      auto it = std::upper_bound(
+          open.begin(), open.end(), r.y1,
+          [&](Coord y, int o) { return y < at(o).y0; });
+      while (it != open.begin()) {
+        --it;
+        const Rect& o = at(*it);
+        if (o.y1 < r.y0) break;
+        if (o.x1 > x && o.y0 < r.y1 && r.y0 < o.y1) return false;
+        if (o.edge_connected(r)) cc.unite(*it, i);
+      }
+    }
+    evict(x, true);
+    for (std::size_t k = g; k < e; ++k) {
+      const int i = order[k];
+      const Rect& r = at(i);
+      const auto it = open.insert(
+          std::lower_bound(open.begin(), open.end(), r.y0, y0_less), i);
+      if (std::next(it) != open.end() && at(*std::next(it)).y0 < r.y1) {
+        return false;
+      }
+      if (it != open.begin() && at(*std::prev(it)).y1 > r.y0) return false;
+    }
+    g = e;
+  }
+  return true;
+}
+
+}  // namespace
+
+std::vector<int> label_components(const std::vector<Rect>& rects) {
+  const std::size_t n = rects.size();
+  const auto at = [&rects](int i) -> const Rect& {
+    return rects[static_cast<std::size_t>(i)];
+  };
   std::vector<int> order(n);
   std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&rects](int a, int b) {
-    return rects[static_cast<std::size_t>(a)].x0 < rects[static_cast<std::size_t>(b)].x0;
+  std::sort(order.begin(), order.end(), [&](int a, int b) {
+    return std::tie(at(a).x0, at(a).y0) < std::tie(at(b).x0, at(b).y0);
   });
-  for (std::size_t i = 0; i < n; ++i) {
-    const Rect& ri = rects[static_cast<std::size_t>(order[i])];
-    for (std::size_t j = i + 1; j < n; ++j) {
-      const Rect& rj = rects[static_cast<std::size_t>(order[j])];
-      if (rj.x0 > ri.x1) break;
-      if (ri.edge_connected(rj)) unite(order[i], order[j]);
+  // The pair scan compares every pair whose x-extents overlap or abut.
+  // While there are few such pairs it is the fastest exact method; under
+  // wide rails they grow quadratic, so past a linear budget of compares
+  // the sweep takes over (the unions found so far stay valid).
+  Components cc(n);
+  const auto pair_scan = [&](std::size_t budget) {
+    std::size_t compares = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const Rect& ri = at(order[i]);
+      for (std::size_t j = i + 1; j < n; ++j) {
+        const Rect& rj = at(order[j]);
+        if (rj.x0 > ri.x1) break;
+        if (++compares > budget) return false;
+        if (ri.edge_connected(rj)) cc.unite(order[i], order[j]);
+      }
     }
+    return true;
+  };
+  if (!pair_scan(64 * n) && !sweep_disjoint(rects, order, cc)) {
+    pair_scan(static_cast<std::size_t>(-1));  // overlapping input
   }
 
+  // Dense labels in order of first appearance.
   std::vector<int> labels(n);
   std::vector<int> remap(n, -1);
   int next = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    const int root = find(static_cast<int>(i));
+    const int root = cc.find(static_cast<int>(i));
     if (remap[static_cast<std::size_t>(root)] < 0) {
       remap[static_cast<std::size_t>(root)] = next++;
     }

@@ -81,7 +81,7 @@ class RectSet {
 
 /// Union-find connectivity labelling over arbitrary rect lists: returns a
 /// label per input rect such that edge-connected rects share a label.
-/// Labels are dense, starting at 0.
+/// Labels are dense, starting at 0, numbered by first appearance.
 [[nodiscard]] std::vector<int> label_components(const std::vector<Rect>& rects);
 
 }  // namespace silc::geom

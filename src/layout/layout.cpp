@@ -9,10 +9,15 @@
 
 namespace silc::layout {
 
+void Cell::touched() {
+  bbox_valid_ = false;
+  if (placed_) ++*epoch_;
+}
+
 void Cell::add_rect(Layer layer, const Rect& r) {
   if (r.empty()) return;
   shapes_.push_back({layer, r});
-  bbox_valid_ = false;
+  touched();
 }
 
 namespace {
@@ -48,7 +53,8 @@ Instance& Cell::add_instance(const Cell& cell, const Transform& t,
     inst_name = cell.name() + "_" + std::to_string(instances_.size());
   }
   instances_.push_back({&cell, t, std::move(inst_name)});
-  bbox_valid_ = false;
+  cell.placed_ = true;
+  touched();
   return instances_.back();
 }
 
@@ -77,19 +83,19 @@ void Cell::set_shape(std::size_t i, const Shape& s) {
     throw std::invalid_argument("set_shape: empty rect (use remove_shape)");
   }
   shapes_[i] = s;
-  bbox_valid_ = false;
+  touched();
 }
 
 void Cell::remove_shape(std::size_t i) {
   check_index(i, shapes_.size(), "shape");
   shapes_.erase(shapes_.begin() + static_cast<std::ptrdiff_t>(i));
-  bbox_valid_ = false;
+  touched();
 }
 
 void Cell::remove_instance(std::size_t i) {
   check_index(i, instances_.size(), "instance");
   instances_.erase(instances_.begin() + static_cast<std::ptrdiff_t>(i));
-  bbox_valid_ = false;
+  touched();
 }
 
 void Cell::set_instance_name(std::size_t i, std::string inst_name) {
@@ -114,7 +120,7 @@ Rect Cell::port_rect(const Instance& inst, const Port& port) {
 }
 
 Rect Cell::bbox() const {
-  if (bbox_valid_) return bbox_cache_;
+  if (bbox_valid_ && bbox_epoch_ == *epoch_) return bbox_cache_;
   Rect b;
   for (const Shape& s : shapes_) b = b.bound(s.rect);
   for (const Instance& i : instances_) {
@@ -122,6 +128,7 @@ Rect Cell::bbox() const {
   }
   bbox_cache_ = b;
   bbox_valid_ = true;
+  bbox_epoch_ = *epoch_;
   return b;
 }
 
@@ -139,6 +146,7 @@ Cell& Library::create(const std::string& name) {
   }
   cells_.push_back(std::make_unique<Cell>(unique));
   Cell& c = *cells_.back();
+  c.epoch_ = epoch_;
   by_name_[unique] = &c;
   return c;
 }

@@ -94,7 +94,9 @@ class Cell {
   /// Port rect of an instance's port, in this cell's coordinates.
   [[nodiscard]] static Rect port_rect(const Instance& inst, const Port& port);
 
-  /// Bounding box over own shapes and all instances (cached).
+  /// Bounding box over own shapes and all instances. Cached; the cache
+  /// also drops when any placed cell of the same library changes geometry,
+  /// so a parent never reports a bbox its edited child has outgrown.
   [[nodiscard]] Rect bbox() const;
 
   /// Total number of rectangles in the fully flattened cell.
@@ -106,8 +108,18 @@ class Cell {
   std::vector<Instance> instances_;
   std::vector<Port> ports_;
   std::vector<TextLabel> labels_;
+  friend class Library;
+  /// Own geometry changed: drop the own bbox cache, and every cache in the
+  /// library when some cell places this one.
+  void touched();
+
   mutable Rect bbox_cache_{};
   mutable bool bbox_valid_ = false;
+  mutable std::uint64_t bbox_epoch_ = 0;
+  /// The library's geometry epoch, shared by all its cells.
+  std::shared_ptr<std::uint64_t> epoch_ = std::make_shared<std::uint64_t>(1);
+  /// Some cell instantiates this one (never reset: conservative).
+  mutable bool placed_ = false;
 };
 
 /// Owns cells; names are unique within a library.
@@ -125,6 +137,7 @@ class Library {
 
  private:
   std::string name_;
+  std::shared_ptr<std::uint64_t> epoch_ = std::make_shared<std::uint64_t>(1);
   std::vector<std::unique_ptr<Cell>> cells_;
   std::map<std::string, Cell*> by_name_;
 };

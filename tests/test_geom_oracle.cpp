@@ -1,6 +1,6 @@
 // Differential fuzz of the RectSet scanline against its oracle
 // (fixtures/geom_oracle.hpp: the original per-band sort and std::map
-// collector). The contract is exact: every operation returns the same
+// collector), and of label_components against its original pair scan. The contract is exact: every operation returns the same
 // canonical rects in the same order, because hash(), the verdict-cache keys,
 // violation sets and netlists are all built from that vector. Inputs are
 // random rect soups of 1..4k rects with duplicates, nested and abutting
@@ -157,6 +157,34 @@ void check_trial(unsigned seed) {
     EXPECT_EQ(a.covers(q), oracle::covers(ca, q))
         << "covers(" << to_string(q) << ") differs from the oracle";
   }
+}
+
+/// label_components must reproduce the pair scan's labels exactly, on
+/// canonical decompositions (the production inputs, taken by the sweep)
+/// and on raw soups (overlapping and degenerate rects).
+void check_labels(unsigned seed) {
+  std::mt19937 rng(seed);
+  static constexpr std::size_t kCaps[] = {4, 32, 256, 2048};
+  static constexpr Coord kSpans[] = {3, 12, 60, 400};
+  const std::vector<Rect> soup =
+      random_soup(rng, 1 + rng() % kCaps[seed % 4], kSpans[(seed / 4) % 4]);
+  const std::vector<Rect> canonical = RectSet(soup).rects();
+  EXPECT_EQ(label_components(canonical), oracle::label_components(canonical))
+      << "canonical: " << text(canonical);
+  EXPECT_EQ(label_components(soup), oracle::label_components(soup))
+      << "soup: " << text(soup);
+  // A wide rail under many small rects: the shape the sweep exists for.
+  std::vector<Rect> railed = canonical;
+  railed.push_back({-1000, 1000, 1000, 1004});
+  for (Coord x = -990; x < 990; x += 7) railed.push_back({x, 1004, x + 3, 1010});
+  const std::vector<Rect> rc = RectSet(railed).rects();
+  EXPECT_EQ(label_components(rc), oracle::label_components(rc));
+}
+
+TEST(GeomOracle, LabelComponentsMatchesPairScan) {
+  silc_fixtures::fuzz_seeds("test_geom_oracle",
+                            "GeomOracle.LabelComponentsMatchesPairScan", 1, 200,
+                            check_labels);
 }
 
 TEST(GeomOracle, RandomSoupsMatchExactly) {

@@ -12,6 +12,11 @@
 // warm-up across sessions, and CompiledSim::update's tape-level version
 // of the same invariant.
 //
+// The footprint tests pin core::diff's chip-coordinate footprint for each
+// edit kind and the paths IncrementalSession serves each stage by: the
+// long edit/undo chains, the distant net split that must trip the DRC
+// net guard, and the top-port edit that must rename nodes.
+//
 // Every randomized test follows the fixtures/fuzz_env.hpp convention:
 // SILC_FUZZ_TRIALS scales the sweep, SILC_FUZZ_SEED reruns one seed, and
 // failures print a one-line repro command.
@@ -20,12 +25,17 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <functional>
+#include <map>
 #include <random>
 #include <string>
 #include <vector>
 
+#include "assemble/assemble.hpp"
+
 #include "core/incremental.hpp"
 #include "core/incremental_session.hpp"
+#include "design_sources.hpp"
 #include "drc/drc.hpp"
 #include "extract/extract.hpp"
 #include "fault/fault.hpp"
@@ -35,13 +45,16 @@
 #include "random_edits.hpp"
 #include "random_layout.hpp"
 #include "random_netlist.hpp"
+#include "rtl/rtl.hpp"
 #include "sim/sim.hpp"
+#include "synth/synth.hpp"
 #include "tech/tech.hpp"
 
 namespace silc {
 namespace {
 
 using core::IncrementalSession;
+using core::IncrPath;
 using core::IncrVerdict;
 using layout::Cell;
 using layout::Library;
@@ -169,7 +182,7 @@ TEST(Incremental, EditThatCuresAViolationClearsTheVerdict) {
   const IncrVerdict cured = sess.verify(lib, top);
   EXPECT_FALSE(cured.cold);
   EXPECT_FALSE(cured.edits.empty());
-  EXPECT_FALSE(cured.drc_stats.verdict_reused);
+  EXPECT_NE(cured.drc_stats.path, IncrPath::Verbatim);
   EXPECT_TRUE(cured.drc.ok()) << cured.drc.summary();
   const drc::Result scratch = drc::check_flat(layout::flatten(top));
   EXPECT_EQ(cured.drc.violations, scratch.violations);
@@ -223,9 +236,9 @@ TEST(Incremental, NamingOnlyEditInvalidatesExtractNotDrc) {
   // footprint) hands its baseline back verbatim, extraction re-runs and
   // sees the new name.
   EXPECT_TRUE(after.edits.naming_only()) << after.edits.summary();
-  EXPECT_TRUE(after.drc_stats.verdict_reused);
+  EXPECT_EQ(after.drc_stats.path, IncrPath::Verbatim);
   EXPECT_EQ(after.drc.violations, before.drc.violations);
-  EXPECT_FALSE(after.extract_stats.netlist_reused);
+  EXPECT_NE(after.extract_stats.path, IncrPath::Verbatim);
   ASSERT_EQ(after.netlist.node_names.size(), 1u);
   EXPECT_EQ(after.netlist.node_names[0], "beta");
   const extract::Netlist scratch = extract::extract(top);
@@ -242,8 +255,8 @@ TEST(Incremental, EmptyEditSetReusesEverything) {
   const IncrVerdict again = sess.verify(lib, top);
 
   EXPECT_TRUE(again.edits.empty()) << again.edits.summary();
-  EXPECT_TRUE(again.drc_stats.verdict_reused);
-  EXPECT_TRUE(again.extract_stats.netlist_reused);
+  EXPECT_EQ(again.drc_stats.path, IncrPath::Verbatim);
+  EXPECT_EQ(again.extract_stats.path, IncrPath::Verbatim);
   EXPECT_EQ(again.drc_stats.cells_reused, again.drc_stats.cells_total);
   EXPECT_EQ(again.extract_stats.cells_reused,
             again.extract_stats.cells_total);
@@ -276,9 +289,9 @@ TEST(Incremental, ChaosAtIncrSitesFallsBackFlatByteIdentical) {
 
     EXPECT_GE(fired, 1u) << "the armed site was never reached";
     if (std::string(site) == "incr.drc") {
-      EXPECT_TRUE(v.drc_stats.fell_back_flat);
+      EXPECT_EQ(v.drc_stats.path, IncrPath::FlatFallback);
     } else {
-      EXPECT_TRUE(v.extract_stats.fell_back_flat);
+      EXPECT_EQ(v.extract_stats.path, IncrPath::FlatFallback);
     }
     // Degraded, not wrong: the fallback's verdicts are byte-identical to
     // a scratch recompute.
@@ -320,6 +333,402 @@ TEST(Incremental, StoreBaselineWarmsAcrossSessions) {
   // Absent store: a clean cold start, not an error.
   IncrementalSession other;
   EXPECT_FALSE(other.load_store(cache_dir + "/nonexistent"));
+}
+
+// --------------------------------------------------------- footprints --
+
+using geom::Orient;
+using geom::Rect;
+using geom::RectSet;
+using geom::Transform;
+
+/// Snapshot `lib`, apply `edit`, and diff the two snapshots for `top`.
+core::EditSet diff_around(Library& lib, const std::string& top,
+                          const std::function<void()>& edit) {
+  const core::LibrarySnapshot before = core::snapshot(lib, tech::nmos());
+  edit();
+  return core::diff(before, core::snapshot(lib, tech::nmos()), top);
+}
+
+std::uint32_t bit(Layer l) { return 1u << tech::index(l); }
+
+std::string rects_text(const RectSet& s) {
+  std::string out;
+  for (const Rect& r : s.rects()) out += geom::to_string(r) + " ";
+  return out.empty() ? "<empty>" : out;
+}
+
+TEST(Footprint, LeafUnderFourOrientations) {
+  Library lib;
+  Cell& leaf = lib.create("leaf");
+  leaf.add_rect(Layer::Metal, {0, 0, 10, 4});
+  leaf.add_rect(Layer::Poly, {0, 8, 4, 12});
+  Cell& top = lib.create("top");
+  const Transform placements[] = {{Orient::R0, {100, 0}},
+                                  {Orient::R180, {200, 50}},
+                                  {Orient::MX, {300, 0}},
+                                  {Orient::MY, {400, 0}}};
+  for (const Transform& t : placements) top.add_instance(leaf, t);
+
+  const Rect before{0, 0, 10, 4};
+  const Rect after{0, 0, 13, 4};
+  const core::EditSet e = diff_around(lib, "top", [&] {
+    leaf.set_shape(0, {Layer::Metal, after});
+  });
+  RectSet want;
+  for (const Transform& t : placements) {
+    want.add(t.apply(before));
+    want.add(t.apply(after));
+  }
+  ASSERT_TRUE(e.has_footprint);
+  EXPECT_EQ(e.geometry_footprint, want)
+      << "got " << rects_text(e.geometry_footprint) << "\nwant "
+      << rects_text(want);
+  EXPECT_EQ(e.geometry_layers, bit(Layer::Metal));
+  EXPECT_TRUE(e.naming_footprint.empty());
+}
+
+TEST(Footprint, NestedLeafMapsThroughEveryPlacement) {
+  // The PLA driver sits inside the PLA, which sits inside the chip: the
+  // driver's edit lands under every composed placement.
+  Library lib;
+  const Cell& chip =
+      *assemble::assemble_fsm_chip(
+           lib,
+           synth::tabulate(rtl::parse(silc_fixtures::counter_source(3))),
+           {.name = "counter3"})
+           .chip;
+  Cell& drv = *lib.find("counter3_pla_drv");
+  const layout::Shape old = drv.shapes()[0];
+  layout::Shape moved = old;
+  moved.rect = {old.rect.x0 + 2, old.rect.y0, old.rect.x1 + 2, old.rect.y1};
+  const core::EditSet e =
+      diff_around(lib, chip.name(), [&] { drv.set_shape(0, moved); });
+
+  RectSet want;
+  std::size_t placements = 0;
+  const std::function<void(const Cell&, const Transform&)> walk =
+      [&](const Cell& c, const Transform& t) {
+        for (const layout::Instance& i : c.instances()) {
+          const Transform ct = t * i.transform;
+          if (i.cell == &drv) {
+            ++placements;
+            want.add(ct.apply(old.rect));
+            want.add(ct.apply(moved.rect));
+          } else {
+            walk(*i.cell, ct);
+          }
+        }
+      };
+  walk(chip, Transform{});
+  ASSERT_GT(placements, 1u);
+  EXPECT_EQ(e.geometry_footprint, want)
+      << "got " << rects_text(e.geometry_footprint) << "\nwant "
+      << rects_text(want);
+  EXPECT_EQ(e.geometry_layers, bit(old.layer));
+}
+
+TEST(Footprint, AddAndRemoveInstanceCoverTheChildBbox) {
+  Library lib;
+  Cell& leaf = lib.create("leaf");
+  leaf.add_rect(Layer::Metal, {0, 0, 10, 4});
+  leaf.add_rect(Layer::Diff, {0, 6, 6, 10});
+  leaf.add_label("out", Layer::Metal, {20, 2});  // beyond the geometry
+  Cell& top = lib.create("top");
+  top.add_instance(leaf, {Orient::R0, {0, 0}});
+  top.add_instance(leaf, {Orient::R0, {50, 0}});
+
+  const Transform placed{Orient::MX, {30, 70}};
+  const core::EditSet added =
+      diff_around(lib, "top", [&] { top.add_instance(leaf, placed); });
+  EXPECT_EQ(added.geometry_footprint, RectSet(placed.apply(leaf.bbox())));
+  EXPECT_EQ(added.geometry_layers, bit(Layer::Metal) | bit(Layer::Diff));
+  EXPECT_EQ(added.naming_footprint,
+            RectSet(placed.apply(Rect{19, 1, 21, 3})));
+
+  const core::EditSet removed =
+      diff_around(lib, "top", [&] { top.remove_instance(1); });
+  EXPECT_EQ(removed.geometry_footprint,
+            RectSet(Transform{Orient::R0, {50, 0}}.apply(leaf.bbox())));
+}
+
+TEST(Footprint, RemovedInstanceCoversItsGrownChild) {
+  // The child grows after the parent's bbox was cached; removing the
+  // placement must then clear the grown extent too.
+  Library lib;
+  Cell& leaf = lib.create("leaf");
+  leaf.add_rect(Layer::Diff, {0, 0, 10, 4});
+  Cell& top = lib.create("top");
+  top.add_instance(leaf, {Orient::R0, {0, 0}});
+  top.add_instance(leaf, {Orient::R0, {100, 0}});
+  ASSERT_EQ(top.bbox(), (Rect{0, 0, 110, 4}));
+
+  IncrementalSession sess;
+  (void)sess.verify(lib, top);
+  leaf.set_shape(0, {Layer::Diff, {0, 0, 10, 40}});
+  EXPECT_EQ(top.bbox(), (Rect{0, 0, 110, 40}));
+  (void)sess.verify(lib, top);
+  const core::EditSet e =
+      diff_around(lib, "top", [&] { top.remove_instance(1); });
+  EXPECT_EQ(e.geometry_footprint, RectSet(Rect{100, 0, 110, 40}));
+  const IncrVerdict v = sess.verify(lib, top);
+  EXPECT_EQ(v.netlist, extract::extract(top));
+  EXPECT_EQ(v.drc.violations,
+            drc::check_flat(layout::flatten(top)).violations);
+}
+
+TEST(Footprint, TopShapeEditCoversOldAndNewRect) {
+  Library lib;
+  Cell& leaf = lib.create("leaf");
+  leaf.add_rect(Layer::Metal, {0, 0, 10, 4});
+  Cell& top = lib.create("top");
+  top.add_instance(leaf, {Orient::R0, {0, 0}});
+  top.add_rect(Layer::Poly, {40, 40, 60, 44});
+  const core::EditSet e = diff_around(lib, "top", [&] {
+    top.set_shape(0, {Layer::Poly, {45, 40, 65, 44}});
+  });
+  EXPECT_EQ(e.geometry_footprint, RectSet(Rect{40, 40, 65, 44}));
+  EXPECT_EQ(e.geometry_layers, bit(Layer::Poly));
+  EXPECT_TRUE(e.naming_footprint.empty());
+}
+
+TEST(Footprint, RelabelIsNamingOnly) {
+  Library lib;
+  Cell& leaf = lib.create("leaf");
+  leaf.add_rect(Layer::Metal, {0, 0, 10, 4});
+  leaf.add_label("a", Layer::Metal, {5, 2});
+  Cell& top = lib.create("top");
+  top.add_instance(leaf, {Orient::R0, {0, 0}});
+  top.add_instance(leaf, {Orient::R180, {100, 20}});
+
+  IncrementalSession sess;
+  (void)sess.verify(lib, top);
+  const core::EditSet e =
+      diff_around(lib, "top", [&] { leaf.set_label_text(0, "b"); });
+  EXPECT_TRUE(e.geometry_footprint.empty());
+  RectSet want;
+  want.add(Rect{4, 1, 6, 3});
+  want.add(Transform{Orient::R180, {100, 20}}.apply(Rect{4, 1, 6, 3}));
+  EXPECT_EQ(e.naming_footprint, want);
+
+  const IncrVerdict v = sess.verify(lib, top);
+  EXPECT_EQ(v.drc_stats.path, IncrPath::Verbatim);
+  EXPECT_EQ(v.extract_stats.path, IncrPath::Footprint);
+  EXPECT_EQ(v.netlist, extract::extract(top));
+}
+
+TEST(Footprint, UnplacedCellIsEmpty) {
+  Library lib;
+  Cell& leaf = lib.create("leaf");
+  leaf.add_rect(Layer::Metal, {0, 0, 10, 4});
+  Cell& spare = lib.create("spare");
+  spare.add_rect(Layer::Metal, {0, 0, 10, 4});
+  Cell& top = lib.create("top");
+  top.add_instance(leaf, {Orient::R0, {0, 0}});
+
+  IncrementalSession sess;
+  const IncrVerdict first = sess.verify(lib, top);
+  const core::EditSet e = diff_around(lib, "top", [&] {
+    spare.set_shape(0, {Layer::Metal, {0, 0, 3, 3}});
+  });
+  EXPECT_FALSE(e.empty());
+  EXPECT_TRUE(e.has_footprint);
+  EXPECT_TRUE(e.geometry_footprint.empty());
+  EXPECT_TRUE(e.naming_footprint.empty());
+
+  const IncrVerdict v = sess.verify(lib, top);
+  EXPECT_EQ(v.drc_stats.path, IncrPath::Verbatim);
+  EXPECT_EQ(v.extract_stats.path, IncrPath::Verbatim);
+  EXPECT_EQ(v.drc.violations, first.drc.violations);
+  EXPECT_EQ(v.netlist, first.netlist);
+}
+
+TEST(Incremental, TopPortEditRenamesNodes) {
+  Library lib;
+  Cell& top = lib.create("top");
+  top.add_rect(Layer::Metal, {0, 0, 30, 6});
+
+  IncrementalSession sess;
+  const IncrVerdict before = sess.verify(lib, top);
+  ASSERT_EQ(before.netlist.node_names.size(), 1u);
+  EXPECT_EQ(before.netlist.node_names[0], "n0");
+
+  top.add_port("vdd", Layer::Metal, {0, 0, 6, 6});
+  const IncrVerdict after = sess.verify(lib, top);
+  EXPECT_FALSE(after.edits.empty());
+  EXPECT_EQ(after.drc_stats.path, IncrPath::Verbatim);
+  EXPECT_NE(after.extract_stats.path, IncrPath::Verbatim);
+  const extract::Netlist scratch = extract::extract(top);
+  ASSERT_EQ(scratch.node_names.size(), 1u);
+  EXPECT_EQ(scratch.node_names[0], "vdd");
+  EXPECT_EQ(after.netlist, scratch) << netlist_diff(after.netlist, scratch);
+}
+
+TEST(Incremental, DistantNetSplitTripsTheGuard) {
+  // A short stub sits 4 coords above a long wire (nmos metal spacing is
+  // 6), tied to it by a loop whose far leg is 570 coords away. Same net:
+  // the gap is a notch. Deleting the far leg splits the net, so the gap
+  // becomes a spacing violation although no geometry near it moved. Only
+  // the net guard can see that.
+  Library lib;
+  Cell& top = lib.create("top");
+  top.add_rect(Layer::Metal, {0, 0, 600, 6});      // long wire
+  top.add_rect(Layer::Metal, {0, 10, 20, 16});     // stub above its end
+  top.add_rect(Layer::Metal, {0, 16, 6, 100});     // up from the stub
+  top.add_rect(Layer::Metal, {0, 100, 600, 106});  // across
+  top.add_rect(Layer::Metal, {594, 6, 600, 100});  // down to the wire
+
+  IncrementalSession sess;
+  const IncrVerdict tied = sess.verify(lib, top);
+  EXPECT_EQ(tied.drc.count("metal.notch"), 1u) << tied.drc.summary();
+  EXPECT_EQ(tied.drc.count("metal.space"), 0u) << tied.drc.summary();
+
+  top.remove_shape(4);
+  const IncrVerdict split = sess.verify(lib, top);
+  EXPECT_EQ(split.drc_stats.path, IncrPath::Guard);
+  const drc::Result flat = drc::check_flat(layout::flatten(top));
+  EXPECT_EQ(split.drc.violations, flat.violations)
+      << drc_diff(split.drc, flat);
+  EXPECT_EQ(split.drc.count("metal.space"), 1u) << split.drc.summary();
+  EXPECT_EQ(split.netlist, extract::extract(top));
+
+  // A join back through the same leg trips it again.
+  top.add_rect(Layer::Metal, {594, 6, 600, 100});
+  const IncrVerdict joined = sess.verify(lib, top);
+  EXPECT_EQ(joined.drc.violations, tied.drc.violations)
+      << drc_diff(joined.drc, tied.drc);
+}
+
+TEST(Incremental, RegionRectLeavingTheZoneIsRecheckedWhole) {
+  // A thin metal wire runs from inside the edit's zone to far outside it,
+  // where a wider wire abuts its end. The wire's width violation is one
+  // canonical rect of the thin region, whose extent is decided where it
+  // leaves the zone: the re-check must follow it there, not report it cut
+  // short at the soup's edge.
+  Library lib;
+  Cell& leaf = lib.create("leaf");
+  leaf.add_rect(Layer::Metal, {26, 19, 46, 27});
+  leaf.add_rect(Layer::Diff, {0, 0, 4, 4});
+  Cell& top = lib.create("top");
+  top.add_rect(Layer::Metal, {7, 12, 11, 74});
+  top.add_rect(Layer::Metal, {9, 27, 33, 31});
+  top.add_rect(Layer::Metal, {11, 71, 31, 79});
+  top.add_rect(Layer::Metal, {50, 81, 70, 89});
+  top.add_instance(leaf, {Orient::R0, {22, -14}});
+
+  IncrementalSession sess;
+  const IncrVerdict before = sess.verify(lib, top);
+  EXPECT_EQ(before.drc.violations,
+            drc::check_flat(layout::flatten(top)).violations);
+  top.remove_instance(0);
+  const IncrVerdict after = sess.verify(lib, top);
+  EXPECT_EQ(after.drc_stats.path, IncrPath::Footprint);
+  const drc::Result flat = drc::check_flat(layout::flatten(top));
+  EXPECT_EQ(after.drc.violations, flat.violations)
+      << drc_diff(after.drc, flat);
+}
+
+/// Everything an edit can change in one cell, for undo.
+struct CellState {
+  std::vector<layout::Shape> shapes;
+  std::vector<std::string> labels;
+  std::vector<layout::Instance> instances;
+};
+
+std::map<std::string, CellState> save_cells(const Library& lib) {
+  std::map<std::string, CellState> all;
+  for (const Cell* c : lib.cells()) {
+    CellState& s = all[c->name()];
+    s.shapes = c->shapes();
+    for (const layout::TextLabel& l : c->labels()) s.labels.push_back(l.text);
+    s.instances = c->instances();
+  }
+  return all;
+}
+
+void restore_cell(Cell& c, const CellState& s) {
+  while (!c.shapes().empty()) c.remove_shape(c.shapes().size() - 1);
+  for (const layout::Shape& sh : s.shapes) c.add_shape(sh);
+  while (!c.instances().empty()) c.remove_instance(c.instances().size() - 1);
+  for (const layout::Instance& i : s.instances) {
+    c.add_instance(*i.cell, i.transform, i.name);
+  }
+  for (std::size_t i = 0; i < s.labels.size(); ++i) {
+    c.set_label_text(i, s.labels[i]);
+  }
+}
+
+/// Episodes of `edits` random edits then one undo of the whole episode,
+/// every verify checked against the flat engines.
+void run_chain(Library& lib, Cell& top, std::mt19937& rng, int episodes,
+               int edits) {
+  IncrementalSession sess;
+  bool tight = false;
+  const auto cur = [&]() -> const tech::Tech& {
+    return tight ? retech_variant() : tech::nmos();
+  };
+  const auto check = [&](const std::string& what) {
+    SCOPED_TRACE(what);
+    const IncrVerdict v = sess.verify(lib, top);
+    const layout::Flattened flat = layout::flatten_with_labels(top);
+    const drc::Result fd = drc::check_flat(flat.shapes, cur());
+    EXPECT_EQ(v.drc.violations, fd.violations)
+        << "drc path " << core::to_string(v.drc_stats.path) << "\n"
+        << drc_diff(v.drc, fd);
+    const extract::Netlist fx = extract::extract_flat(flat, cur());
+    EXPECT_EQ(v.netlist, fx)
+        << "extract path " << core::to_string(v.extract_stats.path) << "\n"
+        << netlist_diff(v.netlist, fx);
+  };
+  check("cold");
+  for (int ep = 0; ep < episodes; ++ep) {
+    std::vector<std::pair<std::string, CellState>> undo;
+    for (int e = 0; e < edits; ++e) {
+      const std::map<std::string, CellState> before = save_cells(lib);
+      const EditLog log = random_edit(lib, top, rng);
+      if (log.kind == EditKind::Retech) {
+        tight = !tight;
+        sess.set_tech(cur());
+      } else {
+        undo.emplace_back(log.cell, before.at(log.cell));
+      }
+      check("episode " + std::to_string(ep) + " edit " + std::to_string(e) +
+            ": " + log.detail);
+    }
+    while (!undo.empty()) {
+      restore_cell(*lib.find(undo.back().first), undo.back().second);
+      undo.pop_back();
+    }
+    check("episode " + std::to_string(ep) + " undo");
+  }
+}
+
+TEST(Incremental, LongEditChainsMatchFlat) {
+  silc_fixtures::fuzz_seeds(
+      "test_incremental", "Incremental.LongEditChainsMatchFlat", 0, 40,
+      [](unsigned seed) {
+        std::mt19937 rng(seed * 2246822519u + 7u);
+        Library lib;
+        small_hierarchy(lib, seed);
+        run_chain(lib, *lib.find("top"), rng, 4, 3);
+      });
+}
+
+TEST(Incremental, LongEditChainsOnAChipMatchFlat) {
+  // An assembled chip: pads, a PLA with nested drivers, shift cells.
+  silc_fixtures::fuzz_seeds(
+      "test_incremental", "Incremental.LongEditChainsOnAChipMatchFlat", 0, 3,
+      [](unsigned seed) {
+        std::mt19937 rng(seed * 3266489917u + 11u);
+        Library lib;
+        Cell& chip = *assemble::assemble_fsm_chip(
+                          lib,
+                          synth::tabulate(rtl::parse(
+                              silc_fixtures::counter_source(3))),
+                          {.name = "counter3"})
+                          .chip;
+        run_chain(lib, chip, rng, 6, 3);
+      });
 }
 
 // -------------------------------------------------- CompiledSim::update --
