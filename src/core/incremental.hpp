@@ -36,9 +36,11 @@
 //   verbatim   nothing the stage reads changed;
 //   top hit    the per-cell cache already holds the whole edited top (an
 //              undo back to a state a full run proved);
-//   footprint  re-verify only the footprint (dilated by the stage's halo)
-//              against the live layout and splice the result into the
-//              baseline — no cell below the top is re-proved;
+//   footprint  re-verify only the footprint (DRC dilates it by the seam
+//              halo; extraction's stitch fixpoint grows it by the
+//              components within its halo) against the live layout and
+//              splice the result into the baseline — no cell below the
+//              top is re-proved;
 //   full       the hierarchical engine over the warm per-cell caches (a
 //              cold verify, a tech change, a switched top, or a tripped
 //              stage guard);

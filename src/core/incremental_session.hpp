@@ -62,7 +62,10 @@ class IncrementalSession {
   /// Diff `lib` against the last snapshot, re-verify `top` incrementally,
   /// and adopt the result as the next baseline. Changing `top` (by name)
   /// drops the result baseline but keeps the warm caches, so even that
-  /// "cold" verify reuses every cell the two tops share.
+  /// "cold" verify reuses every cell the two tops share. All or nothing:
+  /// a verify that throws (core::Cancelled) adopts neither the snapshot
+  /// nor either baseline, so the next verify diffs against the last one
+  /// that returned.
   IncrVerdict verify(const layout::Library& lib, const layout::Cell& top);
 
   /// Warm the per-cell caches from `cache_dir`/silc.store (see

@@ -312,12 +312,13 @@ struct Baseline {
 ///   * verbatim — both footprints empty and no rule change;
 ///   * top hit — `cache` already holds the edited top's partial netlist;
 ///   * footprint — the baseline top partial netlist is the one stitch
-///     contributor and both footprints, inflated by the stitch halo, are
-///     the base windows: inside the grown windows connectivity is
-///     re-solved on the live layout and labels are read from it; outside,
-///     the baseline is carried as fragments and nets re-merge through the
-///     stitch union-find. No cell below the top is re-extracted, and the
-///     result is not stored in `cache`;
+///     contributor and both footprints are the base windows (the stitch
+///     fixpoint grows them by whatever lies within its halo): inside the
+///     grown windows connectivity is re-solved on the live layout and
+///     labels are read from it; outside, the baseline is carried as
+///     fragments and nets re-merge through the stitch union-find. No
+///     cell below the top is re-extracted, and the result is not stored
+///     in `cache`;
 ///   * full — extract_hier against the warm per-cell `cache`.
 ///
 /// `baseline` is updated in place. Byte-identity with a cold

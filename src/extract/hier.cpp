@@ -563,14 +563,17 @@ class HierExtractor {
  public:
   /// The footprint path: `base` is the top's partial netlist before the
   /// edit, `c` the live top. It is the one contributor (identity
-  /// transform, no prefix), and the edit's footprints, inflated by the
-  /// halo, are the base windows.
+  /// transform, no prefix), and the edit's footprints are the base
+  /// windows as they are. They need no halo: every footprint rect has an
+  /// interior (label points are 2x2 squares), the fixpoint pulls in each
+  /// channel, contact and buried group within `h_` of the windows, and a
+  /// wire crossing a window edge is cut there into fragments that re-join
+  /// the window's pieces along the cut.
   CellNet restitch(const Cell& c, const CellNet& base,
                    const RectSet& geometry, const RectSet& naming) {
     SILC_OBS_SPAN("extract.footprint", "extract");
     return stitch_windows(c, {{&base, Transform{}, ""}},
-                          geometry.dilated(h_).unite(naming.dilated(h_)),
-                          /*relabel=*/true);
+                          geometry.unite(naming), /*relabel=*/true);
   }
 
  private:

@@ -492,26 +492,19 @@ std::vector<int> label_components(const std::vector<Rect>& rects) {
   std::sort(order.begin(), order.end(), [&](int a, int b) {
     return std::tie(at(a).x0, at(a).y0) < std::tie(at(b).x0, at(b).y0);
   });
-  // The pair scan compares every pair whose x-extents overlap or abut.
-  // While there are few such pairs it is the fastest exact method; under
-  // wide rails they grow quadratic, so past a linear budget of compares
-  // the sweep takes over (the unions found so far stay valid).
+  // Decompositions are disjoint and take the sweep. Anything else falls
+  // back to the pair scan over every pair whose x-extents overlap or abut
+  // (the unions the sweep found before giving up stay valid).
   Components cc(n);
-  const auto pair_scan = [&](std::size_t budget) {
-    std::size_t compares = 0;
+  if (!sweep_disjoint(rects, order, cc)) {
     for (std::size_t i = 0; i < n; ++i) {
       const Rect& ri = at(order[i]);
       for (std::size_t j = i + 1; j < n; ++j) {
         const Rect& rj = at(order[j]);
         if (rj.x0 > ri.x1) break;
-        if (++compares > budget) return false;
         if (ri.edge_connected(rj)) cc.unite(order[i], order[j]);
       }
     }
-    return true;
-  };
-  if (!pair_scan(64 * n) && !sweep_disjoint(rects, order, cc)) {
-    pair_scan(static_cast<std::size_t>(-1));  // overlapping input
   }
 
   // Dense labels in order of first appearance.

@@ -15,7 +15,8 @@
 // The footprint tests pin core::diff's chip-coordinate footprint for each
 // edit kind and the paths IncrementalSession serves each stage by: the
 // long edit/undo chains, the distant net split that must trip the DRC
-// net guard, and the top-port edit that must rename nodes.
+// net guard, the top-port edit that must rename nodes, and a verify
+// cancelled mid-extraction that must leave the session unchanged.
 //
 // Every randomized test follows the fixtures/fuzz_env.hpp convention:
 // SILC_FUZZ_TRIALS scales the sweep, SILC_FUZZ_SEED reruns one seed, and
@@ -24,15 +25,17 @@
 
 #include <unistd.h>
 
+#include <chrono>
 #include <filesystem>
 #include <functional>
 #include <map>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "assemble/assemble.hpp"
-
+#include "core/cancel.hpp"
 #include "core/incremental.hpp"
 #include "core/incremental_session.hpp"
 #include "design_sources.hpp"
@@ -300,6 +303,61 @@ TEST(Incremental, ChaosAtIncrSitesFallsBackFlatByteIdentical) {
     const extract::Netlist xflat = extract::extract(top);
     EXPECT_EQ(v.netlist, xflat) << netlist_diff(v.netlist, xflat);
   }
+}
+
+TEST(Incremental, CancelledVerifyAdoptsNothing) {
+  if (!fault::kEnabled) GTEST_SKIP() << "built with SILC_FAULT=OFF";
+  const DisarmOnExit disarm;
+  // nmos metal space is 6 coords. The edit moves a rect to a 4-coord gap,
+  // so the edited layout's DRC verdict differs from the baseline's.
+  Library lib;
+  Cell& top = lib.create("top");
+  top.add_rect(Layer::Metal, {0, 0, 20, 6});
+  top.add_rect(Layer::Metal, {0, 40, 20, 46});
+  top.add_label("a", Layer::Metal, {10, 3});
+
+  IncrementalSession sess;
+  const IncrVerdict clean = sess.verify(lib, top);
+  ASSERT_TRUE(clean.drc.ok()) << clean.drc.summary();
+
+  // Cancel the verify of the edit once DRC has finished: extraction's
+  // entry stalls until the token fires, then its window loop throws.
+  top.set_shape(1, {Layer::Metal, {0, 10, 20, 16}});
+  fault::Schedule s;
+  s.triggers.push_back(
+      {"incr.extract", fault::Kind::Delay, 0, false, 10000, ""});
+  fault::Injector::global().arm(s);
+  core::CancelToken token;
+  std::thread killer([&token] {
+    while (fault::Injector::global().fired() == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    token.cancel();
+  });
+  {
+    const core::CancelScope scope(&token);
+    EXPECT_THROW((void)sess.verify(lib, top), core::Cancelled);
+  }
+  killer.join();
+  fault::Injector::global().disarm();
+
+  // Undo: the session must still describe the clean layout, so this is
+  // the clean verdict, not the cancelled edit's.
+  top.set_shape(1, {Layer::Metal, {0, 40, 20, 46}});
+  const IncrVerdict undone = sess.verify(lib, top);
+  const drc::Result flat = drc::check_flat(layout::flatten(top));
+  EXPECT_EQ(undone.drc.violations, flat.violations)
+      << drc_diff(undone.drc, flat);
+  EXPECT_EQ(undone.netlist, extract::extract(top));
+
+  // Redo: diffed against the clean baseline, the edit re-checks.
+  top.set_shape(1, {Layer::Metal, {0, 10, 20, 16}});
+  const IncrVerdict redone = sess.verify(lib, top);
+  const drc::Result flat2 = drc::check_flat(layout::flatten(top));
+  EXPECT_FALSE(redone.drc.ok());
+  EXPECT_EQ(redone.drc.violations, flat2.violations)
+      << drc_diff(redone.drc, flat2);
+  EXPECT_EQ(redone.netlist, extract::extract(top));
 }
 
 TEST(Incremental, StoreBaselineWarmsAcrossSessions) {
