@@ -7,16 +7,18 @@
 // Since the stage-pipeline refactor this bench also records the compile
 // pipeline's own performance: per-stage wall clock (aggregated by
 // core::compile_many over a mixed batch) and batch throughput in
-// designs/sec at 1 thread and at hardware concurrency, emitted as
+// designs/sec at 1 thread and at hardware concurrency (both legs
+// untraced, min over the same samples of the same laps), emitted as
 // BENCH_compile.json so CI tracks the compile-path trajectory the same
 // way BENCH_sim.json tracks the simulator.
 //
 // Since the observability layer (src/obs/) this bench is also its
 // enforcement point:
-//   * the serial batch is timed untraced and traced (min-of-3 each) and
-//     the tracing overhead must stay under --obs-overhead-limit percent
-//     (default 2%) on the full 24-job batch — the "<2% when enabled"
-//     contract is verified by the bench itself, not asserted;
+//   * the serial batch is timed untraced and traced (min of 3 smoke or 6
+//     full samples each) and the tracing overhead must stay under
+//     --obs-overhead-limit percent (default 2%) on the full 24-job batch
+//     — the "<2% when enabled" contract is verified by the bench itself,
+//     not asserted;
 //   * --budgets=FILE checks the measured smoke per-stage ms_per_run
 //     against the checked-in latency-budget table (scripts/
 //     latency_budgets.txt) and exits non-zero on any breach;
@@ -24,9 +26,9 @@
 //     --budgets without re-running anything (the ci.sh self-test uses
 //     this to prove the gate actually fails);
 //   * --trace=FILE exports the traced runs as Chrome trace-event JSON.
-// Every run also times the pla-check stage's symbolic proof against the
-// interpreted replay oracle on the same designs, so the symbolic speedup
-// stays measured against the engine it replaced.
+// Every run also times the pla-check stage's exhaustive check against the
+// interpreted replay oracle on the same designs, so its speedup stays
+// measured against the engine it replaced.
 //
 // Since the persistent store (src/store/, PR 9) the bench also measures
 // the warm-compile path: --cache-dir=DIR runs the same batch against an
@@ -208,10 +210,9 @@ std::vector<std::pair<std::string, double>> profile_ms(
 /// each, interleaved in alternating order (U-T, T-U, U-T, ...) so slow
 /// machine drift biases neither side, min-of-N against scheduler noise.
 /// Each sample times `laps` back-to-back batches and reports the per-batch
-/// mean: the symbolic pla-check engine shrank the 24-job batch to ~100 ms,
-/// where a 2% overhead (~2 ms) sits inside one scheduler tick — stretching
-/// the measured work keeps the contract resolvable instead of gating on
-/// jitter. The first untraced batch's BatchResult is kept for the profile
+/// mean: the 24-job batch takes only ~100 ms, where a 2% overhead (~2 ms)
+/// sits inside one scheduler tick — stretching the measured work keeps
+/// the contract resolvable instead of gating on jitter. The first untraced batch's BatchResult is kept for the profile
 /// — results are deterministic, so any rep would do. The traced minimum
 /// stays 0 when the obs layer is compiled out.
 struct SerialWalls {
@@ -219,17 +220,24 @@ struct SerialWalls {
   double traced_ms = 0;
 };
 
+/// Mean wall clock of `laps` back-to-back untraced batches at `threads`;
+/// the first batch's result goes to `keep` when it is non-null.
+double mean_batch_ms(const std::vector<silc::core::BatchJob>& jobs,
+                     int threads, int laps, silc::core::BatchResult* keep) {
+  double ms = 0;
+  for (int l = 0; l < laps; ++l) {
+    silc::core::BatchResult br = silc::core::compile_many(jobs, threads);
+    ms += br.wall_ms;
+    if (l == 0 && keep != nullptr) *keep = std::move(br);
+  }
+  return ms / laps;
+}
+
 SerialWalls serial_walls(const std::vector<silc::core::BatchJob>& jobs,
                          int reps, int laps, silc::core::BatchResult* keep) {
   SerialWalls w;
   const auto untraced = [&](int r) {
-    double ms = 0;
-    for (int l = 0; l < laps; ++l) {
-      silc::core::BatchResult br = silc::core::compile_many(jobs, 1);
-      ms += br.wall_ms;
-      if (r == 0 && l == 0 && keep != nullptr) *keep = std::move(br);
-    }
-    ms /= laps;
+    const double ms = mean_batch_ms(jobs, 1, laps, r == 0 ? keep : nullptr);
     w.untraced_ms = r == 0 ? ms : std::min(w.untraced_ms, ms);
   };
   const auto traced = [&](int r) {
@@ -417,8 +425,8 @@ struct PlaModeMs {
   double ms_per_run;
 };
 
-/// pla-check cost per engine, so the JSON keeps the symbolic win visible
-/// against the replay oracle it replaced. Symbolic is the pipeline stage
+/// pla-check cost per engine, so the JSON keeps the exhaustive engine's
+/// win visible against the replay oracle. Exhaustive is the pipeline stage
 /// itself, read from the serial batch's profile; the pipeline never runs
 /// replay, so it is timed directly on each behavioral design's programmed
 /// personality, at the 64 cycles x every lane the suite once verified
@@ -446,7 +454,7 @@ std::vector<PlaModeMs> measure_pla_modes(const silc::core::BatchResult& serial,
                      .count();
     ++runs;
   }
-  return {{silc::sim::to_string(PlaCheckMode::Symbolic),
+  return {{silc::sim::to_string(PlaCheckMode::Exhaustive),
            pla_stage_ms_per_run(serial)},
           {silc::sim::to_string(PlaCheckMode::Replay),
            runs > 0 ? replay_ms / runs : 0.0}};
@@ -559,10 +567,9 @@ int run_suite(const std::string& json_path, bool smoke,
   const int reps = smoke ? 2 : 6;
   // Full runs gate the tracing-overhead contract, so they sample harder:
   // each wall sample covers 4 consecutive batches (~400 ms of work) and
-  // the min is taken over 6 samples per leg. The symbolic pla-check
-  // engine shrank the 24-job batch to ~100 ms, where 2% (~2 ms) sits
-  // inside one scheduler tick — a min-of-3 of single batches reads pure
-  // jitter as a contract breach.
+  // the min is taken over 6 samples per leg. The 24-job batch takes
+  // only ~100 ms, where 2% (~2 ms) sits inside one scheduler tick — a
+  // min-of-3 of single batches reads pure jitter as a contract breach.
   const int walls = smoke ? 3 : 6;
   const int laps = smoke ? 1 : 4;
   const std::vector<silc::core::BatchJob> designs = one_rep();
@@ -577,9 +584,16 @@ int run_suite(const std::string& json_path, bool smoke,
   const double untraced_ms = wallclocks.untraced_ms;
   const double traced_ms = wallclocks.traced_ms;
 
-  // The parallel batch runs traced too, so the exported timeline shows
-  // the crew (each enable() restarts the trace: the export holds exactly
-  // this batch).
+  // The N-thread leg is timed like the serial one: untraced, the min over
+  // the same samples of the mean over the same laps.
+  double parallel_ms = 0;
+  for (int r = 0; r < walls; ++r) {
+    const double ms = mean_batch_ms(jobs, many, laps, nullptr);
+    parallel_ms = r == 0 ? ms : std::min(parallel_ms, ms);
+  }
+  // One more parallel batch runs traced, only for the exported timeline
+  // of the crew and the identity check (each enable() restarts the trace:
+  // the export holds exactly this batch).
   std::uint64_t trace_events = 0;
   std::uint64_t trace_dropped = 0;
   if (silc::obs::kEnabled) silc::obs::Tracer::global().enable(1u << 16);
@@ -667,7 +681,7 @@ int run_suite(const std::string& json_path, bool smoke,
   const double serial_dps = 1000.0 * static_cast<double>(jobs.size()) /
                             untraced_ms;
   const double parallel_dps = 1000.0 * static_cast<double>(jobs.size()) /
-                              parallel.wall_ms;
+                              parallel_ms;
   std::printf("batch: %7.2f designs/sec at 1 thread, %7.2f at %d threads "
               "(results %s)\n",
               serial_dps, parallel_dps, parallel.threads,
@@ -726,7 +740,7 @@ int run_suite(const std::string& json_path, bool smoke,
   std::fprintf(f,
                "    {\"threads\": %d, \"wall_ms\": %.1f, "
                "\"designs_per_sec\": %.2f}\n",
-               parallel.threads, parallel.wall_ms, parallel_dps);
+               parallel.threads, parallel_ms, parallel_dps);
   std::fprintf(f, "  ],\n");
   std::fprintf(f, "  \"obs\": {\"enabled\": %s, \"untraced_wall_ms\": %.1f, "
                "\"traced_wall_ms\": %.1f, \"trace_overhead_pct\": %.2f, "

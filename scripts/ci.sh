@@ -32,9 +32,10 @@
 #   * setting SILC_FUZZ_TRIALS adds a nightly-depth long-fuzz leg that
 #     re-runs the randomized differential harnesses at that trial count,
 #     including the incremental edit/undo chains and footprint cases,
-#     the minimizer, RectSet scanline and label_components oracles and the
-#     gate-check proof's table-tamper and RTL-mutant sweeps (failures
-#     print their seed and a one-line repro command);
+#     the minimizer, RectSet scanline and label_components oracles, the
+#     gate-check proof's table-tamper and RTL-mutant sweeps, the pla-check
+#     personality-tamper sweep and the cofactor equivalence oracle's fuzz
+#     (failures print their seed and a one-line repro command);
 #   * a chaos smoke rerun pins one extra seeded fault schedule
 #     (SILC_CHAOS_SEED) beyond the 50 rounds baked into test_fault;
 #   * the library and every tier-1 test must also build and pass with the
@@ -244,6 +245,8 @@ if [ -n "${SILC_FUZZ_TRIALS:-}" ]; then
   "$BUILD_DIR/test_logic_oracle"
   "$BUILD_DIR/test_geom_oracle"
   "$BUILD_DIR/test_gate_proof"
+  "$BUILD_DIR/test_pla_check"
+  "$BUILD_DIR/test_logic" --gtest_filter='Equiv.*'
   echo "long-fuzz leg (SILC_FUZZ_TRIALS=$SILC_FUZZ_TRIALS): ok"
 fi
 

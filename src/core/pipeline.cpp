@@ -99,28 +99,21 @@ const layout::Flattened& DesignDB::flattened() {
 
 const extract::Netlist& DesignDB::netlist() {
   if (!netlist_) {
-    switch (options.extract_mode) {
-      case extract::Mode::Flat:
-        netlist_ = extract::extract_flat(flattened());
-        break;
-      case extract::Mode::Hier:
-        // No shared flatten: the hierarchical extractor works cell by cell
-        // (cached across the run — and the batch — via extract_cache).
-        // Any failure inside the hier path degrades to the flat engine —
-        // byte-identical canonical netlist (the extract contract), slower,
-        // alive. Cancellation is not a failure and must propagate.
-        try {
-          netlist_ = extract::extract_hier(*chip, tech::nmos(),
-                                           options.extract_cache);
-        } catch (const Cancelled&) {
-          throw;
-        } catch (const std::exception& e) {
-          diags.warning("extract",
-                        std::string("hierarchical extraction failed (") +
-                            e.what() + "); falling back to flat extraction");
-          netlist_ = extract::extract_flat(flattened());
-        }
-        break;
+    // No shared flatten: the hierarchical extractor works cell by cell
+    // (cached across the run — and the batch — via extract_cache). Any
+    // failure inside the hier path degrades to the flat engine —
+    // byte-identical canonical netlist (the extract contract), slower,
+    // alive. Cancellation is not a failure and must propagate.
+    try {
+      netlist_ =
+          extract::extract_hier(*chip, tech::nmos(), options.extract_cache);
+    } catch (const Cancelled&) {
+      throw;
+    } catch (const std::exception& e) {
+      diags.warning("extract",
+                    std::string("hierarchical extraction failed (") +
+                        e.what() + "); falling back to flat extraction");
+      netlist_ = extract::extract_flat(flattened());
     }
     ++extract_runs;
   }
@@ -275,25 +268,18 @@ bool stage_cif(DesignDB& db) {
 
 bool stage_drc(DesignDB& db) {
   if (!require(db, "drc", db.chip != nullptr, "assembled chip")) return false;
-  switch (db.options.drc_mode) {
-    case drc::Mode::Flat:
-      db.drc = drc::check_flat(db.flattened().shapes);
-      break;
-    case drc::Mode::Hier:
-      // Any failure inside the hier path (a poisoned decomposition, an
-      // injected fault) degrades to the flat engine — byte-identical
-      // violation set (the DRC mode contract), slower, alive. Cancellation
-      // is not a failure and must propagate to the stage boundary.
-      try {
-        db.drc = drc::check_hier(*db.chip, tech::nmos(), db.options.drc_cache);
-      } catch (const Cancelled&) {
-        throw;
-      } catch (const std::exception& e) {
-        db.diags.warning("drc", std::string("hierarchical DRC failed (") +
-                                    e.what() + "); falling back to flat");
-        db.drc = drc::check_flat(db.flattened().shapes);
-      }
-      break;
+  // Any failure inside the hier path (a poisoned decomposition, an
+  // injected fault) degrades to the flat engine — byte-identical violation
+  // set (the DRC engine contract), slower, alive. Cancellation is not a
+  // failure and must propagate to the stage boundary.
+  try {
+    db.drc = drc::check_hier(*db.chip, tech::nmos(), db.options.drc_cache);
+  } catch (const Cancelled&) {
+    throw;
+  } catch (const std::exception& e) {
+    db.diags.warning("drc", std::string("hierarchical DRC failed (") +
+                                e.what() + "); falling back to flat");
+    db.drc = drc::check_flat(db.flattened().shapes);
   }
   const auto& violations = db.drc->violations;
   const std::size_t show = std::min(violations.size(), drc::Result::kMaxReported);
@@ -307,7 +293,7 @@ bool stage_drc(DesignDB& db) {
   }
   if (violations.empty()) {
     // flat_shape_count() == flattened().shapes.size(), without forcing the
-    // flatten a hier-mode compile otherwise never pays.
+    // flatten only a hier failure pays.
     db.diags.note("drc", "clean over " +
                              std::to_string(db.chip->flat_shape_count()) +
                              " rects");
@@ -394,9 +380,9 @@ Pipeline make_behavioral() {
     }
     // Check the personality actually programmed into the NOR-NOR planes
     // against the tabulated spec, pre-artwork — the same discipline the
-    // gate path gets, for the tabulate->PLA lowering — with the symbolic
-    // cube-containment proof. A prover that throws comes back as an
-    // error report and fails the stage like a mismatch verdict.
+    // gate path gets, for the tabulate->PLA lowering — on every minterm of
+    // the table. A prover that throws comes back as an error report and
+    // fails the stage like a mismatch verdict.
     db.pla_check = sim::check_pla(*db.design, *db.fsm,
                                   db.assembled->personality,
                                   CompileOptions::pla_verify_cycles,

@@ -8,10 +8,13 @@
 //     programmed personality, CIF text, drc::Result, extract::Netlist,
 //     verification reports) lives here exactly once, with
 //     compute-once/lookup-later accessors for the expensive shared
-//     artifacts: the chip is flattened once for both DRC and extraction,
-//     and extracted once for both the transistor count and the artwork
-//     check. The DB also carries the structured diagnostics stream and
-//     the per-stage wall-clock timings.
+//     artifacts: the chip is extracted once for both the transistor count
+//     and the artwork check. DRC and extraction run hierarchically, cell
+//     by cell; only when a hier engine fails does the stage fall back to
+//     the flat one, and both fallbacks share one flatten of the chip.
+//     Callers that want the flat engines call drc::check_flat and
+//     extract::extract_flat directly. The DB also carries the structured
+//     diagnostics stream and the per-stage wall-clock timings.
 //
 //   * Pipeline — an ordered list of named Stages over a DesignDB. The
 //     standard flows are Pipeline::behavioral() (parse -> tabulate ->
@@ -133,38 +136,25 @@ struct CompileOptions {
   /// stage; constants, not options, so no caller can set them.
   static constexpr int gate_verify_cycles = 512;
   static constexpr int gate_verify_lanes = 16;
-  /// The pla-check stage's engine, fixed: the symbolic proof (see
+  /// The pla-check stage's engine, fixed: the exhaustive check (see
   /// sim::PlaCheckMode) decides the programmed personality against the
-  /// tabulated FSM over the whole care space by cube containment. If the
-  /// prover throws, the stage fails with a structured error diag. The
-  /// cycle count sizes only the sampling oracle, which the stage never
-  /// runs; both are constants, not options, so no caller can set them.
+  /// tabulated FSM on every minterm. If it throws, the stage fails with a
+  /// structured error diag. The cycle count sizes only the sampling
+  /// oracle, which the stage never runs; both are constants, not options,
+  /// so no caller can set them.
   static constexpr sim::PlaCheckMode pla_check_mode =
-      sim::PlaCheckMode::Symbolic;
+      sim::PlaCheckMode::Exhaustive;
   static constexpr int pla_verify_cycles = 256;
   /// Threads for the compiled-simulator checks (0 = auto). compile_many
   /// pins this to 1 so design-level parallelism is never oversubscribed
   /// by per-design sim pools.
   int sim_threads = 0;
-  /// DRC engine mode for the drc stage. Hier (the default) proves each
-  /// unique cell once against the rule table and re-checks only
-  /// interaction windows; Flat is the exhaustive baseline. Both modes
-  /// produce identical violation sets (see drc/drc.hpp).
-  drc::Mode drc_mode = drc::Mode::Hier;
   /// Per-cell DRC verdict cache (non-owning, thread-safe). compile_many
   /// points every job of a batch at one shared cache so designs stop
   /// re-proving the standard cells they have in common; null makes the
   /// drc stage use a cache local to the run, which still collapses
   /// repeated cells within the chip.
   drc::VerdictCache* drc_cache = nullptr;
-  /// Extraction mode for the extract stage (and every later consumer of
-  /// DesignDB::netlist()). Hier (the default) extracts each unique cell
-  /// once into a cached partial netlist and re-solves connectivity only in
-  /// interaction windows; Flat is the exhaustive baseline. Both produce
-  /// byte-identical canonical netlists (see extract/extract.hpp), and with
-  /// Hier a full compile never pays the shared chip flatten unless DRC
-  /// runs in Flat mode.
-  extract::Mode extract_mode = extract::Mode::Hier;
   /// Per-cell netlist cache for hierarchical extraction (non-owning,
   /// thread-safe) — the extract-stage mirror of drc_cache: compile_many
   /// shares one across the batch; null gives the run a local cache that
@@ -252,11 +242,14 @@ struct DesignDB {
   int flatten_runs = 0;
   int extract_runs = 0;
 
-  /// Flattened geometry + labels of `chip`, computed on first use (DRC and
-  /// extraction share one flatten). Requires chip != nullptr.
+  /// Flattened geometry + labels of `chip`, computed on first use (the DRC
+  /// and extraction flat fallbacks share one flatten). Requires
+  /// chip != nullptr.
   [[nodiscard]] const layout::Flattened& flattened();
   /// Extracted transistor netlist of `chip`, computed on first use (the
-  /// transistor count and the artwork check share one extraction).
+  /// transistor count and the artwork check share one extraction):
+  /// extract::extract_hier, falling back to extract_flat on a hier
+  /// failure.
   [[nodiscard]] const extract::Netlist& netlist();
   [[nodiscard]] bool has_netlist() const { return netlist_.has_value(); }
 

@@ -123,8 +123,9 @@ std::uint64_t ResultCache::fingerprint(Flow flow, const std::string& source,
   // whose gate-check sampled (it mixed its cycle and lane counts here)
   // can never be replayed as this build's proof.
   f.mix_str("gate-check:exhaustive-proof");
-  f.mix(static_cast<std::uint64_t>(options.drc_mode));
-  f.mix(static_cast<std::uint64_t>(options.extract_mode));
+  // Likewise the pla-check engine: a result whose pla-check was the
+  // cofactor prover's "symbolic proof" is never replayed as this one's.
+  f.mix_str("pla-check:exhaustive");
   return f.h;
 }
 

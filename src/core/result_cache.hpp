@@ -37,11 +37,11 @@ namespace silc::core {
 class ResultCache {
  public:
   /// Content fingerprint of a compile: flow, source text, every
-  /// output-affecting option (name, stage policy, verify depths, check
-  /// modes), the technology's drc/extract signatures, and the store
-  /// schema version. Thread counts, caches, deadlines, and cache_dir are
-  /// excluded — they must not change the answer (the determinism
-  /// contract), so they must not change the key.
+  /// output-affecting option (name, stage policy, verify depth), tags of
+  /// the gate-check and pla-check engines, the technology's drc/extract
+  /// signatures, and the store schema version. Thread counts, caches,
+  /// deadlines, and cache_dir are excluded — they must not change the
+  /// answer (the determinism contract), so they must not change the key.
   [[nodiscard]] static std::uint64_t fingerprint(Flow flow,
                                                  const std::string& source,
                                                  const CompileOptions& options,

@@ -251,14 +251,6 @@ void VerdictCache::load_from(const store::Store& s) {
 
 // ------------------------------------------------------------ entry points --
 
-const char* to_string(Mode m) {
-  switch (m) {
-    case Mode::Flat: return "flat";
-    case Mode::Hier: return "hier";
-  }
-  return "?";
-}
-
 Result check_flat(const std::vector<Shape>& shapes, const Tech& technology) {
   const RuleEngine engine(technology);
   LayerTable table(shapes, technology);

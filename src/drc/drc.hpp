@@ -209,11 +209,7 @@ class VerdictCache {
   mutable std::uint64_t poisoned_ = 0;
 };
 
-enum class Mode : std::uint8_t { Flat, Hier };
-
-[[nodiscard]] const char* to_string(Mode m);
-
-/// Check a cell, flattened internally (Mode::Flat).
+/// Check a cell, flattened internally (the exhaustive baseline).
 [[nodiscard]] Result check(const layout::Cell& top,
                            const tech::Tech& technology = tech::nmos());
 

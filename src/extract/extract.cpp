@@ -171,8 +171,6 @@ std::string to_text(const Netlist& nl) {
   return out;
 }
 
-const char* to_string(Mode m) { return m == Mode::Flat ? "flat" : "hier"; }
-
 Netlist extract(const layout::Cell& top, const tech::Tech& technology) {
   return extract_flat(layout::flatten_with_labels(top), technology);
 }

@@ -252,10 +252,6 @@ class NetlistCache {
   mutable std::uint64_t poisoned_ = 0;
 };
 
-enum class Mode : std::uint8_t { Flat, Hier };
-
-[[nodiscard]] const char* to_string(Mode m);
-
 /// Extract a cell, flattened internally (the exhaustive baseline).
 [[nodiscard]] Netlist extract(const layout::Cell& top,
                               const tech::Tech& technology = tech::nmos());

@@ -53,10 +53,6 @@ TruthTable TruthTable::from_cover(int num_inputs, const std::vector<Cube>& cover
   return t;
 }
 
-Tri TruthTable::get(std::uint32_t row) const {
-  return static_cast<Tri>(rows_[row]);
-}
-
 void TruthTable::set(std::uint32_t row, Tri v) {
   rows_[row] = static_cast<std::uint8_t>(v);
 }
@@ -388,13 +384,6 @@ std::vector<Cube> minimize(const TruthTable& f) {
 }
 
 // ----------------------------------------------------------- multi-output --
-
-bool PlaTerms::evaluate(int output, std::uint32_t minterm) const {
-  for (const int t : output_terms[static_cast<std::size_t>(output)]) {
-    if (terms[static_cast<std::size_t>(t)].covers(minterm)) return true;
-  }
-  return false;
-}
 
 PlaTerms minimize_multi(const MultiFunction& f, bool use_heuristic) {
   PlaTerms out;

@@ -80,7 +80,9 @@ class TruthTable {
 
   [[nodiscard]] int num_inputs() const { return n_; }
   [[nodiscard]] std::uint32_t size() const { return 1u << n_; }
-  [[nodiscard]] Tri get(std::uint32_t row) const;
+  [[nodiscard]] Tri get(std::uint32_t row) const {
+    return static_cast<Tri>(rows_[row]);
+  }
   void set(std::uint32_t row, Tri v);
 
   [[nodiscard]] std::vector<std::uint32_t> on_set() const;
@@ -131,7 +133,17 @@ struct PlaTerms {
   std::vector<std::vector<int>> output_terms;  // [output] -> term indices
 
   [[nodiscard]] std::size_t term_count() const { return terms.size(); }
-  [[nodiscard]] bool evaluate(int output, std::uint32_t minterm) const;
+  /// True when some term selected by `output` covers `minterm`. No early
+  /// exit: which term covers is data-dependent, and a mispredicted branch
+  /// per term costs more than the few compares left (pla-check calls this
+  /// for every minterm of every output).
+  [[nodiscard]] bool evaluate(int output, std::uint32_t minterm) const {
+    bool hit = false;
+    for (const int t : output_terms[static_cast<std::size_t>(output)]) {
+      hit |= terms[static_cast<std::size_t>(t)].covers(minterm);
+    }
+    return hit;
+  }
 };
 
 /// Minimize every output and share identical product terms.

@@ -2,9 +2,9 @@
 // slots, and drive the bit-parallel kernel over the configured word
 // backend / thread pool. crosscheck(): the three-model equivalence harness
 // (behavioral / compiled / switch-level). check_pla(): the programmed-PLA
-// equivalence check — symbolic proof or the interpreted replay oracle, per
-// PlaCheckMode. prove_gates(): the gates against the tabulated FSM over
-// every minterm.
+// equivalence check — every minterm of the table, or the interpreted
+// replay oracle, per PlaCheckMode. prove_gates(): the gates against the
+// tabulated FSM over every minterm.
 #include "sim/sim.hpp"
 
 #include <algorithm>
@@ -17,7 +17,6 @@
 #include "sim/tape_util.hpp"
 #include "extract/extract.hpp"
 #include "fault/fault.hpp"
-#include "logic/equiv.hpp"
 #include "obs/obs.hpp"
 #include "swsim/swsim.hpp"
 #include "synth/synth.hpp"
@@ -542,7 +541,7 @@ CrosscheckReport crosscheck(const rtl::Design& design,
 
 const char* to_string(PlaCheckMode mode) {
   switch (mode) {
-    case PlaCheckMode::Symbolic: return "symbolic";
+    case PlaCheckMode::Exhaustive: return "exhaustive";
     case PlaCheckMode::Replay: return "replay";
   }
   return "?";
@@ -550,11 +549,11 @@ const char* to_string(PlaCheckMode mode) {
 
 namespace {
 
-/// Shared admission guard: both modes pack minterms into 32-bit cubes
-/// (the replay packs them literally; the symbolic engine's Cube algebra is
-/// 32-bit), so an over-wide FSM is a structured rejection, not a silent
-/// wrap. Shape drift between the personality and the tabulation is
-/// likewise caught here once, before any engine trusts the indices.
+/// Shared admission guard: both modes pack minterms into 32-bit words
+/// (logic::Cube's width), so an over-wide FSM is a structured rejection,
+/// not a silent wrap. Shape drift between the personality and the
+/// tabulation (every table must span the bit names) is likewise caught
+/// here once, before any engine trusts the indices.
 bool pla_admit(const rtl::Design& design, const synth::TabulatedFsm& fsm,
                const logic::PlaTerms& personality, PlaCheckReport& r) {
   int in_bits = 0;
@@ -580,24 +579,15 @@ bool pla_admit(const rtl::Design& design, const synth::TabulatedFsm& fsm,
       fsm.function.num_inputs != nbits ||
       fsm.function.outputs.size() != nouts ||
       personality.output_terms.size() != nouts ||
-      nouts != static_cast<std::size_t>(fsm.state_bits + out_bits)) {
+      nouts != static_cast<std::size_t>(fsm.state_bits + out_bits) ||
+      std::any_of(fsm.function.outputs.begin(), fsm.function.outputs.end(),
+                  [&](const logic::TruthTable& t) {
+                    return t.num_inputs() != nbits;
+                  })) {
     r.detail = "pla check rejected: personality/FSM/design shape mismatch";
     return false;
   }
   return true;
-}
-
-/// NOR planes program the complement cover, so the spec each output's
-/// cubes must equal is the complemented table (don't-cares stay free).
-logic::TruthTable complement_table(const logic::TruthTable& f) {
-  return logic::TruthTable::from_tri_function(
-      f.num_inputs(), [&f](std::uint32_t m) {
-        switch (f.get(m)) {
-          case logic::Tri::One: return logic::Tri::Zero;
-          case logic::Tri::Zero: return logic::Tri::One;
-          default: return logic::Tri::DontCare;
-        }
-      });
 }
 
 std::string render_minterm(const synth::TabulatedFsm& fsm, std::uint32_t m) {
@@ -609,43 +599,57 @@ std::string render_minterm(const synth::TabulatedFsm& fsm, std::uint32_t m) {
   return os.str();
 }
 
-/// Symbolic mode: per output bit, prove the programmed complement cover
-/// equal to the complemented tabulation on every care row. No simulation;
-/// the verdict covers the whole care space, not a sample.
-PlaCheckReport check_pla_symbolic(const synth::TabulatedFsm& fsm,
-                                  const logic::PlaTerms& personality) {
-  SILC_OBS_SPAN("sim.pla.symbolic", "sim");
+/// Exhaustive mode: every minterm of the table, minterm-major with the
+/// outputs inner, so the witness is the lowest disagreeing minterm, first
+/// output on ties (prove_gates' rule). On each care row the planes drive
+/// the NOR of the output's selected terms. No simulation; the verdict
+/// covers the whole care space, not a sample.
+PlaCheckReport check_pla_exhaustive(const synth::TabulatedFsm& fsm,
+                                    const logic::PlaTerms& personality) {
+  SILC_OBS_SPAN("sim.pla.prove", "sim");
   PlaCheckReport r;
-  r.mode = PlaCheckMode::Symbolic;
+  r.mode = PlaCheckMode::Exhaustive;
   r.terms = personality.term_count();
-  for (std::size_t k = 0; k < fsm.function.outputs.size(); ++k) {
-    core::check_cancel("sim.pla.symbolic");
-    SILC_FAULT_POINT("sim.pla.symbolic");
-    std::vector<logic::Cube> cover;
-    cover.reserve(personality.output_terms[k].size());
-    for (const int t : personality.output_terms[k]) {
-      cover.push_back(personality.terms[static_cast<std::size_t>(t)]);
+  const std::size_t nouts = fsm.function.outputs.size();
+  const std::uint64_t rows = std::uint64_t{1} << fsm.input_names.size();
+  // The lowest disagreeing care row, first output on ties; one cancel
+  // poll and fault point per output's share of the rows.
+  const auto disagreement = [&](std::uint32_t& m, std::size_t& k) {
+    const std::uint64_t slice =
+        nouts == 0 ? rows : (rows + nouts - 1) / nouts;
+    for (std::uint64_t base = 0; base < rows; base += slice) {
+      core::check_cancel("sim.pla.prove");
+      SILC_FAULT_POINT("sim.pla.prove");
+      const std::uint64_t end = std::min(rows, base + slice);
+      for (std::uint64_t row = base; row < end; ++row) {
+        m = static_cast<std::uint32_t>(row);
+        for (k = 0; k < nouts; ++k) {
+          const logic::Tri want = fsm.function.outputs[k].get(m);
+          if (want == logic::Tri::DontCare) continue;
+          const bool drives = !personality.evaluate(static_cast<int>(k), m);
+          if (drives != (want == logic::Tri::One)) return true;
+        }
+      }
     }
-    const logic::EquivVerdict v = logic::check_cover_equiv(
-        complement_table(fsm.function.outputs[k]), cover);
-    if (!v.equal) {
-      r.mismatch_signal = fsm.output_names[k];
-      r.has_counterexample = true;
-      r.counterexample = v.counterexample;
-      // The verdict is on the complement plane; report in output terms.
-      std::ostringstream os;
-      os << "pla vs fsm, output " << fsm.output_names[k] << ": planes drive "
-         << (v.got ? 0 : 1) << ", table wants " << (v.expected ? 0 : 1)
-         << " at minterm " << v.counterexample << " ("
-         << render_minterm(fsm, v.counterexample) << ")";
-      r.detail = os.str();
-      return r;
-    }
+    return false;
+  };
+  std::uint32_t m = 0;
+  std::size_t k = 0;
+  if (disagreement(m, k)) {
+    const bool wanted = fsm.function.outputs[k].get(m) == logic::Tri::One;
+    r.mismatch_signal = fsm.output_names[k];
+    r.has_counterexample = true;
+    r.counterexample = m;
+    std::ostringstream os;
+    os << "pla vs table, " << r.mismatch_signal << ": planes drive "
+       << !wanted << ", table wants " << wanted << " at minterm " << m << " ("
+       << render_minterm(fsm, m) << ")";
+    r.detail = os.str();
+    return r;
   }
   std::ostringstream os;
-  os << "pla(" << r.terms << " terms) == fsm: symbolic proof over "
-     << fsm.function.outputs.size() << " outputs x 2^"
-     << fsm.input_names.size() << " care space";
+  os << "pla(" << r.terms << " terms) == table: exhaustive proof over all "
+     << rows << " minterms x " << nouts << " outputs";
   r.ok = true;
   r.proven = true;
   r.detail = os.str();
@@ -653,8 +657,8 @@ PlaCheckReport check_pla_symbolic(const synth::TabulatedFsm& fsm,
 }
 
 /// Replay mode: the original interpreted oracle — personality.evaluate()
-/// per output bit per cycle against the compiled tape. Slow by design;
-/// the symbolic engine is differentially tested against it.
+/// per output bit per cycle against the compiled tape. Sampling, and slow
+/// by design; the exhaustive engine is differentially tested against it.
 PlaCheckReport check_pla_replay(const rtl::Design& design,
                                 const synth::TabulatedFsm& fsm,
                                 const logic::PlaTerms& personality, int cycles,
@@ -757,8 +761,8 @@ PlaCheckReport check_pla(const rtl::Design& design,
     admitted.terms = personality.term_count();
     if (!pla_admit(design, fsm, personality, admitted)) return admitted;
     switch (mode) {
-      case PlaCheckMode::Symbolic:
-        return check_pla_symbolic(fsm, personality);
+      case PlaCheckMode::Exhaustive:
+        return check_pla_exhaustive(fsm, personality);
       case PlaCheckMode::Replay:
         return check_pla_replay(design, fsm, personality, cycles, lanes, seed,
                                 sim);

@@ -44,9 +44,9 @@
 //     trace diff (and an optional VCD dump of the diverging traces).
 //     The sampled oracle prove_gates is tested against.
 //   * check_pla(): the PLA path's pre-artwork equivalence check — the
-//     personality actually programmed into the NOR-NOR planes, proven
-//     against the tabulated spec symbolically, or replayed against the
-//     compiled tape as the test oracle (see PlaCheckMode).
+//     personality actually programmed into the NOR-NOR planes, compared
+//     with the tabulated spec on every minterm, or replayed against the
+//     compiled tape as the sampled oracle (see PlaCheckMode).
 #pragma once
 
 #include <cstdint>
@@ -521,17 +521,16 @@ struct CrosscheckReport {
 /// Which engine decides whether the programmed personality matches the
 /// tabulated FSM.
 enum class PlaCheckMode : std::uint8_t {
-  /// Cube-containment equivalence proof (logic::check_cover_equiv) of the
-  /// personality's complement covers against `fsm.function`, per output
-  /// bit, honoring don't-cares. Exhaustive over the whole care space, no
-  /// simulation, and orders of magnitude faster than sampling;
+  /// Every minterm of `fsm.function`: on each care row, the NOR of each
+  /// output's selected terms (PlaTerms::evaluate) against the table.
+  /// Exhaustive over the whole care space and no simulation;
   /// `cycles`/`lanes`/`seed`/`sim` are ignored. The compiler's pla-check
   /// stage always runs this engine.
-  Symbolic,
+  Exhaustive,
   /// The original interpreted replay: personality.evaluate() per output
   /// bit per cycle against the compiled tape over seeded random stimulus.
-  /// Sampling, not proof, and slow; retained as the differential oracle
-  /// the symbolic engine is tested against.
+  /// Sampling, not proof, and slow; retained as the sampled oracle the
+  /// exhaustive engine is tested against.
   Replay,
 };
 
@@ -539,10 +538,10 @@ enum class PlaCheckMode : std::uint8_t {
 
 struct PlaCheckReport {
   bool ok = false;
-  PlaCheckMode mode = PlaCheckMode::Symbolic;  // engine that produced verdict
-  bool proven = false;    // true: symbolic proof over the whole care space
-  int cycles = 0;         // sampled cycles (0 in symbolic mode)
-  int lanes = 0;          // sampled lanes (0 in symbolic mode)
+  PlaCheckMode mode = PlaCheckMode::Exhaustive;  // engine of the verdict
+  bool proven = false;    // true: decided over the whole care space
+  int cycles = 0;         // sampled cycles (0 in exhaustive mode)
+  int lanes = 0;          // sampled lanes (0 in exhaustive mode)
   std::size_t terms = 0;  // product terms in the programmed personality
   std::string detail;
   /// First divergence, machine-readable (lane < 0 when ok; sampling
@@ -550,9 +549,10 @@ struct PlaCheckReport {
   int mismatch_lane = -1;
   int mismatch_cycle = -1;
   std::string mismatch_signal;
-  /// Symbolic-mode counterexample: a concrete minterm (personality bit
+  /// Exhaustive-mode counterexample: the lowest minterm (personality bit
   /// layout, [state bits][input bits]) where the planes and the spec
-  /// disagree. Valid when has_counterexample.
+  /// disagree, on the first such output (mismatch_signal). Valid when
+  /// has_counterexample.
   bool has_counterexample = false;
   std::uint32_t counterexample = 0;
   /// The engine threw (detail carries the exception) — the report is an
@@ -563,9 +563,9 @@ struct PlaCheckReport {
 /// Pre-artwork equivalence check for the tabulate->PLA flow. `personality`
 /// holds the *programmed* NOR-NOR planes — the complement cover of each
 /// output, out_k = NOR of its selected terms — and is checked against the
-/// design per `mode` (see PlaCheckMode): a symbolic equivalence proof
-/// against `fsm.function` by default, or the Replay oracle's sampled diff
-/// against the design's compiled gate tape. Both modes reject FSMs whose
+/// design per `mode` (see PlaCheckMode): every minterm of `fsm.function`
+/// by default, or the Replay oracle's sampled diff against the design's
+/// compiled gate tape. Both modes reject FSMs whose
 /// minterm exceeds the 32-bit cube packing (state_bits + input bits > 32)
 /// with a structured failure rather than wrapping silently.
 ///
@@ -579,6 +579,6 @@ struct PlaCheckReport {
                                        int cycles = 256, int lanes = 0,
                                        unsigned seed = 1,
                                        const SimConfig& sim = {},
-                                       PlaCheckMode mode = PlaCheckMode::Symbolic);
+                                       PlaCheckMode mode = PlaCheckMode::Exhaustive);
 
 }  // namespace silc::sim

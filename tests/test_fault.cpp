@@ -220,11 +220,11 @@ TEST(Inject, HierDrcFailureFallsBackToFlatByteIdentical) {
   EXPECT_TRUE(r.ok()) << r.diag_text();  // a warning, not an error
 }
 
-TEST(Inject, SymbolicPlaProverFailureIsAStructuredPlaCheckError) {
+TEST(Inject, PlaProverFailureIsAStructuredPlaCheckError) {
   if (!fault::kEnabled) GTEST_SKIP() << "built with SILC_FAULT=OFF";
   const DisarmOnExit disarm;
   Schedule s;
-  s.triggers.push_back({"sim.pla.symbolic", Kind::Throw, 0, true, 0, ""});
+  s.triggers.push_back({"sim.pla.prove", Kind::Throw, 0, true, 0, ""});
   Injector::global().arm(s);
   layout::Library lib("prover-down");
   CompileResult r;
@@ -242,7 +242,7 @@ TEST(Inject, SymbolicPlaProverFailureIsAStructuredPlaCheckError) {
         return d.stage == "pla-check" && d.severity == Severity::Error;
       });
   ASSERT_NE(pla_error, r.diags.end()) << r.diag_text();
-  EXPECT_NE(pla_error->message.find("injected fault at sim.pla.symbolic"),
+  EXPECT_NE(pla_error->message.find("injected fault at sim.pla.prove"),
             std::string::npos)
       << pla_error->message;
   const auto artwork = std::find_if(
@@ -526,8 +526,8 @@ constexpr SitePlan kSitePlans[] = {
     {"extract.hier.window", Kind::Delay, SitePlan::kBenign, 5},
     {"sim.gate.prove", Kind::Delay, SitePlan::kBenign, 5},
     {"sim.gate.prove", Kind::Throw, SitePlan::kVerifyHardFail, 0},
-    {"sim.pla.symbolic", Kind::Delay, SitePlan::kBenign, 5},
-    {"sim.pla.symbolic", Kind::Throw, SitePlan::kVerifyHardFail, 0},
+    {"sim.pla.prove", Kind::Delay, SitePlan::kBenign, 5},
+    {"sim.pla.prove", Kind::Throw, SitePlan::kVerifyHardFail, 0},
     {"sim.pla.*", Kind::Throw, SitePlan::kVerifyHardFail, 0},
 };
 

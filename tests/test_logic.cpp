@@ -5,11 +5,18 @@
 
 #include <random>
 
-#include "logic/equiv.hpp"
+#include "equiv_oracle.hpp"
+#include "fuzz_env.hpp"
 #include "logic/logic.hpp"
 
 namespace silc::logic {
 namespace {
+
+using silc_fixtures::equiv_oracle::check_cover_equiv;
+using silc_fixtures::equiv_oracle::cube_covered;
+using silc_fixtures::equiv_oracle::EquivVerdict;
+using silc_fixtures::equiv_oracle::exact_cover;
+using silc_fixtures::equiv_oracle::is_tautology;
 
 TEST(Cube, CoverContain) {
   const Cube c{0b011, 0b001};  // x0=1, x1=0, x2=-
@@ -156,7 +163,7 @@ TEST(MultiOutput, HeuristicPath) {
   }
 }
 
-// ------------------------------------------------- symbolic equivalence --
+// ------------------------- the cofactor equivalence oracle (fixtures/) --
 
 bool cover_evaluates(const std::vector<Cube>& cover, std::uint32_t m) {
   for (const Cube& c : cover) {
@@ -211,50 +218,57 @@ TEST(Equiv, ExactCoverPartitionsEveryTriSet) {
   }
 }
 
-/// Differential fuzz: the symbolic verdict must agree with the truth
+/// Differential fuzz: the cofactor verdict must agree with the truth
 /// table's exhaustive implemented_by on random covers over functions with
 /// don't-cares — and every counterexample must be a genuine witness.
+/// Honors SILC_FUZZ_TRIALS / SILC_FUZZ_SEED (fixtures/fuzz_env.hpp).
 TEST(Equiv, FuzzAgreesWithImplementedBy) {
-  std::mt19937 rng(2026);
   std::uniform_int_distribution<int> nbits(1, 7);
   std::uniform_int_distribution<int> tri(0, 9);
   std::uniform_int_distribution<int> ncubes(0, 6);
+  int random_trials = 0;
   int disagreements = 0;
-  for (int trial = 0; trial < 400; ++trial) {
-    const int n = nbits(rng);
-    const std::uint32_t space = (1u << n) - 1;
-    TruthTable t(n);
-    for (std::uint32_t r = 0; r < t.size(); ++r) {
-      const int x = tri(rng);
-      t.set(r, x < 4 ? Tri::Zero : (x < 8 ? Tri::One : Tri::DontCare));
-    }
-    std::vector<Cube> cover;
-    // Half the trials check a cover that implements the function by
-    // construction; half check arbitrary random covers.
-    if (trial % 2 == 0) {
-      cover = (trial % 4 == 0) ? minimize_qm(t) : minimize_heuristic(t);
-    } else {
-      const int k = ncubes(rng);
-      for (int i = 0; i < k; ++i) {
-        const std::uint32_t mask = rng() & space;
-        cover.push_back({mask, rng() & mask});
-      }
-    }
-    const EquivVerdict v = check_cover_equiv(t, cover);
-    ASSERT_EQ(v.equal, t.implemented_by(cover))
-        << "n=" << n << " trial=" << trial;
-    if (!v.equal) {
-      ++disagreements;
-      EXPECT_LE(v.counterexample, space);
-      EXPECT_NE(t.get(v.counterexample), Tri::DontCare);
-      EXPECT_EQ(t.get(v.counterexample) == Tri::One, v.expected);
-      EXPECT_EQ(cover_evaluates(cover, v.counterexample), v.got);
-      EXPECT_NE(v.expected, v.got)
-          << "counterexample does not witness a disagreement";
-    }
+  silc_fixtures::fuzz_seeds(
+      "test_logic", "Equiv.FuzzAgreesWithImplementedBy", 2026, 400,
+      [&](unsigned seed) {
+        std::mt19937 rng(seed);
+        const int n = nbits(rng);
+        const std::uint32_t space = (1u << n) - 1;
+        TruthTable t(n);
+        for (std::uint32_t r = 0; r < t.size(); ++r) {
+          const int x = tri(rng);
+          t.set(r, x < 4 ? Tri::Zero : (x < 8 ? Tri::One : Tri::DontCare));
+        }
+        std::vector<Cube> cover;
+        // Half the seeds check a cover that implements the function by
+        // construction; half check arbitrary random covers.
+        if (seed % 2 == 0) {
+          cover = (seed % 4 == 0) ? minimize_qm(t) : minimize_heuristic(t);
+        } else {
+          ++random_trials;
+          const int k = ncubes(rng);
+          for (int i = 0; i < k; ++i) {
+            const std::uint32_t mask = rng() & space;
+            cover.push_back({mask, static_cast<std::uint32_t>(rng()) & mask});
+          }
+        }
+        const EquivVerdict v = check_cover_equiv(t, cover);
+        ASSERT_EQ(v.equal, t.implemented_by(cover)) << "n=" << n;
+        if (!v.equal) {
+          ++disagreements;
+          EXPECT_LE(v.counterexample, space);
+          EXPECT_NE(t.get(v.counterexample), Tri::DontCare);
+          EXPECT_EQ(t.get(v.counterexample) == Tri::One, v.expected);
+          EXPECT_EQ(cover_evaluates(cover, v.counterexample), v.got);
+          EXPECT_NE(v.expected, v.got)
+              << "counterexample does not witness a disagreement";
+        }
+      });
+  // The random half must actually exercise the failure path (a pinned
+  // single seed checks one cover).
+  if (!silc_fixtures::fuzz_env(0).has_seed) {
+    EXPECT_GT(disagreements, random_trials / 4);
   }
-  // The random half must actually exercise the failure path.
-  EXPECT_GT(disagreements, 50);
 }
 
 /// NOR-plane handling end to end: program the *complement* cover (what a

@@ -8,6 +8,7 @@
 
 #include "core/pipeline.hpp"
 #include "design_sources.hpp"
+#include "fault/fault.hpp"
 
 namespace silc::core {
 namespace {
@@ -46,8 +47,10 @@ TEST(Pipeline, FullRunTimesEveryStage) {
       compile(lib, Flow::Behavioral, kGray2, fast_verify("gray2"));
   EXPECT_TRUE(r.ok()) << r.diag_text();
   EXPECT_TRUE(r.verified);
-  // pla-check always runs the symbolic prover.
-  EXPECT_NE(r.verify_detail.find("symbolic proof"), std::string::npos)
+  // pla-check always decides every minterm: gray2's 2^3.
+  EXPECT_NE(r.verify_detail.find("terms) == table: exhaustive proof over "
+                                 "all 8 minterms"),
+            std::string::npos)
       << r.verify_detail;
   // gate-check proves over every minterm: gray2 has 2 state bits and 1
   // input bit, so 2^3.
@@ -180,17 +183,38 @@ TEST(Pipeline, ExtractsAndFlattensExactlyOnce) {
   EXPECT_EQ(db.flatten_runs, 0);
   EXPECT_EQ(db.extract_runs, 1);
   EXPECT_TRUE(db.artwork_ok);
+}
 
-  // Flat modes: DRC + extraction share exactly one flatten.
-  layout::Library lib2;
-  CompileOptions flat_opt = fast_verify("gray2");
-  flat_opt.drc_mode = drc::Mode::Flat;
-  flat_opt.extract_mode = extract::Mode::Flat;
-  DesignDB db2(lib2, Flow::Behavioral, kGray2, flat_opt);
-  EXPECT_TRUE(Pipeline::behavioral().run(db2)) << db2.diags.text();
-  EXPECT_EQ(db2.flatten_runs, 1);
-  EXPECT_EQ(db2.extract_runs, 1);
-  EXPECT_TRUE(db2.artwork_ok);
+TEST(Pipeline, HierFailuresFallBackToFlatSharingOneFlatten) {
+  // Both hier engines down: DRC and extraction each fall back to the flat
+  // engine, the two fallbacks share exactly one flatten, and the
+  // artifacts are what the flat engines compute.
+  if (!fault::kEnabled) GTEST_SKIP() << "built with SILC_FAULT=OFF";
+  fault::Schedule s;
+  s.triggers.push_back({"drc.hier.cell", fault::Kind::Throw, 0, true, 0, ""});
+  s.triggers.push_back(
+      {"extract.hier.cell", fault::Kind::Throw, 0, true, 0, ""});
+  fault::Injector::global().arm(s);
+  layout::Library lib;
+  DesignDB db(lib, Flow::Behavioral, kGray2, fast_verify("gray2"));
+  const bool ran = Pipeline::behavioral().run(db);
+  fault::Injector::global().disarm();
+
+  EXPECT_TRUE(ran) << db.diags.text();
+  EXPECT_NE(db.diags.stage_text("drc").find("falling back to flat"),
+            std::string::npos)
+      << db.diags.text();
+  EXPECT_NE(db.diags.stage_text("extract").find(
+                "falling back to flat extraction"),
+            std::string::npos)
+      << db.diags.text();
+  EXPECT_EQ(db.flatten_runs, 1);
+  EXPECT_EQ(db.extract_runs, 1);
+  EXPECT_TRUE(db.artwork_ok);
+  const layout::Flattened flat = layout::flatten_with_labels(*db.chip);
+  ASSERT_TRUE(db.drc.has_value());
+  EXPECT_EQ(db.drc->violations, drc::check_flat(flat.shapes).violations);
+  EXPECT_EQ(db.netlist(), extract::extract_flat(flat));
 }
 
 TEST(Pipeline, MalformedBehavioralSourceIsAParseDiagnostic) {
@@ -273,17 +297,14 @@ TEST(Pipeline, BatchSharesExtractCacheAndStaysDeterministic) {
     EXPECT_EQ(one.results[i].transistors, four.results[i].transistors) << i;
   }
 
-  // Mode cross-check at the batch level: flat extraction compiles to the
-  // same transistor counts and verification outcome as hier.
-  std::vector<BatchJob> flat_jobs = jobs;
-  for (BatchJob& j : flat_jobs) {
-    j.options.extract_cache = nullptr;
-    j.options.extract_mode = extract::Mode::Flat;
-  }
-  const BatchResult flat = compile_many(flat_jobs, 2);
+  // Engine cross-check at the batch level: each job's chip, extracted
+  // flat, gives the netlist the hier batch counted.
   for (std::size_t i = 0; i < jobs.size(); ++i) {
-    EXPECT_EQ(flat.results[i].transistors, one.results[i].transistors) << i;
-    EXPECT_EQ(flat.results[i].verified, one.results[i].verified) << i;
+    ASSERT_NE(one.results[i].chip, nullptr) << i;
+    const extract::Netlist flat =
+        extract::extract_flat(layout::flatten_with_labels(*one.results[i].chip));
+    EXPECT_EQ(flat.transistors.size(), one.results[i].transistors) << i;
+    EXPECT_EQ(flat, extract::extract_hier(*one.results[i].chip)) << i;
   }
 }
 

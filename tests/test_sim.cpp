@@ -299,19 +299,22 @@ logic::PlaTerms programmed_personality(const synth::TabulatedFsm& fsm) {
   return logic::minimize_multi(pla::complement(fsm.function));
 }
 
-TEST(PlaCheck, CounterPersonalityProvenSymbolically) {
+TEST(PlaCheck, CounterPersonalityProvenExhaustively) {
   const rtl::Design d = rtl::parse(kCounter);
   const synth::TabulatedFsm fsm = synth::tabulate(d);
   const PlaCheckReport r =
       check_pla(d, fsm, programmed_personality(fsm), 64, 8);
   EXPECT_TRUE(r.ok) << r.detail;
-  EXPECT_EQ(r.mode, PlaCheckMode::Symbolic);
+  EXPECT_EQ(r.mode, PlaCheckMode::Exhaustive);
   EXPECT_TRUE(r.proven);
   EXPECT_GT(r.terms, 0u);
   // The proof does not sample cycles or lanes at all.
   EXPECT_EQ(r.cycles, 0);
   EXPECT_EQ(r.lanes, 0);
-  EXPECT_NE(r.detail.find("symbolic proof"), std::string::npos) << r.detail;
+  // counter: 3 state bits + reset, every minterm decided.
+  EXPECT_NE(r.detail.find("exhaustive proof over all 16 minterms"),
+            std::string::npos)
+      << r.detail;
 }
 
 TEST(PlaCheck, ReplayRunsEveryLane) {
@@ -328,13 +331,13 @@ TEST(PlaCheck, ReplayRunsEveryLane) {
       << r.detail;
 }
 
-TEST(PlaCheck, SymbolicAndReplayAgreeOnCommittedDesigns) {
+TEST(PlaCheck, ExhaustiveAndReplayAgreeOnCommittedDesigns) {
   for (const char* src : {kCounter, kTraffic}) {
     const rtl::Design d = rtl::parse(src);
     const synth::TabulatedFsm fsm = synth::tabulate(d);
     const logic::PlaTerms p = programmed_personality(fsm);
     for (const PlaCheckMode mode :
-         {PlaCheckMode::Symbolic, PlaCheckMode::Replay}) {
+         {PlaCheckMode::Exhaustive, PlaCheckMode::Replay}) {
       const PlaCheckReport r = check_pla(d, fsm, p, 64, 8, 1, {}, mode);
       EXPECT_TRUE(r.ok) << to_string(mode) << ": " << r.detail;
       EXPECT_EQ(r.mode, mode);
@@ -344,7 +347,7 @@ TEST(PlaCheck, SymbolicAndReplayAgreeOnCommittedDesigns) {
 }
 
 /// Every seeded mis-programming must be caught by both engines, and
-/// the symbolic engine must hand back a concrete counterexample minterm
+/// the exhaustive engine must hand back a concrete counterexample minterm
 /// that genuinely witnesses the disagreement (checked against the raw
 /// personality.evaluate and the tabulated truth table — the replay
 /// oracle's own primitives).
@@ -419,7 +422,7 @@ TEST(PlaCheck, OverWideFsmRejectedStructurally) {
   p.num_inputs = 1;
   p.output_terms = {{}};
   for (const PlaCheckMode mode :
-       {PlaCheckMode::Symbolic, PlaCheckMode::Replay}) {
+       {PlaCheckMode::Exhaustive, PlaCheckMode::Replay}) {
     const PlaCheckReport r = check_pla(d, fsm, p, 16, 1, 1, {}, mode);
     EXPECT_FALSE(r.ok) << to_string(mode);
     EXPECT_FALSE(r.error) << to_string(mode) << ": " << r.detail;
