@@ -26,28 +26,29 @@
 //      hands the DRC baseline back verbatim.
 //   3. Tech axis (`tech_drc_changed` / `tech_extract_changed`): a changed
 //      rule-table signature invalidates that stage for EVERY cell; the
-//      per-cell caches key on the signature, so the stage degrades to a
-//      cold hierarchical run, not a wrong answer.
+//      caches key on the signature, so the stage degrades to a cold run,
+//      not a wrong answer.
 //
 // A stage reuses its baseline verbatim when its footprint axes are empty
 // and its tech axis is clean. Otherwise an IncrementalSession serves each
 // stage by the first of these paths that applies (core::IncrPath):
 //
 //   verbatim   nothing the stage reads changed;
-//   top hit    the per-cell cache already holds the whole edited top (an
+//   top hit    the stage's cache already holds the whole edited top (an
 //              undo back to a state a full run proved);
 //   footprint  re-verify only the footprint (DRC dilates it by the seam
 //              halo; extraction's stitch fixpoint grows it by the
 //              components within its halo) against the live layout and
 //              splice the result into the baseline — no cell below the
 //              top is re-proved;
-//   full       the hierarchical engine over the warm per-cell caches (a
-//              cold verify, a tech change, a switched top, or a tripped
-//              stage guard);
+//   guard      the footprint path, with DRC's zone grown by the nets whose
+//              grouping the edit broke (see drc::check_incremental);
+//   full       a cold check_hier / extract_hier of the top (a cold
+//              verify, a tech change or a switched top);
 //   flat       the exhaustive engine, when anything above throws.
 //
 // Footprint results live only as the session baseline; they never enter
-// the per-cell caches. The house invariant holds on every path:
+// the caches. The house invariant holds on every path:
 // edit-then-incremental == recompile-from-scratch, byte-identical
 // (tests/test_incremental.cpp enforces it over randomized edit sequences
 // and long edit/undo chains).
@@ -161,8 +162,8 @@ struct EditSet {
                            const std::string& top = "");
 
 /// Which path served one stage of one incremental verify (see the
-/// conventions block above). Guard is the full path taken because the
-/// stage's footprint guard tripped.
+/// conventions block above). Guard is the footprint path with a zone the
+/// stage's net guard grew.
 enum class IncrPath : std::uint8_t {
   Verbatim,
   TopHit,

@@ -1,5 +1,5 @@
 // The interactive edit-verify loop: an IncrementalSession owns warm
-// per-cell caches (drc::VerdictCache, extract::NetlistCache), the last
+// whole-cell caches (drc::VerdictCache, extract::NetlistCache), the last
 // library snapshot, and each stage's baseline (the last verdicts plus what
 // the footprint paths need: a DRC layer table, the top's partial netlist).
 // Each verify() diffs the library against the snapshot (core::EditSet,
@@ -10,8 +10,9 @@
 // recompile from scratch at every step (tests/test_incremental.cpp).
 //
 // The persistent store doubles as a cross-process baseline: load_store()
-// warms the per-cell caches from a silc.store written by an earlier
-// process, so even the FIRST verify of a session reuses cells.
+// warms the caches from a silc.store written by an earlier process, so the
+// FIRST verify of a session is a top hit when that process verified the
+// same top.
 #pragma once
 
 #include <memory>
@@ -61,18 +62,18 @@ class IncrementalSession {
 
   /// Diff `lib` against the last snapshot, re-verify `top` incrementally,
   /// and adopt the result as the next baseline. Changing `top` (by name)
-  /// drops the result baseline but keeps the warm caches, so even that
-  /// "cold" verify reuses every cell the two tops share. All or nothing:
+  /// drops the result baseline but keeps the warm caches, so switching
+  /// back to a top verified before is a top hit. All or nothing:
   /// a verify that throws (core::Cancelled) adopts neither the snapshot
   /// nor either baseline, so the next verify diffs against the last one
   /// that returned.
   IncrVerdict verify(const layout::Library& lib, const layout::Cell& top);
 
-  /// Warm the per-cell caches from `cache_dir`/silc.store (see
+  /// Warm the caches from `cache_dir`/silc.store (see
   /// store/store.hpp). False when the file is absent or poisoned — the
   /// session just starts cold, exactly like the batch compiler.
   bool load_store(const std::string& cache_dir);
-  /// Persist the per-cell caches to `cache_dir`/silc.store. False when
+  /// Persist the caches to `cache_dir`/silc.store. False when
   /// the file can't be written (a warning-grade event, never fatal).
   bool save_store(const std::string& cache_dir) const;
 

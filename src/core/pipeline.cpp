@@ -99,11 +99,11 @@ const layout::Flattened& DesignDB::flattened() {
 
 const extract::Netlist& DesignDB::netlist() {
   if (!netlist_) {
-    // No shared flatten: the hierarchical extractor works cell by cell
-    // (cached across the run — and the batch — via extract_cache). Any
-    // failure inside the hier path degrades to the flat engine —
-    // byte-identical canonical netlist (the extract contract), slower,
-    // alive. Cancellation is not a failure and must propagate.
+    // No shared flatten: a hit in extract_cache (shared across the batch)
+    // never flattens, and a miss flattens inside extract_hier. Any failure
+    // there degrades to the flat engine — byte-identical canonical netlist
+    // (the extract contract), alive. Cancellation is not a failure and must
+    // propagate.
     try {
       netlist_ =
           extract::extract_hier(*chip, tech::nmos(), options.extract_cache);
@@ -268,10 +268,10 @@ bool stage_cif(DesignDB& db) {
 
 bool stage_drc(DesignDB& db) {
   if (!require(db, "drc", db.chip != nullptr, "assembled chip")) return false;
-  // Any failure inside the hier path (a poisoned decomposition, an
-  // injected fault) degrades to the flat engine — byte-identical violation
-  // set (the DRC engine contract), slower, alive. Cancellation is not a
-  // failure and must propagate to the stage boundary.
+  // Any failure inside check_hier (an injected fault on its miss path)
+  // degrades to the flat engine — byte-identical violation set (the DRC
+  // engine contract), alive. Cancellation is not a failure and must
+  // propagate to the stage boundary.
   try {
     db.drc = drc::check_hier(*db.chip, tech::nmos(), db.options.drc_cache);
   } catch (const Cancelled&) {
@@ -628,10 +628,10 @@ BatchResult compile_many(const std::vector<BatchJob>& jobs, int threads) {
   br.libraries.resize(n);
 
   // One DRC verdict cache and one extraction netlist cache for the whole
-  // batch: designs share standard cells, so later jobs (and repeats of the
-  // same design) skip straight to the cached per-cell verdicts and partial
-  // netlists. Purely accelerators — both are deterministic, so results
-  // stay identical at any thread count.
+  // batch: a design that repeats in the batch (or was stored by an earlier
+  // one) skips straight to its cached whole-chip verdict and partial
+  // netlist. Purely accelerators — both are deterministic, so results stay
+  // identical at any thread count.
   drc::VerdictCache drc_cache;
   extract::NetlistCache extract_cache;
 

@@ -9,9 +9,11 @@
 //     verification reports) lives here exactly once, with
 //     compute-once/lookup-later accessors for the expensive shared
 //     artifacts: the chip is extracted once for both the transistor count
-//     and the artwork check. DRC and extraction run hierarchically, cell
-//     by cell; only when a hier engine fails does the stage fall back to
-//     the flat one, and both fallbacks share one flatten of the chip.
+//     and the artwork check. DRC and extraction go through their
+//     whole-chip caches (drc::check_hier, extract::extract_hier: a miss
+//     flattens the chip and runs the flat engine once); only when that
+//     fails does the stage fall back to the flat engine directly, and both
+//     fallbacks share one flatten of the chip.
 //     Callers that want the flat engines call drc::check_flat and
 //     extract::extract_flat directly. The DB also carries the structured
 //     diagnostics stream and the per-stage wall-clock timings.
@@ -149,20 +151,18 @@ struct CompileOptions {
   /// pins this to 1 so design-level parallelism is never oversubscribed
   /// by per-design sim pools.
   int sim_threads = 0;
-  /// Per-cell DRC verdict cache (non-owning, thread-safe). compile_many
-  /// points every job of a batch at one shared cache so designs stop
-  /// re-proving the standard cells they have in common; null makes the
-  /// drc stage use a cache local to the run, which still collapses
-  /// repeated cells within the chip.
+  /// Whole-chip DRC verdict cache (non-owning, thread-safe). compile_many
+  /// points every job of a batch at one shared cache so a design compiled
+  /// twice in one batch is checked once; null makes the drc stage use a
+  /// cache local to the run.
   drc::VerdictCache* drc_cache = nullptr;
-  /// Per-cell netlist cache for hierarchical extraction (non-owning,
-  /// thread-safe) — the extract-stage mirror of drc_cache: compile_many
-  /// shares one across the batch; null gives the run a local cache that
-  /// still collapses repeated cells within the chip.
+  /// Whole-chip netlist cache for extraction (non-owning, thread-safe) —
+  /// the extract-stage mirror of drc_cache: compile_many shares one across
+  /// the batch; null gives the run a local cache.
   extract::NetlistCache* extract_cache = nullptr;
   /// Wall-clock budget for the whole compile (0 = none). When exceeded,
   /// the run stops at the next stage boundary or long-loop checkpoint
-  /// (DRC seams, extraction windows, sim eval cycles) and returns a
+  /// (the DRC and extraction cache misses, sim eval cycles) and returns a
   /// CompileResult carrying a Severity::Cancelled diagnostic — promptly,
   /// never a hang, never a throw.
   int deadline_ms = 0;

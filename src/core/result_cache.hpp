@@ -71,16 +71,17 @@ class ResultCache {
 
   /// Bound the cache to `max_entries` results (0 = unbounded, the
   /// default): on overflow the least-recently-used entry is evicted and
-  /// counted, same policy as the per-cell caches (drc::VerdictCache,
-  /// extract::NetlistCache). Evicted results are merely recompiled on
-  /// next demand — correctness never depends on residency.
+  /// counted, same policy as the DRC and extraction caches
+  /// (drc::VerdictCache, extract::NetlistCache). Evicted results are
+  /// merely recompiled on next demand — correctness never depends on
+  /// residency.
   void set_capacity(std::size_t max_entries);
 
   [[nodiscard]] std::size_t size() const;
   [[nodiscard]] std::uint64_t hits() const;
   [[nodiscard]] std::uint64_t misses() const;
   /// Lifetime hit/miss/eviction totals plus current entry count and
-  /// payload bytes (obs::CacheStats, mirroring the per-cell caches).
+  /// payload bytes (obs::CacheStats, mirroring the DRC and extraction caches).
   [[nodiscard]] obs::CacheStats stats() const;
 
  private:

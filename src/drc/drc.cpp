@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "core/cancel.hpp"
 #include "drc/rules.hpp"
 #include "fault/fault.hpp"
 #include "store/store.hpp"
@@ -262,6 +263,21 @@ Result check_flat(const std::vector<Shape>& shapes, const Tech& technology) {
 
 Result check(const layout::Cell& top, const Tech& technology) {
   return check_flat(layout::flatten(top), technology);
+}
+
+Result check_hier(const layout::Cell& top, const Tech& technology,
+                  VerdictCache* cache) {
+  VerdictCache local;
+  VerdictCache& c = cache != nullptr ? *cache : local;
+  const VerdictCache::Key key = VerdictCache::key_for(top, technology);
+  if (const auto hit = c.find(key)) return Result{*hit};
+  SILC_OBS_SPAN("drc.cell:" + top.name(), "drc");
+  SILC_OBS_COUNT("drc.cells", 1);
+  core::check_cancel("drc.hier.cell");
+  SILC_FAULT_POINT("drc.hier.cell");
+  Result r = check(top, technology);
+  c.store(key, r.violations);
+  return r;
 }
 
 }  // namespace silc::drc

@@ -10,44 +10,36 @@
 // tech::Tech::rebuild_drc_tables()); the engine (drc/rules.hpp) stays
 // untouched.
 //
-// Two checking modes share that one engine:
+// Two entry points share that one engine:
 //
-//   * Flat (check_flat): the exhaustive baseline — every rule against the
-//     full flattened geometry, accelerated by the geometry kernel's
-//     windowed queries (RectSet::covers/overlapping scan only the rects
-//     near each probe instead of sweeping whole layers). It is the oracle
-//     the hierarchical engine is tested against and the engine the
-//     compiler falls back to when a hierarchical check fails.
+//   * check_flat: the exhaustive baseline — every rule against the full
+//     flattened geometry, accelerated by the geometry kernel's windowed
+//     queries (RectSet::covers/overlapping scan only the rects near each
+//     probe instead of sweeping whole layers). It is the test oracle and
+//     the engine the compiler falls back to when check_hier fails.
 //
-//   * Hier (check_hier): assembled-by-construction chips tile the same
-//     cells dozens of times, so each unique layout::Cell is proved once —
-//     its verdict is cached in a VerdictCache keyed by a content hash of
-//     the cell's geometry (layout::geometry_hash: shapes + instance
-//     transforms, so equal cells hit across libraries and across a
-//     compile_many batch) — and only *interaction windows* are re-checked:
-//     seams where instance bounding boxes, inflated by the max rule
-//     distance (tech::Tech::max_rule_dist()), overlap each other or the
-//     parent's own wiring. The decomposition recurses, so a chip's PLA is
-//     itself checked cell-by-cell.
+//   * check_hier: a whole-cell verdict cache in front of check_flat. The
+//     VerdictCache is keyed by a content hash of the cell's geometry
+//     (layout::geometry_hash), so an identical design hits across
+//     libraries, across a compile_many batch and through the persistent
+//     store. A miss flattens the cell once and runs the rule engine over
+//     all of it, not cell by cell: on an assembled chip the seams between
+//     instances cover most of the area, and re-checking them costs more
+//     than the flat run.
 //
-// Both modes agree. Violations are locally anchored — spacing reports the
-// offending gap, area rules one canonical rect each, component rules a
-// whole pulled component — so every report is decided by evidence the
-// window of its anchor-owning seam is guaranteed to hold, and windowed
-// checks reproduce the flat verdict byte for byte: fuzzed with dense
-// random soups and random hierarchies under every non-transposing
-// instance orientation. Two documented residuals, neither of which can
-// drop an offence:
-//   * instances reused under transposing orientations (R90 family)
-//     re-slab the canonical decomposition, so hier spacing/width
-//     fragments may split or merge differently than flat's (the offending
-//     region is still reported; per-rule presence always matches — and no
-//     generator emits transposing instances);
-//   * same-layer connectivity reaching a window only through chains of
-//     rects that never touch it (depth ≥ 2) can over-report — never
-//     under-report — width or spacing there.
-// The checker stays conservative: a clean report is trustworthy in every
-// mode, and the generators must produce layouts that pass flat checking.
+// The incremental footprint path (check_incremental) re-checks windows of
+// an edited chip with check_seams (drc/rules.hpp). Its windowed checks
+// reproduce the flat verdict byte for byte because violations are locally
+// anchored — spacing reports the offending gap, area rules one canonical
+// rect each, component rules a whole pulled component — so every report is
+// decided by evidence its window is guaranteed to hold; the randomized and
+// long-chain harnesses of tests/test_incremental.cpp re-prove it. One
+// documented residual, which cannot drop an offence: same-layer
+// connectivity reaching a window only through chains of rects that never
+// touch it (depth ≥ 2) can over-report — never under-report — width or
+// spacing there.
+// The checker stays conservative: a clean report is trustworthy on every
+// path, and the generators must produce layouts that pass flat checking.
 //
 // Results are canonical: violations sorted by (rule, location, detail)
 // with exact duplicates removed before the kMaxReported display cap.
@@ -116,11 +108,11 @@ struct Result {
   void canonicalize();
 };
 
-/// Per-cell DRC verdicts shared across hierarchical checks — and, via
-/// core::compile_many, across every design of a batch. Keyed by the
-/// technology name plus a content hash of the cell's geometry (with shape
-/// count and bbox folded in as collision insurance), so identical cells
-/// rebuilt in different libraries hit. Thread-safe; concurrent misses may
+/// Whole-cell DRC verdicts shared across check_hier calls — and, via
+/// core::compile_many, across every design of a batch. Keyed by the rule
+/// set's signature plus a content hash of the cell's geometry (with shape
+/// count and bbox folded in as collision insurance), so an identical design
+/// rebuilt in a different library hits. Thread-safe; concurrent misses may
 /// recompute the same verdict, which is harmless because verdicts are
 /// deterministic.
 ///
@@ -153,7 +145,7 @@ class VerdictCache {
   [[nodiscard]] static Key key_for(const layout::Cell& c,
                                    const tech::Tech& technology);
 
-  /// Violations in cell-local coordinates; instances transform them.
+  /// The cell's violations, in its own coordinates.
   [[nodiscard]] std::shared_ptr<const std::vector<Violation>> find(
       const Key& k) const;
   /// Insert and return the stored verdict (the first writer wins when two
@@ -217,23 +209,24 @@ class VerdictCache {
 [[nodiscard]] Result check_flat(const std::vector<layout::Shape>& shapes,
                                 const tech::Tech& technology = tech::nmos());
 
-/// Check a cell hierarchically: unique cells once (cached in `cache` when
-/// given), interaction windows re-verified.
+/// Check a cell through the whole-cell cache: `cache`'s verdict for `top`,
+/// or on a miss check_flat over the flattened `top`, stored under its key
+/// (a local cache when `cache` is null).
 ///
-/// Hier→flat fallback matrix (enforced by core::stage_drc and proved
-/// byte-identical by tests/test_fault.cpp, since both modes agree):
+/// Fallback matrix (enforced by core::stage_drc and proved byte-identical
+/// by tests/test_fault.cpp):
 ///
 ///   failure inside check_hier        | what happens
 ///   ---------------------------------+------------------------------------
-///   any std::exception               | caught at the compile stage, warned
-///     (incl. fault::InjectedFault)   |   in diags, re-run as check_flat —
-///                                    |   same Result, byte for byte
+///   any std::exception on the miss   | caught at the compile stage, warned
+///     path (incl. an injected fault  |   in diags, re-run as check_flat —
+///     at site "drc.hier.cell")       |   same Result, byte for byte
 ///   poisoned VerdictCache entry      | detected by checksum inside find(),
 ///                                    |   evicted + recomputed — no
 ///                                    |   fallback needed, same Result
 ///   core::Cancelled                  | NEVER degraded — rethrown so the
 ///                                    |   deadline wins (retrying on the
-///                                    |   slower flat path would be worse)
+///                                    |   flat path would only repeat it)
 [[nodiscard]] Result check_hier(const layout::Cell& top,
                                 const tech::Tech& technology = tech::nmos(),
                                 VerdictCache* cache = nullptr);
@@ -242,8 +235,8 @@ class VerdictCache {
 /// it and how much of the baseline survived. Mirrored as incr.* counters.
 struct IncrStats {
   std::size_t cells_total = 0;    ///< unique cells under top
-  std::size_t cells_reused = 0;   ///< verdicts not recomputed
-  std::size_t cells_reproved = 0; ///< verdicts recomputed (edited cells)
+  std::size_t cells_reused = 0;   ///< cells_total - cells_reproved
+  std::size_t cells_reproved = 0; ///< edited cells, or cache misses (full)
   core::IncrPath path = core::IncrPath::Full;
   std::size_t footprint_rects = 0; ///< re-checked region, canonical rects
 };
@@ -270,15 +263,17 @@ struct Baseline {
 ///     re-slabbed (a canonical rect present on one side only: its spacing
 ///     pairs can report gaps far from the edit). Baseline violations
 ///     clear of Z are kept; the seam-window engine re-checks Z on the
-///     live geometry (check_seams). No cell below the top is re-proved,
-///     and the verdict is not stored in `cache`.
+///     live geometry (check_seams). The verdict is not stored in `cache`
+///     ("drc.hier.seam" is its fault and cancellation site).
 ///     Net guard: the spacing rules' same-net exemption reads full-layout
 ///     component labels, so a split or join inside Z can flip a verdict
-///     anywhere along the nets involved. The footprint path is taken only
-///     when, on every label-reading layer, the rects outside Z are
-///     partitioned into nets the same way before and after the edit;
-///   * full — check_hier against the warm per-cell `cache` (no baseline,
-///     a rule change, or a tripped guard).
+///     anywhere along the nets involved. On every label-reading layer the
+///     rects outside Z must group into nets the same way before and after
+///     the edit; where a net's grouping broke (a split or a join), every
+///     rect of that net — before the edit for a split net, after it for a
+///     joined one — dilated by the halo joins Z, and the path is reported
+///     as `guard`;
+///   * full — check_hier against `cache` (no baseline or a rule change).
 ///
 /// `baseline` is updated in place to the new verdict. Byte-identity with a
 /// cold check_hier/check_flat holds on every path; the randomized and

@@ -1,8 +1,9 @@
 // Incremental DRC: serve one edit by the cheapest exact path — baseline
-// verbatim, whole-top cache hit, footprint re-check, or a full
-// hierarchical run (see check_incremental in drc.hpp for the contract).
+// verbatim, whole-top cache hit, footprint re-check, or a full cold run
+// (see check_incremental in drc.hpp for the contract).
 #include <algorithm>
 #include <exception>
+#include <iterator>
 #include <set>
 #include <tuple>
 
@@ -44,11 +45,18 @@ void walk_rects(const std::vector<Rect>& b, const std::vector<Rect>& a,
 }
 
 /// Grow `zone` by every label-reading-layer rect present in one
-/// decomposition only, then run the net guard: false when some such
-/// layer's rects outside the zone group into nets differently before and
-/// after the edit.
+/// decomposition only, then run the net guard. The spacing rules' same-net
+/// exemption reads full-layout labels, so outside the zone the rects of
+/// each such layer must group into nets the same way before and after the
+/// edit. Where they do not, a net's labelling broke: a before-net whose
+/// rects outside the zone now lie on several after-nets (a split), or an
+/// after-net gathering several before-nets (a join). Every rect of each
+/// broken net, on its own side, joins the zone; what stays outside then
+/// maps one to one. The rects join dilated by `h`, so the zone holds every
+/// gap a re-grouped pair of them can report, whatever one-unit slack the
+/// ownership test (in_seams) allows. True when the guard grew the zone.
 bool splice_zone(LayerTable& before, LayerTable& after, const tech::Tech& t,
-                 std::uint32_t changed, RectSet& zone) {
+                 std::uint32_t changed, geom::Coord h, RectSet& zone) {
   const std::vector<tech::Layer> layers = label_read_layers(t);
   for (const tech::Layer l : layers) {
     if ((changed >> tech::index(l) & 1u) == 0) continue;
@@ -57,40 +65,51 @@ bool splice_zone(LayerTable& before, LayerTable& after, const tech::Tech& t,
                [&zone](const Rect& r) { zone.add(r); });
   }
   const Rect zb = zone.bbox();
+  constexpr int kUnseen = -1;
+  constexpr int kBroken = -2;
+  RectSet nets;
   for (const tech::Layer l : layers) {
     if ((changed >> tech::index(l) & 1u) == 0) continue;
     const std::vector<Rect>& b = before.mask(l).rects();
+    const std::vector<Rect>& a = after.mask(l).rects();
     const std::vector<int>& bl = before.labels(l);
     const std::vector<int>& al = after.labels(l);
-    // Outside the zone the two labellings must be one bijection.
-    std::vector<int> b2a(b.size(), -1);
-    std::vector<int> a2b(after.mask(l).rects().size(), -1);
-    bool same = true;
-    walk_rects(b, after.mask(l).rects(),
+    // Per net, the one net on the other side its rects outside the zone
+    // lie on, or kBroken.
+    std::vector<int> b2a(b.size(), kUnseen);
+    std::vector<int> a2b(a.size(), kUnseen);
+    const auto meet = [](int& seen, int other) {
+      if (seen == kUnseen) seen = other;
+      if (seen != other) seen = kBroken;
+    };
+    walk_rects(b, a,
                [&](std::size_t i, std::size_t j) {
-                 if (!same) return;
                  if (zb.contains(b[i]) && zone.covers(b[i])) return;
-                 int& fwd = b2a[static_cast<std::size_t>(bl[i])];
-                 int& back = a2b[static_cast<std::size_t>(al[j])];
-                 if (fwd < 0 && back < 0) {
-                   fwd = al[j];
-                   back = bl[i];
-                 } else if (fwd != al[j] || back != bl[i]) {
-                   same = false;
-                 }
+                 meet(b2a[static_cast<std::size_t>(bl[i])], al[j]);
+                 meet(a2b[static_cast<std::size_t>(al[j])], bl[i]);
                },
                [](const Rect&) {});
-    if (!same) return false;
+    for (std::size_t i = 0; i < b.size(); ++i) {
+      if (b2a[static_cast<std::size_t>(bl[i])] == kBroken) {
+        nets.add(b[i].inflated(h));
+      }
+    }
+    for (std::size_t j = 0; j < a.size(); ++j) {
+      if (a2b[static_cast<std::size_t>(al[j])] == kBroken) {
+        nets.add(a[j].inflated(h));
+      }
+    }
   }
+  if (nets.empty()) return false;
+  zone = zone.unite(nets);
   return true;
 }
 
 /// The footprint path: splice a re-check of the edit's zone into the
-/// baseline verdict. Empty when the net guard trips.
-std::optional<Result> footprint_check(const layout::Cell& top,
-                                      const tech::Tech& t,
-                                      const core::EditSet& edits,
-                                      Baseline& base, std::size_t& rects) {
+/// baseline verdict. `guarded` reports whether the net guard grew the zone.
+Result footprint_check(const layout::Cell& top, const tech::Tech& t,
+                       const core::EditSet& edits, Baseline& base,
+                       std::size_t& rects, bool& guarded) {
   SILC_OBS_SPAN("drc.footprint", "drc");
   const RuleEngine engine(t);
   const geom::Coord h = engine.halo() + t.lambda;
@@ -98,9 +117,7 @@ std::optional<Result> footprint_check(const layout::Cell& top,
                                             edits.geometry_layers,
                                             edits.geometry_footprint);
   RectSet zone = edits.geometry_footprint.dilated(h);
-  if (!splice_zone(*base.table, *fresh, t, edits.geometry_layers, zone)) {
-    return std::nullopt;
-  }
+  guarded = splice_zone(*base.table, *fresh, t, edits.geometry_layers, h, zone);
   Result out;
   check_seams(*fresh, zone, h, engine, out.violations);
   for (const Violation& v : base.result->violations) {
@@ -126,6 +143,54 @@ std::size_t edited_cells(const std::vector<const layout::Cell*>& cells,
 }
 
 }  // namespace
+
+void check_seams(LayerTable& full, RectSet& seams, geom::Coord h,
+                 const RuleEngine& engine, std::vector<Violation>& out) {
+  const geom::Coord lambda = engine.tech().lambda;
+  for (;;) {
+    std::vector<Violation> found;
+    RectSet grow;
+    const RectSet dilated = seams.dilated(h);
+    for (const auto& comp : dilated.components()) {
+      core::check_cancel("drc.hier.seam");
+      SILC_FAULT_POINT("drc.hier.seam");
+      const RectSet win(comp);
+      LayerTable soup = [&] {
+        SILC_OBS_SPAN("drc.window.soup", "drc");
+        return full.window(win, h);
+      }();
+      Result sr;
+      {
+        SILC_OBS_SPAN("drc.window.check", "drc");
+        engine.run(soup, sr);
+      }
+      // A window owns only its own seams: its soup is exact within reach
+      // of them, not near another window's seams, where a truncated soup
+      // can invent offences (a channel missing the buried window that
+      // trims it). Within lambda of its seams every derived region is
+      // exact, so a region rect reaching further may be one the soup's
+      // edge cut short: grow the seams by it and check again.
+      if (sr.violations.empty()) continue;
+      const RectSet own = seams.intersect(win);
+      const RectSet exact = own.dilated(lambda);
+      for (Violation& v : sr.violations) {
+        if (!in_seams(own, v)) continue;
+        if (engine.reports_region_rect(v) &&
+            !exact.covers(v.where.inflated(1))) {
+          grow.add(v.where.inflated(1));
+        }
+        found.push_back(std::move(v));
+      }
+    }
+    if (grow.empty()) {
+      out.insert(out.end(), std::make_move_iterator(found.begin()),
+                 std::make_move_iterator(found.end()));
+      return;
+    }
+    SILC_OBS_COUNT("drc.seams.regrown", 1);
+    seams = seams.unite(grow);
+  }
+}
 
 Result check_incremental(const layout::Cell& top, const tech::Tech& technology,
                          VerdictCache& cache, const core::EditSet& edits,
@@ -172,23 +237,20 @@ Result check_incremental(const layout::Cell& top, const tech::Tech& technology,
       served(IncrPath::TopHit, 0);
       return *baseline.result;
     }
-    bool guard = false;
     if (warm && edits.has_footprint && baseline.table != nullptr) {
-      std::optional<Result> r =
-          footprint_check(top, technology, edits, baseline, st.footprint_rects);
-      if (r.has_value()) {
-        baseline.result = std::move(r);
-        served(IncrPath::Footprint, edited_cells(cells, edits));
-        return *baseline.result;
-      }
-      guard = true;
-      SILC_OBS_COUNT("incr.drc.guard", 1);
+      bool guarded = false;
+      baseline.result = footprint_check(top, technology, edits, baseline,
+                                        st.footprint_rects, guarded);
+      if (guarded) SILC_OBS_COUNT("incr.drc.guard", 1);
+      served(guarded ? IncrPath::Guard : IncrPath::Footprint,
+             edited_cells(cells, edits));
+      return *baseline.result;
     }
     const obs::CacheStats before = cache.stats();
     baseline.result = check_hier(top, technology, &cache);
     next_table();
     const obs::CacheStats after = cache.stats();
-    served(guard ? IncrPath::Guard : IncrPath::Full,
+    served(IncrPath::Full,
            static_cast<std::size_t>(after.misses - before.misses));
     return *baseline.result;
   } catch (const core::Cancelled&) {

@@ -11,10 +11,10 @@
 // DrcRule::Kind has one evaluator; the rule's layer names, distances, and
 // violation-name prefix are data, so a new technology (or an extra rule in
 // an existing one) is a table edit, not code. The engine itself is
-// window-agnostic: flat and hierarchical checking both build a LayerTable
-// for their region of interest (the whole chip, a cell, a seam window),
-// run the same engine, and apply their own ownership filter to the
-// violations.
+// window-agnostic: flat checking and the incremental footprint re-check
+// both build a LayerTable for their region of interest (the whole chip, a
+// seam window), run the same engine, and apply their own ownership filter
+// to the violations.
 #pragma once
 
 #include <array>
@@ -101,7 +101,7 @@ class LayerTable {
 };
 
 /// The rule-table interpreter. Construct once per technology; run against
-/// as many LayerTables as needed (per chip, per cell, per seam window).
+/// as many LayerTables as needed (per chip, per seam window).
 class RuleEngine {
  public:
   explicit RuleEngine(const tech::Tech& t);
@@ -162,9 +162,8 @@ class RuleEngine {
 /// violation that meets its own window's seams (in_seams) to `out`. A
 /// region rect (RuleEngine::reports_region_rect) reaching past those seams
 /// may be cut short by the soup's edge, so `seams` grows by it and the
-/// check repeats until none does. Hierarchical DRC runs it over a cell's
-/// interaction seams, the incremental footprint path over an edit's
-/// dilated footprint.
+/// check repeats until none does. The incremental footprint path runs it
+/// over an edit's zone.
 void check_seams(LayerTable& full, geom::RectSet& seams, geom::Coord h,
                  const RuleEngine& engine, std::vector<Violation>& out);
 

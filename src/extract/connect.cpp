@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <map>
 
 namespace silc::extract::detail {
 
@@ -53,14 +54,32 @@ RectSet RawLayers::channels() const {
   return poly.intersect(diff).subtract(buried);
 }
 
-RectGrid::RectGrid(const std::vector<Rect>& rects, Coord stripe)
-    : rects_(rects), stripe_(stripe) {
+RectGrid::RectGrid(const std::vector<Rect>& rects, Coord cell)
+    : rects_(rects), cell_(cell) {
+  stamp_.assign(rects.size(), -1);
+  if (rects.empty()) return;
+  Rect box = rects[0];
+  for (const Rect& r : rects) box = box.bound(r);
+  x0_ = box.x0;
+  y0_ = box.y0;
+  // At most about four cells per rect: a sparse layout must not allocate
+  // cells nothing fills.
+  const auto cells = [&] {
+    cols_ = box.width() / cell_ + 1;
+    rows_ = box.height() / cell_ + 1;
+    return cols_ * rows_;
+  };
+  while (cells() > 4 * static_cast<Coord>(rects.size()) + 64) cell_ *= 2;
+  buckets_.resize(static_cast<std::size_t>(cols_ * rows_));
   for (std::size_t i = 0; i < rects.size(); ++i) {
-    for (Coord b = bucket(rects[i].x0); b <= bucket(rects[i].x1); ++b) {
-      buckets_[b].push_back(static_cast<int>(i));
+    const Rect& r = rects[i];
+    for (Coord row = (r.y0 - y0_) / cell_; row <= (r.y1 - y0_) / cell_; ++row) {
+      for (Coord col = (r.x0 - x0_) / cell_; col <= (r.x1 - x0_) / cell_; ++col) {
+        buckets_[static_cast<std::size_t>(row * cols_ + col)].push_back(
+            static_cast<int>(i));
+      }
     }
   }
-  stamp_.assign(rects.size(), -1);
 }
 
 std::string Warning::render() const {
@@ -145,19 +164,6 @@ std::vector<NodeAnchor> AnchorTable::take() const {
       any = true;
     }
   }
-  return out;
-}
-
-std::vector<int> Connectivity::nodes_at(int cls, Point p) const {
-  std::vector<int> out;
-  const std::vector<Rect>& rs = rects[cls];
-  for (std::size_t i = 0; i < rs.size(); ++i) {
-    if (rs[i].y0 > p.y) break;  // canonical order: sorted by y0 first
-    if (!rs[i].contains(p)) continue;
-    const int n = node_of[cls][i];
-    if (std::find(out.begin(), out.end(), n) == out.end()) out.push_back(n);
-  }
-  std::sort(out.begin(), out.end());
   return out;
 }
 

@@ -16,24 +16,23 @@
 // from the manufacturing geometry, so its correctness is the trust anchor
 // of the whole pipeline.
 //
-// Two modes, one contract — byte-identical *canonical* netlists:
+// Two entry points, one contract — byte-identical *canonical* netlists:
 //
-//   * Flat (extract_flat): the exhaustive baseline — the whole chip
-//     flattened, one global connectivity solve.
+//   * extract_flat: the exhaustive baseline — the whole chip flattened,
+//     one global connectivity solve. It is the test oracle and the engine
+//     the compiler falls back to when extract_hier fails.
 //
-//   * Hier (extract_hier): each unique layout::Cell is extracted once into
-//     a cached partial netlist (NetlistCache, keyed by a content hash of
-//     the cell's geometry *and* labelling plus the technology's
-//     extract_signature(), so identical cells hit across libraries and
-//     across a compile_many batch), and instances are stitched by
-//     re-solving connectivity only inside *interaction windows*: regions
-//     where instance bounding boxes, inflated by a small halo, meet each
-//     other or the parent's own wiring. Windows grow to a fixpoint that
-//     pulls in whole semantic components (transistor channels, contact and
-//     buried-window groups) that reach them, so a transistor formed only
-//     by parent-level poly crossing child diffusion is re-derived from the
-//     true combined geometry; outside the windows the cached per-cell
-//     verdicts are exact and are carried over as geometry fragments.
+//   * extract_hier: a whole-cell cache lookup in front of the same solve.
+//     The NetlistCache is keyed by a content hash of the cell's geometry
+//     *and* labelling plus the technology's extract_signature(), so an
+//     identical design hits across libraries, across a compile_many batch
+//     and through the persistent store. A miss flattens the cell once,
+//     solves it, and files the partial netlist (CellNet) under the cell's
+//     key; the incremental footprint path re-stitches that partial netlist
+//     inside an edit's windows (extract_incremental below). A miss solves
+//     the whole cell, not cell by cell: on an assembled chip the
+//     interaction windows between instances cover most of the area, and
+//     stitching them costs more than the flat solve.
 //
 // The comparison contract is the canonical form (Netlist::canonicalize):
 // every node carries an intrinsic geometric anchor — the lowest-then-
@@ -166,17 +165,19 @@ struct Netlist {
 /// transistor, one per warning. Diffable line by line.
 [[nodiscard]] std::string to_text(const Netlist& nl);
 
-/// Per-cell partial extraction (hier.cpp); opaque to the public API.
+/// A cell's partial extraction (hier.cpp): conducting pieces, proto
+/// transistors, junctions, warnings and bound labels; opaque to the
+/// public API.
 struct CellNet;
 
-/// Per-cell partial netlists shared across hierarchical extractions — and,
-/// via core::compile_many, across every design of a batch. Keyed by the
+/// Whole-cell partial netlists shared across extract_hier calls — and, via
+/// core::compile_many, across every design of a batch. Keyed by the
 /// technology's extract_signature() plus content hashes of the cell's
 /// geometry *and* labelling (layout::geometry_hash + layout::naming_hash,
-/// with shape count and bbox folded in as collision insurance), so
-/// identical cells rebuilt in different libraries hit. Thread-safe;
+/// with shape count and bbox folded in as collision insurance), so an
+/// identical design rebuilt in a different library hits. Thread-safe;
 /// concurrent misses may recompute the same entry, which is harmless
-/// because per-cell extractions are deterministic.
+/// because extractions are deterministic.
 ///
 /// Poison detection: every entry stores a content checksum of its partial
 /// netlist, verified on hit. A mismatch (memory corruption, an injected
@@ -258,26 +259,26 @@ class NetlistCache {
 /// Extract pre-flattened geometry exhaustively.
 [[nodiscard]] Netlist extract_flat(const layout::Flattened& flat,
                                    const tech::Tech& technology = tech::nmos());
-/// Extract hierarchically: unique cells once (cached in `cache` when
-/// given; a local cache is used when null, which still collapses repeated
-/// cells within one chip), interaction windows re-solved. Canonically
-/// byte-identical to extract_flat on the same cell.
+/// Extract through the whole-cell cache: `cache`'s entry for `top`, or on
+/// a miss one connectivity solve over the flattened `top`, stored under its
+/// key (a local cache when `cache` is null). Canonically byte-identical to
+/// extract_flat on the same cell.
 ///
-/// Hier→flat fallback matrix (enforced by core::DesignDB::netlist() and
-/// proved byte-identical by tests/test_fault.cpp, since the modes agree):
+/// Fallback matrix (enforced by core::DesignDB::netlist() and proved
+/// byte-identical by tests/test_fault.cpp):
 ///
 ///   failure inside extract_hier      | what happens
 ///   ---------------------------------+------------------------------------
-///   any std::exception               | caught at the artifact getter,
-///     (incl. fault::InjectedFault)   |   warned in diags, re-run as
-///                                    |   extract_flat — same canonical
+///   any std::exception on the miss   | caught at the artifact getter,
+///     path (incl. an injected fault  |   warned in diags, re-run as
+///     at site "extract.hier.cell")   |   extract_flat — same canonical
 ///                                    |   Netlist, byte for byte
 ///   poisoned NetlistCache entry      | detected by checksum inside find(),
 ///                                    |   evicted + re-extracted — no
 ///                                    |   fallback needed, same Netlist
 ///   core::Cancelled                  | NEVER degraded — rethrown so the
 ///                                    |   deadline wins (retrying on the
-///                                    |   slower flat path would be worse)
+///                                    |   flat path would only repeat it)
 [[nodiscard]] Netlist extract_hier(const layout::Cell& top,
                                    const tech::Tech& technology = tech::nmos(),
                                    NetlistCache* cache = nullptr);
@@ -286,8 +287,8 @@ class NetlistCache {
 /// it and how much of the baseline survived. Mirrored as incr.* counters.
 struct IncrStats {
   std::size_t cells_total = 0;    ///< unique cells under top
-  std::size_t cells_reused = 0;   ///< partial netlists not recomputed
-  std::size_t cells_reproved = 0; ///< partial netlists re-extracted
+  std::size_t cells_reused = 0;   ///< cells_total - cells_reproved
+  std::size_t cells_reproved = 0; ///< edited cells, or cache misses (full)
   core::IncrPath path = core::IncrPath::Full;
   std::size_t footprint_rects = 0; ///< base windows, canonical rects
 };
@@ -306,16 +307,17 @@ struct Baseline {
 /// matching path serves the extraction:
 ///
 ///   * verbatim — both footprints empty and no rule change;
-///   * top hit — `cache` already holds the edited top's partial netlist;
-///   * footprint — the baseline top partial netlist is the one stitch
-///     contributor and both footprints are the base windows (the stitch
-///     fixpoint grows them by whatever lies within its halo): inside the
-///     grown windows connectivity is re-solved on the live layout and
-///     labels are read from it; outside, the baseline is carried as
-///     fragments and nets re-merge through the stitch union-find. No
-///     cell below the top is re-extracted, and the result is not stored
-///     in `cache`;
-///   * full — extract_hier against the warm per-cell `cache`.
+///   * top hit — `cache` already holds the edited top's partial netlist
+///     (an undo back to a state a full run proved);
+///   * footprint — the footprints are the base windows of a re-stitch of
+///     the baseline top's partial netlist (the window fixpoint grows them
+///     by whatever lies within its halo): inside the grown windows
+///     connectivity is re-solved on the live layout and labels are read
+///     from it; outside, the baseline is carried as fragments and nets
+///     re-merge through a union-find. The result is not stored in `cache`
+///     ("extract.hier.window" is its fault and cancellation site);
+///   * full — extract_hier against `cache` (a cold verify or a rule
+///     change).
 ///
 /// `baseline` is updated in place. Byte-identity with a cold
 /// extract_hier/extract_flat holds on every path; the randomized and

@@ -1,6 +1,6 @@
 // Incremental extraction: serve one edit by the cheapest exact path —
 // baseline verbatim, whole-top cache hit, footprint re-stitch, or a full
-// hierarchical run (see extract_incremental in extract.hpp).
+// cold run (see extract_incremental in extract.hpp).
 #include <algorithm>
 #include <exception>
 #include <set>
@@ -78,7 +78,7 @@ Netlist extract_incremental(const layout::Cell& top,
       return *baseline.netlist;
     }
     const obs::CacheStats before = cache.stats();
-    baseline.top = detail::hier_net(top, technology, cache);
+    baseline.top = detail::hier_net(top, technology, &cache);
     baseline.netlist = detail::finalize(top, *baseline.top);
     const obs::CacheStats after = cache.stats();
     served(IncrPath::Full,

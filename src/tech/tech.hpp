@@ -151,13 +151,13 @@ struct Tech {
 
   /// Content hash of the DRC rule set (derived layers + rule table +
   /// lambda): two technologies check identically iff their signatures
-  /// match. The per-cell verdict cache keys on this, so editing a table
+  /// match. The verdict cache keys on this, so editing a table
   /// invalidates cached verdicts even under a reused name.
   [[nodiscard]] std::uint64_t drc_signature() const;
 
   /// Content hash of everything circuit extraction reads from the
-  /// technology (today: lambda, which sets the interaction halo of the
-  /// windowed hierarchical extractor). The per-cell netlist cache keys on
+  /// technology (today: lambda, which sets the halo of the footprint
+  /// path's window fixpoint). The netlist cache keys on
   /// this — mirror of drc_signature() for the extract stage.
   [[nodiscard]] std::uint64_t extract_signature() const;
 };

@@ -2,8 +2,9 @@
 // layout (the generator tests prove the absence of false positives; these
 // prove the absence of false negatives rule by rule). Plus the engine
 // contracts: flat and hierarchical modes report byte-identical violation
-// sets; results are canonical (sorted, deduped); the verdict cache hits across libraries; and the rule table is
-// data (a technology edit changes verdicts with no engine change).
+// sets; results are canonical (sorted, deduped); a cold check_hier files
+// one whole-top verdict, which hits across libraries; and the rule table
+// is data (a technology edit changes verdicts with no engine change).
 #include <gtest/gtest.h>
 
 #include <random>
@@ -246,12 +247,11 @@ TEST(DrcModes, FlatHierAgreeOnAssembledChip) {
 }
 
 /// Randomized adversarial sweep of the mode contract: dense soups where
-/// violations abound, split across two fully overlapping instances so the
-/// hier engine re-checks the whole soup as one seam window, and random
-/// hierarchies with overlapping instances. Byte-identity under
-/// non-transposing orientations; under transposing reuse, spacing/width
-/// fragments may re-slab but per-rule offence presence must still match
-/// (nothing is ever dropped).
+/// violations abound, split across two fully overlapping instances, and
+/// random hierarchies with overlapping instances under every orientation.
+/// A cold check_hier checks the flattened cell, so byte-identity holds
+/// under transposing orientations too; per-rule offence presence is
+/// compared as well.
 TEST(DrcModes, FuzzedSoupsAndHierarchiesAgree) {
   const tech::Layer layers[] = {Layer::Diff,    Layer::Poly,
                                 Layer::Contact, Layer::Metal,
@@ -305,10 +305,8 @@ TEST(DrcModes, FuzzedSoupsAndHierarchiesAgree) {
           }
           const Result flat = check(top);
           const Result hier = check_hier(top);
-          if (!transposing) {
-            EXPECT_EQ(flat.violations, hier.violations)
-                << "hier seed " << hseed;
-          }
+          EXPECT_EQ(flat.violations, hier.violations)
+              << "hier seed " << hseed << ", transposing=" << transposing;
           std::set<std::string> fr, hr;
           for (const Violation& v : flat.violations) fr.insert(v.rule);
           for (const Violation& v : hier.violations) hr.insert(v.rule);
@@ -326,7 +324,7 @@ TEST(DrcModes, VerdictCacheHitsAcrossLibraries) {
   EXPECT_GT(unique_cells, 0u);
   const auto misses_after_first = cache.misses();
 
-  // The same chip rebuilt in a fresh library: every cell verdict hits.
+  // The same chip rebuilt in a fresh library: the whole-chip verdict hits.
   Library b;
   const Result warm = check_hier(dirty_chip(b), tech::nmos(), &cache);
   EXPECT_EQ(cache.size(), unique_cells);
@@ -335,6 +333,28 @@ TEST(DrcModes, VerdictCacheHitsAcrossLibraries) {
 
   Library c;
   EXPECT_EQ(warm.violations, check_hier(dirty_chip(c)).violations);
+}
+
+TEST(DrcModes, ColdHierCachesOnlyTheTop) {
+  // A cold check_hier flattens the chip once and files one verdict, under
+  // the top's key: no per-cell verdicts, no wiring-pool entries.
+  layout::Library lib;
+  core::CompileOptions o;
+  o.name = "counter3";
+  o.stop_after = "assemble";
+  const auto r = core::compile(lib, core::Flow::Behavioral,
+                               silc_fixtures::counter_source(3), o);
+  ASSERT_NE(r.chip, nullptr);
+  ASSERT_GT(r.chip->instances().size(), 1u);
+  VerdictCache cache;
+  const Result cold = check_hier(*r.chip, tech::nmos(), &cache);
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.misses(), 1u);
+  EXPECT_EQ(cold.violations, check(*r.chip).violations);
+  const Result warm = check_hier(*r.chip, tech::nmos(), &cache);
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.hits(), 1u);
+  EXPECT_EQ(warm.violations, cold.violations);
 }
 
 TEST(DrcRuleTable, TechnologiesAreData) {

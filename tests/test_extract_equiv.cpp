@@ -4,9 +4,9 @@
 // formed only by parent-level poly crossing child diffusion), on random
 // dense soups, and on random overlapping hierarchies under every Manhattan
 // orientation (rotations *and* reflections; the anchors-based canonical
-// form is intrinsic, so unlike DRC there is no transposing residual).
-// Plus the cache contract: per-cell netlists hit across libraries and
-// never change results.
+// form is intrinsic). Plus the cache contract: a cold extract_hier files
+// one whole-top entry, which hits across libraries and never changes
+// results.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -214,6 +214,28 @@ TEST(ExtractEquiv, AssembledChipFlatVsHier) {
   expect_identical(*r.chip, "assembled gray2 chip");
 }
 
+TEST(ExtractEquiv, ColdHierCachesOnlyTheTop) {
+  // A cold extract_hier flattens the chip once and files one partial
+  // netlist, under the top's key: no per-cell entries.
+  layout::Library lib;
+  core::CompileOptions o;
+  o.name = "counter3";
+  o.stop_after = "assemble";
+  const auto r = core::compile(lib, core::Flow::Behavioral,
+                               silc_fixtures::counter_source(3), o);
+  ASSERT_NE(r.chip, nullptr);
+  ASSERT_GT(r.chip->instances().size(), 1u);
+  NetlistCache cache;
+  const Netlist cold = extract_hier(*r.chip, tech::nmos(), &cache);
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.misses(), 1u);
+  EXPECT_EQ(cold, extract(*r.chip)) << first_diff(extract(*r.chip), cold);
+  const Netlist warm = extract_hier(*r.chip, tech::nmos(), &cache);
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.hits(), 1u);
+  EXPECT_EQ(warm, cold);
+}
+
 TEST(ExtractEquiv, NetlistCacheHitsAcrossLibraries) {
   NetlistCache cache;
   silc_fixtures::RandomHierarchyOptions o;
@@ -226,8 +248,8 @@ TEST(ExtractEquiv, NetlistCacheHitsAcrossLibraries) {
   EXPECT_GT(unique_cells, 0u);
   const auto misses_after_first = cache.misses();
 
-  // The same hierarchy rebuilt in a fresh library: every cell hits, the
-  // result is bit-identical.
+  // The same hierarchy rebuilt in a fresh library: the whole top hits,
+  // the result is bit-identical.
   Library b;
   const Netlist warm = extract_hier(build(b), tech::nmos(), &cache);
   EXPECT_EQ(cache.size(), unique_cells);

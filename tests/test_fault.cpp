@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "core/compiler.hpp"
+#include "core/incremental_session.hpp"
 #include "design_sources.hpp"
 #include "drc/drc.hpp"
 #include "extract/extract.hpp"
@@ -513,6 +514,10 @@ struct SitePlan {
   int delay_ms = 0;
 };
 
+// A batch compile reaches every site below. The footprint-path sites
+// (drc.hier.seam, extract.hier.window) run only inside an
+// IncrementalSession's footprint verify, so Chaos.FootprintSitesInASession
+// sweeps them instead.
 constexpr SitePlan kSitePlans[] = {
     {"pipeline.stage.parse", Kind::Throw, SitePlan::kHardFail, 0},
     {"pipeline.stage.cif", Kind::Throw, SitePlan::kHardFail, 0},
@@ -523,7 +528,7 @@ constexpr SitePlan kSitePlans[] = {
     {"drc.cache.store", Kind::Corrupt, SitePlan::kBenign, 0},
     {"extract.cache.store", Kind::Corrupt, SitePlan::kBenign, 0},
     {"drc.hier.cell", Kind::Delay, SitePlan::kBenign, 5},
-    {"extract.hier.window", Kind::Delay, SitePlan::kBenign, 5},
+    {"extract.hier.cell", Kind::Delay, SitePlan::kBenign, 5},
     {"sim.gate.prove", Kind::Delay, SitePlan::kBenign, 5},
     {"sim.gate.prove", Kind::Throw, SitePlan::kVerifyHardFail, 0},
     {"sim.pla.prove", Kind::Delay, SitePlan::kBenign, 5},
@@ -651,6 +656,76 @@ TEST(Chaos, DifferentialOverSeededSchedules) {
     SCOPED_TRACE(silc_fixtures::fuzz_repro("test_fault", "Chaos.*", pinned,
                                            "SILC_CHAOS_SEED"));
     run_chaos_round(jobs, base, pinned, fuzz.trials);
+  }
+}
+
+TEST(Chaos, FootprintSitesInASession) {
+  // Seeded edits of counter3's smallest leaf through one session, each
+  // verify with a throw or a delay armed at a footprint-path site. A throw
+  // degrades that stage to a flat recompute, a delay only costs time; the
+  // verdicts equal a flat check either way.
+  if (!fault::kEnabled) GTEST_SKIP() << "built with SILC_FAULT=OFF";
+  const DisarmOnExit disarm;
+  struct Plan {
+    const char* site;
+    Kind kind;
+    bool drc;  // the site's stage
+  };
+  // Each throw is followed by a plan on the other stage, so the thrown
+  // stage's next verify (a cold run) rebuilds its footprint baseline.
+  constexpr Plan kPlans[] = {{"drc.hier.seam", Kind::Throw, true},
+                             {"extract.hier.window", Kind::Delay, false},
+                             {"extract.hier.window", Kind::Throw, false},
+                             {"drc.hier.seam", Kind::Delay, true}};
+  layout::Library lib;
+  CompileOptions o = quick("counter3");
+  o.stop_after = "assemble";
+  const CompileResult r = core::compile(lib, Flow::Behavioral,
+                                        silc_fixtures::counter_source(3), o);
+  ASSERT_NE(r.chip, nullptr);
+  const layout::Cell& chip = *r.chip;
+  layout::Cell* leaf = nullptr;
+  for (const layout::Cell* c : layout::dependency_order(chip)) {
+    if (c == &chip || c->shapes().empty()) continue;
+    if (leaf == nullptr || c->shapes().size() < leaf->shapes().size()) {
+      leaf = lib.find(c->name());
+    }
+  }
+  ASSERT_NE(leaf, nullptr);
+
+  core::IncrementalSession sess;
+  (void)sess.verify(lib, chip);
+  const silc_fixtures::FuzzEnv fuzz = silc_fixtures::fuzz_env(8);
+  for (int round = 0; round < fuzz.trials; ++round) {
+    const Plan& plan = kPlans[static_cast<std::size_t>(round) % std::size(kPlans)];
+    const std::string label = "round " + std::to_string(round) + " site " +
+                              plan.site + " kind " + to_string(plan.kind);
+    layout::Shape moved = leaf->shapes()[0];
+    moved.rect = {moved.rect.x0 + 2, moved.rect.y0, moved.rect.x1 + 2,
+                  moved.rect.y1};
+    leaf->set_shape(0, moved);
+
+    Schedule s;
+    s.triggers.push_back({plan.site, plan.kind, 0, true, 2, ""});
+    Injector::global().arm(s);
+    const core::IncrVerdict v = sess.verify(lib, chip);
+    const std::uint64_t fired = Injector::global().fired();
+    Injector::global().disarm();
+
+    EXPECT_GE(fired, 1u) << label << ": the armed site was never reached";
+    const core::IncrPath path =
+        plan.drc ? v.drc_stats.path : v.extract_stats.path;
+    if (plan.kind == Kind::Throw) {
+      EXPECT_EQ(path, core::IncrPath::FlatFallback) << label;
+    } else {
+      EXPECT_TRUE(path == core::IncrPath::Footprint ||
+                  path == core::IncrPath::Guard)
+          << label << ": " << core::to_string(path);
+    }
+    const layout::Flattened flat = layout::flatten_with_labels(chip);
+    EXPECT_EQ(v.drc.violations, drc::check_flat(flat.shapes).violations)
+        << label;
+    EXPECT_EQ(v.netlist, extract::extract_flat(flat)) << label;
   }
 }
 

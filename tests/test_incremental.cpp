@@ -657,6 +657,90 @@ TEST(Incremental, DistantNetSplitTripsTheGuard) {
       << drc_diff(joined.drc, tied.drc);
 }
 
+TEST(Incremental, GuardGrowsTheZoneBySplitAndJoinedNets) {
+  // Two loops 300 coords apart, each a long wire with a stub 4 coords
+  // above its left end (nmos metal spacing is 6). The lower loop is closed
+  // by a far leg, so its stub gap is a notch; the upper one is open, so
+  // its stub gap is a spacing violation. One edit moves the far leg from
+  // the lower loop to the upper one: the lower net splits, the upper two
+  // join, and both gaps flip verdict 590 coords from the edit. The zone
+  // must grow by the split net as it was before the edit and by the
+  // joined net as it is after.
+  Library lib;
+  Cell& top = lib.create("top");
+  for (const int y : {0, 300}) {
+    top.add_rect(Layer::Metal, {0, y, 600, y + 6});         // long wire
+    top.add_rect(Layer::Metal, {0, y + 10, 20, y + 16});    // stub
+    top.add_rect(Layer::Metal, {0, y + 16, 6, y + 100});    // up
+    top.add_rect(Layer::Metal, {0, y + 100, 600, y + 106}); // across
+  }
+  top.add_rect(Layer::Metal, {594, 6, 600, 100});  // the far leg, below
+
+  IncrementalSession sess;
+  const IncrVerdict before = sess.verify(lib, top);
+  EXPECT_EQ(before.drc.count("metal.notch"), 1u) << before.drc.summary();
+  EXPECT_EQ(before.drc.count("metal.space"), 1u) << before.drc.summary();
+
+  top.set_shape(8, {Layer::Metal, {594, 306, 600, 400}});
+  const IncrVerdict after = sess.verify(lib, top);
+  EXPECT_EQ(after.drc_stats.path, IncrPath::Guard);
+  const drc::Result flat = drc::check_flat(layout::flatten(top));
+  EXPECT_EQ(after.drc.violations, flat.violations)
+      << drc_diff(after.drc, flat);
+  EXPECT_EQ(after.drc.count("metal.notch"), 1u) << after.drc.summary();
+  EXPECT_EQ(after.drc.count("metal.space"), 1u) << after.drc.summary();
+  EXPECT_NE(after.drc.violations, before.drc.violations);
+  EXPECT_EQ(after.netlist, extract::extract(top));
+
+  // And back: the undo is a whole-top cache hit on the cold verdict.
+  top.set_shape(8, {Layer::Metal, {594, 6, 600, 100}});
+  const IncrVerdict undone = sess.verify(lib, top);
+  EXPECT_EQ(undone.drc.violations, before.drc.violations)
+      << drc_diff(undone.drc, before.drc);
+}
+
+TEST(Incremental, ChipWideRailSplitTripsTheGuard) {
+  // counter3's ground rails run the length of the chip and are tied
+  // together by a vertical metal leg at its edge. Removing the leg splits
+  // the ground net: the rails' own rects stay as they were, so only the
+  // guard sees the split, and the zone grows by the whole ground network.
+  // The verdict still equals a flat check.
+  Library lib;
+  Cell& chip = *assemble::assemble_fsm_chip(
+                    lib,
+                    synth::tabulate(rtl::parse(
+                        silc_fixtures::counter_source(3))),
+                    {.name = "counter3"})
+                    .chip;
+  const std::size_t gnd_nets = extract::extract(chip).gnd_nodes.size();
+  ASSERT_EQ(gnd_nets, 1u);
+  // The first top-level vertical metal leg whose removal splits ground
+  // (probed by shrinking it to a stub, which keeps the shape indices).
+  std::size_t leg = chip.shapes().size();
+  for (std::size_t i = 0; i < chip.shapes().size() && leg == chip.shapes().size();
+       ++i) {
+    const layout::Shape s = chip.shapes()[i];
+    if (s.layer != Layer::Metal || s.rect.height() <= s.rect.width()) continue;
+    chip.set_shape(i, {Layer::Metal, {s.rect.x0, s.rect.y0, s.rect.x1,
+                                      s.rect.y0 + 1}});
+    if (extract::extract(chip).gnd_nodes.size() > gnd_nets) leg = i;
+    chip.set_shape(i, s);
+  }
+  ASSERT_LT(leg, chip.shapes().size()) << "no ground leg found";
+
+  IncrementalSession sess;
+  (void)sess.verify(lib, chip);
+  chip.remove_shape(leg);
+  const IncrVerdict cut = sess.verify(lib, chip);
+  EXPECT_EQ(cut.drc_stats.path, IncrPath::Guard);
+  const layout::Flattened flat = layout::flatten_with_labels(chip);
+  const drc::Result fd = drc::check_flat(flat.shapes);
+  EXPECT_EQ(cut.drc.violations, fd.violations) << drc_diff(cut.drc, fd);
+  const extract::Netlist fx = extract::extract_flat(flat);
+  EXPECT_EQ(cut.netlist, fx) << netlist_diff(cut.netlist, fx);
+  EXPECT_GT(cut.netlist.gnd_nodes.size(), gnd_nets);
+}
+
 TEST(Incremental, RegionRectLeavingTheZoneIsRecheckedWhole) {
   // A thin metal wire runs from inside the edit's zone to far outside it,
   // where a wider wire abuts its end. The wire's width violation is one
