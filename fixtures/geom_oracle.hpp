@@ -2,7 +2,9 @@
 // re-sorts every band's active list and the std::map band collector, kept
 // verbatim so the linear-band production kernel can be checked against it
 // (tests/test_geom_oracle.cpp). Also the original label_components pair
-// scan, the oracle for the production sweep over disjoint rects. The production contract is that every
+// scan, the oracle for the production sweep over disjoint rects, and the
+// original four-sweep erosion through the complement, the oracle for the
+// production's two separable passes. The production contract is that every
 // RectSet operation returns the same canonical rect vector, in the same
 // order, as its counterpart here. The operations are restated over plain
 // rect vectors so that each oracle entry point stands alone.
@@ -234,6 +236,8 @@ inline std::vector<Rect> dilated(const std::vector<Rect>& set, Coord d) {
   return normalize(std::move(grown));
 }
 
+/// Erosion as the complement of the dilated complement, clipped to the set:
+/// four sweeps over the complement within the bbox.
 inline std::vector<Rect> eroded(const std::vector<Rect>& set, Coord d) {
   if (d == 0) return set;
   if (set.empty()) return {};

@@ -41,8 +41,9 @@
 //              components within its halo) against the live layout and
 //              splice the result into the baseline — no cell below the
 //              top is re-proved;
-//   guard      the footprint path, with DRC's zone grown by the nets whose
-//              grouping the edit broke (see drc::check_incremental);
+//   guard      the footprint path, where the edit split or joined a net on
+//              a layer DRC's spacing rules label: those rules re-run over
+//              the whole layer instead (see drc::check_incremental);
 //   full       a cold check_hier / extract_hier of the top (a cold
 //              verify, a tech change or a switched top);
 //   flat       the exhaustive engine, when anything above throws.
@@ -162,8 +163,9 @@ struct EditSet {
                            const std::string& top = "");
 
 /// Which path served one stage of one incremental verify (see the
-/// conventions block above). Guard is the footprint path with a zone the
-/// stage's net guard grew.
+/// conventions block above). Guard is the footprint path on an edit that
+/// tripped the stage's net guard: DRC's spacing rules on each layer whose
+/// nets split or joined ran once over that whole layer.
 enum class IncrPath : std::uint8_t {
   Verbatim,
   TopHit,

@@ -153,12 +153,12 @@ struct CompileOptions {
   int sim_threads = 0;
   /// Whole-chip DRC verdict cache (non-owning, thread-safe). compile_many
   /// points every job of a batch at one shared cache so a design compiled
-  /// twice in one batch is checked once; null makes the drc stage use a
-  /// cache local to the run.
+  /// twice in one batch is checked once; null makes the drc stage run
+  /// uncached.
   drc::VerdictCache* drc_cache = nullptr;
   /// Whole-chip netlist cache for extraction (non-owning, thread-safe) —
   /// the extract-stage mirror of drc_cache: compile_many shares one across
-  /// the batch; null gives the run a local cache.
+  /// the batch; null makes extraction run uncached.
   extract::NetlistCache* extract_cache = nullptr;
   /// Wall-clock budget for the whole compile (0 = none). When exceeded,
   /// the run stops at the next stage boundary or long-loop checkpoint

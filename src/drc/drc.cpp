@@ -267,16 +267,21 @@ Result check(const layout::Cell& top, const Tech& technology) {
 
 Result check_hier(const layout::Cell& top, const Tech& technology,
                   VerdictCache* cache) {
-  VerdictCache local;
-  VerdictCache& c = cache != nullptr ? *cache : local;
-  const VerdictCache::Key key = VerdictCache::key_for(top, technology);
-  if (const auto hit = c.find(key)) return Result{*hit};
+  // With no cache there is nothing to look up or keep: no key, no
+  // checksummed store, only the miss a cold run still counts.
+  VerdictCache::Key key;
+  if (cache == nullptr) {
+    SILC_OBS_COUNT("drc.cache.misses", 1);
+  } else {
+    key = VerdictCache::key_for(top, technology);
+    if (const auto hit = cache->find(key)) return Result{*hit};
+  }
   SILC_OBS_SPAN("drc.cell:" + top.name(), "drc");
   SILC_OBS_COUNT("drc.cells", 1);
   core::check_cancel("drc.hier.cell");
   SILC_FAULT_POINT("drc.hier.cell");
   Result r = check(top, technology);
-  c.store(key, r.violations);
+  if (cache != nullptr) cache->store(key, r.violations);
   return r;
 }
 

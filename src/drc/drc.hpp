@@ -27,12 +27,13 @@
 //     instances cover most of the area, and re-checking them costs more
 //     than the flat run.
 //
-// The incremental footprint path (check_incremental) re-checks windows of
-// an edited chip with check_seams (drc/rules.hpp). Its windowed checks
-// reproduce the flat verdict byte for byte because violations are locally
-// anchored — spacing reports the offending gap, area rules one canonical
-// rect each, component rules a whole pulled component — so every report is
-// decided by evidence its window is guaranteed to hold; the randomized and
+// The incremental footprint path (check_incremental) re-checks the zone an
+// edit changed with check_seams (drc/rules.hpp): one windowed soup over the
+// whole zone, one run of the rule deck. Its windowed checks reproduce the
+// flat verdict byte for byte because violations are locally anchored —
+// spacing reports the offending gap, area rules one canonical rect each,
+// component rules a whole pulled component — so every report is decided by
+// evidence the soup is guaranteed to hold; the randomized and
 // long-chain harnesses of tests/test_incremental.cpp re-prove it. One
 // documented residual, which cannot drop an offence: same-layer
 // connectivity reaching a window only through chains of rects that never
@@ -210,8 +211,9 @@ class VerdictCache {
                                 const tech::Tech& technology = tech::nmos());
 
 /// Check a cell through the whole-cell cache: `cache`'s verdict for `top`,
-/// or on a miss check_flat over the flattened `top`, stored under its key
-/// (a local cache when `cache` is null).
+/// or on a miss check_flat over the flattened `top`, stored under its key.
+/// With no cache it is check_flat alone (no key is hashed and nothing is
+/// stored), still counted as a `drc.cache.misses`.
 ///
 /// Fallback matrix (enforced by core::stage_drc and proved byte-identical
 /// by tests/test_fault.cpp):
@@ -262,17 +264,21 @@ struct Baseline {
 ///     (rule reach + lambda), grown by every spacing-layer rect the edit
 ///     re-slabbed (a canonical rect present on one side only: its spacing
 ///     pairs can report gaps far from the edit). Baseline violations
-///     clear of Z are kept; the seam-window engine re-checks Z on the
-///     live geometry (check_seams). The verdict is not stored in `cache`
-///     ("drc.hier.seam" is its fault and cancellation site).
-///     Net guard: the spacing rules' same-net exemption reads full-layout
-///     component labels, so a split or join inside Z can flip a verdict
-///     anywhere along the nets involved. On every label-reading layer the
-///     rects outside Z must group into nets the same way before and after
-///     the edit; where a net's grouping broke (a split or a join), every
-///     rect of that net — before the edit for a split net, after it for a
-///     joined one — dilated by the halo joins Z, and the path is reported
-///     as `guard`;
+///     clear of Z are kept; check_seams re-checks Z on the live geometry
+///     with one windowed run of the rule deck. The verdict is not stored in
+///     `cache` ("drc.hier.seam" is its fault and cancellation site).
+///     Net guard: only the Spacing rules on mask layers read labels — their
+///     same-net exemption consults full-layout components — so a split or
+///     join inside Z can flip one of their verdicts anywhere along the nets
+///     involved. On each such layer the rects outside Z must group into
+///     nets the same way before and after the edit. Where a net's grouping
+///     broke (a before-net now on several after-nets, or an after-net
+///     gathering several before-nets), that layer's Spacing rules leave the
+///     windowed run: each runs once over the whole patched layer, with
+///     full-layout labels, and its reports replace all of its baseline
+///     reports (attributed by rule, RuleEngine::spacing_rules). Every other
+///     rule reads no label and keeps the footprint zone. The path is
+///     reported as `guard`;
 ///   * full — check_hier against `cache` (no baseline or a rule change).
 ///
 /// `baseline` is updated in place to the new verdict. Byte-identity with a

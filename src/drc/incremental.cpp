@@ -6,6 +6,7 @@
 #include <iterator>
 #include <set>
 #include <tuple>
+#include <vector>
 
 #include "core/cancel.hpp"
 #include "drc/drc.hpp"
@@ -45,42 +46,42 @@ void walk_rects(const std::vector<Rect>& b, const std::vector<Rect>& a,
 }
 
 /// Grow `zone` by every label-reading-layer rect present in one
-/// decomposition only, then run the net guard. The spacing rules' same-net
-/// exemption reads full-layout labels, so outside the zone the rects of
-/// each such layer must group into nets the same way before and after the
-/// edit. Where they do not, a net's labelling broke: a before-net whose
-/// rects outside the zone now lie on several after-nets (a split), or an
-/// after-net gathering several before-nets (a join). Every rect of each
-/// broken net, on its own side, joins the zone; what stays outside then
-/// maps one to one. The rects join dilated by `h`, so the zone holds every
-/// gap a re-grouped pair of them can report, whatever one-unit slack the
-/// ownership test (in_seams) allows. True when the guard grew the zone.
-bool splice_zone(LayerTable& before, LayerTable& after, const tech::Tech& t,
-                 std::uint32_t changed, geom::Coord h, RectSet& zone) {
-  const std::vector<tech::Layer> layers = label_read_layers(t);
+/// decomposition only, then run the net guard: return the mask (bit
+/// tech::index) of those layers whose net partition broke outside the
+/// zone. The spacing rules' same-net exemption reads full-layout labels, so
+/// outside the zone the rects of each such layer must group into nets the
+/// same way before and after the edit. Where they do not, a net's labelling
+/// broke: a before-net whose rects outside the zone now lie on several
+/// after-nets (a split), or an after-net gathering several before-nets (a
+/// join), and a spacing verdict may flip anywhere along it.
+std::uint32_t splice_zone(LayerTable& before, LayerTable& after,
+                          const tech::Tech& t, std::uint32_t changed,
+                          RectSet& zone) {
+  std::vector<tech::Layer> layers;
+  for (const tech::Layer l : label_read_layers(t)) {
+    if ((changed >> tech::index(l) & 1u) != 0) layers.push_back(l);
+  }
   for (const tech::Layer l : layers) {
-    if ((changed >> tech::index(l) & 1u) == 0) continue;
     walk_rects(before.mask(l).rects(), after.mask(l).rects(),
                [](std::size_t, std::size_t) {},
                [&zone](const Rect& r) { zone.add(r); });
   }
   const Rect zb = zone.bbox();
-  constexpr int kUnseen = -1;
-  constexpr int kBroken = -2;
-  RectSet nets;
+  std::uint32_t broken = 0;
   for (const tech::Layer l : layers) {
-    if ((changed >> tech::index(l) & 1u) == 0) continue;
     const std::vector<Rect>& b = before.mask(l).rects();
     const std::vector<Rect>& a = after.mask(l).rects();
     const std::vector<int>& bl = before.labels(l);
     const std::vector<int>& al = after.labels(l);
     // Per net, the one net on the other side its rects outside the zone
-    // lie on, or kBroken.
+    // lie on; a second one breaks it.
+    constexpr int kUnseen = -1;
     std::vector<int> b2a(b.size(), kUnseen);
     std::vector<int> a2b(a.size(), kUnseen);
-    const auto meet = [](int& seen, int other) {
+    bool split_or_join = false;
+    const auto meet = [&split_or_join](int& seen, int other) {
       if (seen == kUnseen) seen = other;
-      if (seen != other) seen = kBroken;
+      split_or_join = split_or_join || seen != other;
     };
     walk_rects(b, a,
                [&](std::size_t i, std::size_t j) {
@@ -89,24 +90,16 @@ bool splice_zone(LayerTable& before, LayerTable& after, const tech::Tech& t,
                  meet(a2b[static_cast<std::size_t>(al[j])], bl[i]);
                },
                [](const Rect&) {});
-    for (std::size_t i = 0; i < b.size(); ++i) {
-      if (b2a[static_cast<std::size_t>(bl[i])] == kBroken) {
-        nets.add(b[i].inflated(h));
-      }
-    }
-    for (std::size_t j = 0; j < a.size(); ++j) {
-      if (a2b[static_cast<std::size_t>(al[j])] == kBroken) {
-        nets.add(a[j].inflated(h));
-      }
-    }
+    if (split_or_join) broken |= 1u << tech::index(l);
   }
-  if (nets.empty()) return false;
-  zone = zone.unite(nets);
-  return true;
+  return broken;
 }
 
 /// The footprint path: splice a re-check of the edit's zone into the
-/// baseline verdict. `guarded` reports whether the net guard grew the zone.
+/// baseline verdict. Every rule re-checks the zone in one windowed run,
+/// except the spacing rules of a layer whose nets broke: those run once
+/// over the whole patched layer and replace all their baseline reports.
+/// `guarded` reports whether the net guard found such a layer.
 Result footprint_check(const layout::Cell& top, const tech::Tech& t,
                        const core::EditSet& edits, Baseline& base,
                        std::size_t& rects, bool& guarded) {
@@ -117,11 +110,22 @@ Result footprint_check(const layout::Cell& top, const tech::Tech& t,
                                             edits.geometry_layers,
                                             edits.geometry_footprint);
   RectSet zone = edits.geometry_footprint.dilated(h);
-  guarded = splice_zone(*base.table, *fresh, t, edits.geometry_layers, h, zone);
+  const std::uint32_t broken =
+      splice_zone(*base.table, *fresh, t, edits.geometry_layers, zone);
+  guarded = broken != 0;
+  const std::vector<bool> whole = engine.spacing_rules(broken);
+  std::vector<bool> windowed = whole;
+  windowed.flip();
   Result out;
-  check_seams(*fresh, zone, h, engine, out.violations);
+  check_seams(*fresh, zone, h, engine, windowed, out.violations);
+  if (guarded) {
+    SILC_OBS_SPAN("drc.guard.spacing", "drc");
+    engine.run(*fresh, out, whole);
+  }
   for (const Violation& v : base.result->violations) {
-    if (!in_seams(zone, v)) out.violations.push_back(v);
+    if (!in_seams(zone, v) && !engine.reports(whole, v.rule)) {
+      out.violations.push_back(v);
+    }
   }
   out.canonicalize();
   rects = zone.rects().size();
@@ -145,42 +149,32 @@ std::size_t edited_cells(const std::vector<const layout::Cell*>& cells,
 }  // namespace
 
 void check_seams(LayerTable& full, RectSet& seams, geom::Coord h,
-                 const RuleEngine& engine, std::vector<Violation>& out) {
-  const geom::Coord lambda = engine.tech().lambda;
+                 const RuleEngine& engine, const std::vector<bool>& rules,
+                 std::vector<Violation>& out) {
   for (;;) {
+    core::check_cancel("drc.hier.seam");
+    SILC_FAULT_POINT("drc.hier.seam");
+    LayerTable soup = [&] {
+      SILC_OBS_SPAN("drc.window.soup", "drc");
+      return full.window(seams.dilated(h), h);
+    }();
+    Result sr;
+    {
+      SILC_OBS_SPAN("drc.window.check", "drc");
+      engine.run(soup, sr, rules);
+    }
+    // Within lambda of the seams every derived region is exact, so a
+    // region rect reaching further may be one the soup's edge cut short:
+    // grow the seams by it and check again.
     std::vector<Violation> found;
     RectSet grow;
-    const RectSet dilated = seams.dilated(h);
-    for (const auto& comp : dilated.components()) {
-      core::check_cancel("drc.hier.seam");
-      SILC_FAULT_POINT("drc.hier.seam");
-      const RectSet win(comp);
-      LayerTable soup = [&] {
-        SILC_OBS_SPAN("drc.window.soup", "drc");
-        return full.window(win, h);
-      }();
-      Result sr;
-      {
-        SILC_OBS_SPAN("drc.window.check", "drc");
-        engine.run(soup, sr);
+    const RectSet exact = seams.dilated(engine.tech().lambda);
+    for (Violation& v : sr.violations) {
+      if (!in_seams(seams, v)) continue;
+      if (engine.reports_region_rect(v) && !exact.covers(v.where.inflated(1))) {
+        grow.add(v.where.inflated(1));
       }
-      // A window owns only its own seams: its soup is exact within reach
-      // of them, not near another window's seams, where a truncated soup
-      // can invent offences (a channel missing the buried window that
-      // trims it). Within lambda of its seams every derived region is
-      // exact, so a region rect reaching further may be one the soup's
-      // edge cut short: grow the seams by it and check again.
-      if (sr.violations.empty()) continue;
-      const RectSet own = seams.intersect(win);
-      const RectSet exact = own.dilated(lambda);
-      for (Violation& v : sr.violations) {
-        if (!in_seams(own, v)) continue;
-        if (engine.reports_region_rect(v) &&
-            !exact.covers(v.where.inflated(1))) {
-          grow.add(v.where.inflated(1));
-        }
-        found.push_back(std::move(v));
-      }
+      found.push_back(std::move(v));
     }
     if (grow.empty()) {
       out.insert(out.end(), std::make_move_iterator(found.begin()),

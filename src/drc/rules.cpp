@@ -1,6 +1,7 @@
 #include "drc/rules.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <numeric>
 #include <stdexcept>
 #include <tuple>
@@ -311,9 +312,24 @@ Rect component_bbox(const std::vector<Rect>& comp, std::int64_t* area = nullptr)
 
 RuleEngine::RuleEngine(const Tech& t) : tech_(&t), halo_(t.max_rule_dist()) {
   for (const DrcRule& r : t.drc_rules) {
-    if (r.kind == DrcRule::Kind::Width) region_rules_.push_back(r.name + ".width");
-    if (r.kind == DrcRule::Kind::CrossSpacing) {
-      region_rules_.push_back(r.name + ".space");
+    std::vector<std::string> suffixes;
+    switch (r.kind) {
+      case DrcRule::Kind::Width: suffixes = {".width"}; break;
+      case DrcRule::Kind::Spacing: suffixes = {".space", ".notch"}; break;
+      case DrcRule::Kind::CrossSpacing: suffixes = {".space"}; break;
+      case DrcRule::Kind::SurroundAll: suffixes = {".surround"}; break;
+      case DrcRule::Kind::ContactCut:
+        suffixes = {".size", ".metal.surround", ".surround", ".gate.space"};
+        break;
+      case DrcRule::Kind::GateOverhang: suffixes = {".shape", ".overhang"}; break;
+      case DrcRule::Kind::ImplantGates:
+        suffixes = {".surround", ".gate.space"};
+        break;
+    }
+    std::vector<std::string>& names = names_.emplace_back();
+    for (const std::string& sfx : suffixes) names.push_back(r.name + sfx);
+    if (r.kind == DrcRule::Kind::Width || r.kind == DrcRule::Kind::CrossSpacing) {
+      region_rules_.push_back(names.front());
     }
   }
   std::sort(region_rules_.begin(), region_rules_.end());
@@ -323,21 +339,75 @@ bool RuleEngine::reports_region_rect(const Violation& v) const {
   return std::binary_search(region_rules_.begin(), region_rules_.end(), v.rule);
 }
 
-void RuleEngine::run(LayerTable& g, Result& out) const {
-  for (const DrcRule& r : tech_->drc_rules) {
-    // Rule granularity keeps a deadline responsive even on the flat
-    // fallback path, where one run() covers the whole chip.
-    core::check_cancel("drc.rule");
-    switch (r.kind) {
-      case DrcRule::Kind::Width: eval_width(r, g, out); break;
-      case DrcRule::Kind::Spacing: eval_spacing(r, g, out); break;
-      case DrcRule::Kind::CrossSpacing: eval_cross_spacing(r, g, out); break;
-      case DrcRule::Kind::SurroundAll: eval_surround_all(r, g, out); break;
-      case DrcRule::Kind::ContactCut: eval_contact_cut(r, g, out); break;
-      case DrcRule::Kind::GateOverhang: eval_gate_overhang(r, g, out); break;
-      case DrcRule::Kind::ImplantGates: eval_implant_gates(r, g, out); break;
+std::vector<bool> RuleEngine::spacing_rules(std::uint32_t layers) const {
+  const std::vector<DrcRule>& rules = tech_->drc_rules;
+  std::vector<bool> out(rules.size(), false);
+  for (std::size_t i = 0; i < rules.size(); ++i) {
+    Layer l{};
+    out[i] = rules[i].kind == DrcRule::Kind::Spacing &&
+             LayerTable::mask_layer(rules[i].layer, l) &&
+             (layers >> tech::index(l) & 1u) != 0;
+  }
+  for (bool grew = true; grew;) {
+    grew = false;
+    for (std::size_t i = 0; i < rules.size(); ++i) {
+      if (out[i]) continue;
+      for (const std::string& n : names_[i]) {
+        if (reports(out, n)) {
+          out[i] = grew = true;
+          break;
+        }
+      }
     }
   }
+  return out;
+}
+
+bool RuleEngine::reports(const std::vector<bool>& rules,
+                         const std::string& name) const {
+  for (std::size_t i = 0; i < rules.size(); ++i) {
+    if (rules[i] && std::find(names_[i].begin(), names_[i].end(), name) !=
+                        names_[i].end()) {
+      return true;
+    }
+  }
+  return false;
+}
+
+void RuleEngine::run(LayerTable& g, Result& out) const {
+  for (std::size_t i = 0; i < tech_->drc_rules.size(); ++i) eval(i, g, out);
+}
+
+void RuleEngine::run(LayerTable& g, Result& out,
+                     const std::vector<bool>& rules) const {
+  for (std::size_t i = 0; i < tech_->drc_rules.size(); ++i) {
+    if (rules[i]) eval(i, g, out);
+  }
+}
+
+void RuleEngine::eval(std::size_t i, LayerTable& g, Result& out) const {
+  // Rule granularity keeps a deadline responsive even on the flat
+  // fallback path, where one run() covers the whole chip.
+  core::check_cancel("drc.rule");
+  const DrcRule& r = tech_->drc_rules[i];
+  [[maybe_unused]] const std::size_t first = out.violations.size();
+  switch (r.kind) {
+    case DrcRule::Kind::Width: eval_width(r, g, out); break;
+    case DrcRule::Kind::Spacing: eval_spacing(r, g, out); break;
+    case DrcRule::Kind::CrossSpacing: eval_cross_spacing(r, g, out); break;
+    case DrcRule::Kind::SurroundAll: eval_surround_all(r, g, out); break;
+    case DrcRule::Kind::ContactCut: eval_contact_cut(r, g, out); break;
+    case DrcRule::Kind::GateOverhang: eval_gate_overhang(r, g, out); break;
+    case DrcRule::Kind::ImplantGates: eval_implant_gates(r, g, out); break;
+  }
+  // names_ must list every name a rule reports under: spacing_rules and
+  // reports() attribute reports by it.
+  assert(std::all_of(
+      out.violations.begin() + static_cast<std::ptrdiff_t>(first),
+      out.violations.end(), [&](const Violation& v) {
+        return std::find(names_[i].begin(), names_[i].end(), v.rule) !=
+               names_[i].end();
+      }));
 }
 
 void RuleEngine::eval_width(const DrcRule& r, LayerTable& g,
@@ -348,18 +418,24 @@ void RuleEngine::eval_width(const DrcRule& r, LayerTable& g,
   // In doubled coordinates every feature has even width, so "width < w"
   // is exactly "width <= 2w - 2 in doubled space", which morphological
   // opening with radius w-1 detects with no boundary ambiguity.
-  const RectSet s2 = s.scaled(2);
-  const RectSet opened = s2.eroded(w - 1).dilated(w - 1);
-  const RectSet thin = s2.subtract(opened);
-  // One violation per canonical rect of the thin region: thinness is a
-  // w-local property, so each report (and its anchor, which lies on the
-  // feature) is decided by geometry within the halo — grouping into
-  // components would tie a report to evidence arbitrarily far away.
-  for (const Rect& t : thin.rects()) {
-    const Rect where{floor_div2(t.x0), floor_div2(t.y0), ceil_div2(t.x1),
-                     ceil_div2(t.y1)};
-    add(out, r.name + ".width", where, "feature narrower than minimum width",
-        where.ll());
+  //
+  // The opening runs one connected component at a time: an eroding square
+  // inside the layer lies inside one component, so the opening never spans
+  // two, and each component's sweeps see only its own bands. Components
+  // share no edge, so the canonical rects of the whole thin region are the
+  // union of each component's.
+  for (const std::vector<Rect>& comp : s.components()) {
+    const RectSet c2 = RectSet(comp).scaled(2);
+    const RectSet thin = c2.subtract(c2.eroded(w - 1).dilated(w - 1));
+    // One violation per canonical rect of the thin region: thinness is a
+    // w-local property, so each report (and its anchor, which lies on the
+    // feature) is decided by geometry within the halo.
+    for (const Rect& t : thin.rects()) {
+      const Rect where{floor_div2(t.x0), floor_div2(t.y0), ceil_div2(t.x1),
+                       ceil_div2(t.y1)};
+      add(out, r.name + ".width", where, "feature narrower than minimum width",
+          where.ll());
+    }
   }
 }
 

@@ -12,8 +12,8 @@
 // violation-name prefix are data, so a new technology (or an extra rule in
 // an existing one) is a table edit, not code. The engine itself is
 // window-agnostic: flat checking and the incremental footprint re-check
-// both build a LayerTable for their region of interest (the whole chip, a
-// seam window), run the same engine, and apply their own ownership filter
+// both build a LayerTable for their region of interest (the whole chip, an
+// edit's zone), run the same engine, and apply their own ownership filter
 // to the violations.
 #pragma once
 
@@ -101,7 +101,7 @@ class LayerTable {
 };
 
 /// The rule-table interpreter. Construct once per technology; run against
-/// as many LayerTables as needed (per chip, per seam window).
+/// as many LayerTables as needed (per chip, per footprint zone).
 class RuleEngine {
  public:
   explicit RuleEngine(const tech::Tech& t);
@@ -109,6 +109,18 @@ class RuleEngine {
   /// Evaluate every table rule against `g`, appending violations to `out`
   /// (unsorted; callers canonicalize via Result::canonicalize()).
   void run(LayerTable& g, Result& out) const;
+  /// Evaluate only the rules whose index into tech().drc_rules is set in
+  /// `rules`.
+  void run(LayerTable& g, Result& out, const std::vector<bool>& rules) const;
+
+  /// The Spacing rules on the mask layers whose bit (tech::index) is set in
+  /// `layers`: the rules that read component labels there. A report is
+  /// attributed to its rule by name only, so any rule that can report under
+  /// one of theirs joins them (no stock table has such a pair).
+  [[nodiscard]] std::vector<bool> spacing_rules(std::uint32_t layers) const;
+  /// True when one of `rules` reports under the violation name `name`.
+  [[nodiscard]] bool reports(const std::vector<bool>& rules,
+                             const std::string& name) const;
 
   /// Layer expressions whose rules judge whole components (contact cuts,
   /// buried windows, transistor channels): windowed checks must pull these
@@ -128,6 +140,7 @@ class RuleEngine {
   [[nodiscard]] const tech::Tech& tech() const { return *tech_; }
 
  private:
+  void eval(std::size_t rule, LayerTable& g, Result& out) const;
   void eval_width(const tech::DrcRule& r, LayerTable& g, Result& out) const;
   void eval_spacing(const tech::DrcRule& r, LayerTable& g, Result& out) const;
   void eval_cross_spacing(const tech::DrcRule& r, LayerTable& g,
@@ -143,12 +156,13 @@ class RuleEngine {
 
   const tech::Tech* tech_;
   geom::Coord halo_;
+  std::vector<std::vector<std::string>> names_;  // per rule, report names
   std::vector<std::string> region_rules_;  // violation rule names, sorted
 };
 
-/// The ownership test both sides of a seam split share: a violation
+/// The ownership test both sides of a zone split share: a violation
 /// belongs to the re-checked region when its `where`, grown by one unit,
-/// meets the seams' interior. Violations failing it keep their isolated
+/// meets the seams' interior. Violations failing it keep their baseline
 /// verdict; the rest come from check_seams — so callers filter against
 /// the seams check_seams leaves behind.
 [[nodiscard]] inline bool in_seams(const geom::RectSet& seams,
@@ -156,15 +170,17 @@ class RuleEngine {
   return seams.intersects(v.where.inflated(1));
 }
 
-/// Re-verify `seams` against the full geometry `full`: one engine run per
-/// connected window of the seams dilated by `h`, over the unclipped
-/// windowed soup (LayerTable::window, labels from `full`). Appends every
-/// violation that meets its own window's seams (in_seams) to `out`. A
-/// region rect (RuleEngine::reports_region_rect) reaching past those seams
-/// may be cut short by the soup's edge, so `seams` grows by it and the
-/// check repeats until none does. The incremental footprint path runs it
-/// over an edit's zone.
+/// Re-verify `seams` against the full geometry `full`: one run of the
+/// selected `rules` over one unclipped soup of the seams dilated by `h`
+/// (LayerTable::window, labels from `full`). Appends every violation that
+/// meets the seams (in_seams) to `out`. The soup is exact within reach of
+/// every seam, so no report needs another owner. A region rect
+/// (RuleEngine::reports_region_rect) reaching past the seams may be cut
+/// short by the soup's edge, so `seams` grows by it and the check repeats
+/// until none does. The incremental footprint path runs it over an edit's
+/// zone.
 void check_seams(LayerTable& full, geom::RectSet& seams, geom::Coord h,
-                 const RuleEngine& engine, std::vector<Violation>& out);
+                 const RuleEngine& engine, const std::vector<bool>& rules,
+                 std::vector<Violation>& out);
 
 }  // namespace silc::drc

@@ -261,8 +261,9 @@ class NetlistCache {
                                    const tech::Tech& technology = tech::nmos());
 /// Extract through the whole-cell cache: `cache`'s entry for `top`, or on
 /// a miss one connectivity solve over the flattened `top`, stored under its
-/// key (a local cache when `cache` is null). Canonically byte-identical to
-/// extract_flat on the same cell.
+/// key. With no cache it is that solve alone (no key is hashed and nothing
+/// is stored), still counted as an `extract.cache.misses`. Canonically
+/// byte-identical to extract_flat on the same cell.
 ///
 /// Fallback matrix (enforced by core::DesignDB::netlist() and proved
 /// byte-identical by tests/test_fault.cpp):

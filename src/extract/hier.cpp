@@ -870,10 +870,15 @@ namespace detail {
 
 std::shared_ptr<const CellNet> hier_net(const Cell& top, const Tech& technology,
                                         NetlistCache* cache) {
-  NetlistCache local;
-  NetlistCache& c = cache != nullptr ? *cache : local;
-  const NetlistCache::Key key = NetlistCache::key_for(top, technology);
-  if (auto hit = c.find(key)) return hit;
+  // With no cache there is nothing to look up or keep: no key, no
+  // checksummed store, only the miss a cold run still counts.
+  NetlistCache::Key key;
+  if (cache == nullptr) {
+    SILC_OBS_COUNT("extract.cache.misses", 1);
+  } else {
+    key = NetlistCache::key_for(top, technology);
+    if (auto hit = cache->find(key)) return hit;
+  }
   SILC_OBS_SPAN("extract.cell:" + top.name(), "extract");
   SILC_OBS_COUNT("extract.cells", 1);
   core::check_cancel("extract.hier.cell");
@@ -881,7 +886,8 @@ std::shared_ptr<const CellNet> hier_net(const Cell& top, const Tech& technology,
   layout::Flattened flat = layout::flatten_with_labels(top);
   // The top's ports come last; finalize binds them, and the key omits them.
   flat.labels.resize(flat.labels.size() - top.ports().size());
-  return c.store(key, std::make_shared<const CellNet>(solve(flat)));
+  auto net = std::make_shared<const CellNet>(solve(flat));
+  return cache != nullptr ? cache->store(key, std::move(net)) : net;
 }
 
 std::shared_ptr<const CellNet> restitch(const Cell& top,

@@ -12,7 +12,7 @@ namespace silc::extract::detail {
 
 /// The partial netlist extract_hier finalizes: `cache`'s entry for the
 /// whole `top`, or on a miss one connectivity solve over the flattened
-/// top, stored under the top's key (a local cache when `cache` is null).
+/// top, stored under the top's key (with no cache, the solve alone).
 [[nodiscard]] std::shared_ptr<const CellNet> hier_net(
     const layout::Cell& top, const tech::Tech& technology, NetlistCache* cache);
 

@@ -357,10 +357,21 @@ RectSet RectSet::dilated(Coord d) const {
 RectSet RectSet::eroded(Coord d) const {
   if (d == 0) return *this;
   assert(d > 0);
-  if (empty()) return {};
-  const Rect window = bbox().inflated(2 * d);
-  const RectSet complement = RectSet(window).subtract(*this);
-  return RectSet(window).subtract(complement.dilated(d)).intersect(*this);
+  // Erosion by the square is erosion by a horizontal segment of half-length
+  // d, then by a vertical one. Every canonical rect spans a maximal x-run of
+  // the region in each band it covers, so the horizontal pass shrinks each
+  // rect by d in x; the vertical pass does the same in the transposed frame.
+  // Each pass emits its rects transposed, and the normalize after it is the
+  // sweep that makes the next frame's runs maximal.
+  const auto shrink_transposed = [d](const std::vector<Rect>& in) {
+    std::vector<Rect> out;
+    out.reserve(in.size());
+    for (const Rect& r : in) {
+      if (r.x1 - r.x0 > 2 * d) out.push_back({r.y0, r.x0 + d, r.y1, r.x1 - d});
+    }
+    return RectSet(std::move(out));
+  };
+  return shrink_transposed(shrink_transposed(rects()).rects());
 }
 
 RectSet RectSet::scaled(Coord k) const {

@@ -55,7 +55,8 @@ class RectSet {
 
   /// Minkowski sum with a [-d,d]^2 square (grow by d on every side).
   [[nodiscard]] RectSet dilated(Coord d) const;
-  /// Morphological erosion by a [-d,d]^2 square (shrink by d on every side).
+  /// Morphological erosion by a [-d,d]^2 square (shrink by d on every side):
+  /// a horizontal then a vertical segment erosion, one sweep each.
   [[nodiscard]] RectSet eroded(Coord d) const;
   /// All coordinates multiplied by k (k > 0).
   [[nodiscard]] RectSet scaled(Coord k) const;

@@ -2,18 +2,23 @@
 // layout (the generator tests prove the absence of false positives; these
 // prove the absence of false negatives rule by rule). Plus the engine
 // contracts: flat and hierarchical modes report byte-identical violation
-// sets; results are canonical (sorted, deduped); a cold check_hier files
+// sets; the width rule's per-component opening reports what one opening of
+// the whole layer does; results are canonical (sorted, deduped); a cold
+// check_hier files
 // one whole-top verdict, which hits across libraries; and the rule table
 // is data (a technology edit changes verdicts with no engine change).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 #include <set>
+#include <tuple>
 
 #include "core/compiler.hpp"
 #include "design_sources.hpp"
 #include "drc/drc.hpp"
 #include "fuzz_env.hpp"
+#include "geom_oracle.hpp"
 #include "layout/layout.hpp"
 
 namespace silc::drc {
@@ -312,6 +317,57 @@ TEST(DrcModes, FuzzedSoupsAndHierarchiesAgree) {
           for (const Violation& v : hier.violations) hr.insert(v.rule);
           EXPECT_EQ(fr, hr) << "offence presence, transposing=" << transposing
                             << " seed " << hseed;
+        }
+      });
+}
+
+/// The width rule opens each connected component on its own. Its reports
+/// must be exactly the canonical rects of the whole layer's thin region,
+/// computed here as it was before: one opening of the whole doubled layer
+/// with the oracle's four-sweep erosion (fixtures/geom_oracle.hpp), halved
+/// outward.
+TEST(DrcRules, WidthFuzzMatchesWholeSetOpening) {
+  namespace oracle = silc_fixtures::geom_oracle;
+  const tech::Tech& t = tech::nmos();
+  silc_fixtures::fuzz_seeds(
+      "test_drc", "DrcRules.WidthFuzzMatchesWholeSetOpening", 0, 12,
+      [&](unsigned seed) {
+        std::mt19937 rng(seed);
+        std::uniform_int_distribution<int> c(0, 300), w(1, 24), li(0, 3);
+        const Layer layers[] = {Layer::Diff, Layer::Poly, Layer::Metal,
+                                Layer::Buried};
+        std::vector<layout::Shape> shapes;
+        for (int i = 0; i < 400; ++i) {
+          const int x = c(rng), y = c(rng);
+          shapes.push_back({layers[li(rng)], {x, y, x + w(rng), y + w(rng)}});
+        }
+        const Result got = check_flat(shapes, t);
+        for (const tech::DrcRule& r : t.drc_rules) {
+          if (r.kind != tech::DrcRule::Kind::Width) continue;
+          std::vector<Rect> doubled;
+          for (const layout::Shape& s : shapes) {
+            if (tech::name(s.layer) != r.layer) continue;
+            doubled.push_back({2 * s.rect.x0, 2 * s.rect.y0, 2 * s.rect.x1,
+                               2 * s.rect.y1});
+          }
+          const std::vector<Rect> s2 = oracle::normalize(doubled);
+          const std::vector<Rect> thin = oracle::subtract(
+              s2, oracle::dilated(oracle::eroded(s2, r.dist - 1), r.dist - 1));
+          std::vector<Rect> want;
+          for (const Rect& q : thin) {
+            want.push_back({q.x0 / 2, q.y0 / 2, (q.x1 + 1) / 2, (q.y1 + 1) / 2});
+          }
+          std::vector<Rect> reported;
+          for (const Violation& v : got.violations) {
+            if (v.rule == r.name + ".width") reported.push_back(v.where);
+          }
+          const auto less = [](const Rect& a, const Rect& b) {
+            return std::tie(a.x0, a.y0, a.x1, a.y1) <
+                   std::tie(b.x0, b.y0, b.x1, b.y1);
+          };
+          std::sort(want.begin(), want.end(), less);
+          want.erase(std::unique(want.begin(), want.end()), want.end());
+          EXPECT_EQ(reported, want) << r.layer << ", seed " << seed;
         }
       });
 }

@@ -1,8 +1,11 @@
 // Differential fuzz of the RectSet scanline against its oracle
 // (fixtures/geom_oracle.hpp: the original per-band sort and std::map
-// collector), and of label_components against its original pair scan. The contract is exact: every operation returns the same
-// canonical rects in the same order, because hash(), the verdict-cache keys,
-// violation sets and netlists are all built from that vector. Inputs are
+// collector, and the original erosion through the complement), of
+// label_components against its original pair scan, and of the width
+// rule's per-component opening against the whole set's. The contract is
+// exact: every operation returns the same canonical rects in the same
+// order, because hash(), the verdict-cache keys, violation sets and
+// netlists are all built from that vector. Inputs are
 // random rect soups of 1..4k rects with duplicates, nested and abutting
 // rects, zero-width and zero-height rects and negative coordinates.
 //
@@ -10,8 +13,10 @@
 // SILC_FUZZ_SEED reruns one failing trial.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "fuzz_env.hpp"
@@ -179,6 +184,51 @@ void check_labels(unsigned seed) {
   for (Coord x = -990; x < 990; x += 7) railed.push_back({x, 1004, x + 3, 1010});
   const std::vector<Rect> rc = RectSet(railed).rects();
   EXPECT_EQ(label_components(rc), oracle::label_components(rc));
+}
+
+/// Separable erosion against the oracle's erosion through the complement,
+/// at radii from one unit to past the soup's feature sizes; and the
+/// property the width rule rests on: opening each connected component on
+/// its own gives the whole set's opening, and the thin remainders' rects
+/// are exactly the whole thin region's canonical rects.
+void check_erosion(unsigned seed) {
+  std::mt19937 rng(seed);
+  static constexpr std::size_t kCaps[] = {4, 32, 256, 1024};
+  static constexpr Coord kSpans[] = {3, 12, 60, 400};
+  const Coord span = kSpans[(seed / 4) % 4];
+  const std::vector<Rect> soup = random_soup(rng, 1 + rng() % kCaps[seed % 4], span);
+  const RectSet s(soup);
+  const std::vector<Rect> cs = oracle::normalize(soup);
+  for (int i = 0; i < 3; ++i) {
+    const Coord d = 1 + static_cast<Coord>(rng() % static_cast<unsigned>(span / 2 + 2));
+    expect_same(s.eroded(d), oracle::eroded(cs, d), "eroded");
+
+    const std::vector<Rect> open = oracle::dilated(oracle::eroded(cs, d), d);
+    const std::vector<Rect> thin = oracle::subtract(cs, open);
+    RectSet opened;
+    std::vector<Rect> thins;
+    for (const std::vector<Rect>& comp : s.components()) {
+      const RectSet c(comp);
+      const RectSet o = c.eroded(d).dilated(d);
+      for (const Rect& r : o.rects()) opened.add(r);
+      const RectSet t = c.subtract(o);
+      thins.insert(thins.end(), t.rects().begin(), t.rects().end());
+    }
+    expect_same(opened, open, "per-component opening");
+    std::sort(thins.begin(), thins.end(), [](const Rect& a, const Rect& b) {
+      return std::tie(a.y0, a.x0, a.y1, a.x1) < std::tie(b.y0, b.x0, b.y1, b.x1);
+    });
+    EXPECT_TRUE(thins == thin)
+        << "per-component thin rects differ from the whole thin region\n"
+        << "    whole:         " << text(thin)
+        << "\n    per component: " << text(thins);
+  }
+}
+
+TEST(GeomOracle, SeparableErosionAndPerComponentOpening) {
+  silc_fixtures::fuzz_seeds("test_geom_oracle",
+                            "GeomOracle.SeparableErosionAndPerComponentOpening",
+                            1, 200, check_erosion);
 }
 
 TEST(GeomOracle, LabelComponentsMatchesPairScan) {

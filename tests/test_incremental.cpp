@@ -45,6 +45,7 @@
 #include "fuzz_env.hpp"
 #include "layout/layout.hpp"
 #include "net/net.hpp"
+#include "obs/obs.hpp"
 #include "random_edits.hpp"
 #include "random_layout.hpp"
 #include "random_netlist.hpp"
@@ -627,19 +628,27 @@ TEST(Incremental, DistantNetSplitTripsTheGuard) {
   // 6), tied to it by a loop whose far leg is 570 coords away. Same net:
   // the gap is a notch. Deleting the far leg splits the net, so the gap
   // becomes a spacing violation although no geometry near it moved. Only
-  // the net guard can see that.
+  // the net guard can see that. The guard re-runs the metal spacing rule
+  // over the whole layer and replaces its reports: an unrelated pair of
+  // metal rects 4 apart keeps its spacing report, and a 4-wide spur on the
+  // loop's far side, 300 coords from the edit and on the net that splits,
+  // keeps its width report, which no label reads.
   Library lib;
   Cell& top = lib.create("top");
-  top.add_rect(Layer::Metal, {0, 0, 600, 6});      // long wire
-  top.add_rect(Layer::Metal, {0, 10, 20, 16});     // stub above its end
-  top.add_rect(Layer::Metal, {0, 16, 6, 100});     // up from the stub
-  top.add_rect(Layer::Metal, {0, 100, 600, 106});  // across
-  top.add_rect(Layer::Metal, {594, 6, 600, 100});  // down to the wire
+  top.add_rect(Layer::Metal, {0, 0, 600, 6});        // long wire
+  top.add_rect(Layer::Metal, {0, 10, 20, 16});       // stub above its end
+  top.add_rect(Layer::Metal, {0, 16, 6, 100});       // up from the stub
+  top.add_rect(Layer::Metal, {0, 100, 600, 106});    // across
+  top.add_rect(Layer::Metal, {594, 6, 600, 100});    // down to the wire
+  top.add_rect(Layer::Metal, {300, 106, 304, 130});  // thin spur
+  top.add_rect(Layer::Metal, {300, 200, 320, 206});  // unrelated pair,
+  top.add_rect(Layer::Metal, {300, 210, 320, 216});  //   4 apart
 
   IncrementalSession sess;
   const IncrVerdict tied = sess.verify(lib, top);
   EXPECT_EQ(tied.drc.count("metal.notch"), 1u) << tied.drc.summary();
-  EXPECT_EQ(tied.drc.count("metal.space"), 0u) << tied.drc.summary();
+  EXPECT_EQ(tied.drc.count("metal.space"), 1u) << tied.drc.summary();
+  EXPECT_EQ(tied.drc.count("metal.width"), 1u) << tied.drc.summary();
 
   top.remove_shape(4);
   const IncrVerdict split = sess.verify(lib, top);
@@ -647,25 +656,32 @@ TEST(Incremental, DistantNetSplitTripsTheGuard) {
   const drc::Result flat = drc::check_flat(layout::flatten(top));
   EXPECT_EQ(split.drc.violations, flat.violations)
       << drc_diff(split.drc, flat);
-  EXPECT_EQ(split.drc.count("metal.space"), 1u) << split.drc.summary();
+  EXPECT_EQ(split.drc.count("metal.notch"), 0u) << split.drc.summary();
+  EXPECT_EQ(split.drc.count("metal.space"), 2u) << split.drc.summary();
+  EXPECT_EQ(split.drc.count("metal.width"), 1u) << split.drc.summary();
   EXPECT_EQ(split.netlist, extract::extract(top));
 
-  // A join back through the same leg trips it again.
-  top.add_rect(Layer::Metal, {594, 6, 600, 100});
+  // A join back through a new leg at another x trips it again: the two
+  // nets join (no geometry near the stub moved, and the chip is not one the
+  // session has verified before), so the gap is a notch once more.
+  top.add_rect(Layer::Metal, {500, 6, 506, 100});
   const IncrVerdict joined = sess.verify(lib, top);
-  EXPECT_EQ(joined.drc.violations, tied.drc.violations)
-      << drc_diff(joined.drc, tied.drc);
+  EXPECT_EQ(joined.drc_stats.path, IncrPath::Guard);
+  const drc::Result rejoined = drc::check_flat(layout::flatten(top));
+  EXPECT_EQ(joined.drc.violations, rejoined.violations)
+      << drc_diff(joined.drc, rejoined);
+  EXPECT_EQ(joined.drc.count("metal.notch"), 1u) << joined.drc.summary();
+  EXPECT_EQ(joined.drc.count("metal.space"), 1u) << joined.drc.summary();
 }
 
-TEST(Incremental, GuardGrowsTheZoneBySplitAndJoinedNets) {
+TEST(Incremental, GuardSeesASplitAndAJoinInOneEdit) {
   // Two loops 300 coords apart, each a long wire with a stub 4 coords
   // above its left end (nmos metal spacing is 6). The lower loop is closed
   // by a far leg, so its stub gap is a notch; the upper one is open, so
   // its stub gap is a spacing violation. One edit moves the far leg from
   // the lower loop to the upper one: the lower net splits, the upper two
-  // join, and both gaps flip verdict 590 coords from the edit. The zone
-  // must grow by the split net as it was before the edit and by the
-  // joined net as it is after.
+  // join, and both gaps flip verdict 590 coords from the edit, one each
+  // way. The metal spacing reports must all come from the after side.
   Library lib;
   Cell& top = lib.create("top");
   for (const int y : {0, 300}) {
@@ -768,6 +784,39 @@ TEST(Incremental, RegionRectLeavingTheZoneIsRecheckedWhole) {
   const drc::Result flat = drc::check_flat(layout::flatten(top));
   EXPECT_EQ(after.drc.violations, flat.violations)
       << drc_diff(after.drc, flat);
+}
+
+TEST(Incremental, FootprintRunsTheRuleDeckOncePerZone) {
+  // A leaf placed six times, 200 coords apart: an edit to it leaves a zone
+  // of six disjoint windows. The re-check builds one soup over all of them
+  // and runs the rule deck once (no region rect leaves the zone, so there
+  // is no second pass), and the verdict is the flat one.
+  Library lib;
+  Cell& leaf = lib.create("leaf");
+  leaf.add_rect(Layer::Metal, {0, 0, 20, 20});
+  leaf.add_rect(Layer::Poly, {30, 0, 40, 20});
+  Cell& top = lib.create("top");
+  for (int i = 0; i < 6; ++i) top.add_instance(leaf, {Orient::R0, {200 * i, 0}});
+  top.add_rect(Layer::Metal, {0, 40, 1100, 46});
+
+  IncrementalSession sess;
+  (void)sess.verify(lib, top);
+  leaf.set_shape(1, {Layer::Poly, {32, 0, 42, 20}});
+  obs::Tracer& tracer = obs::Tracer::global();
+  tracer.enable();
+  const IncrVerdict v = sess.verify(lib, top);
+  tracer.disable();
+  EXPECT_EQ(v.drc_stats.path, IncrPath::Footprint);
+  const drc::Result flat = drc::check_flat(layout::flatten(top));
+  EXPECT_EQ(v.drc.violations, flat.violations) << drc_diff(v.drc, flat);
+  if (obs::kEnabled) {
+    std::map<std::string, int> spans;
+    for (const obs::Tracer::ThreadEvents& te : tracer.drain()) {
+      for (const obs::Event& e : te.events) ++spans[e.name];
+    }
+    EXPECT_EQ(spans["drc.window.soup"], 1);
+    EXPECT_EQ(spans["drc.window.check"], 1);
+  }
 }
 
 /// Everything an edit can change in one cell, for undo.
