@@ -4,10 +4,13 @@
 // (tests/test_geom_oracle.cpp). Also the original label_components pair
 // scan, the oracle for the production sweep over disjoint rects, and the
 // original four-sweep erosion through the complement, the oracle for the
-// production's two separable passes. The production contract is that every
-// RectSet operation returns the same canonical rect vector, in the same
-// order, as its counterpart here. The operations are restated over plain
-// rect vectors so that each oracle entry point stands alone.
+// production's two separable passes. Also the linear prefix scans that
+// answered RectSet's point and region queries before its spatial index
+// (geom::RectGrid), the oracles for the indexed queries. The production
+// contract is that every RectSet operation returns the same canonical rect
+// vector, in the same order, and the same verdict, as its counterpart
+// here. The operations are restated over plain rect vectors so that each
+// oracle entry point stands alone.
 #pragma once
 
 #include <algorithm>
@@ -22,6 +25,7 @@
 namespace silc_fixtures::geom_oracle {
 
 using silc::geom::Coord;
+using silc::geom::Point;
 using silc::geom::Rect;
 
 namespace detail {
@@ -216,6 +220,46 @@ inline bool covers(const std::vector<Rect>& set, const Rect& r) {
     if (s.overlaps(r)) local.push_back(s);
   }
   return detail::run_op({r}, local, detail::Op::Subtract).empty();
+}
+
+// The query scans over a canonical `set`: it is sorted by y0, so each scan
+// ends at the first band past the query.
+
+inline bool contains(const std::vector<Rect>& set, Point p) {
+  for (const Rect& r : set) {
+    if (r.contains(p)) return true;
+  }
+  return false;
+}
+
+inline bool intersects(const std::vector<Rect>& set, const Rect& r) {
+  if (r.empty()) return false;
+  for (const Rect& s : set) {
+    if (s.y0 >= r.y1) break;
+    if (s.overlaps(r)) return true;
+  }
+  return false;
+}
+
+inline bool touches(const std::vector<Rect>& set, const Rect& r) {
+  if (r.x0 > r.x1 || r.y0 > r.y1) return false;
+  for (const Rect& s : set) {
+    if (s.y0 > r.y1) break;
+    if (s.touches(r)) return true;
+  }
+  return false;
+}
+
+/// RectSet::overlapping: an inverted window meets nothing (as in touches).
+inline std::vector<Rect> overlapping(const std::vector<Rect>& set,
+                                     const Rect& w) {
+  std::vector<Rect> out;
+  if (w.x0 > w.x1 || w.y0 > w.y1) return out;
+  for (const Rect& s : set) {
+    if (s.y0 > w.y1) break;
+    if (s.touches(w)) out.push_back(s);
+  }
+  return out;
 }
 
 inline std::vector<Rect> clipped(const std::vector<Rect>& set, const Rect& w) {

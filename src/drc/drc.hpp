@@ -14,9 +14,10 @@
 //
 //   * check_flat: the exhaustive baseline — every rule against the full
 //     flattened geometry, accelerated by the geometry kernel's windowed
-//     queries (RectSet::covers/overlapping scan only the rects near each
-//     probe instead of sweeping whole layers). It is the test oracle and
-//     the engine the compiler falls back to when check_hier fails.
+//     queries (RectSet::covers/overlapping read only the rects the spatial
+//     index lists near each probe instead of sweeping whole layers). It is
+//     the test oracle and the engine the compiler falls back to when
+//     check_hier fails.
 //
 //   * check_hier: a whole-cell verdict cache in front of check_flat. The
 //     VerdictCache is keyed by a content hash of the cell's geometry

@@ -78,8 +78,6 @@ LayerTable::LayerTable(const LayerTable& base,
     const Layer l = static_cast<Layer>(i);
     if (dirty(l)) continue;
     masks_[tech::index(l)] = base.masks_[tech::index(l)];
-    labels_[tech::index(l)] = base.labels_[tech::index(l)];
-    labels_done_[tech::index(l)] = base.labels_done_[tech::index(l)];
   }
   // Derived layers are pointwise booleans of the masks, and the masks
   // changed only inside `region`: outside it each derived layer is the
@@ -169,30 +167,27 @@ bool LayerTable::mask_layer(const std::string& name, Layer& out) {
 
 const std::vector<int>& LayerTable::labels(Layer l) {
   const std::size_t li = tech::index(l);
+  if (label_ctx_ == nullptr) return masks_[li].component_labels();
   if (labels_done_[li]) return labels_[li];
+  // Tag each windowed rect with its component in the full layout. The
+  // window's rects are an exact subset of the full canonical list (subset
+  // normalization is stable), so binary search in canonical order finds
+  // them; anything unmatched falls back to a fresh label.
   const std::vector<Rect>& rects = masks_[li].rects();
-  if (label_ctx_ == nullptr) {
-    labels_[li] = geom::label_components(rects);
-  } else {
-    // Tag each windowed rect with its component in the full layout. The
-    // window's rects are an exact subset of the full canonical list
-    // (subset normalization is stable), so binary search in canonical
-    // order finds them; anything unmatched falls back to a fresh label.
-    const std::vector<Rect>& full = label_ctx_->mask(l).rects();
-    const std::vector<int>& full_labels = label_ctx_->labels(l);
-    const auto canon_less = [](const Rect& a, const Rect& b) {
-      return std::tie(a.y0, a.x0, a.y1, a.x1) < std::tie(b.y0, b.x0, b.y1, b.x1);
-    };
-    labels_[li].assign(rects.size(), 0);
-    int fresh = static_cast<int>(full.size());
-    for (std::size_t i = 0; i < rects.size(); ++i) {
-      const auto it =
-          std::lower_bound(full.begin(), full.end(), rects[i], canon_less);
-      if (it != full.end() && *it == rects[i]) {
-        labels_[li][i] = full_labels[static_cast<std::size_t>(it - full.begin())];
-      } else {
-        labels_[li][i] = fresh++;
-      }
+  const std::vector<Rect>& full = label_ctx_->mask(l).rects();
+  const std::vector<int>& full_labels = label_ctx_->labels(l);
+  const auto canon_less = [](const Rect& a, const Rect& b) {
+    return std::tie(a.y0, a.x0, a.y1, a.x1) < std::tie(b.y0, b.x0, b.y1, b.x1);
+  };
+  labels_[li].assign(rects.size(), 0);
+  int fresh = static_cast<int>(full.size());
+  for (std::size_t i = 0; i < rects.size(); ++i) {
+    const auto it =
+        std::lower_bound(full.begin(), full.end(), rects[i], canon_less);
+    if (it != full.end() && *it == rects[i]) {
+      labels_[li][i] = full_labels[static_cast<std::size_t>(it - full.begin())];
+    } else {
+      labels_[li][i] = fresh++;
     }
   }
   labels_done_[li] = true;
@@ -425,6 +420,17 @@ void RuleEngine::eval_width(const DrcRule& r, LayerTable& g,
   // share no edge, so the canonical rects of the whole thin region are the
   // union of each component's.
   for (const std::vector<Rect>& comp : s.components()) {
+    // A one-rect component is its own opening or wholly thin: its
+    // erosion is a rect (dilating back to it) or empty, so it is thin
+    // exactly when narrower than w, and the report is the rect itself.
+    if (comp.size() == 1) {
+      const Rect& t = comp.front();
+      if (t.min_dim() < w) {
+        add(out, r.name + ".width", t, "feature narrower than minimum width",
+            t.ll());
+      }
+      continue;
+    }
     const RectSet c2 = RectSet(comp).scaled(2);
     const RectSet thin = c2.subtract(c2.eroded(w - 1).dilated(w - 1));
     // One violation per canonical rect of the thin region: thinness is a

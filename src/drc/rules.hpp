@@ -48,8 +48,8 @@ class LayerTable {
   /// The table of an edited layout, from the table of its pre-edit
   /// version, when the edit changed only the mask layers whose bit
   /// (tech::index) is set in `changed` and only inside `region`. Those
-  /// layers are rebuilt from `shapes`; every other mask layer (with its
-  /// labels) is copied from `base`, and so is every derived layer base
+  /// layers are rebuilt from `shapes`; every other mask layer (sharing its
+  /// index and labels) is copied from `base`, and so is every derived layer base
   /// already computed, re-derived inside `region` where it reads a
   /// changed layer.
   LayerTable(const LayerTable& base, const std::vector<layout::Shape>& shapes,
@@ -74,9 +74,11 @@ class LayerTable {
   /// recognized as one net. The context must outlive this table.
   void set_label_context(LayerTable* ctx) { label_ctx_ = ctx; }
 
-  /// Component labels for this table's canonical rects of mask layer `l`
-  /// (memoized). With a label context, each rect is looked up in the full
-  /// layer and tagged with its global component instead.
+  /// Component labels for this table's canonical rects of mask layer `l`:
+  /// the mask's own RectSet::component_labels(), the one labelling sweep
+  /// its components() share. With a label context, each rect is looked up
+  /// in the full layer and tagged with its global component instead
+  /// (memoized here).
   const std::vector<int>& labels(tech::Layer l);
 
   /// Windowed evidence table: every rect whose closed region meets `win`,
@@ -96,7 +98,7 @@ class LayerTable {
   std::array<geom::RectSet, tech::kNumLayers> masks_;
   std::map<std::string, geom::RectSet> derived_;
   LayerTable* label_ctx_ = nullptr;
-  std::array<std::vector<int>, tech::kNumLayers> labels_;
+  std::array<std::vector<int>, tech::kNumLayers> labels_;  // with label_ctx_
   std::array<bool, tech::kNumLayers> labels_done_{};
 };
 

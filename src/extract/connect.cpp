@@ -54,34 +54,6 @@ RectSet RawLayers::channels() const {
   return poly.intersect(diff).subtract(buried);
 }
 
-RectGrid::RectGrid(const std::vector<Rect>& rects, Coord cell)
-    : rects_(rects), cell_(cell) {
-  stamp_.assign(rects.size(), -1);
-  if (rects.empty()) return;
-  Rect box = rects[0];
-  for (const Rect& r : rects) box = box.bound(r);
-  x0_ = box.x0;
-  y0_ = box.y0;
-  // At most about four cells per rect: a sparse layout must not allocate
-  // cells nothing fills.
-  const auto cells = [&] {
-    cols_ = box.width() / cell_ + 1;
-    rows_ = box.height() / cell_ + 1;
-    return cols_ * rows_;
-  };
-  while (cells() > 4 * static_cast<Coord>(rects.size()) + 64) cell_ *= 2;
-  buckets_.resize(static_cast<std::size_t>(cols_ * rows_));
-  for (std::size_t i = 0; i < rects.size(); ++i) {
-    const Rect& r = rects[i];
-    for (Coord row = (r.y0 - y0_) / cell_; row <= (r.y1 - y0_) / cell_; ++row) {
-      for (Coord col = (r.x0 - x0_) / cell_; col <= (r.x1 - x0_) / cell_; ++col) {
-        buckets_[static_cast<std::size_t>(row * cols_ + col)].push_back(
-            static_cast<int>(i));
-      }
-    }
-  }
-}
-
 std::string Warning::render() const {
   switch (kind) {
     case Kind::FloatingContact:
@@ -203,12 +175,12 @@ Connectivity connect(const RawLayers& raw) {
     }
   }
 
-  RectGrid grids[kClasses] = {RectGrid(out.rects[kDiff]),
-                              RectGrid(out.rects[kPoly]),
-                              RectGrid(out.rects[kMetal])};
+  const geom::RectGrid grids[kClasses] = {geom::RectGrid(out.rects[kDiff]),
+                                          geom::RectGrid(out.rects[kPoly]),
+                                          geom::RectGrid(out.rects[kMetal])};
   const auto overlapping_pieces = [&](int cls, const Rect& r,
                                       std::vector<int>& ids) {
-    grids[cls].for_touching(r, [&](int i) {
+    grids[cls].for_touching(out.rects[cls], r, [&](int i) {
       if (out.rects[cls][static_cast<std::size_t>(i)].overlaps(r)) {
         ids.push_back(base[cls] + i);
       }
@@ -276,7 +248,7 @@ Connectivity connect(const RawLayers& raw) {
     p.channel = ch;
     p.type = raw.implant.intersects(ch) ? Device::Depletion : Device::Enhancement;
 
-    grids[kPoly].for_touching(ch, [&](int i) {
+    grids[kPoly].for_touching(out.rects[kPoly], ch, [&](int i) {
       if (out.rects[kPoly][static_cast<std::size_t>(i)].overlaps(ch)) {
         p.gate.push_back(out.node_of[kPoly][static_cast<std::size_t>(i)]);
       }
@@ -297,7 +269,7 @@ Connectivity connect(const RawLayers& raw) {
     const Rect rs{ch.x1, ch.y0, ch.x1 + 1, ch.y1};
     const Rect bs{ch.x0, ch.y0 - 1, ch.x1, ch.y0};
     const Rect ts{ch.x0, ch.y1, ch.x1, ch.y1 + 1};
-    grids[kDiff].for_touching(ch.inflated(1), [&](int i) {
+    grids[kDiff].for_touching(out.rects[kDiff], ch.inflated(1), [&](int i) {
       const Rect& r = out.rects[kDiff][static_cast<std::size_t>(i)];
       const int node = out.node_of[kDiff][static_cast<std::size_t>(i)];
       if (r.overlaps(ls)) p.left.push_back(node);

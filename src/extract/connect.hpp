@@ -13,7 +13,6 @@
 // hierarchical stitcher must re-own when a window reaches them).
 #pragma once
 
-#include <algorithm>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -167,61 +166,6 @@ struct UnionFind {
     b = find(b);
     if (a != b) parent[static_cast<std::size_t>(a)] = b;
   }
-};
-
-/// Bucketed index over a rect list for overlap queries: a uniform grid of
-/// square cells over the rects' bbox, each listing the rects that meet it.
-class RectGrid {
- public:
-  explicit RectGrid(const std::vector<Rect>& rects, Coord cell = 128);
-
-  /// Calls fn(i) for each rect whose closed region intersects `q`.
-  template <typename Fn>
-  void for_touching(const Rect& q, Fn&& fn) {
-    ++query_;
-    visit(q, [&](int i) {
-      if (stamp_[static_cast<std::size_t>(i)] == query_) return false;
-      stamp_[static_cast<std::size_t>(i)] = query_;
-      if (rects_[static_cast<std::size_t>(i)].touches(q)) fn(i);
-      return false;
-    });
-  }
-
-  /// True when any rect's closed region intersects `q` (first hit wins —
-  /// the hot predicate of the footprint stitcher's ownership tests).
-  [[nodiscard]] bool any_touching(const Rect& q) const {
-    return visit(q, [&](int i) {
-      return rects_[static_cast<std::size_t>(i)].touches(q);
-    });
-  }
-
- private:
-  /// Calls stop(i) for each rect listed in a cell `q` meets, until it
-  /// returns true; returns whether it did.
-  template <typename Stop>
-  bool visit(const Rect& q, Stop&& stop) const {
-    if (buckets_.empty()) return false;
-    const Coord c0 = std::max<Coord>((q.x0 - x0_) / cell_, 0);
-    const Coord c1 = std::min<Coord>((q.x1 - x0_) / cell_, cols_ - 1);
-    const Coord r0 = std::max<Coord>((q.y0 - y0_) / cell_, 0);
-    const Coord r1 = std::min<Coord>((q.y1 - y0_) / cell_, rows_ - 1);
-    for (Coord r = r0; r <= r1; ++r) {
-      for (Coord c = c0; c <= c1; ++c) {
-        for (const int i : buckets_[static_cast<std::size_t>(r * cols_ + c)]) {
-          if (stop(i)) return true;
-        }
-      }
-    }
-    return false;
-  }
-
-  const std::vector<Rect>& rects_;
-  Coord cell_;
-  Coord x0_ = 0, y0_ = 0;  // the grid's lower-left corner
-  Coord cols_ = 0, rows_ = 0;
-  std::vector<std::vector<int>> buckets_;  // rows_ x cols_, row-major
-  std::vector<long long> stamp_;
-  long long query_ = 0;
 };
 
 }  // namespace silc::extract::detail

@@ -10,7 +10,6 @@ namespace silc::extract {
 
 using detail::Connectivity;
 using detail::RawLayers;
-using detail::RectGrid;
 using geom::Point;
 using geom::Rect;
 using tech::Layer;
@@ -192,9 +191,10 @@ Netlist extract_flat(const layout::Flattened& flat, const tech::Tech& technology
   // Names from labels: each label attaches to the node whose conducting
   // piece on the label's layer contains the point (smallest anchor wins if
   // the point sits on a shared corner of distinct nets).
-  RectGrid grids[detail::kClasses] = {RectGrid(c.rects[detail::kDiff]),
-                                      RectGrid(c.rects[detail::kPoly]),
-                                      RectGrid(c.rects[detail::kMetal])};
+  const geom::RectGrid grids[detail::kClasses] = {
+      geom::RectGrid(c.rects[detail::kDiff]),
+      geom::RectGrid(c.rects[detail::kPoly]),
+      geom::RectGrid(c.rects[detail::kMetal])};
   std::vector<std::string> warning_texts;
   for (const detail::Warning& w : c.warnings) warning_texts.push_back(w.render());
   for (const layout::FlatLabel& label : flat.labels) {
@@ -202,7 +202,7 @@ Netlist extract_flat(const layout::Flattened& flat, const tech::Tech& technology
     std::vector<int> cands;
     if (cls >= 0) {
       const Rect probe{label.at.x, label.at.y, label.at.x, label.at.y};
-      grids[cls].for_touching(probe, [&](int i) {
+      grids[cls].for_touching(c.rects[cls], probe, [&](int i) {
         if (c.rects[cls][static_cast<std::size_t>(i)].contains(label.at)) {
           cands.push_back(c.node_of[cls][static_cast<std::size_t>(i)]);
         }

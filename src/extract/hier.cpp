@@ -53,7 +53,6 @@ namespace silc::extract {
 using detail::AnchorTable;
 using detail::Connectivity;
 using detail::RawLayers;
-using detail::RectGrid;
 using detail::Warning;
 using geom::Coord;
 using geom::Point;
@@ -556,11 +555,10 @@ RawLayers grow_windows(const Cell& c, const CellNet& base, Coord h,
     }
     bool outer_grew = false;
     for (;;) {
-      const RectGrid wgrid(wx.rects());
       RectSet added;
       for (const Rect& bb : candidates) {
         const Rect grown = bb.inflated(h);
-        if (!wgrid.any_touching(grown) || wx.covers(grown)) continue;
+        if (!wx.touches(grown) || wx.covers(grown)) continue;
         added.add(grown);
       }
       if (added.empty()) break;
@@ -592,7 +590,6 @@ CellNet stitch_windows(const Cell& c, const CellNet& base, RectSet wx, Coord h) 
     SILC_OBS_SPAN("extract.stitch.connect:" + c.name(), "extract");
     return connect(raw.clipped(wx));
   }();
-  RectGrid wgrid(wx.rects());
   detail::UnionFind dsu;  // window nodes first, then base elements
   for (int i = 0; i < wc.node_count; ++i) dsu.add();
 
@@ -621,7 +618,7 @@ CellNet stitch_windows(const Cell& c, const CellNet& base, RectSet wx, Coord h) 
     }
     std::vector<char> reached(nodes);
     for (std::size_t n = 0; n < nodes; ++n) {
-      reached[n] = !box[n].empty() && wgrid.any_touching(box[n]);
+      reached[n] = !box[n].empty() && wx.touches(box[n]);
     }
     std::vector<std::vector<std::size_t>> cut_pieces(nodes);
     for (std::size_t i = 0; i < base.pieces.size(); ++i) {
@@ -631,7 +628,7 @@ CellNet stitch_windows(const Cell& c, const CellNet& base, RectSet wx, Coord h) 
     for (std::size_t n = 0; n < nodes; ++n) {
       const std::vector<std::size_t>& mine = cut_pieces[n];
       if (std::any_of(mine.begin(), mine.end(), [&](std::size_t i) {
-            return wgrid.any_touching(base.pieces[i].rect);
+            return wx.touches(base.pieces[i].rect);
           })) {
         whole[n] = kSplit;
       } else if (!box[n].empty()) {
@@ -656,23 +653,16 @@ CellNet stitch_windows(const Cell& c, const CellNet& base, RectSet wx, Coord h) 
       for (int cls = 0; cls < detail::kClasses; ++cls) {
         std::vector<Rect> rem;
         std::vector<Rect> cut;
-        std::vector<int> near;
+        std::vector<Rect> nwx;
         for (const std::size_t i : cut_pieces[n]) {
           const CellNet::Piece& p = base.pieces[i];
           if (p.cls != cls) continue;
-          const std::size_t before = near.size();
-          wgrid.for_touching(p.rect, [&](int wi) { near.push_back(wi); });
-          (near.size() == before ? rem : cut).push_back(p.rect);
+          const std::vector<Rect> near = wx.overlapping(p.rect);
+          (near.empty() ? rem : cut).push_back(p.rect);
+          nwx.insert(nwx.end(), near.begin(), near.end());
         }
         if (rem.empty() && cut.empty()) continue;
         if (!cut.empty()) {
-          std::sort(near.begin(), near.end());
-          near.erase(std::unique(near.begin(), near.end()), near.end());
-          std::vector<Rect> nwx;
-          nwx.reserve(near.size());
-          for (const int wi : near) {
-            nwx.push_back(wx.rects()[static_cast<std::size_t>(wi)]);
-          }
           const RectSet left =
               RectSet(std::move(cut)).subtract(RectSet(std::move(nwx)));
           rem.insert(rem.end(), left.rects().begin(), left.rects().end());
@@ -693,16 +683,16 @@ CellNet stitch_windows(const Cell& c, const CellNet& base, RectSet wx, Coord h) 
       }
     }
   }
-  RectGrid sgrid(split_rects);
+  const geom::RectGrid sgrid(split_rects);
 
   // Surviving junctions re-join the split fragments they overlap (each
   // junction's pieces all belong to one base node, so this only
   // reconnects within a node — exactly the unions the subtraction
   // discarded but the windows did not displace).
   for (const detail::Junction& j : base.junctions) {
-    if (wgrid.any_touching(j.bbox)) continue;  // displaced: the window re-owns it
+    if (wx.touches(j.bbox)) continue;  // displaced: the window re-owns it
     int first = -1;
-    sgrid.for_touching(j.bbox, [&](int i) {
+    sgrid.for_touching(split_rects, j.bbox, [&](int i) {
       const FragRect& fr = split[static_cast<std::size_t>(i)];
       if (!j.joins(fr.cls) || !fr.rect.overlaps(j.bbox)) return;
       if (first < 0) {
@@ -722,7 +712,7 @@ CellNet stitch_windows(const Cell& c, const CellNet& base, RectSet wx, Coord h) 
       const Rect& wr = wc.rects[cls][i];
       const int welem = wc.node_of[cls][i];
       out.pieces.push_back({static_cast<std::uint8_t>(cls), wr, welem});
-      sgrid.for_touching(wr, [&](int bi) {
+      sgrid.for_touching(split_rects, wr, [&](int bi) {
         const FragRect& fr = split[static_cast<std::size_t>(bi)];
         if (fr.cls == cls && fr.rect.edge_connected(wr)) {
           dsu.unite(welem, fr.elem);
@@ -739,7 +729,7 @@ CellNet stitch_windows(const Cell& c, const CellNet& base, RectSet wx, Coord h) 
   std::vector<detail::ProtoTransistor> pending;
   pending.reserve(base.transistors.size() + wc.protos.size());
   for (const detail::ProtoTransistor& lt : base.transistors) {
-    if (wgrid.any_touching(lt.channel)) continue;  // the window re-owns this channel
+    if (wx.touches(lt.channel)) continue;  // the window re-owns this channel
     const auto rebind = [&](const std::vector<int>& ns, int cls,
                             const Rect& probe) {
       std::vector<int> elems;
@@ -750,7 +740,7 @@ CellNet stitch_windows(const Cell& c, const CellNet& base, RectSet wx, Coord h) 
         any_split = any_split || w == kSplit;
       }
       if (any_split) {
-        sgrid.for_touching(probe, [&](int i) {
+        sgrid.for_touching(split_rects, probe, [&](int i) {
           const FragRect& fr = split[static_cast<std::size_t>(i)];
           if (fr.cls == cls && fr.rect.overlaps(probe) &&
               std::find(ns.begin(), ns.end(), fr.node) != ns.end()) {
@@ -804,7 +794,7 @@ CellNet stitch_windows(const Cell& c, const CellNet& base, RectSet wx, Coord h) 
   // Junctions: the surviving base groups plus the window's own — together,
   // every contact/buried group of the chip, each exactly once.
   for (const detail::Junction& j : base.junctions) {
-    if (!wgrid.any_touching(j.bbox)) out.junctions.push_back(j);
+    if (!wx.touches(j.bbox)) out.junctions.push_back(j);
   }
   out.junctions.insert(out.junctions.end(), wc.junctions.begin(),
                        wc.junctions.end());
@@ -812,7 +802,7 @@ CellNet stitch_windows(const Cell& c, const CellNet& base, RectSet wx, Coord h) 
   // Warnings: ownership follows the same window test as the geometry that
   // produced them.
   for (const Warning& w : base.warnings) {
-    if (!wgrid.any_touching(w.where)) out.warnings.push_back(w);
+    if (!wx.touches(w.where)) out.warnings.push_back(w);
   }
   out.warnings.insert(out.warnings.end(), wc.warnings.begin(),
                       wc.warnings.end());
@@ -836,7 +826,8 @@ CellNet stitch_windows(const Cell& c, const CellNet& base, RectSet wx, Coord h) 
       // The node's first fragment (in cut order) holding the point.
       const int cls = detail::class_of(l.layer);
       int first = -1;
-      sgrid.for_touching({l.at.x, l.at.y, l.at.x, l.at.y}, [&](int i) {
+      sgrid.for_touching(split_rects, {l.at.x, l.at.y, l.at.x, l.at.y},
+                         [&](int i) {
         const FragRect& fr = split[static_cast<std::size_t>(i)];
         if (fr.node == l.node && fr.cls == cls && fr.rect.contains(l.at) &&
             (first < 0 || i < first)) {

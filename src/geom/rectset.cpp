@@ -209,6 +209,48 @@ std::vector<Rect> run_op(const std::vector<Rect>& a, const std::vector<Rect>& b,
 
 }  // namespace
 
+RectGrid::RectGrid(const std::vector<Rect>& rects) {
+  if (rects.empty()) return;
+  box_ = rects[0];
+  for (const Rect& r : rects) {
+    box_ = {std::min(box_.x0, r.x0), std::min(box_.y0, r.y0),
+            std::max(box_.x1, r.x1), std::max(box_.y1, r.y1)};
+  }
+  // At most about four cells per rect: a sparse layout must not allocate
+  // cells nothing fills.
+  const Coord limit = 4 * static_cast<Coord>(rects.size()) + 64;
+  for (;;) {
+    cols_ = box_.width() / cell_ + 1;
+    rows_ = box_.height() / cell_ + 1;
+    if (cols_ <= limit && rows_ <= limit && cols_ * rows_ <= limit) break;
+    cell_ *= 2;
+  }
+  // Counting pass, prefix sums, then a filling pass: each cell's items end
+  // up in rect order.
+  offsets_.assign(static_cast<std::size_t>(cols_ * rows_) + 1, 0);
+  const auto each_cell = [this](const Rect& r, auto&& fn) {
+    const Coord c0 = col_of(r.x0), c1 = col_of(r.x1);
+    for (Coord row = row_of(r.y0), r1 = row_of(r.y1); row <= r1; ++row) {
+      for (Coord col = c0; col <= c1; ++col) {
+        fn(static_cast<std::size_t>(row * cols_ + col));
+      }
+    }
+  };
+  for (const Rect& r : rects) {
+    each_cell(r, [this](std::size_t cell) { ++offsets_[cell + 1]; });
+  }
+  for (std::size_t cell = 1; cell < offsets_.size(); ++cell) {
+    offsets_[cell] += offsets_[cell - 1];
+  }
+  items_.resize(offsets_.back());
+  std::vector<std::uint32_t> fill(offsets_.begin(), offsets_.end() - 1);
+  for (std::size_t i = 0; i < rects.size(); ++i) {
+    each_cell(rects[i], [&](std::size_t cell) {
+      items_[fill[cell]++] = static_cast<std::uint32_t>(i);
+    });
+  }
+}
+
 RectSet::RectSet(const Rect& r) {
   if (!r.empty()) rects_.push_back(r);
 }
@@ -221,8 +263,9 @@ void RectSet::add(const Rect& r) {
   if (r.empty()) return;
   rects_.push_back(r);
   dirty_ = true;
-  comps_done_ = false;
-  comps_.clear();
+  grid_.reset();
+  labels_.reset();
+  comps_.reset();
 }
 
 void RectSet::normalize() const {
@@ -235,6 +278,12 @@ void RectSet::normalize() const {
 const std::vector<Rect>& RectSet::rects() const {
   normalize();
   return rects_;
+}
+
+const RectGrid& RectSet::grid() const {
+  normalize();
+  if (grid_ == nullptr) grid_ = std::make_shared<const RectGrid>(rects_);
+  return *grid_;
 }
 
 bool RectSet::empty() const { return rects().empty(); }
@@ -252,62 +301,49 @@ Rect RectSet::bbox() const {
 }
 
 bool RectSet::contains(Point p) const {
-  for (const Rect& r : rects()) {
-    if (r.contains(p)) return true;
-  }
-  return false;
+  return grid().find_touching(rects_, {p.x, p.y, p.x, p.y},
+                              [](int) { return true; });
 }
 
 bool RectSet::covers(const Rect& r) const {
   if (r.empty()) return true;
-  // Only rects overlapping `r` can contribute to covering it, and the
-  // canonical list is sorted by y0, so the scan ends at the first band
-  // past r. Canonical rects are disjoint, so they cover `r` exactly when
-  // their overlaps with it add up to its area: no sweep is needed.
+  // Canonical rects are disjoint, so they cover `r` exactly when their
+  // overlaps with it add up to its area: no sweep is needed.
   std::int64_t covered = 0;
-  for (const Rect& s : rects()) {
-    if (s.y0 >= r.y1) break;
-    if (!s.overlaps(r)) continue;
-    if (s.contains(r)) return true;
-    covered += s.intersect(r).area();
-  }
-  return covered == r.area();
+  return grid().find_touching(rects_, r, [&](int i) {
+    const Rect& s = rects_[static_cast<std::size_t>(i)];
+    if (s.overlaps(r)) covered += s.intersect(r).area();
+    return covered == r.area();
+  });
 }
 
 bool RectSet::intersects(const Rect& r) const {
   if (r.empty()) return false;
-  for (const Rect& s : rects()) {
-    if (s.y0 >= r.y1) break;
-    if (s.overlaps(r)) return true;
-  }
-  return false;
+  return grid().find_touching(rects_, r, [&](int i) {
+    return rects_[static_cast<std::size_t>(i)].overlaps(r);
+  });
 }
 
 bool RectSet::touches(const Rect& r) const {
-  if (r.x0 > r.x1 || r.y0 > r.y1) return false;
-  for (const Rect& s : rects()) {
-    if (s.y0 > r.y1) break;
-    if (s.touches(r)) return true;
-  }
-  return false;
+  return grid().find_touching(rects_, r, [](int) { return true; });
 }
 
 std::vector<Rect> RectSet::overlapping(const Rect& w) const {
+  std::vector<int> hits;
+  grid().for_touching(rects_, w, [&hits](int i) { hits.push_back(i); });
+  std::sort(hits.begin(), hits.end());  // back into canonical order
   std::vector<Rect> out;
-  for (const Rect& s : rects()) {
-    if (s.y0 > w.y1) break;
-    if (s.touches(w)) out.push_back(s);
-  }
+  out.reserve(hits.size());
+  for (const int i : hits) out.push_back(rects_[static_cast<std::size_t>(i)]);
   return out;
 }
 
 RectSet RectSet::clipped(const Rect& w) const {
   RectSet out;
-  for (const Rect& s : rects()) {
-    if (s.y0 >= w.y1) break;
-    const Rect c = s.intersect(w);
+  grid().for_touching(rects_, w, [&](int i) {
+    const Rect c = rects_[static_cast<std::size_t>(i)].intersect(w);
     if (!c.empty()) out.rects_.push_back(c);
-  }
+  });
   out.dirty_ = true;  // clipping can expose vertical merges
   return out;
 }
@@ -384,18 +420,24 @@ RectSet RectSet::scaled(Coord k) const {
   return out;  // scaling preserves canonical form
 }
 
+const std::vector<int>& RectSet::component_labels() const {
+  if (labels_ == nullptr) {
+    labels_ = std::make_shared<const std::vector<int>>(label_components(rects()));
+  }
+  return *labels_;
+}
+
 const std::vector<std::vector<Rect>>& RectSet::components() const {
-  if (comps_done_) return comps_;
-  const std::vector<int> labels = label_components(rects());
+  if (comps_ != nullptr) return *comps_;
+  const std::vector<int>& labels = component_labels();
   int n = 0;
   for (int l : labels) n = std::max(n, l + 1);
   std::vector<std::vector<Rect>> out(static_cast<std::size_t>(n));
-  for (std::size_t i = 0; i < rects().size(); ++i) {
-    out[static_cast<std::size_t>(labels[i])].push_back(rects()[i]);
+  for (std::size_t i = 0; i < rects_.size(); ++i) {
+    out[static_cast<std::size_t>(labels[i])].push_back(rects_[i]);
   }
-  comps_ = std::move(out);
-  comps_done_ = true;
-  return comps_;
+  comps_ = std::make_shared<const std::vector<std::vector<Rect>>>(std::move(out));
+  return *comps_;
 }
 
 namespace {

@@ -341,6 +341,16 @@ TEST(DrcRules, WidthFuzzMatchesWholeSetOpening) {
           const int x = c(rng), y = c(rng);
           shapes.push_back({layers[li(rng)], {x, y, x + w(rng), y + w(rng)}});
         }
+        // Isolated one-rect components on every layer, on both sides of
+        // each width rule's minimum (the rule decides them without the
+        // opening).
+        std::uniform_int_distribution<int> d(1, 12);
+        for (int l = 0; l < 4; ++l) {
+          for (int k = 0; k < 24; ++k) {
+            const int x = 1000 + 40 * k, y = 1000 + 40 * l;
+            shapes.push_back({layers[l], {x, y, x + d(rng), y + d(rng)}});
+          }
+        }
         const Result got = check_flat(shapes, t);
         for (const tech::DrcRule& r : t.drc_rules) {
           if (r.kind != tech::DrcRule::Kind::Width) continue;

@@ -1,8 +1,10 @@
 // Differential fuzz of the RectSet scanline against its oracle
 // (fixtures/geom_oracle.hpp: the original per-band sort and std::map
 // collector, and the original erosion through the complement), of
-// label_components against its original pair scan, and of the width
-// rule's per-component opening against the whole set's. The contract is
+// label_components against its original pair scan, of the width rule's
+// per-component opening against the whole set's, and of the spatial index
+// (RectGrid) behind RectSet's point and region queries against the linear
+// scans it replaced and a brute-force scan. The contract is
 // exact: every operation returns the same canonical rects in the same
 // order, because hash(), the verdict-cache keys, violation sets and
 // netlists are all built from that vector. Inputs are
@@ -223,6 +225,142 @@ void check_erosion(unsigned seed) {
         << "    whole:         " << text(thin)
         << "\n    per component: " << text(thins);
   }
+}
+
+/// Queries for the index: near the set's rects and its cells (sub-rects,
+/// neighbours' bounds, zero-width and zero-height slivers, points on rect
+/// corners and edges), random ones, and ones far outside the bbox or
+/// inverted.
+std::vector<Rect> index_queries(std::mt19937& rng, const std::vector<Rect>& set,
+                                Coord span) {
+  std::vector<Rect> qs = covers_queries(rng, set, span);
+  for (int i = 0; !set.empty() && i < 16; ++i) {
+    const Rect& s = set[rng() % set.size()];
+    switch (i % 4) {
+      case 0: qs.push_back({s.x1, s.y0, s.x1, s.y1}); break;  // right edge
+      case 1: qs.push_back({s.x0, s.y1, s.x1, s.y1}); break;  // top edge
+      case 2: qs.push_back({s.x0, s.y0, s.x0, s.y0}); break;  // corner point
+      default: qs.push_back(s.inflated(1 + static_cast<Coord>(rng() % 40))); break;
+    }
+  }
+  qs.push_back({10 * span + 5, 10 * span + 5, 10 * span + 9, 10 * span + 9});
+  qs.push_back({-10 * span - 9, -3, -10 * span - 5, 3});
+  qs.push_back({-10 * span, -10 * span, 10 * span, 10 * span});  // everything
+  qs.push_back({4, 0, 2, 6});                                     // inverted
+  return qs;
+}
+
+/// Every RectSet query against its scan oracle over the set's canonical
+/// rects, on `what` (a label for failure messages).
+void expect_queries(std::mt19937& rng, const RectSet& set, Coord span,
+                    const char* what) {
+  const std::vector<Rect>& cs = set.rects();
+  for (const Rect& q : index_queries(rng, cs, span)) {
+    const std::string at = std::string(what) + " query " + to_string(q);
+    EXPECT_EQ(set.covers(q), oracle::covers(cs, q)) << at << ": covers";
+    EXPECT_EQ(set.intersects(q), oracle::intersects(cs, q)) << at << ": intersects";
+    EXPECT_EQ(set.touches(q), oracle::touches(cs, q)) << at << ": touches";
+    EXPECT_TRUE(set.overlapping(q) == oracle::overlapping(cs, q))
+        << at << ": overlapping\n    oracle:  " << text(oracle::overlapping(cs, q))
+        << "\n    current: " << text(set.overlapping(q));
+    expect_same(set.clipped(q), oracle::clipped(cs, q), "clipped");
+    for (const Point p : {q.ll(), q.ur(), Point{q.x0, q.y1}, q.center()}) {
+      EXPECT_EQ(set.contains(p), oracle::contains(cs, p))
+          << at << ": contains " << to_string(p);
+    }
+  }
+}
+
+/// The raw index over an arbitrary rect list (overlapping, duplicate and
+/// degenerate rects, as extraction's fragment lists may be) against a
+/// brute-force scan: each touching rect reported exactly once, early stop
+/// honoured.
+void expect_grid(std::mt19937& rng, const std::vector<Rect>& rects, Coord span) {
+  const RectGrid grid(rects);
+  for (const Rect& q : index_queries(rng, rects, span)) {
+    std::vector<int> want;
+    for (std::size_t i = 0; i < rects.size(); ++i) {
+      if (q.x0 <= q.x1 && q.y0 <= q.y1 && rects[i].touches(q)) {
+        want.push_back(static_cast<int>(i));
+      }
+    }
+    std::vector<int> got;
+    grid.for_touching(rects, q, [&got](int i) { got.push_back(i); });
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, want) << "grid query " << to_string(q);
+    int seen = 0;
+    const bool stopped = grid.find_touching(rects, q, [&seen](int) {
+      return ++seen == 2;
+    });
+    EXPECT_EQ(stopped, want.size() >= 2) << "grid query " << to_string(q);
+  }
+}
+
+/// A soup whose every coordinate is a multiple of 128 from a rect at the
+/// origin: every grid cell size lines up with its edges, so hits touch
+/// only at cell boundaries.
+std::vector<Rect> aligned_soup(std::mt19937& rng, std::size_t n) {
+  std::vector<Rect> soup = {{0, 0, 128, 128}};
+  while (soup.size() < n) {
+    const Coord x = 128 * static_cast<Coord>(rng() % 24);
+    const Coord y = 128 * static_cast<Coord>(rng() % 24);
+    const Coord w = 128 * static_cast<Coord>(rng() % 4);
+    const Coord h = 128 * static_cast<Coord>(1 + rng() % 3);
+    soup.push_back({x, y, x + w, y + h});
+  }
+  return soup;
+}
+
+void check_index(unsigned seed) {
+  std::mt19937 rng(seed);
+  static constexpr std::size_t kCaps[] = {4, 32, 256, 2048};
+  static constexpr Coord kSpans[] = {12, 400, 3000};
+  const std::size_t cap = kCaps[seed % 4];
+  const Coord span = kSpans[(seed / 4) % 3];
+  const bool aligned = seed % 5 == 4;
+  std::vector<Rect> soup = aligned ? aligned_soup(rng, 1 + rng() % cap)
+                                   : random_soup(rng, 1 + rng() % cap, span);
+  // Rails spanning many cells (on the 128 grid for an aligned soup).
+  for (int i = 0; i < 3; ++i) {
+    if (aligned) {
+      const Coord at = 128 * static_cast<Coord>(rng() % 24);
+      soup.push_back({0, at, 3072, at + 128});
+      soup.push_back({at, 0, at + 128, 3072});
+      continue;
+    }
+    const Coord y = coord(rng, span);
+    soup.push_back({-span, y, span, y + 1 + static_cast<Coord>(rng() % 3)});
+    const Coord x = coord(rng, span);
+    soup.push_back({x, -span, x + 2, span});
+  }
+  const Coord qspan = aligned ? 3072 : span;
+
+  RectSet s(soup);
+  expect_queries(rng, s, qspan, "fresh");
+  expect_grid(rng, soup, qspan);
+  expect_grid(rng, s.rects(), qspan);
+
+  // A copy shares the index; add() after a query must drop it on the
+  // mutated side only.
+  RectSet copy = s;
+  expect_queries(rng, copy, qspan, "copy");
+  std::vector<Rect> grown = s.rects();
+  for (int i = 0; i < 8; ++i) {
+    const Rect r = random_rect(rng, 2 * span);
+    copy.add(r);
+    grown.push_back(r);
+  }
+  expect_same(copy, oracle::normalize(grown), "copy after add");
+  expect_queries(rng, copy, qspan, "copy after add");
+  expect_queries(rng, s, qspan, "original after the copy's add");
+  s.add({-span - 50, -span - 50, -span - 10, -span - 10});
+  expect_queries(rng, s, qspan, "after add");
+}
+
+TEST(GeomOracle, IndexedQueriesMatchScans) {
+  silc_fixtures::fuzz_seeds("test_geom_oracle",
+                            "GeomOracle.IndexedQueriesMatchScans", 1, 200,
+                            check_index);
 }
 
 TEST(GeomOracle, SeparableErosionAndPerComponentOpening) {
