@@ -1,20 +1,15 @@
 // Extraction engine tracking: flat vs hierarchical wall clock on real
-// artwork — the committed traffic-light chip and a PDP-8 boot ROM — plus
-// the compile-batch view the cache is for: a 24-job compile_many batch
-// (stop_after=extract) whose hier extract stage shares one NetlistCache
-// across the batch, against extract_flat on each job's chip.
+// artwork — the committed traffic-light chip and a PDP-8 boot ROM.
 //
 // Emits BENCH_extract.json: the box's hardware thread count, per-design
-// rect counts, per-mode ms (hier both cold and warm-cache), the batch's
-// extract-stage totals per mode, whether
+// rect counts, per-mode ms (hier both cold and warm-cache), whether
 // flat and hier produced byte-identical canonical netlists — the engine's
-// core contract, enforced here with a non-zero exit on divergence, on any
-// extraction warning (the generators must produce clean artwork), or on
-// batch transistor-count disagreement between modes — and, since the
-// persistent store (src/store/), a store round-trip leg: the warmed
-// NetlistCache through a file into a fresh cache, whose re-extraction
-// must replay all-hits with an equal canonical netlist (the "store"
-// block beside each design's "cache" block).
+// core contract, enforced here with a non-zero exit on divergence or on
+// any extraction warning (the generators must produce clean artwork) —
+// and a store round-trip leg: the warmed NetlistCache through a file into
+// a fresh cache, whose re-extraction must replay all-hits with an equal
+// canonical netlist (the "store" block beside each design's "cache"
+// block).
 // Flags: --json=PATH (default BENCH_extract.json), --smoke (fewer reps).
 #include <chrono>
 #include <cstdio>
@@ -132,73 +127,6 @@ ModeTimes measure(const std::string& name, const silc::layout::Cell& chip,
   return m;
 }
 
-struct BatchTimes {
-  int jobs = 0;
-  double flat_extract_ms = 0;  // extract_flat total across the batch
-  double hier_extract_ms = 0;  // extract-stage total across the batch
-  double hier_wall_ms = 0;
-  bool agree = true;
-};
-
-double extract_stage_ms(const silc::core::BatchResult& br) {
-  for (const silc::core::StageProfile& s : br.profile) {
-    if (s.stage == "extract") return s.total_ms;
-  }
-  return 0;
-}
-
-BatchTimes measure_batch(int reps) {
-  using namespace silc::core;
-  std::vector<BatchJob> jobs;
-  for (int r = 0; r < reps; ++r) {
-    for (const char* src :
-         {silc_fixtures::kGray2Source, silc_fixtures::kTrafficSource}) {
-      CompileOptions o;
-      o.name = "chip";
-      o.stop_after = "extract";
-      jobs.push_back({Flow::Behavioral, src, o});
-    }
-    {
-      CompileOptions o;
-      o.name = "counter3";
-      o.stop_after = "extract";
-      jobs.push_back(
-          {Flow::Behavioral, silc_fixtures::counter_source(3), o});
-    }
-    {
-      CompileOptions o;
-      o.name = "chain";
-      o.stop_after = "extract";
-      jobs.push_back({Flow::Structural, silc_fixtures::kInvChainSource, o});
-    }
-  }
-  BatchTimes bt;
-  bt.jobs = static_cast<int>(jobs.size());
-
-  // Hier: the extract stage, with compile_many's batch-shared
-  // NetlistCache.
-  const BatchResult hier = compile_many(jobs, 1);
-  bt.hier_extract_ms = extract_stage_ms(hier);
-  bt.hier_wall_ms = hier.wall_ms;
-
-  // Flat: extract_flat on each job's chip, flatten included.
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    const silc::layout::Cell* chip = hier.results[i].chip;
-    if (chip == nullptr) {
-      bt.agree = false;
-      continue;
-    }
-    const auto t0 = Clock::now();
-    const silc::extract::Netlist flat =
-        silc::extract::extract_flat(silc::layout::flatten_with_labels(*chip));
-    bt.flat_extract_ms += ms_since(t0);
-    bt.agree = bt.agree &&
-               flat.transistors.size() == hier.results[i].transistors &&
-               flat == silc::extract::extract_hier(*chip);
-  }
-  return bt;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -230,7 +158,6 @@ int main(int argc, char** argv) {
         lib, pdp8_boot_words(smoke ? 128 : 256), 12, {.name = "pdp8_rom"});
     rows.push_back(measure("pdp8_rom", *rom.cell, reps));
   }
-  const BatchTimes batch = measure_batch(smoke ? 2 : 6);
 
   std::printf("=== extraction: flat vs hier (%d rep%s) ===\n", reps,
               reps == 1 ? "" : "s");
@@ -250,13 +177,6 @@ int main(int argc, char** argv) {
     all_identical = all_identical && m.identical;
     all_clean = all_clean && m.clean;
   }
-  std::printf(
-      "batch (%d jobs, stop_after=extract): extract stage %.2f ms flat vs "
-      "%.2f ms hier-shared-cache (%.1fx); hier batch wall %.1f ms\n",
-      batch.jobs, batch.flat_extract_ms, batch.hier_extract_ms,
-      batch.hier_extract_ms > 0 ? batch.flat_extract_ms / batch.hier_extract_ms
-                                : 0.0,
-      batch.hier_wall_ms);
 
   FILE* f = std::fopen(json_path.c_str(), "w");
   if (f == nullptr) {
@@ -293,14 +213,7 @@ int main(int argc, char** argv) {
                  m.store_identical ? "true" : "false",
                  i + 1 < rows.size() ? "," : "");
   }
-  std::fprintf(f,
-               "  ],\n  \"batch\": {\"jobs\": %d, "
-               "\"extract_stage_flat_ms\": %.2f, "
-               "\"extract_stage_hier_ms\": %.2f, "
-               "\"wall_hier_ms\": %.1f, \"modes_agree\": %s}\n}\n",
-               batch.jobs, batch.flat_extract_ms, batch.hier_extract_ms,
-               batch.hier_wall_ms,
-               batch.agree ? "true" : "false");
+  std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
   std::printf("wrote %s\n", json_path.c_str());
 
@@ -310,7 +223,7 @@ int main(int argc, char** argv) {
     std::printf("ERROR: store round-trip replay diverged or missed\n");
     return 1;
   }
-  if (!all_identical || !batch.agree) {
+  if (!all_identical) {
     std::printf("ERROR: netlists diverged across modes\n");
     return 1;
   }

@@ -30,17 +30,15 @@
 // interpreted replay oracle on the same designs, so its speedup stays
 // measured against the engine it replaced.
 //
-// Since the persistent store (src/store/, PR 9) the bench also measures
-// the warm-compile path: --cache-dir=DIR runs the same batch against an
-// on-disk store (cold when DIR is empty, warm when a prior run — or a
-// prior *process*, the case ci.sh drives — left a store behind), plus a
-// cells-only leg that loads just the per-cell drc/extract caches from the
-// file so the warm per-stage cost stays an honest measurement rather
-// than a result-tier no-op. Emitted as the "persist" block in the JSON;
-// a preloaded (second-process) run must serve every job from the store
-// and cut the drc+extract stage totals at least 3x, or the bench exits
-// non-zero. The cells-warm drc cost also feeds a "drc.warm" budget row,
-// so a silent fall-back to cold recompute breaks the latency gate.
+// The bench also measures the warm-compile path: --cache-dir=DIR runs the
+// same batch against an on-disk store (cold when DIR is empty, warm when a
+// prior run — or a prior *process*, the case ci.sh drives — left a store
+// behind). Emitted as the "persist" block in the JSON; a preloaded
+// (second-process) run must serve every job from the store and cut the
+// drc+extract stage totals at least 3x, or the bench exits non-zero.
+// compile_many serves a batch's repeated jobs from its result cache, so a
+// batch's per-stage profile holds one cold run per design; the stage_ms
+// rows and the budgets read the mean over every untraced serial batch.
 // --artifacts=FILE writes one deterministic line per job (content hashes,
 // no wall clocks) for byte-identity diffs across processes.
 // Flags: --json=PATH (default BENCH_compile.json), --smoke (fewer batch
@@ -195,12 +193,12 @@ bool same_results(const silc::core::BatchResult& a,
   return true;
 }
 
-/// Per-stage (stage, ms_per_run) pairs of a batch profile — the shape the
+/// Per-stage (stage, ms_per_run) pairs of a profile — the shape the
 /// budget checker consumes.
 std::vector<std::pair<std::string, double>> profile_ms(
-    const silc::core::BatchResult& br) {
+    const std::vector<silc::core::StageProfile>& profile) {
   std::vector<std::pair<std::string, double>> sm;
-  for (const silc::core::StageProfile& s : br.profile) {
+  for (const silc::core::StageProfile& s : profile) {
     sm.emplace_back(s.stage, s.runs > 0 ? s.total_ms / s.runs : 0.0);
   }
   return sm;
@@ -212,22 +210,40 @@ std::vector<std::pair<std::string, double>> profile_ms(
 /// Each sample times `laps` back-to-back batches and reports the per-batch
 /// mean: the 24-job batch takes only ~100 ms, where a 2% overhead (~2 ms)
 /// sits inside one scheduler tick — stretching the measured work keeps
-/// the contract resolvable instead of gating on jitter. The first untraced batch's BatchResult is kept for the profile
-/// — results are deterministic, so any rep would do. The traced minimum
-/// stays 0 when the obs layer is compiled out.
+/// the contract resolvable instead of gating on jitter. The first untraced
+/// batch's BatchResult is kept — results are deterministic, so any rep
+/// would do. The stage profile sums every untraced batch: a batch compiles
+/// each distinct design once and serves its repeats, so one batch holds a
+/// single cold run per design, and the budgets read the mean over all of
+/// them. The traced minimum stays 0 when the obs layer is compiled out.
 struct SerialWalls {
   double untraced_ms = 0;
   double traced_ms = 0;
+  std::vector<silc::core::StageProfile> profile;
 };
 
 /// Mean wall clock of `laps` back-to-back untraced batches at `threads`;
-/// the first batch's result goes to `keep` when it is non-null.
+/// the first batch's result goes to `keep` and every batch's stage profile
+/// adds into `profile`, each when non-null.
 double mean_batch_ms(const std::vector<silc::core::BatchJob>& jobs,
-                     int threads, int laps, silc::core::BatchResult* keep) {
+                     int threads, int laps, silc::core::BatchResult* keep,
+                     std::vector<silc::core::StageProfile>* profile) {
   double ms = 0;
   for (int l = 0; l < laps; ++l) {
     silc::core::BatchResult br = silc::core::compile_many(jobs, threads);
     ms += br.wall_ms;
+    for (const silc::core::StageProfile& s : br.profile) {
+      if (profile == nullptr) break;
+      const auto it =
+          std::find_if(profile->begin(), profile->end(),
+                       [&](const auto& p) { return p.stage == s.stage; });
+      if (it == profile->end()) {
+        profile->push_back(s);
+      } else {
+        it->runs += s.runs;
+        it->total_ms += s.total_ms;
+      }
+    }
     if (l == 0 && keep != nullptr) *keep = std::move(br);
   }
   return ms / laps;
@@ -237,7 +253,8 @@ SerialWalls serial_walls(const std::vector<silc::core::BatchJob>& jobs,
                          int reps, int laps, silc::core::BatchResult* keep) {
   SerialWalls w;
   const auto untraced = [&](int r) {
-    const double ms = mean_batch_ms(jobs, 1, laps, r == 0 ? keep : nullptr);
+    const double ms =
+        mean_batch_ms(jobs, 1, laps, r == 0 ? keep : nullptr, &w.profile);
     w.untraced_ms = r == 0 ? ms : std::min(w.untraced_ms, ms);
   };
   const auto traced = [&](int r) {
@@ -323,27 +340,20 @@ double stage_per_run_ms(const silc::core::BatchResult& br, const char* stage) {
   return 0.0;
 }
 
-/// The --cache-dir measurement: the batch against the on-disk store, plus
-/// a cells-only leg (per-cell caches loaded from the file, no result
-/// tier) so the warm drc/extract stage cost is measured on stages that
-/// actually run — the result tier skips them entirely.
+/// The --cache-dir measurement: the batch against the on-disk store.
 struct PersistReport {
   bool active = false;
   bool preloaded = false;  // a store file existed before this run
   silc::core::BatchResult batch;
-  double warm_drc_extract_ms = 0;   // drc+extract totals under the store
-  double cold_drc_extract_ms = 0;   // same totals from the cache-less run
-  double cells_drc_ms_per_run = 0;  // cells-only leg: the drc.warm budget
-  double cells_extract_ms_per_run = 0;
-  double cells_drc_extract_ms = 0;
-  bool identical = true;  // every leg matched the cache-less results
+  double warm_drc_extract_ms = 0;  // drc+extract totals under the store
+  double cold_drc_extract_ms = 0;  // same totals from the store-less run
+  bool identical = true;  // the batch matched the store-less results
 };
 
 PersistReport measure_persist(const std::vector<silc::core::BatchJob>& jobs,
                               const std::string& cache_dir,
                               const silc::core::BatchResult& cacheless) {
   using silc::core::BatchJob;
-  using silc::core::BatchResult;
   PersistReport p;
   p.active = true;
   const std::string store_path = cache_dir + "/silc.store";
@@ -361,26 +371,6 @@ PersistReport measure_persist(const std::vector<silc::core::BatchJob>& jobs,
     std::printf("store warning: %s\n", d.message.c_str());
   }
 
-  // Cells-only warm leg: load just the per-cell caches from the file the
-  // batch above saved, leave cache_dir empty so no result tier hides the
-  // stages, and measure what a warm drc/extract stage really costs.
-  silc::store::Store store;
-  (void)store.load(store_path);
-  silc::drc::VerdictCache verdicts;
-  silc::extract::NetlistCache netlists;
-  verdicts.load_from(store);
-  netlists.load_from(store);
-  std::vector<BatchJob> cells = jobs;
-  for (BatchJob& j : cells) {
-    j.options.drc_cache = &verdicts;
-    j.options.extract_cache = &netlists;
-  }
-  const BatchResult cells_run = silc::core::compile_many(cells, 1);
-  p.cells_drc_ms_per_run = stage_per_run_ms(cells_run, "drc");
-  p.cells_extract_ms_per_run = stage_per_run_ms(cells_run, "extract");
-  p.cells_drc_extract_ms =
-      stage_total_ms(cells_run, "drc") + stage_total_ms(cells_run, "extract");
-  p.identical = p.identical && same_results(cells_run, cacheless);
   return p;
 }
 
@@ -409,15 +399,6 @@ bool write_artifacts(const std::string& path,
   }
   std::fclose(f);
   return true;
-}
-
-double pla_stage_ms_per_run(const silc::core::BatchResult& r) {
-  for (const silc::core::StageProfile& s : r.profile) {
-    if (s.stage == "pla-check") {
-      return s.runs > 0 ? s.total_ms / s.runs : 0.0;
-    }
-  }
-  return 0.0;
 }
 
 struct PlaModeMs {
@@ -455,7 +436,7 @@ std::vector<PlaModeMs> measure_pla_modes(const silc::core::BatchResult& serial,
     ++runs;
   }
   return {{silc::sim::to_string(PlaCheckMode::Exhaustive),
-           pla_stage_ms_per_run(serial)},
+           stage_per_run_ms(serial, "pla-check")},
           {silc::sim::to_string(PlaCheckMode::Replay),
            runs > 0 ? replay_ms / runs : 0.0}};
 }
@@ -594,7 +575,7 @@ int run_suite(const std::string& json_path, bool smoke,
   // the same samples of the mean over the same laps.
   double parallel_ms = 0;
   for (int r = 0; r < walls; ++r) {
-    const double ms = mean_batch_ms(jobs, many, laps, nullptr);
+    const double ms = mean_batch_ms(jobs, many, laps, nullptr, nullptr);
     parallel_ms = r == 0 ? ms : std::min(parallel_ms, ms);
   }
   // One more parallel batch runs traced, only for the exported timeline
@@ -636,13 +617,12 @@ int run_suite(const std::string& json_path, bool smoke,
                            std::max(persist.warm_drc_extract_ms, 0.01);
     std::printf(
         "persist: %s store, %llu hits / %llu misses, drc+extract "
-        "%.2f ms cold vs %.2f ms warm (%.1fx), cells-only warm "
-        "%.2f ms, store %llu bytes, load %.1f ms, save %.1f ms\n",
+        "%.2f ms cold vs %.2f ms warm (%.1fx), store %llu bytes, "
+        "load %.1f ms, save %.1f ms\n",
         persist.preloaded ? "preloaded" : "cold",
         static_cast<unsigned long long>(persist.batch.store.hits),
         static_cast<unsigned long long>(persist.batch.store.misses),
         persist.cold_drc_extract_ms, persist.warm_drc_extract_ms, speedup,
-        persist.cells_drc_extract_ms,
         static_cast<unsigned long long>(persist.batch.store.file_bytes),
         persist.batch.store.load_ms, persist.batch.store.save_ms);
   }
@@ -676,7 +656,9 @@ int run_suite(const std::string& json_path, bool smoke,
         incr.identical ? "identical" : "DIVERGED");
   }
 
-  std::printf("%s", serial.profile_text().c_str());
+  silc::core::BatchResult profiled;  // the summed profile, for its table
+  profiled.profile = wallclocks.profile;
+  std::printf("%s", profiled.profile_text().c_str());
   const std::vector<PlaModeMs> pla_modes =
       measure_pla_modes(serial, smoke ? 1 : reps);
   std::printf("pla-check per engine:");
@@ -718,14 +700,15 @@ int run_suite(const std::string& json_path, bool smoke,
   std::fprintf(f, "  \"hardware_threads\": %u,\n", hw);
   std::fprintf(f, "  \"smoke\": %s,\n", smoke ? "true" : "false");
   std::fprintf(f, "  \"stage_ms\": [\n");
-  for (std::size_t i = 0; i < serial.profile.size(); ++i) {
-    const silc::core::StageProfile& s = serial.profile[i];
+  const std::vector<silc::core::StageProfile>& profile = wallclocks.profile;
+  for (std::size_t i = 0; i < profile.size(); ++i) {
+    const silc::core::StageProfile& s = profile[i];
     std::fprintf(f,
                  "    {\"stage\": \"%s\", \"runs\": %d, \"total_ms\": %.2f, "
                  "\"ms_per_run\": %.3f}%s\n",
                  s.stage.c_str(), s.runs, s.total_ms,
                  s.runs > 0 ? s.total_ms / s.runs : 0.0,
-                 i + 1 < serial.profile.size() ? "," : "");
+                 i + 1 < profile.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
   std::fprintf(
@@ -768,8 +751,6 @@ int run_suite(const std::string& json_path, bool smoke,
         "\"loaded_records\": %llu, \"file_bytes\": %llu, "
         "\"load_ms\": %.2f, \"save_ms\": %.2f, "
         "\"cold_drc_extract_ms\": %.2f, \"warm_drc_extract_ms\": %.2f, "
-        "\"cells_warm_drc_ms_per_run\": %.3f, "
-        "\"cells_warm_extract_ms_per_run\": %.3f, "
         "\"cold_designs_per_sec\": %.2f, \"warm_designs_per_sec\": %.2f, "
         "\"identical_to_cacheless\": %s},\n",
         persist.preloaded ? "true" : "false",
@@ -779,9 +760,7 @@ int run_suite(const std::string& json_path, bool smoke,
         static_cast<unsigned long long>(persist.batch.store.loaded_records),
         static_cast<unsigned long long>(persist.batch.store.file_bytes),
         persist.batch.store.load_ms, persist.batch.store.save_ms,
-        persist.cold_drc_extract_ms, persist.warm_drc_extract_ms,
-        persist.cells_drc_ms_per_run, persist.cells_extract_ms_per_run,
-        serial_dps, warm_dps, persist.identical ? "true" : "false");
+        persist.cold_drc_extract_ms, persist.warm_drc_extract_ms, serial_dps, warm_dps, persist.identical ? "true" : "false");
   }
   if (incr.active) {
     std::fprintf(
@@ -873,13 +852,8 @@ int run_suite(const std::string& json_path, bool smoke,
       std::printf("ERROR: %s\n", err.c_str());
       return 1;
     }
-    std::vector<std::pair<std::string, double>> sm = profile_ms(serial);
-    // With a store in play, the warm drc path is budgeted too: a silent
-    // fall-back to cold recompute breaks the latency gate, not just the
-    // speedup check above.
-    if (persist.active) {
-      sm.emplace_back("drc.warm", persist.cells_drc_ms_per_run);
-    }
+    std::vector<std::pair<std::string, double>> sm =
+        profile_ms(wallclocks.profile);
     // The incremental edit path is budgeted like any pipeline stage: a
     // regression that makes an "incremental" verify quietly re-prove the
     // chip breaks the latency gate, not just the speedup floor.

@@ -1,6 +1,7 @@
 // The interactive edit-verify loop: an IncrementalSession owns warm
-// whole-cell caches (drc::VerdictCache, extract::NetlistCache), the last
-// library snapshot, and each stage's baseline (the last verdicts plus what
+// whole-cell caches (drc::VerdictCache, extract::NetlistCache — the only
+// owner of either; a compile batch memoizes whole results instead), the
+// last library snapshot, and each stage's baseline (the last verdicts plus what
 // the footprint paths need: a DRC layer table, the top's partial netlist).
 // Each verify() diffs the library against the snapshot (core::EditSet,
 // footprints included), hands the edit set and baselines to the stages'
@@ -10,9 +11,10 @@
 // recompile from scratch at every step (tests/test_incremental.cpp).
 //
 // The persistent store doubles as a cross-process baseline: load_store()
-// warms the caches from a silc.store written by an earlier process, so the
-// FIRST verify of a session is a top hit when that process verified the
-// same top.
+// warms the caches from the "drc" and "extract" streams of a silc.store
+// that an earlier session saved, so the FIRST verify of a session is a top
+// hit when that session verified the same top. save_store() writes a fresh
+// file holding just those two streams.
 #pragma once
 
 #include <memory>

@@ -7,6 +7,7 @@
 #include <iterator>
 #include <sstream>
 #include <thread>
+#include <unordered_set>
 
 #include "cif/cif.hpp"
 #include "core/compiler.hpp"
@@ -99,14 +100,12 @@ const layout::Flattened& DesignDB::flattened() {
 
 const extract::Netlist& DesignDB::netlist() {
   if (!netlist_) {
-    // No shared flatten: a hit in extract_cache (shared across the batch)
-    // never flattens, and a miss flattens inside extract_hier. Any failure
-    // there degrades to the flat engine — byte-identical canonical netlist
-    // (the extract contract), alive. Cancellation is not a failure and must
-    // propagate.
+    // No shared flatten: extract_hier flattens for its own solve. Any
+    // failure there degrades to the flat engine — byte-identical canonical
+    // netlist (the extract contract), alive. Cancellation is not a failure
+    // and must propagate.
     try {
-      netlist_ =
-          extract::extract_hier(*chip, tech::nmos(), options.extract_cache);
+      netlist_ = extract::extract_hier(*chip, tech::nmos());
     } catch (const Cancelled&) {
       throw;
     } catch (const std::exception& e) {
@@ -273,7 +272,7 @@ bool stage_drc(DesignDB& db) {
   // engine contract), alive. Cancellation is not a failure and must
   // propagate to the stage boundary.
   try {
-    db.drc = drc::check_hier(*db.chip, tech::nmos(), db.options.drc_cache);
+    db.drc = drc::check_hier(*db.chip, tech::nmos());
   } catch (const Cancelled&) {
     throw;
   } catch (const std::exception& e) {
@@ -513,19 +512,19 @@ CompileResult finish(DesignDB& db) {
 
 namespace {
 
-/// One compile with the options as given: consult the result cache (when
-/// wired), run the pipeline on a miss, memoize eligible results.
+/// One compile with the options as given: consult `cache` (when given),
+/// run the pipeline on a miss, memoize eligible results.
 CompileResult compile_wired(layout::Library& lib, Flow flow,
                             const std::string& source,
-                            const CompileOptions& options) {
+                            const CompileOptions& options, ResultCache* cache) {
 #if SILC_OBS_ENABLED
   const std::vector<obs::MetricSample> before = obs::Metrics::global().snapshot();
 #endif
   std::uint64_t fp = 0;
-  if (options.result_cache != nullptr) {
+  if (cache != nullptr) {
     fp = ResultCache::fingerprint(flow, source, options);
     CompileResult cached;
-    if (options.result_cache->find(fp, &cached)) {
+    if (cache->find(fp, &cached)) {
 #if SILC_OBS_ENABLED
       cached.metrics = obs::delta(before, obs::Metrics::global().snapshot());
 #endif
@@ -540,7 +539,7 @@ CompileResult compile_wired(layout::Library& lib, Flow flow,
 #if SILC_OBS_ENABLED
   r.metrics = obs::delta(before, obs::Metrics::global().snapshot());
 #endif
-  if (options.result_cache != nullptr) options.result_cache->store(fp, r);
+  if (cache != nullptr) cache->store(fp, r);
   return r;
 }
 
@@ -549,43 +548,29 @@ CompileResult compile_wired(layout::Library& lib, Flow flow,
 CompileResult compile(layout::Library& lib, Flow flow,
                       const std::string& source,
                       const CompileOptions& options) {
-  // Standalone persistent path: a caller that set cache_dir without
-  // wiring caches gets the full load→attach→run→save cycle locally.
-  // compile_many wires shared caches itself (and clears cache_dir from
-  // the per-job options), so batch jobs never take this branch.
-  if (!options.cache_dir.empty() && options.result_cache == nullptr &&
-      options.drc_cache == nullptr && options.extract_cache == nullptr) {
-    const std::string path = options.cache_dir + "/silc.store";
-    store::Store persist;
-    persist.load(path);
-    drc::VerdictCache drc_cache;
-    extract::NetlistCache extract_cache;
-    ResultCache result_cache;
-    drc_cache.load_from(persist);
-    extract_cache.load_from(persist);
-    result_cache.load_from(persist);
-    CompileOptions opt = options;
-    opt.drc_cache = &drc_cache;
-    opt.extract_cache = &extract_cache;
-    opt.result_cache = &result_cache;
-    CompileResult r = compile_wired(lib, flow, source, opt);
-    // Store-layer notices ride as warnings on this result (warnings never
-    // flip ok()); the batch path keeps them in BatchResult::store_diags
-    // instead, where byte-identity across runs is CI-gated.
-    if (!persist.load_error().empty()) {
-      r.diags.push_back({Severity::Warning, "store",
-                         persist.load_error() + " (cold start)"});
-    }
-    store::Store out(persist.schema());
-    drc_cache.save_to(out);
-    extract_cache.save_to(out);
-    result_cache.save_to(out);
-    if (!out.save(path)) {
-      r.diags.push_back({Severity::Warning, "store", out.save_error()});
-    }
-    return r;
+  if (options.cache_dir.empty()) {
+    return compile_wired(lib, flow, source, options, nullptr);
   }
-  return compile_wired(lib, flow, source, options);
+  // The persistent path: load the store, run through its result cache,
+  // save it back (with whatever other streams the file held).
+  const std::string path = options.cache_dir + "/silc.store";
+  store::Store persist;
+  persist.load(path);
+  ResultCache result_cache;
+  result_cache.load_from(persist);
+  CompileResult r = compile_wired(lib, flow, source, options, &result_cache);
+  // Store-layer notices ride as warnings on this result (warnings never
+  // flip ok()); the batch path keeps them in BatchResult::store_diags
+  // instead, where byte-identity across runs is CI-gated.
+  if (!persist.load_error().empty()) {
+    r.diags.push_back(
+        {Severity::Warning, "store", persist.load_error() + " (cold start)"});
+  }
+  result_cache.save_to(persist);
+  if (!persist.save(path)) {
+    r.diags.push_back({Severity::Warning, "store", persist.save_error()});
+  }
+  return r;
 }
 
 // ------------------------------------------------------------------ batch --
@@ -627,21 +612,12 @@ BatchResult compile_many(const std::vector<BatchJob>& jobs, int threads) {
   br.results.resize(n);
   br.libraries.resize(n);
 
-  // One DRC verdict cache and one extraction netlist cache for the whole
-  // batch: a design that repeats in the batch (or was stored by an earlier
-  // one) skips straight to its cached whole-chip verdict and partial
-  // netlist. Purely accelerators — both are deterministic, so results stay
-  // identical at any thread count.
-  drc::VerdictCache drc_cache;
-  extract::NetlistCache extract_cache;
-
-  // Persistent store: the first job naming a cache_dir opens the batch's
+  // The batch's one cache tier: a ResultCache keyed by the compile's
+  // fingerprint. The first job naming a cache_dir opens the persistent
   // store — loaded ONCE here before the crew starts, saved ONCE after it
-  // joins (store::Store is not thread-safe by design; the in-memory
-  // caches above are the concurrent layer). With a warm store the batch
-  // caches start full and whole-result memoization kicks in, so repeated
-  // compiles become lookups; a corrupt or version-skewed file degrades to
-  // this very cold start, with the reason in store_diags.
+  // joins (store::Store is not thread-safe by design). A corrupt or
+  // version-skewed file degrades to a cold start, with the reason in
+  // store_diags.
   std::string cache_dir;
   for (const BatchJob& j : jobs) {
     if (!j.options.cache_dir.empty()) {
@@ -663,10 +639,24 @@ BatchResult compile_many(const std::vector<BatchJob>& jobs, int threads) {
                                 persist.load_error() + " (cold start)"});
     }
     br.store.loaded_records = persist.records();
-    drc_cache.load_from(persist);
-    extract_cache.load_from(persist);
     result_cache.load_from(persist);
   }
+
+  // Dedupe: the first job of each fingerprint compiles in the first pass;
+  // every repeat waits for the second, when its first has memoized (or
+  // not). A repeat of an eligible result is then a plain cache hit, and
+  // any other repeat compiles on its own without the cache — which the
+  // second pass therefore only reads, so what serves each job does not
+  // depend on the thread count.
+  std::vector<std::uint64_t> fp(n);
+  std::vector<std::size_t> firsts, repeats;
+  std::unordered_set<std::uint64_t> seen;
+  for (std::size_t i = 0; i < n; ++i) {
+    fp[i] = ResultCache::fingerprint(jobs[i].flow, jobs[i].source,
+                                     jobs[i].options);
+    (seen.insert(fp[i]).second ? firsts : repeats).push_back(i);
+  }
+  std::vector<bool> served(n, true);  // consult the cache (firsts always)
 
   // Same crew pattern as sim::TapePool, one job granularity: an atomic
   // cursor hands out the next design; every job owns a private Library so
@@ -680,79 +670,79 @@ BatchResult compile_many(const std::vector<BatchJob>& jobs, int threads) {
   // a throw becomes one failed CompileResult with a structured diagnostic
   // while every other job's result stays bit-identical to a fault-free
   // run (tests/test_fault.cpp proves it under chaos schedules).
-  std::atomic<std::size_t> next{0};
-  const auto work = [&] {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= n) return;
-      const BatchJob& job = jobs[i];
-      try {
-        SILC_OBS_SPAN("job:" + job.options.name, "batch");
-        const fault::ScopeGuard fault_scope("job:" + std::to_string(i));
-        SILC_FAULT_POINT("batch.job");
-        auto lib = std::make_unique<layout::Library>(job.options.name);
-        CompileOptions opt = job.options;
-        opt.sim_threads = 1;  // one level of parallelism: across designs
-        if (opt.drc_cache == nullptr) opt.drc_cache = &drc_cache;
-        if (opt.extract_cache == nullptr) opt.extract_cache = &extract_cache;
-        // The batch owns the persistence cycle; jobs get the shared
-        // result cache (when a store is open) and never re-enter the
-        // standalone load/save path in compile().
-        opt.cache_dir.clear();
-        if (!cache_dir.empty() && opt.result_cache == nullptr) {
-          opt.result_cache = &result_cache;
-        }
-        br.results[i] = compile(*lib, job.flow, job.source, opt);
-        br.libraries[i] = std::move(lib);
-      } catch (const std::exception& e) {
-        CompileResult failed;
-        failed.diags.push_back({Severity::Error, "batch",
-                                "job '" + job.options.name +
-                                    "' failed outside stage boundaries: " +
-                                    e.what()});
-        br.results[i] = std::move(failed);
-        br.libraries[i] = nullptr;
-      } catch (...) {
-        CompileResult failed;
-        failed.diags.push_back({Severity::Error, "batch",
-                                "job '" + job.options.name +
-                                    "' failed outside stage boundaries "
-                                    "(non-standard exception)"});
-        br.results[i] = std::move(failed);
-        br.libraries[i] = nullptr;
-      }
-      SILC_OBS_COUNT("batch.jobs", 1);
+  const auto run_job = [&](std::size_t i) {
+    const BatchJob& job = jobs[i];
+    try {
+      SILC_OBS_SPAN("job:" + job.options.name, "batch");
+      const fault::ScopeGuard fault_scope("job:" + std::to_string(i));
+      SILC_FAULT_POINT("batch.job");
+      auto lib = std::make_unique<layout::Library>(job.options.name);
+      CompileOptions opt = job.options;
+      opt.sim_threads = 1;  // one level of parallelism: across designs
+      opt.cache_dir.clear();  // the batch owns the persistence cycle
+      br.results[i] = compile_wired(*lib, job.flow, job.source, opt,
+                                    served[i] ? &result_cache : nullptr);
+      // A served result has no chip, so nothing lives in its library.
+      if (!br.results[i].from_cache) br.libraries[i] = std::move(lib);
+    } catch (const std::exception& e) {
+      CompileResult failed;
+      failed.diags.push_back({Severity::Error, "batch",
+                              "job '" + job.options.name +
+                                  "' failed outside stage boundaries: " +
+                                  e.what()});
+      br.results[i] = std::move(failed);
+    } catch (...) {
+      CompileResult failed;
+      failed.diags.push_back({Severity::Error, "batch",
+                              "job '" + job.options.name +
+                                  "' failed outside stage boundaries "
+                                  "(non-standard exception)"});
+      br.results[i] = std::move(failed);
     }
+    SILC_OBS_COUNT("batch.jobs", 1);
+  };
+  const auto run_pass = [&](const std::vector<std::size_t>& order) {
+    std::atomic<std::size_t> next{0};
+    const auto work = [&] {
+      for (;;) {
+        const std::size_t k = next.fetch_add(1, std::memory_order_relaxed);
+        if (k >= order.size()) return;
+        run_job(order[k]);
+      }
+    };
+    const int crew_size = static_cast<int>(
+        std::min<std::size_t>(static_cast<std::size_t>(br.threads), order.size()));
+    std::vector<std::thread> crew;
+    for (int t = 1; t < crew_size; ++t) crew.emplace_back(work);
+    work();
+    for (std::thread& t : crew) t.join();
   };
 
   SILC_OBS_SPAN("compile_many:" + std::to_string(n) + "jobs", "batch");
   const auto t0 = std::chrono::steady_clock::now();
-  std::vector<std::thread> crew;
-  for (int t = 1; t < br.threads; ++t) crew.emplace_back(work);
-  work();
-  for (std::thread& t : crew) t.join();
+  run_pass(firsts);
+  for (const std::size_t i : repeats) served[i] = result_cache.contains(fp[i]);
+  run_pass(repeats);
   br.wall_ms = std::chrono::duration<double, std::milli>(
                    std::chrono::steady_clock::now() - t0)
                    .count();
+  br.store.hits = result_cache.hits();
+  br.store.misses = result_cache.misses();
 
   // Save once after the crew joins: everything the batch learned — the
   // union of what was loaded and what was computed — goes back in one
   // atomic rename. A failed save is a warning, never a failed batch.
   if (!cache_dir.empty()) {
-    store::Store out(persist.schema());
-    drc_cache.save_to(out);
-    extract_cache.save_to(out);
-    result_cache.save_to(out);
+    result_cache.save_to(persist);
     const auto t_save = std::chrono::steady_clock::now();
-    if (!out.save(cache_dir + "/silc.store")) {
-      br.store_diags.push_back({Severity::Warning, "store", out.save_error()});
+    if (!persist.save(cache_dir + "/silc.store")) {
+      br.store_diags.push_back(
+          {Severity::Warning, "store", persist.save_error()});
     }
     br.store.save_ms = std::chrono::duration<double, std::milli>(
                            std::chrono::steady_clock::now() - t_save)
                            .count();
-    br.store.file_bytes = out.file_bytes();
-    br.store.hits = result_cache.hits();
-    br.store.misses = result_cache.misses();
+    br.store.file_bytes = persist.file_bytes();
   }
 
   // Aggregate the per-stage profile in deterministic (job, stage) order.

@@ -9,9 +9,9 @@
 //     verification reports) lives here exactly once, with
 //     compute-once/lookup-later accessors for the expensive shared
 //     artifacts: the chip is extracted once for both the transistor count
-//     and the artwork check. DRC and extraction go through their
-//     whole-chip caches (drc::check_hier, extract::extract_hier: a miss
-//     flattens the chip and runs the flat engine once); only when that
+//     and the artwork check. DRC and extraction run through
+//     drc::check_hier and extract::extract_hier with no cache (each
+//     flattens the chip and runs its flat engine once); only when that
 //     fails does the stage fall back to the flat engine directly, and both
 //     fallbacks share one flatten of the chip.
 //     Callers that want the flat engines call drc::check_flat and
@@ -39,9 +39,11 @@
 //   * compile_many — the batch front end ("heavy traffic"): N independent
 //     designs dispatched across a persistent worker crew (same
 //     atomic-cursor pattern as sim::TapePool), one layout::Library per
-//     design so jobs never share mutable state. Results are deterministic
-//     and identical at any thread count; the BatchResult aggregates a
-//     per-stage timing profile across all designs.
+//     design so jobs never share mutable state. Its one cache tier is a
+//     core::ResultCache: the first job of each fingerprint compiles, and
+//     every repeat of a clean result is served from it. Results are
+//     deterministic and identical at any thread count; the BatchResult
+//     aggregates a per-stage timing profile across the compiled jobs.
 //
 // To add a stage: give it a name, append `p.stage("name", fn)` in the
 // flow builder at the right point in the order, read your inputs from the
@@ -69,8 +71,6 @@
 #include "synth/synth.hpp"
 
 namespace silc::core {
-
-class ResultCache;  // core/result_cache.hpp: whole-result memoization
 
 // ------------------------------------------------------------ diagnostics --
 
@@ -151,15 +151,6 @@ struct CompileOptions {
   /// pins this to 1 so design-level parallelism is never oversubscribed
   /// by per-design sim pools.
   int sim_threads = 0;
-  /// Whole-chip DRC verdict cache (non-owning, thread-safe). compile_many
-  /// points every job of a batch at one shared cache so a design compiled
-  /// twice in one batch is checked once; null makes the drc stage run
-  /// uncached.
-  drc::VerdictCache* drc_cache = nullptr;
-  /// Whole-chip netlist cache for extraction (non-owning, thread-safe) —
-  /// the extract-stage mirror of drc_cache: compile_many shares one across
-  /// the batch; null makes extraction run uncached.
-  extract::NetlistCache* extract_cache = nullptr;
   /// Wall-clock budget for the whole compile (0 = none). When exceeded,
   /// the run stops at the next stage boundary or long-loop checkpoint
   /// (the DRC and extraction cache misses, sim eval cycles) and returns a
@@ -172,19 +163,14 @@ struct CompileOptions {
   /// one job — or, by sharing a token, a whole batch.
   const CancelToken* cancel = nullptr;
   /// Directory of the persistent compile store ("" = none). compile()
-  /// loads <cache_dir>/silc.store before running and saves it back after;
-  /// compile_many opens it once for the whole batch (the first job naming
-  /// a cache_dir wins) — load before the crew starts, save after it
-  /// joins, shared across every job. A missing file is a silent cold
-  /// start; a corrupt/version-skewed one cold-starts with a warning
-  /// diagnostic (see store/store.hpp). Never changes results — only how
-  /// fast they arrive.
+  /// loads <cache_dir>/silc.store before running, consults its whole-result
+  /// cache, and saves it back after; compile_many opens it once for the
+  /// whole batch (the first job naming a cache_dir wins) — its result cache
+  /// is loaded before the crew starts and saved after it joins. A missing
+  /// file is a silent cold start; a corrupt/version-skewed one cold-starts
+  /// with a warning diagnostic (see store/store.hpp). Never changes
+  /// results — only how fast they arrive.
   std::string cache_dir;
-  /// Whole-result memoization (non-owning, thread-safe): compile()
-  /// consults it before building a DesignDB and memoizes eligible
-  /// results after. compile_many wires a batch-shared one when cache_dir
-  /// is set; null disables the tier. See core/result_cache.hpp.
-  ResultCache* result_cache = nullptr;
 };
 
 /// Wall-clock record of one stage slot in a run. Every stage of the flow
@@ -315,18 +301,19 @@ struct CompileResult {
   /// for (see StageTiming).
   double pipeline_ms = 0;
   /// Structured measurement of the run: the obs::Metrics registry delta
-  /// across this compile (cache hits/misses/bytes, interaction-window
-  /// counts and areas, sim-pool occupancy, ...), nonzero entries only.
-  /// Exact when compiles don't overlap; under a concurrent compile_many
-  /// batch, globally-shared work (the batch caches) is attributed to
-  /// whichever overlapping compile observed it. Empty under SILC_OBS=OFF.
-  /// Excluded from same_outcome(), like timings.
+  /// across this compile (cache hits/misses, stage counters, sim-pool
+  /// occupancy, ...), nonzero entries only. Exact when compiles don't
+  /// overlap; under a concurrent compile_many batch the registry is
+  /// process-wide, so an overlapping job's counts land in this delta too.
+  /// Empty under SILC_OBS=OFF. Excluded from same_outcome(), like
+  /// timings.
   std::vector<obs::MetricSample> metrics;
   /// True when this result was materialized from a ResultCache instead of
   /// a pipeline run. Cached results carry no chip pointer (the Library
   /// that owned the original is gone), so ok() accepts from_cache in
   /// place of chip != nullptr; everything same_outcome() compares is
-  /// byte-identical to the compile that was memoized.
+  /// byte-identical to the compile that was memoized. A served result ran
+  /// no stage: its timings are empty and its pipeline_ms is 0.
   bool from_cache = false;
 
   [[nodiscard]] bool ok() const;
@@ -369,11 +356,13 @@ struct StageProfile {
   double total_ms = 0;
 };
 
-/// Persistent-store counters of one batch (all zero when no job set
-/// cache_dir): whole-result memoization traffic plus store I/O.
+/// Result-cache counters of one batch: whole-result memoization traffic,
+/// counted with or without a cache_dir, plus store I/O (zero unless a job
+/// set cache_dir).
 struct StoreCounters {
-  std::uint64_t hits = 0;      // ResultCache hits (memory or disk-warm)
-  std::uint64_t misses = 0;    // ResultCache misses (compiled fresh)
+  std::uint64_t hits = 0;      // jobs served: repeats, or disk-warm
+  std::uint64_t misses = 0;    // lookups that compiled (each fingerprint's
+                               // first job, unless the store held it)
   std::uint64_t poisoned = 0;  // corrupt/skewed store file cold starts
   std::uint64_t loaded_records = 0;  // records read from the store file
   std::uint64_t file_bytes = 0;      // bytes of the saved store file
@@ -386,13 +375,15 @@ struct BatchResult {
   /// thread count the batch ran with.
   std::vector<CompileResult> results;
   /// One library per design: the cells results[i].chip points into live
-  /// in libraries[i], so they outlive the batch.
+  /// in libraries[i], so they outlive the batch. Null when the job was
+  /// served from the result cache (it has no chip) or failed outside the
+  /// stage boundaries.
   std::vector<std::unique_ptr<layout::Library>> libraries;
   /// Stage profile summed over all designs, in first-seen stage order.
   std::vector<StageProfile> profile;
   double wall_ms = 0;
   int threads = 1;
-  /// Persistent-store traffic (zero unless a job set cache_dir).
+  /// Result-cache traffic and persistent-store I/O.
   StoreCounters store;
   /// Store-layer diagnostics — a corrupt file's cold-start warning, a
   /// failed save — kept OUT of the per-job diags so cached and fresh
@@ -408,6 +399,18 @@ struct BatchResult {
 /// hardware concurrency, clamped to the job count). Each job gets a
 /// private layout::Library and sim_threads pinned to 1, so results are
 /// bit-identical whatever the thread count.
+///
+/// Repeated jobs: the batch owns one ResultCache (loaded from and saved to
+/// the store only when a job names a cache_dir). The first job of each
+/// ResultCache::fingerprint compiles in a first pass; the repeats run in a
+/// second. A repeat of an eligible result (ResultCache::eligible: clean,
+/// notes-only) is served from the cache: from_cache, no chip, no library,
+/// empty timings, pipeline_ms 0. Any other repeat — its first failed,
+/// warned, was cancelled — compiles on its own with its own diags. Either
+/// way the result is same_outcome() to a serial cache-less compile of the
+/// job, and which jobs are served does not depend on the thread count. A
+/// served repeat is a finished answer: its deadline or token has nothing
+/// left to cut short.
 [[nodiscard]] BatchResult compile_many(const std::vector<BatchJob>& jobs,
                                        int threads = 0);
 

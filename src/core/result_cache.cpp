@@ -152,7 +152,7 @@ bool ResultCache::find(std::uint64_t fp, CompileResult* out) const {
     SILC_OBS_COUNT("store.misses", 1);
     return false;
   }
-  if (!decode_result(it->second.payload, out)) {
+  if (!decode_result(it->second, out)) {
     // Cannot happen through the normal put path (the store checksums
     // records and encode/decode are inverses), but a decode failure must
     // still degrade to a recompile, never a wrong result.
@@ -161,49 +161,29 @@ bool ResultCache::find(std::uint64_t fp, CompileResult* out) const {
     SILC_OBS_COUNT("store.misses", 1);
     return false;
   }
-  it->second.last_use = ++clock_;
   ++hits_;
   SILC_OBS_COUNT("store.hits", 1);
   return true;
+}
+
+bool ResultCache::contains(std::uint64_t fp) const {
+  const std::lock_guard<std::mutex> lk(m_);
+  return map_.count(fp) != 0;
 }
 
 void ResultCache::store(std::uint64_t fp, const CompileResult& r) {
   if (!eligible(r)) return;
   std::string payload = encode_result(r);
   const std::lock_guard<std::mutex> lk(m_);
-  const auto it = map_.find(fp);
-  if (it != map_.end()) return;  // first writer wins
-  bytes_ += payload.size();
-  map_.emplace(fp, Entry{std::move(payload), ++clock_});
-  evict_overflow_locked();
-}
-
-void ResultCache::set_capacity(std::size_t max_entries) {
-  const std::lock_guard<std::mutex> lk(m_);
-  capacity_ = max_entries;
-  evict_overflow_locked();
-}
-
-void ResultCache::evict_overflow_locked() {
-  if (capacity_ == 0) return;
-  while (map_.size() > capacity_) {
-    auto victim = map_.begin();
-    for (auto it = map_.begin(); it != map_.end(); ++it) {
-      if (it->second.last_use < victim->second.last_use) victim = it;
-    }
-    bytes_ -= victim->second.payload.size();
-    map_.erase(victim);
-    ++evictions_;
-    SILC_OBS_COUNT("store.evictions", 1);
-  }
+  map_.emplace(fp, std::move(payload));  // first writer wins
 }
 
 void ResultCache::save_to(store::Store& s) const {
   const std::lock_guard<std::mutex> lk(m_);
-  for (const auto& [fp, entry] : map_) {
+  for (const auto& [fp, payload] : map_) {
     store::Writer kw;
     kw.u64(fp);
-    s.put("result", kw.take(), entry.payload);
+    s.put("result", kw.take(), payload);
   }
 }
 
@@ -217,12 +197,8 @@ void ResultCache::load_from(const store::Store& s) {
                // Validate now so a malformed record is dropped at load,
                // not discovered as a poisoned hit later.
                CompileResult probe;
-               if (!decode_result(payload, &probe)) return;
-               if (map_.emplace(fp, Entry{payload, ++clock_}).second) {
-                 bytes_ += payload.size();
-               }
+               if (decode_result(payload, &probe)) map_.emplace(fp, payload);
              });
-  evict_overflow_locked();
 }
 
 std::size_t ResultCache::size() const {
@@ -238,11 +214,6 @@ std::uint64_t ResultCache::hits() const {
 std::uint64_t ResultCache::misses() const {
   const std::lock_guard<std::mutex> lk(m_);
   return misses_;
-}
-
-obs::CacheStats ResultCache::stats() const {
-  const std::lock_guard<std::mutex> lk(m_);
-  return {hits_, misses_, evictions_, map_.size(), bytes_};
 }
 
 }  // namespace silc::core

@@ -1,24 +1,28 @@
-// Whole-result memoization: the top tier of the persistent cache story.
-// A CompileResult is a pure function of (flow, source, output-affecting
+// Whole-result memoization: the one cache tier of a compile. A
+// CompileResult is a pure function of (flow, source, output-affecting
 // options, technology signatures), so an unchanged design never has to
-// re-enter the pipeline — compile() consults this cache before building a
-// DesignDB and stores the harvest after.
+// re-enter the pipeline. compile_many owns one per batch and serves every
+// repeated job from it (see core::compile_many); compile() with a
+// cache_dir consults one loaded from the store before building a DesignDB
+// and stores the harvest after.
 //
 // Both the in-memory hit and the disk-warm hit materialize from the SAME
 // serialized payload, so a result served from cache is byte-identical
 // (same_outcome) to the compile that produced it, whichever tier served
 // it — chip pointer, timings, and metrics excluded, exactly the fields
 // same_outcome already ignores. CompileResult::from_cache marks the
-// materialized copies.
+// materialized copies. Entries are never evicted: a batch holds one per
+// distinct job, and a store holds what its batches compiled.
 //
 // Eligibility (see store/store.hpp, "what may/may not be cached"): only
 // ok() results with a chip and notes-only diagnostics are stored. A
 // warning diag means a degradation path fired (hier→flat fallback under
-// an injected fault, a store corruption notice) — that result is shaped
-// by one run's environment and must never be replayed into another.
+// an injected fault, a store corruption notice) or the design itself
+// warns — such a result may be shaped by one run's environment and must
+// never be replayed into another.
 //
-// Obs counters: store.hits / store.misses — a warm compile's visible
-// win, and what the ci.sh persistence leg greps for.
+// Obs counters: store.hits / store.misses — a served job's visible win,
+// and what the ci.sh persistence leg greps for.
 #pragma once
 
 #include <cstdint>
@@ -39,8 +43,8 @@ class ResultCache {
   /// Content fingerprint of a compile: flow, source text, every
   /// output-affecting option (name, stage policy, verify depth), tags of
   /// the gate-check and pla-check engines, the technology's drc/extract
-  /// signatures, and the store schema version. Thread counts, caches,
-  /// deadlines, and cache_dir are excluded — they must not change the
+  /// signatures, and the store schema version. Thread counts, deadlines,
+  /// cancel tokens, and cache_dir are excluded — they must not change the
   /// answer (the determinism contract), so they must not change the key.
   [[nodiscard]] static std::uint64_t fingerprint(Flow flow,
                                                  const std::string& source,
@@ -61,6 +65,9 @@ class ResultCache {
   /// store already checksummed it) counts poisoned and misses.
   [[nodiscard]] bool find(std::uint64_t fp, CompileResult* out) const;
 
+  /// True when a result is memoized under `fp`. Counts nothing.
+  [[nodiscard]] bool contains(std::uint64_t fp) const;
+
   /// Memoize an eligible result; no-op (not an error) otherwise.
   void store(std::uint64_t fp, const CompileResult& r);
 
@@ -69,36 +76,15 @@ class ResultCache {
   void save_to(store::Store& s) const;
   void load_from(const store::Store& s);
 
-  /// Bound the cache to `max_entries` results (0 = unbounded, the
-  /// default): on overflow the least-recently-used entry is evicted and
-  /// counted, same policy as the DRC and extraction caches
-  /// (drc::VerdictCache, extract::NetlistCache). Evicted results are
-  /// merely recompiled on next demand — correctness never depends on
-  /// residency.
-  void set_capacity(std::size_t max_entries);
-
   [[nodiscard]] std::size_t size() const;
   [[nodiscard]] std::uint64_t hits() const;
   [[nodiscard]] std::uint64_t misses() const;
-  /// Lifetime hit/miss/eviction totals plus current entry count and
-  /// payload bytes (obs::CacheStats, mirroring the DRC and extraction caches).
-  [[nodiscard]] obs::CacheStats stats() const;
 
  private:
-  struct Entry {
-    // Serialized payload; decoded on every hit so memory and disk tiers
-    // cannot drift.
-    std::string payload;
-    std::uint64_t last_use = 0;  // LRU stamp
-  };
-  void evict_overflow_locked();
-
   mutable std::mutex m_;
-  mutable std::map<std::uint64_t, Entry> map_;  // find() refreshes LRU stamp
-  std::size_t capacity_ = 0;                    // 0 = unbounded
-  std::uint64_t bytes_ = 0;
-  std::uint64_t evictions_ = 0;
-  mutable std::uint64_t clock_ = 0;
+  // fingerprint -> serialized payload, decoded on every hit so the memory
+  // and disk tiers cannot drift
+  std::map<std::uint64_t, std::string> map_;
   mutable std::uint64_t hits_ = 0;
   mutable std::uint64_t misses_ = 0;
 };

@@ -6,7 +6,6 @@
 #include "core/cancel.hpp"
 #include "drc/rules.hpp"
 #include "fault/fault.hpp"
-#include "store/store.hpp"
 
 namespace silc::drc {
 
@@ -58,9 +57,7 @@ void Result::canonicalize() {
 
 // ----------------------------------------------------------- verdict cache --
 
-namespace {
-
-std::uint64_t verdict_bytes(const std::vector<Violation>& vs) {
+std::uint64_t VerdictTraits::bytes(const Value& vs) {
   std::uint64_t b = sizeof(std::vector<Violation>);
   for (const Violation& v : vs) {
     b += sizeof(Violation) + v.rule.size() + v.detail.size();
@@ -71,7 +68,7 @@ std::uint64_t verdict_bytes(const std::vector<Violation>& vs) {
 /// Content hash over the fields that define a verdict (never raw struct
 /// bytes — padding is indeterminate). FNV-1a, same flavour the layout
 /// hashes use.
-std::uint64_t verdict_checksum(const std::vector<Violation>& vs) {
+std::uint64_t VerdictTraits::checksum(const Value& vs) {
   std::uint64_t h = 1469598103934665603ULL;
   const auto mix = [&h](std::uint64_t x) {
     h = (h ^ x) * 1099511628211ULL;
@@ -94,160 +91,60 @@ std::uint64_t verdict_checksum(const std::vector<Violation>& vs) {
   return h;
 }
 
-}  // namespace
+// Persistence: field-by-field serialization (never raw structs) into the
+// store's "drc" stream.
+
+void VerdictTraits::encode_key(store::Writer& w, const Key& k) {
+  w.u64(k.tech_sig);
+  w.u64(k.hash);
+  w.u64(k.shapes);
+  w.rect(k.bbox);
+}
+
+VerdictKey VerdictTraits::decode_key(store::Reader& r) {
+  Key k;
+  k.tech_sig = r.u64();
+  k.hash = r.u64();
+  k.shapes = r.u64();
+  k.bbox = r.rect();
+  return k;
+}
+
+std::string VerdictTraits::encode(const Value& vs) {
+  store::Writer w;
+  w.u64(vs.size());
+  for (const Violation& v : vs) {
+    w.str(v.rule);
+    w.rect(v.where);
+    w.str(v.detail);
+    w.point(v.anchor);
+  }
+  return w.take();
+}
+
+std::shared_ptr<const std::vector<Violation>> VerdictTraits::decode(
+    const std::string& payload) {
+  store::Reader r(payload);
+  const std::uint64_t n = r.u64();
+  if (!r.ok() || n > r.remaining()) return nullptr;
+  auto vs = std::make_shared<std::vector<Violation>>();
+  vs->reserve(n);
+  for (std::uint64_t i = 0; i < n; ++i) {
+    Violation v;
+    v.rule = r.str();
+    v.where = r.rect();
+    v.detail = r.str();
+    v.anchor = r.point();
+    vs->push_back(std::move(v));
+  }
+  if (!r.done()) return nullptr;  // malformed record: skip, never a wrong verdict
+  return vs;
+}
 
 VerdictCache::Key VerdictCache::key_for(const layout::Cell& c,
                                         const Tech& technology) {
   return {technology.drc_signature(), layout::geometry_hash(c),
           c.flat_shape_count(), c.bbox()};
-}
-
-std::shared_ptr<const std::vector<Violation>> VerdictCache::find(
-    const Key& k) const {
-  const std::lock_guard<std::mutex> lk(m_);
-  const auto it = map_.find(k);
-  if (it == map_.end()) {
-    ++misses_;
-    SILC_OBS_COUNT("drc.cache.misses", 1);
-    SILC_OBS_INSTANT("drc.cache.miss", "cache");
-    return nullptr;
-  }
-  if (verdict_checksum(*it->second.verdict) != it->second.checksum) {
-    // Poisoned entry (memory corruption or an injected fault): evict and
-    // report a miss, so the caller recomputes — degradation is a slower
-    // check, never a wrong verdict.
-    ++poisoned_;
-    ++misses_;
-    bytes_ -= it->second.bytes;
-    SILC_OBS_COUNT("drc.cache.poisoned", 1);
-    SILC_OBS_COUNT("drc.cache.bytes",
-                   -static_cast<long long>(it->second.bytes));
-    SILC_OBS_COUNT("drc.cache.misses", 1);
-    SILC_OBS_INSTANT("drc.cache.poisoned", "cache");
-    map_.erase(it);
-    return nullptr;
-  }
-  ++hits_;
-  it->second.last_use = ++clock_;
-  SILC_OBS_COUNT("drc.cache.hits", 1);
-  SILC_OBS_INSTANT("drc.cache.hit", "cache");
-  return it->second.verdict;
-}
-
-std::shared_ptr<const std::vector<Violation>> VerdictCache::store(
-    const Key& k, std::vector<Violation> violations) {
-  auto v = std::make_shared<const std::vector<Violation>>(std::move(violations));
-  const std::uint64_t bytes = verdict_bytes(*v);
-  std::uint64_t checksum = verdict_checksum(*v);
-  if (SILC_FAULT_CORRUPT_AT("drc.cache.store")) {
-    // Injected poisoning flips the stored checksum (never the payload —
-    // concurrent readers may hold it); find() must detect and evict.
-    checksum ^= 0x5a5a5a5a5a5a5a5aULL;
-  }
-  const std::lock_guard<std::mutex> lk(m_);
-  const auto [it, fresh] =
-      map_.emplace(k, Entry{std::move(v), bytes, checksum, ++clock_});
-  if (fresh) {
-    bytes_ += bytes;
-    SILC_OBS_COUNT("drc.cache.bytes", bytes);
-    evict_overflow_locked();
-  }
-  return it->second.verdict;  // first writer wins on a race
-}
-
-void VerdictCache::set_capacity(std::size_t max_entries) {
-  const std::lock_guard<std::mutex> lk(m_);
-  capacity_ = max_entries;
-  evict_overflow_locked();
-}
-
-void VerdictCache::evict_overflow_locked() {
-  while (capacity_ > 0 && map_.size() > capacity_) {
-    auto victim = map_.begin();
-    for (auto it = map_.begin(); it != map_.end(); ++it) {
-      if (it->second.last_use < victim->second.last_use) victim = it;
-    }
-    bytes_ -= victim->second.bytes;
-    SILC_OBS_COUNT("drc.cache.bytes", -static_cast<long long>(victim->second.bytes));
-    map_.erase(victim);
-    ++evictions_;
-    SILC_OBS_COUNT("drc.cache.evictions", 1);
-  }
-}
-
-obs::CacheStats VerdictCache::stats() const {
-  const std::lock_guard<std::mutex> lk(m_);
-  return {hits_, misses_, evictions_, map_.size(), bytes_};
-}
-
-std::size_t VerdictCache::size() const {
-  const std::lock_guard<std::mutex> lk(m_);
-  return map_.size();
-}
-
-std::uint64_t VerdictCache::hits() const {
-  const std::lock_guard<std::mutex> lk(m_);
-  return hits_;
-}
-
-std::uint64_t VerdictCache::misses() const {
-  const std::lock_guard<std::mutex> lk(m_);
-  return misses_;
-}
-
-std::uint64_t VerdictCache::poisoned() const {
-  const std::lock_guard<std::mutex> lk(m_);
-  return poisoned_;
-}
-
-// Persistence: field-by-field serialization (never raw structs) into the
-// store's "drc" stream. Any encoding change here requires a
-// store::kSchemaVersion bump (see store/store.hpp).
-
-void VerdictCache::save_to(store::Store& s) const {
-  const std::lock_guard<std::mutex> lk(m_);
-  for (const auto& [k, e] : map_) {
-    store::Writer kw;
-    kw.u64(k.tech_sig);
-    kw.u64(k.hash);
-    kw.u64(k.shapes);
-    kw.rect(k.bbox);
-    store::Writer pw;
-    pw.u64(e.verdict->size());
-    for (const Violation& v : *e.verdict) {
-      pw.str(v.rule);
-      pw.rect(v.where);
-      pw.str(v.detail);
-      pw.point(v.anchor);
-    }
-    s.put("drc", kw.take(), pw.take());
-  }
-}
-
-void VerdictCache::load_from(const store::Store& s) {
-  s.for_each("drc", [this](const std::string& key, const std::string& payload) {
-    store::Reader kr(key);
-    Key k;
-    k.tech_sig = kr.u64();
-    k.hash = kr.u64();
-    k.shapes = kr.u64();
-    k.bbox = kr.rect();
-    store::Reader pr(payload);
-    const std::uint64_t n = pr.u64();
-    if (!kr.done() || !pr.ok() || n > pr.remaining()) return;
-    std::vector<Violation> vs;
-    vs.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      Violation v;
-      v.rule = pr.str();
-      v.where = pr.rect();
-      v.detail = pr.str();
-      v.anchor = pr.point();
-      vs.push_back(std::move(v));
-    }
-    if (!pr.done()) return;  // malformed record: skip, never a wrong verdict
-    store(k, std::move(vs));
-  });
 }
 
 // ------------------------------------------------------------ entry points --

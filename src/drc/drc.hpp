@@ -19,14 +19,16 @@
 //     the test oracle and the engine the compiler falls back to when
 //     check_hier fails.
 //
-//   * check_hier: a whole-cell verdict cache in front of check_flat. The
-//     VerdictCache is keyed by a content hash of the cell's geometry
-//     (layout::geometry_hash), so an identical design hits across
-//     libraries, across a compile_many batch and through the persistent
-//     store. A miss flattens the cell once and runs the rule engine over
-//     all of it, not cell by cell: on an assembled chip the seams between
-//     instances cover most of the area, and re-checking them costs more
-//     than the flat run.
+//   * check_hier: an optional whole-cell verdict cache in front of
+//     check_flat. The VerdictCache is keyed by a content hash of the
+//     cell's geometry (layout::geometry_hash), so an identical design hits
+//     across libraries and, through the persistent store, across
+//     processes. Only an IncrementalSession passes one (its undo top hit
+//     and load_store warm start); a compile passes none, since a batch
+//     serves repeated jobs whole from core::ResultCache. A miss flattens
+//     the cell once and runs the rule engine over all of it, not cell by
+//     cell: on an assembled chip the seams between instances cover most of
+//     the area, and re-checking them costs more than the flat run.
 //
 // The incremental footprint path (check_incremental) re-checks the zone an
 // edit changed with check_seams (drc/rules.hpp): one windowed soup over the
@@ -48,9 +50,7 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <tuple>
@@ -59,12 +59,8 @@
 #include "core/incremental.hpp"
 #include "geom/rectset.hpp"
 #include "layout/layout.hpp"
-#include "obs/obs.hpp"
+#include "store/memo.hpp"
 #include "tech/tech.hpp"
-
-namespace silc::store {
-class Store;
-}
 
 namespace silc::drc {
 
@@ -110,97 +106,64 @@ struct Result {
   void canonicalize();
 };
 
-/// Whole-cell DRC verdicts shared across check_hier calls — and, via
-/// core::compile_many, across every design of a batch. Keyed by the rule
-/// set's signature plus a content hash of the cell's geometry (with shape
-/// count and bbox folded in as collision insurance), so an identical design
-/// rebuilt in a different library hits. Thread-safe; concurrent misses may
-/// recompute the same verdict, which is harmless because verdicts are
-/// deterministic.
-///
-/// Poison detection: every entry stores a content checksum of its verdict,
-/// verified on hit. A mismatch (memory corruption, an injected fault) is
-/// treated as a miss — the entry is evicted, `drc.cache.poisoned` is
-/// counted, and the verdict is recomputed — so a bad cache entry degrades
-/// to recomputation, never to a wrong verdict.
-class VerdictCache {
- public:
-  struct Key {
-    /// Identifies the rule set by content (tech::Tech::drc_signature()),
-    /// not by the free-form technology name — editing a rule table
-    /// invalidates cached verdicts even if the name is reused.
-    std::uint64_t tech_sig = 0;
-    std::uint64_t hash = 0;
-    std::uint64_t shapes = 0;
-    geom::Rect bbox;
+/// The key a whole-cell verdict is filed under: the rule set's signature
+/// plus a content hash of the cell's geometry, with shape count and bbox
+/// folded in as collision insurance, so an identical design rebuilt in a
+/// different library hits.
+struct VerdictKey {
+  /// Identifies the rule set by content (tech::Tech::drc_signature()),
+  /// not by the free-form technology name — editing a rule table
+  /// invalidates cached verdicts even if the name is reused.
+  std::uint64_t tech_sig = 0;
+  std::uint64_t hash = 0;
+  std::uint64_t shapes = 0;
+  geom::Rect bbox;
 
-    friend bool operator<(const Key& a, const Key& b) {
-      if (a.hash != b.hash) return a.hash < b.hash;
-      if (a.shapes != b.shapes) return a.shapes < b.shapes;
-      if (a.tech_sig != b.tech_sig) return a.tech_sig < b.tech_sig;
-      return std::tie(a.bbox.x0, a.bbox.y0, a.bbox.x1, a.bbox.y1) <
-             std::tie(b.bbox.x0, b.bbox.y0, b.bbox.x1, b.bbox.y1);
-    }
-  };
+  friend bool operator<(const VerdictKey& a, const VerdictKey& b) {
+    if (a.hash != b.hash) return a.hash < b.hash;
+    if (a.shapes != b.shapes) return a.shapes < b.shapes;
+    if (a.tech_sig != b.tech_sig) return a.tech_sig < b.tech_sig;
+    return std::tie(a.bbox.x0, a.bbox.y0, a.bbox.x1, a.bbox.y1) <
+           std::tie(b.bbox.x0, b.bbox.y0, b.bbox.x1, b.bbox.y1);
+  }
+};
+
+/// What a VerdictCache stores (store::Memo's Traits): a cell's violations
+/// in its own coordinates, in the store's "drc" stream, counted as
+/// drc.cache.*, poisoned at fault site "drc.cache.store".
+struct VerdictTraits {
+  using Key = VerdictKey;
+  using Value = std::vector<Violation>;
+  static constexpr const char* kStream = "drc";
+  static constexpr const char* kCounters = "drc.cache";
+  static constexpr const char* kCorruptSite = "drc.cache.store";
+  static std::uint64_t checksum(const Value& v);
+  static std::uint64_t bytes(const Value& v);
+  static void encode_key(store::Writer& w, const Key& k);
+  static Key decode_key(store::Reader& r);
+  static std::string encode(const Value& v);
+  static std::shared_ptr<const Value> decode(const std::string& payload);
+};
+
+/// Whole-cell DRC verdicts: an IncrementalSession's undo top hit and its
+/// load_store warm start, and the optional cache argument of check_hier.
+/// Thread-safe; see store/memo.hpp for poison detection (checksum on hit,
+/// evicted and recomputed, counted as drc.cache.poisoned) and persistence.
+class VerdictCache : public store::Memo<VerdictTraits> {
+ public:
+  using Key = VerdictKey;
 
   /// The whole-cell key check_hier files a cell's verdict under.
   [[nodiscard]] static Key key_for(const layout::Cell& c,
                                    const tech::Tech& technology);
 
-  /// The cell's violations, in its own coordinates.
-  [[nodiscard]] std::shared_ptr<const std::vector<Violation>> find(
-      const Key& k) const;
   /// Insert and return the stored verdict (the first writer wins when two
-  /// workers race on the same miss).
+  /// callers race on the same miss).
   std::shared_ptr<const std::vector<Violation>> store(
-      const Key& k, std::vector<Violation> violations);
-
-  /// Bound the cache to `max_entries` verdicts (0 = unbounded, the
-  /// default): on overflow the least-recently-used entry is evicted and
-  /// counted. Evicted verdicts are merely recomputed on next demand —
-  /// correctness never depends on residency.
-  void set_capacity(std::size_t max_entries);
-
-  /// Lifetime hit/miss/eviction totals plus current entry count and
-  /// approximate payload bytes — what the benches record and the
-  /// obs::Metrics registry mirrors (drc.cache.*).
-  [[nodiscard]] obs::CacheStats stats() const;
-
-  [[nodiscard]] std::size_t size() const;
-  [[nodiscard]] std::uint64_t hits() const;
-  [[nodiscard]] std::uint64_t misses() const;
-  /// Entries whose stored checksum failed verification on hit (each was
-  /// evicted and recomputed). Also mirrored as drc.cache.poisoned.
-  [[nodiscard]] std::uint64_t poisoned() const;
-
-  /// Persistence (see store/store.hpp conventions): save_to serializes
-  /// every entry into the store's "drc" stream (key = the cache Key, so
-  /// the tech signature travels with the record); load_from re-inserts
-  /// every "drc" record through the normal store() path — checksums and
-  /// byte accounting are recomputed, so a record that lies about its
-  /// payload still degrades to a poisoned-entry miss, never a wrong
-  /// verdict. Malformed records are skipped, not fatal.
-  void save_to(store::Store& s) const;
-  void load_from(const store::Store& s);
-
- private:
-  struct Entry {
-    std::shared_ptr<const std::vector<Violation>> verdict;
-    std::uint64_t bytes = 0;    // approximate payload size
-    std::uint64_t checksum = 0; // verdict content hash, verified on hit
-    std::uint64_t last_use = 0; // LRU stamp
-  };
-  void evict_overflow_locked();
-
-  mutable std::mutex m_;
-  mutable std::map<Key, Entry> map_;  // find() refreshes the LRU stamp
-  std::size_t capacity_ = 0;          // 0 = unbounded
-  mutable std::uint64_t bytes_ = 0;
-  mutable std::uint64_t evictions_ = 0;
-  mutable std::uint64_t clock_ = 0;
-  mutable std::uint64_t hits_ = 0;
-  mutable std::uint64_t misses_ = 0;
-  mutable std::uint64_t poisoned_ = 0;
+      const Key& k, std::vector<Violation> violations) {
+    return Memo::store(k, std::make_shared<const std::vector<Violation>>(
+                              std::move(violations)));
+  }
 };
 
 /// Check a cell, flattened internally (the exhaustive baseline).

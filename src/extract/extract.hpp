@@ -22,11 +22,14 @@
 //     one global connectivity solve. It is the test oracle and the engine
 //     the compiler falls back to when extract_hier fails.
 //
-//   * extract_hier: a whole-cell cache lookup in front of the same solve.
-//     The NetlistCache is keyed by a content hash of the cell's geometry
-//     *and* labelling plus the technology's extract_signature(), so an
-//     identical design hits across libraries, across a compile_many batch
-//     and through the persistent store. A miss flattens the cell once,
+//   * extract_hier: an optional whole-cell cache lookup in front of the
+//     same solve. The NetlistCache is keyed by a content hash of the
+//     cell's geometry *and* labelling plus the technology's
+//     extract_signature(), so an identical design hits across libraries
+//     and, through the persistent store, across processes. Only an
+//     IncrementalSession passes one (its undo top hit and load_store warm
+//     start); a compile passes none, since a batch serves repeated jobs
+//     whole from core::ResultCache. A miss flattens the cell once,
 //     solves it, and files the partial netlist (CellNet) under the cell's
 //     key; the incremental footprint path re-stitches that partial netlist
 //     inside an edit's windows (extract_incremental below). A miss solves
@@ -62,9 +65,7 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -72,12 +73,8 @@
 #include "core/incremental.hpp"
 #include "geom/geom.hpp"
 #include "layout/layout.hpp"
-#include "obs/obs.hpp"
+#include "store/memo.hpp"
 #include "tech/tech.hpp"
-
-namespace silc::store {
-class Store;
-}
 
 namespace silc::extract {
 
@@ -170,87 +167,53 @@ struct Netlist {
 /// public API.
 struct CellNet;
 
-/// Whole-cell partial netlists shared across extract_hier calls — and, via
-/// core::compile_many, across every design of a batch. Keyed by the
-/// technology's extract_signature() plus content hashes of the cell's
-/// geometry *and* labelling (layout::geometry_hash + layout::naming_hash,
-/// with shape count and bbox folded in as collision insurance), so an
-/// identical design rebuilt in a different library hits. Thread-safe;
-/// concurrent misses may recompute the same entry, which is harmless
-/// because extractions are deterministic.
-///
-/// Poison detection: every entry stores a content checksum of its partial
-/// netlist, verified on hit. A mismatch (memory corruption, an injected
-/// fault) is treated as a miss — the entry is evicted,
-/// `extract.cache.poisoned` is counted, and the cell re-extracted — so a
-/// bad cache entry degrades to recomputation, never to a wrong netlist.
-class NetlistCache {
- public:
-  struct Key {
-    std::uint64_t tech_sig = 0;
-    std::uint64_t geometry = 0;
-    std::uint64_t naming = 0;
-    std::uint64_t shapes = 0;
-    geom::Rect bbox;
+/// The key a whole-cell partial netlist is filed under: the technology's
+/// extract_signature() plus content hashes of the cell's geometry *and*
+/// labelling (layout::geometry_hash + layout::naming_hash), with shape
+/// count and bbox folded in as collision insurance, so an identical design
+/// rebuilt in a different library hits.
+struct NetlistKey {
+  std::uint64_t tech_sig = 0;
+  std::uint64_t geometry = 0;
+  std::uint64_t naming = 0;
+  std::uint64_t shapes = 0;
+  geom::Rect bbox;
 
-    friend bool operator<(const Key& a, const Key& b);
-  };
+  friend bool operator<(const NetlistKey& a, const NetlistKey& b);
+};
+
+/// What a NetlistCache stores (store::Memo's Traits): a cell's CellNet, in
+/// the store's "extract" stream, counted as extract.cache.*, poisoned at
+/// fault site "extract.cache.store". Implemented in hier.cpp, where
+/// CellNet lives. The payload round-trips every field a re-stitch reads —
+/// pieces, proto-transistor candidate sets, junctions, structured
+/// warnings, labels.
+struct NetlistTraits {
+  using Key = NetlistKey;
+  using Value = CellNet;
+  static constexpr const char* kStream = "extract";
+  static constexpr const char* kCounters = "extract.cache";
+  static constexpr const char* kCorruptSite = "extract.cache.store";
+  static std::uint64_t checksum(const Value& n);
+  static std::uint64_t bytes(const Value& n);
+  static void encode_key(store::Writer& w, const Key& k);
+  static Key decode_key(store::Reader& r);
+  static std::string encode(const Value& n);
+  static std::shared_ptr<const Value> decode(const std::string& payload);
+};
+
+/// Whole-cell partial netlists: an IncrementalSession's undo top hit and
+/// its load_store warm start, and the optional cache argument of
+/// extract_hier. Thread-safe; see store/memo.hpp for poison detection
+/// (checksum on hit, evicted and re-extracted, counted as
+/// extract.cache.poisoned) and persistence.
+class NetlistCache : public store::Memo<NetlistTraits> {
+ public:
+  using Key = NetlistKey;
 
   /// The key extract_hier files a cell's partial netlist under.
   [[nodiscard]] static Key key_for(const layout::Cell& c,
                                    const tech::Tech& technology);
-
-  [[nodiscard]] std::shared_ptr<const CellNet> find(const Key& k) const;
-  /// Insert and return the stored entry (the first writer wins when two
-  /// workers race on the same miss).
-  std::shared_ptr<const CellNet> store(const Key& k,
-                                       std::shared_ptr<const CellNet> net);
-
-  /// Bound the cache to `max_entries` partial netlists (0 = unbounded, the
-  /// default): on overflow the least-recently-used entry is evicted and
-  /// counted. Evicted entries are merely re-extracted on next demand —
-  /// correctness never depends on residency.
-  void set_capacity(std::size_t max_entries);
-
-  /// Lifetime hit/miss/eviction totals plus current entry count and
-  /// approximate payload bytes — what the benches record and the
-  /// obs::Metrics registry mirrors (extract.cache.*).
-  [[nodiscard]] obs::CacheStats stats() const;
-
-  [[nodiscard]] std::size_t size() const;
-  [[nodiscard]] std::uint64_t hits() const;
-  [[nodiscard]] std::uint64_t misses() const;
-  /// Entries whose stored checksum failed verification on hit (each was
-  /// evicted and re-extracted). Also mirrored as extract.cache.poisoned.
-  [[nodiscard]] std::uint64_t poisoned() const;
-
-  /// Persistence (see store/store.hpp conventions): save_to serializes
-  /// every CellNet — pieces, proto-transistor candidate sets, junctions,
-  /// structured warnings, labels — into the store's "extract" stream;
-  /// load_from re-inserts every record through the normal store() path,
-  /// recomputing checksums and byte accounting. Malformed records are
-  /// skipped, not fatal. Implemented in hier.cpp, where CellNet lives.
-  void save_to(store::Store& s) const;
-  void load_from(const store::Store& s);
-
- private:
-  struct Entry {
-    std::shared_ptr<const CellNet> net;
-    std::uint64_t bytes = 0;    // approximate payload size
-    std::uint64_t checksum = 0; // content hash, verified on hit
-    std::uint64_t last_use = 0; // LRU stamp
-  };
-  void evict_overflow_locked();
-
-  mutable std::mutex m_;
-  mutable std::map<Key, Entry> map_;  // find() refreshes the LRU stamp
-  std::size_t capacity_ = 0;          // 0 = unbounded
-  mutable std::uint64_t bytes_ = 0;
-  mutable std::uint64_t evictions_ = 0;
-  mutable std::uint64_t clock_ = 0;
-  mutable std::uint64_t hits_ = 0;
-  mutable std::uint64_t misses_ = 0;
-  mutable std::uint64_t poisoned_ = 0;
 };
 
 /// Extract a cell, flattened internally (the exhaustive baseline).

@@ -6,8 +6,8 @@
 // files the partial netlist (CellNet) under the cell's key. It does not
 // extract cell by cell: on an assembled chip the interaction windows
 // between instances cover most of the area, and stitching them costs more
-// than the flat solve. The reuse that pays is whole-design: a batch's
-// duplicate designs, a store replay, a session undo.
+// than the flat solve. The reuse that pays is whole-design: a session's
+// undo, or its store replay.
 //
 // The footprint path (stitch_windows) re-solves only where an edit changed
 // the chip, carrying the baseline top's CellNet over everywhere else:
@@ -93,7 +93,7 @@ struct CellNet {
 
 // ------------------------------------------------------------ the cache --
 
-bool operator<(const NetlistCache::Key& a, const NetlistCache::Key& b) {
+bool operator<(const NetlistKey& a, const NetlistKey& b) {
   if (a.geometry != b.geometry) return a.geometry < b.geometry;
   if (a.naming != b.naming) return a.naming < b.naming;
   if (a.shapes != b.shapes) return a.shapes < b.shapes;
@@ -102,9 +102,7 @@ bool operator<(const NetlistCache::Key& a, const NetlistCache::Key& b) {
          std::tie(b.bbox.x0, b.bbox.y0, b.bbox.x1, b.bbox.y1);
 }
 
-namespace {
-
-std::uint64_t cellnet_bytes(const CellNet& n) {
+std::uint64_t NetlistTraits::bytes(const CellNet& n) {
   std::uint64_t b = sizeof(CellNet);
   b += n.pieces.size() * sizeof(CellNet::Piece);
   b += n.transistors.size() * sizeof(detail::ProtoTransistor);
@@ -120,7 +118,7 @@ std::uint64_t cellnet_bytes(const CellNet& n) {
 /// struct bytes — padding is indeterminate). FNV-1a; it need not cover
 /// every field byte-perfectly, only be deterministic for a given entry, so
 /// a flipped stored checksum is always detected on hit.
-std::uint64_t cellnet_checksum(const CellNet& n) {
+std::uint64_t NetlistTraits::checksum(const CellNet& n) {
   std::uint64_t h = 1469598103934665603ULL;
   const auto mix = [&h](std::uint64_t x) {
     h = (h ^ x) * 1099511628211ULL;
@@ -153,116 +151,30 @@ std::uint64_t cellnet_checksum(const CellNet& n) {
   return h;
 }
 
-}  // namespace
-
-std::shared_ptr<const CellNet> NetlistCache::find(const Key& k) const {
-  const std::lock_guard<std::mutex> lock(m_);
-  const auto it = map_.find(k);
-  if (it == map_.end()) {
-    ++misses_;
-    SILC_OBS_COUNT("extract.cache.misses", 1);
-    SILC_OBS_INSTANT("extract.cache.miss", "cache");
-    return nullptr;
-  }
-  const std::uint64_t want =
-      it->second.net != nullptr ? cellnet_checksum(*it->second.net) : 0;
-  if (want != it->second.checksum) {
-    // Poisoned entry (memory corruption or an injected fault): evict and
-    // report a miss, so the caller re-extracts — degradation is a slower
-    // extraction, never a wrong netlist.
-    ++poisoned_;
-    ++misses_;
-    bytes_ -= it->second.bytes;
-    SILC_OBS_COUNT("extract.cache.poisoned", 1);
-    SILC_OBS_COUNT("extract.cache.bytes",
-                   -static_cast<long long>(it->second.bytes));
-    SILC_OBS_COUNT("extract.cache.misses", 1);
-    SILC_OBS_INSTANT("extract.cache.poisoned", "cache");
-    map_.erase(it);
-    return nullptr;
-  }
-  ++hits_;
-  it->second.last_use = ++clock_;
-  SILC_OBS_COUNT("extract.cache.hits", 1);
-  SILC_OBS_INSTANT("extract.cache.hit", "cache");
-  return it->second.net;
-}
-
-std::shared_ptr<const CellNet> NetlistCache::store(
-    const Key& k, std::shared_ptr<const CellNet> net) {
-  const std::uint64_t bytes = net != nullptr ? cellnet_bytes(*net) : 0;
-  std::uint64_t checksum = net != nullptr ? cellnet_checksum(*net) : 0;
-  if (SILC_FAULT_CORRUPT_AT("extract.cache.store")) {
-    // Injected poisoning flips the stored checksum (never the payload —
-    // concurrent readers may hold it); find() must detect and evict.
-    checksum ^= 0x5a5a5a5a5a5a5a5aULL;
-  }
-  const std::lock_guard<std::mutex> lock(m_);
-  const auto [it, fresh] =
-      map_.emplace(k, Entry{std::move(net), bytes, checksum, ++clock_});
-  if (fresh) {
-    bytes_ += bytes;
-    SILC_OBS_COUNT("extract.cache.bytes", bytes);
-    evict_overflow_locked();
-  }
-  return it->second.net;  // first writer wins on a race
-}
-
-void NetlistCache::set_capacity(std::size_t max_entries) {
-  const std::lock_guard<std::mutex> lock(m_);
-  capacity_ = max_entries;
-  evict_overflow_locked();
-}
-
-void NetlistCache::evict_overflow_locked() {
-  while (capacity_ > 0 && map_.size() > capacity_) {
-    auto victim = map_.begin();
-    for (auto it = map_.begin(); it != map_.end(); ++it) {
-      if (it->second.last_use < victim->second.last_use) victim = it;
-    }
-    bytes_ -= victim->second.bytes;
-    SILC_OBS_COUNT("extract.cache.bytes",
-                   -static_cast<long long>(victim->second.bytes));
-    map_.erase(victim);
-    ++evictions_;
-    SILC_OBS_COUNT("extract.cache.evictions", 1);
-  }
-}
-
-obs::CacheStats NetlistCache::stats() const {
-  const std::lock_guard<std::mutex> lock(m_);
-  return {hits_, misses_, evictions_, map_.size(), bytes_};
-}
-
-std::size_t NetlistCache::size() const {
-  const std::lock_guard<std::mutex> lock(m_);
-  return map_.size();
-}
-
-std::uint64_t NetlistCache::hits() const {
-  const std::lock_guard<std::mutex> lock(m_);
-  return hits_;
-}
-
-std::uint64_t NetlistCache::misses() const {
-  const std::lock_guard<std::mutex> lock(m_);
-  return misses_;
-}
-
-std::uint64_t NetlistCache::poisoned() const {
-  const std::lock_guard<std::mutex> lock(m_);
-  return poisoned_;
-}
-
 // Persistence: field-by-field serialization of the full CellNet (never
-// raw structs). Every field a parent stitch consumes must round-trip —
-// the per-side candidate vectors of the proto transistors included, or a
-// warm cell would finalize its devices differently than a cold one. Any
-// encoding change here requires a store::kSchemaVersion bump.
+// raw structs). Every field a re-stitch consumes must round-trip — the
+// per-side candidate vectors of the proto transistors included, or a warm
+// top would finalize its devices differently than a cold one.
 
-namespace {
+void NetlistTraits::encode_key(store::Writer& w, const Key& k) {
+  w.u64(k.tech_sig);
+  w.u64(k.geometry);
+  w.u64(k.naming);
+  w.u64(k.shapes);
+  w.rect(k.bbox);
+}
 
-std::string encode_cellnet(const CellNet& n) {
+NetlistKey NetlistTraits::decode_key(store::Reader& r) {
+  Key k;
+  k.tech_sig = r.u64();
+  k.geometry = r.u64();
+  k.naming = r.u64();
+  k.shapes = r.u64();
+  k.bbox = r.rect();
+  return k;
+}
+
+std::string NetlistTraits::encode(const CellNet& n) {
   store::Writer w;
   w.u64(n.pieces.size());
   for (const CellNet::Piece& p : n.pieces) {
@@ -307,7 +219,8 @@ std::string encode_cellnet(const CellNet& n) {
   return w.take();
 }
 
-std::shared_ptr<const CellNet> decode_cellnet(const std::string& payload) {
+std::shared_ptr<const CellNet> NetlistTraits::decode(
+    const std::string& payload) {
   store::Reader r(payload);
   auto n = std::make_shared<CellNet>();
   const std::uint64_t pieces = r.u64();
@@ -374,39 +287,6 @@ std::shared_ptr<const CellNet> decode_cellnet(const std::string& payload) {
   }
   if (!r.done()) return nullptr;  // malformed record: skip it
   return n;
-}
-
-}  // namespace
-
-void NetlistCache::save_to(store::Store& s) const {
-  const std::lock_guard<std::mutex> lock(m_);
-  for (const auto& [k, e] : map_) {
-    if (e.net == nullptr) continue;
-    store::Writer kw;
-    kw.u64(k.tech_sig);
-    kw.u64(k.geometry);
-    kw.u64(k.naming);
-    kw.u64(k.shapes);
-    kw.rect(k.bbox);
-    s.put("extract", kw.take(), encode_cellnet(*e.net));
-  }
-}
-
-void NetlistCache::load_from(const store::Store& s) {
-  s.for_each("extract",
-             [this](const std::string& key, const std::string& payload) {
-               store::Reader kr(key);
-               Key k;
-               k.tech_sig = kr.u64();
-               k.geometry = kr.u64();
-               k.naming = kr.u64();
-               k.shapes = kr.u64();
-               k.bbox = kr.rect();
-               if (!kr.done()) return;
-               std::shared_ptr<const CellNet> net = decode_cellnet(payload);
-               if (net == nullptr) return;
-               store(k, std::move(net));
-             });
 }
 
 // ------------------------------------------------------------ the engine --

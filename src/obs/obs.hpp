@@ -23,7 +23,7 @@
 //
 //   * Metrics — a process-wide registry of named monotonic counters
 //     (relaxed atomics; always on when the layer is compiled in). The
-//     caches count hits/misses/evictions/bytes, the hierarchical engines
+//     caches count hits/misses/bytes, the hierarchical engines
 //     count interaction windows and their areas, the sim pool counts
 //     per-worker ops — and `core::compile()` attaches the registry delta
 //     across each run to `CompileResult::metrics`, so every compile
@@ -225,13 +225,12 @@ class Metrics {
     const std::vector<MetricSample>& before,
     const std::vector<MetricSample>& after);
 
-/// The common shape the per-cell caches (drc::VerdictCache,
+/// The common shape the whole-design caches (drc::VerdictCache,
 /// extract::NetlistCache) report themselves in — lifetime totals, plus
 /// the current entry count and approximate payload bytes.
 struct CacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
-  std::uint64_t evictions = 0;
   std::uint64_t entries = 0;
   std::uint64_t bytes = 0;
 

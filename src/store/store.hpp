@@ -1,7 +1,8 @@
 // Persistent compile store: flat versioned records, checksums, no clever
-// database. The on-disk half of the cache story — VerdictCache /
-// NetlistCache / core::ResultCache entries survive the process so a warm
-// compile of an unchanged design becomes a file load plus lookups.
+// database. The on-disk half of the cache story — core::ResultCache and
+// the session's VerdictCache / NetlistCache entries survive the process,
+// so a warm compile of an unchanged design becomes a file load plus a
+// lookup, and a warm session's first verify a top hit.
 //
 // The house conventions:
 //
@@ -10,9 +11,15 @@
 //        record: stream str32 | key str32 | payload str32 | checksum u64
 //      (str32 = u32 byte count + raw bytes; checksum = FNV-1a over the
 //      stream, key, and payload bytes of that record). Streams are short
-//      cache names ("drc", "extract", "result"); keys and payloads are
-//      Writer-serialized binary, never raw struct bytes — padding is
-//      indeterminate and would break cross-build identity.
+//      cache names; keys and payloads are Writer-serialized binary, never
+//      raw struct bytes — padding is indeterminate and would break
+//      cross-build identity. Who writes which stream:
+//        "result"          core::compile_many and core::compile with a
+//                          cache_dir (core::ResultCache); they re-save
+//                          the loaded file, so other streams pass through;
+//        "drc", "extract"  core::IncrementalSession::save_store (the
+//                          session's VerdictCache / NetlistCache, see
+//                          store/memo.hpp); it writes a fresh file.
 //
 //   2. Versioning rules. The format version guards the container layout
 //      above and changes only in this file. The schema version
@@ -32,14 +39,14 @@
 //      store.poisoned. Corruption granularity is the whole file — a torn
 //      write is indistinguishable from a half-poisoned one, and a cold
 //      compile is cheap next to a wrong artifact (the spirit of the
-//      per-cell caches' poison-evict rule, applied at file scope).
+//      in-memory caches' poison-evict rule, applied at file scope).
 //
 //   4. Atomic save. save() serializes to "<path>.tmp" and renames over
 //      the target, so a crashed or faulted save leaves either the old
 //      file or a stray tmp — never a half-written store at the live path.
 //
 //   5. What may be cached: values that are pure deterministic functions
-//      of the bits folded into their key (per-cell DRC verdicts, partial
+//      of the bits folded into their key (whole-cell DRC verdicts, partial
 //      netlists, whole CompileResults of clean notes-only runs). What may
 //      NOT: anything tainted by the environment of one run — results
 //      carrying warning/error/cancelled diags (a hier→flat fallback
@@ -49,8 +56,8 @@
 //
 //   6. Threading. Store is NOT thread-safe by design: load and attach
 //      before the worker crew starts, harvest and save after it joins
-//      (core::compile_many does exactly this). The in-memory caches it
-//      fills are the concurrent layer.
+//      (core::compile_many does exactly this). The in-memory cache it
+//      fills is the concurrent layer.
 //
 // Fault sites: "store.load" and "store.save" (SILC_FAULT_POINT) exercise
 // the degradation paths above; SILC_FAULT_CORRUPT_AT("store.save") flips

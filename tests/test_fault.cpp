@@ -355,35 +355,36 @@ TEST(Poison, VerdictCacheDetectsEvictsAndCounts) {
   EXPECT_EQ(cache.poisoned(), 1u);  // no new poisonings
 }
 
-TEST(Poison, NetlistCachePoisoningRecomputesSameCompile) {
+TEST(Poison, NetlistCachePoisoningReExtractsTheSameNetlist) {
   if (!fault::kEnabled) GTEST_SKIP() << "built with SILC_FAULT=OFF";
   const DisarmOnExit disarm;
-  layout::Library base_lib("base");
-  const CompileResult base = core::compile(
-      base_lib, Flow::Behavioral, silc_fixtures::kGray2Source, quick("gray2"));
-  ASSERT_TRUE(base.ok()) << base.diag_text();
+  layout::Library lib("poisoned");
+  CompileOptions o = quick("gray2");
+  o.stop_after = "assemble";
+  const CompileResult r =
+      core::compile(lib, Flow::Behavioral, silc_fixtures::kGray2Source, o);
+  ASSERT_NE(r.chip, nullptr) << r.diag_text();
+  const extract::Netlist base =
+      extract::extract_flat(layout::flatten_with_labels(*r.chip));
 
-  // Every store into the shared cache is poisoned; the second compile's
-  // hits must detect the bad checksums, evict, and re-extract — landing on
-  // the same outcome as a fault-free run, diagnostics included.
+  // Every store into the cache is poisoned; the second extraction's hit
+  // must detect the bad checksum, evict, and re-extract — landing on the
+  // same netlist as the flat engine.
   extract::NetlistCache cache;
   Schedule s;
   s.triggers.push_back({"extract.cache.store", Kind::Corrupt, 0, true, 0, ""});
   Injector::global().arm(s);
-  CompileOptions o = quick("gray2");
-  o.extract_cache = &cache;
-  layout::Library lib1("poisoned1");
-  const CompileResult r1 =
-      core::compile(lib1, Flow::Behavioral, silc_fixtures::kGray2Source, o);
-  layout::Library lib2("poisoned2");
-  const CompileResult r2 =
-      core::compile(lib2, Flow::Behavioral, silc_fixtures::kGray2Source, o);
+  const extract::Netlist first =
+      extract::extract_hier(*r.chip, tech::nmos(), &cache);
+  const extract::Netlist second =
+      extract::extract_hier(*r.chip, tech::nmos(), &cache);
   Injector::global().disarm();
 
-  EXPECT_TRUE(r1.same_outcome(base)) << r1.diag_text();
-  EXPECT_TRUE(r2.same_outcome(base)) << r2.diag_text();
-  EXPECT_GE(cache.poisoned(), 1u)
-      << "second compile never tripped over a poisoned entry";
+  EXPECT_EQ(first, base);
+  EXPECT_EQ(second, base);
+  EXPECT_EQ(cache.poisoned(), 1u)
+      << "second extraction never tripped over the poisoned entry";
+  EXPECT_EQ(cache.hits(), 0u);
 }
 
 // ------------------------------------------------------ worker containment --
@@ -495,6 +496,40 @@ TEST(Contain, BatchJobFaultFailsOnlyTheVictim) {
   }
 }
 
+TEST(Contain, RepeatsOfAFaultedFirstJobCompileOnTheirOwn) {
+  if (!fault::kEnabled) GTEST_SKIP() << "built with SILC_FAULT=OFF";
+  const DisarmOnExit disarm;
+  // Three copies of one job, the first degraded by a fault into a
+  // warning-carrying result, which is never shared. Each repeat compiles
+  // on its own, and the second pass never stores, so no repeat is served
+  // from another repeat's result, whatever the thread count.
+  const std::vector<core::BatchJob> jobs(
+      3, {Flow::Behavioral, silc_fixtures::kGray2Source, quick("gray2")});
+  layout::Library ref_lib("ref");
+  const CompileResult ref = core::compile(
+      ref_lib, Flow::Behavioral, silc_fixtures::kGray2Source, quick("gray2"));
+  ASSERT_TRUE(ref.ok()) << ref.diag_text();
+
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    Schedule s;
+    s.triggers.push_back({"drc.hier.cell", Kind::Throw, 0, true, 0, "job:0"});
+    Injector::global().arm(s);
+    const core::BatchResult br = core::compile_many(jobs, threads);
+    Injector::global().disarm();
+    ASSERT_EQ(br.results.size(), jobs.size());
+    EXPECT_TRUE(diag_mentions(br.results[0], "falling back to flat"))
+        << br.results[0].diag_text();
+    EXPECT_TRUE(artifacts_equal(br.results[0], ref));
+    for (std::size_t i = 1; i < jobs.size(); ++i) {
+      EXPECT_FALSE(br.results[i].from_cache) << i;
+      EXPECT_TRUE(br.results[i].same_outcome(ref))
+          << i << "\n" << br.results[i].diag_text();
+    }
+    EXPECT_EQ(br.store.hits, 0u);
+  }
+}
+
 // -------------------------------------------------- chaos differential run --
 
 /// One scheduled chaos scenario: a fault site, what it injects, and what
@@ -505,7 +540,7 @@ struct SitePlan {
   enum Expect {
     kHardFail,  // victim fails with a structured "injected fault" diag
     kDegrade,   // victim's artifacts stay byte-identical (fallback path)
-    kBenign,    // victim's whole outcome stays identical (recompute/delay)
+    kBenign,    // victim's whole outcome stays identical (a delay)
     // The prover sites (gate-check, pla-check) exist only on the
     // behavioral flow, so this expectation tolerates an unreached site
     // (fired == 0: the victim was structural and must be untouched).
@@ -517,7 +552,9 @@ struct SitePlan {
 // A batch compile reaches every site below. The footprint-path sites
 // (drc.hier.seam, extract.hier.window) run only inside an
 // IncrementalSession's footprint verify, so Chaos.FootprintSitesInASession
-// sweeps them instead.
+// sweeps them instead; the whole-design caches that hold the
+// drc.cache.store / extract.cache.store sites are a session's (a batch
+// shares none), so Chaos.CacheStoreSitesInASession sweeps those.
 constexpr SitePlan kSitePlans[] = {
     {"pipeline.stage.parse", Kind::Throw, SitePlan::kHardFail, 0},
     {"pipeline.stage.cif", Kind::Throw, SitePlan::kHardFail, 0},
@@ -525,8 +562,6 @@ constexpr SitePlan kSitePlans[] = {
     {"batch.job", Kind::Throw, SitePlan::kHardFail, 0},
     {"drc.hier.cell", Kind::Throw, SitePlan::kDegrade, 0},
     {"extract.hier.cell", Kind::Throw, SitePlan::kDegrade, 0},
-    {"drc.cache.store", Kind::Corrupt, SitePlan::kBenign, 0},
-    {"extract.cache.store", Kind::Corrupt, SitePlan::kBenign, 0},
     {"drc.hier.cell", Kind::Delay, SitePlan::kBenign, 5},
     {"extract.hier.cell", Kind::Delay, SitePlan::kBenign, 5},
     {"sim.gate.prove", Kind::Delay, SitePlan::kBenign, 5},
@@ -601,14 +636,13 @@ void run_chaos_round(const std::vector<core::BatchJob>& jobs,
         break;
       case SitePlan::kDegrade:
         // Hier engine down: flat fallback, artifacts byte-identical (the
-        // diag stream additionally carries the fallback warning when the
-        // site was actually reached — shared caches can absorb the hit).
+        // diag stream additionally carries the fallback warning).
         EXPECT_TRUE(artifacts_equal(got, want))
             << label << "\n" << got.diag_text();
         break;
       case SitePlan::kBenign:
-        // Poisoned stores are recomputed, delays only cost time: the whole
-        // outcome, diagnostics included, is identical.
+        // Delays only cost time: the whole outcome, diagnostics included,
+        // is identical.
         EXPECT_TRUE(got.same_outcome(want))
             << label << "\n" << got.diag_text();
         break;
@@ -659,6 +693,30 @@ TEST(Chaos, DifferentialOverSeededSchedules) {
   }
 }
 
+/// counter3 assembled into `lib`, and its smallest leaf cell (the one the
+/// session sweeps edit); leaf is null when the design did not assemble.
+struct SessionChip {
+  const layout::Cell* chip = nullptr;
+  layout::Cell* leaf = nullptr;
+};
+
+SessionChip counter3_session_chip(layout::Library& lib) {
+  CompileOptions o = quick("counter3");
+  o.stop_after = "assemble";
+  const CompileResult r = core::compile(lib, Flow::Behavioral,
+                                        silc_fixtures::counter_source(3), o);
+  SessionChip sc;
+  sc.chip = r.chip;
+  if (r.chip == nullptr) return sc;
+  for (const layout::Cell* c : layout::dependency_order(*r.chip)) {
+    if (c == r.chip || c->shapes().empty()) continue;
+    if (sc.leaf == nullptr || c->shapes().size() < sc.leaf->shapes().size()) {
+      sc.leaf = lib.find(c->name());
+    }
+  }
+  return sc;
+}
+
 TEST(Chaos, FootprintSitesInASession) {
   // Seeded edits of counter3's smallest leaf through one session, each
   // verify with a throw or a delay armed at a footprint-path site. A throw
@@ -678,20 +736,10 @@ TEST(Chaos, FootprintSitesInASession) {
                              {"extract.hier.window", Kind::Throw, false},
                              {"drc.hier.seam", Kind::Delay, true}};
   layout::Library lib;
-  CompileOptions o = quick("counter3");
-  o.stop_after = "assemble";
-  const CompileResult r = core::compile(lib, Flow::Behavioral,
-                                        silc_fixtures::counter_source(3), o);
-  ASSERT_NE(r.chip, nullptr);
-  const layout::Cell& chip = *r.chip;
-  layout::Cell* leaf = nullptr;
-  for (const layout::Cell* c : layout::dependency_order(chip)) {
-    if (c == &chip || c->shapes().empty()) continue;
-    if (leaf == nullptr || c->shapes().size() < leaf->shapes().size()) {
-      leaf = lib.find(c->name());
-    }
-  }
-  ASSERT_NE(leaf, nullptr);
+  const SessionChip sc = counter3_session_chip(lib);
+  ASSERT_NE(sc.leaf, nullptr);
+  const layout::Cell& chip = *sc.chip;
+  layout::Cell* leaf = sc.leaf;
 
   core::IncrementalSession sess;
   (void)sess.verify(lib, chip);
@@ -726,6 +774,61 @@ TEST(Chaos, FootprintSitesInASession) {
     EXPECT_EQ(v.drc.violations, drc::check_flat(flat.shapes).violations)
         << label;
     EXPECT_EQ(v.netlist, extract::extract_flat(flat)) << label;
+  }
+}
+
+TEST(Chaos, CacheStoreSitesInASession) {
+  // The whole-design caches are filled by a session's full verify, and an
+  // undo reads them back. Each store site is armed for the cold verify, so
+  // its entry is poisoned; an edit moves the top away, and the undo back
+  // must find the bad checksum, evict the entry and re-check the stage on
+  // its footprint path. Every verdict equals a flat check.
+  if (!fault::kEnabled) GTEST_SKIP() << "built with SILC_FAULT=OFF";
+  const DisarmOnExit disarm;
+  for (const bool drc_site : {true, false}) {
+    const char* site = drc_site ? "drc.cache.store" : "extract.cache.store";
+    SCOPED_TRACE(site);
+    layout::Library lib;
+    const SessionChip sc = counter3_session_chip(lib);
+    ASSERT_NE(sc.leaf, nullptr);
+    const layout::Cell& chip = *sc.chip;
+    const auto expect_flat = [&](const core::IncrVerdict& v,
+                                 const char* step) {
+      const layout::Flattened flat = layout::flatten_with_labels(chip);
+      EXPECT_EQ(v.drc.violations, drc::check_flat(flat.shapes).violations)
+          << step;
+      EXPECT_EQ(v.netlist, extract::extract_flat(flat)) << step;
+    };
+
+    core::IncrementalSession sess;
+    Schedule s;
+    s.triggers.push_back({site, Kind::Corrupt, 0, true, 0, ""});
+    Injector::global().arm(s);
+    const core::IncrVerdict cold = sess.verify(lib, chip);
+    const std::uint64_t fired = Injector::global().fired();
+    Injector::global().disarm();
+    EXPECT_GE(fired, 1u) << "the cold verify never stored through the site";
+    expect_flat(cold, "cold");
+
+    const layout::Shape original = sc.leaf->shapes()[0];
+    layout::Shape moved = original;
+    moved.rect = {moved.rect.x0 + 2, moved.rect.y0, moved.rect.x1 + 2,
+                  moved.rect.y1};
+    sc.leaf->set_shape(0, moved);
+    expect_flat(sess.verify(lib, chip), "edit");
+
+    sc.leaf->set_shape(0, original);
+    const core::IncrVerdict undo = sess.verify(lib, chip);
+    expect_flat(undo, "undo");
+    const std::uint64_t poisoned = drc_site ? sess.drc_cache().poisoned()
+                                            : sess.extract_cache().poisoned();
+    EXPECT_EQ(poisoned, 1u) << "the undo never read the poisoned entry";
+    const core::IncrPath path =
+        drc_site ? undo.drc_stats.path : undo.extract_stats.path;
+    EXPECT_NE(path, core::IncrPath::TopHit) << core::to_string(path);
+    const core::IncrPath other =
+        drc_site ? undo.extract_stats.path : undo.drc_stats.path;
+    EXPECT_EQ(other, core::IncrPath::TopHit) << core::to_string(other);
   }
 }
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <thread>
 
 #include "core/pipeline.hpp"
@@ -275,32 +276,81 @@ TEST(Pipeline, CompileManyIsDeterministicAcrossThreadCounts) {
   }
 }
 
-TEST(Pipeline, BatchSharesExtractCacheAndStaysDeterministic) {
-  // The batch threads one NetlistCache through every job (like the DRC
-  // VerdictCache): repeated designs hit it, and results stay bit-identical
-  // at any thread count — cached partial netlists are deterministic.
+TEST(Pipeline, BatchServesRepeatsFromItsResultCache) {
+  // The batch's one cache tier: the first job of each fingerprint
+  // compiles, and every repeat of a clean, notes-only result is served
+  // from the batch's ResultCache. A repeated malformed source and a
+  // repeated job whose result carries a warning are not eligible, so each
+  // repeat compiles on its own, with its own diags.
+  const std::string warned =
+      "let c = cell(\"warned\"); rect(c, \"metal\", 0, 0, 8, 8);"
+      " label(c, \"stray\", \"metal\", 100, 100); return c;";
+  const std::vector<BatchJob> kinds = {
+      {Flow::Behavioral, kGray2, fast_verify("gray2")},
+      {Flow::Structural, kChain, CompileOptions{.name = "chain"}},
+      {Flow::Behavioral, "processor broken (", CompileOptions{}},
+      {Flow::Structural, warned, CompileOptions{.name = "warned"}},
+  };
+  // Each kind three times in a row, so at 4 threads a repeat is picked up
+  // while its first is still compiling.
+  constexpr std::size_t kCopies = 3;
   std::vector<BatchJob> jobs;
-  for (int rep = 0; rep < 3; ++rep) {
-    jobs.push_back({Flow::Behavioral, kGray2, fast_verify("gray2")});
-    jobs.push_back({Flow::Structural, kChain, CompileOptions{.name = "chain"}});
+  for (const BatchJob& k : kinds) jobs.insert(jobs.end(), kCopies, k);
+
+  // Each kind's serial, cache-less compile is the reference.
+  std::vector<CompileResult> refs;
+  std::vector<std::unique_ptr<layout::Library>> ref_libs;
+  for (const BatchJob& k : kinds) {
+    ref_libs.push_back(std::make_unique<layout::Library>());
+    refs.push_back(compile(*ref_libs.back(), k.flow, k.source, k.options));
   }
-  extract::NetlistCache shared;
-  for (BatchJob& j : jobs) j.options.extract_cache = &shared;
+  ASSERT_TRUE(refs[0].ok() && refs[1].ok()) << refs[0].diag_text()
+                                            << refs[1].diag_text();
+  ASSERT_FALSE(refs[2].ok());
+  ASSERT_TRUE(refs[3].ok()) << refs[3].diag_text();
+  ASSERT_EQ(std::count_if(refs[3].diags.begin(), refs[3].diags.end(),
+                          [](const Diag& d) {
+                            return d.severity == Severity::Warning;
+                          }),
+            1)
+      << refs[3].diag_text();
+
   const BatchResult one = compile_many(jobs, 1);
-  EXPECT_GT(shared.hits(), 0u);  // repeats hit the shared cache
-  const std::uint64_t misses_after_serial = shared.misses();
   const BatchResult four = compile_many(jobs, 4);
-  EXPECT_EQ(shared.misses(), misses_after_serial);  // warm across batches
-  ASSERT_EQ(one.results.size(), jobs.size());
+  for (const BatchResult* br : {&one, &four}) {
+    ASSERT_EQ(br->results.size(), jobs.size());
+    // Two eligible kinds, two repeats each.
+    EXPECT_EQ(br->store.hits, 4u);
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      const CompileResult& r = br->results[i];
+      const std::size_t kind = i / kCopies;
+      EXPECT_TRUE(r.same_outcome(refs[kind]))
+          << i << ": " << r.diag_text() << " vs " << refs[kind].diag_text();
+      const bool served = i % kCopies != 0 && kind < 2;
+      EXPECT_EQ(r.from_cache, served) << i;
+      if (served) {
+        EXPECT_EQ(r.chip, nullptr) << i;
+        EXPECT_TRUE(r.timings.empty()) << i;
+        EXPECT_EQ(r.pipeline_ms, 0.0) << i;
+        EXPECT_EQ(br->libraries[i], nullptr) << i;
+      } else if (kind != 2) {
+        ASSERT_NE(r.chip, nullptr) << i;
+        EXPECT_FALSE(r.timings.empty()) << i;
+        EXPECT_NE(br->libraries[i], nullptr) << i;
+      } else {
+        EXPECT_FALSE(r.timings.empty()) << i << ": compiled on its own";
+      }
+    }
+  }
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     EXPECT_TRUE(one.results[i].same_outcome(four.results[i])) << i;
-    EXPECT_EQ(one.results[i].transistors, four.results[i].transistors) << i;
+    EXPECT_EQ(one.results[i].from_cache, four.results[i].from_cache) << i;
   }
 
-  // Engine cross-check at the batch level: each job's chip, extracted
-  // flat, gives the netlist the hier batch counted.
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    ASSERT_NE(one.results[i].chip, nullptr) << i;
+  // Engine cross-check at the batch level: each first job's chip,
+  // extracted flat, gives the netlist the hier batch counted.
+  for (std::size_t i = 0; i < jobs.size(); i += kCopies) {
+    if (one.results[i].chip == nullptr) continue;  // the malformed job
     const extract::Netlist flat =
         extract::extract_flat(layout::flatten_with_labels(*one.results[i].chip));
     EXPECT_EQ(flat.transistors.size(), one.results[i].transistors) << i;

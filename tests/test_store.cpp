@@ -373,41 +373,33 @@ TEST(StoreCaches, NetlistCacheRoundTripReplaysAllHits) {
   EXPECT_EQ(to_text(warm), to_text(cold));
 }
 
-TEST(StoreCaches, ResultCacheEvictsLeastRecentlyUsed) {
+TEST(StoreCaches, ResultCacheServesWhatItStored) {
   Library lib;
   const CompileResult r = core::compile(
       lib, Flow::Behavioral, silc_fixtures::kGray2Source, quick("gray2"));
   ASSERT_TRUE(ResultCache::eligible(r)) << r.diag_text();
 
-  // Three results under a two-entry bound: the one touched least recently
-  // (fingerprint 2 — 1 was refreshed by a hit) is the one evicted.
   ResultCache cache;
-  cache.set_capacity(2);
-  cache.store(1, r);
-  cache.store(2, r);
   CompileResult out;
+  EXPECT_FALSE(cache.find(1, &out));
+  cache.store(1, r);
+  EXPECT_TRUE(cache.contains(1));
   ASSERT_TRUE(cache.find(1, &out));
-  cache.store(3, r);
-
-  obs::CacheStats st = cache.stats();
-  EXPECT_EQ(st.evictions, 1u);
-  EXPECT_EQ(st.entries, 2u);
-  EXPECT_TRUE(cache.find(1, &out));
-  EXPECT_TRUE(cache.find(3, &out));
-  EXPECT_FALSE(cache.find(2, &out)) << "the LRU entry must be the victim";
-
-  // Shrinking the bound evicts immediately; the latest-touched survives.
-  cache.set_capacity(1);
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_GE(cache.stats().evictions, 2u);
-  EXPECT_TRUE(cache.find(3, &out));
-
-  // An evicted result is merely a miss — recompile-and-restore works.
-  cache.set_capacity(0);  // unbounded again
-  cache.store(2, r);
-  EXPECT_TRUE(cache.find(2, &out));
   EXPECT_TRUE(out.from_cache);
+  EXPECT_EQ(out.chip, nullptr);
+  EXPECT_TRUE(out.timings.empty());
+  EXPECT_TRUE(out.same_outcome(r)) << out.diag_text();
   EXPECT_EQ(out.cif, r.cif);
+  EXPECT_EQ(cache.hits(), 1u);
+  EXPECT_EQ(cache.misses(), 1u);
+
+  // A result carrying a warning is shaped by its run: never memoized.
+  CompileResult warned = r;
+  warned.diags.push_back({Severity::Warning, "extract", "stray label"});
+  EXPECT_FALSE(ResultCache::eligible(warned));
+  cache.store(2, warned);
+  EXPECT_FALSE(cache.contains(2));
+  EXPECT_EQ(cache.size(), 1u);
 }
 
 // ---------------------------------------------------------- invalidation --
