@@ -4,12 +4,14 @@
 //     beat the relaxation-based switch-level simulator by >= 10x
 //     cycles/sec (it is closer to 10^3-10^6x);
 //   * the wide-word + fused tape configuration must deliver >= 4x the
-//     *vector* throughput (lanes x cycles/sec) of the 64-lane
-//     single-thread unfused baseline — the PR 1 interpreter.
+//     *vector* throughput (lanes x cycles/sec) of the 64-lane unfused
+//     baseline — the PR 1 interpreter.
 //
+// Every row runs on the calling thread, as every CompiledSim does.
 // Prints the comparison table, runs the three-model crosscheck, and emits
-// BENCH_sim.json (per backend x thread-count cycles/sec and vectors/sec,
-// fusion stats, speedup ratios) so CI can track perf regressions.
+// BENCH_sim.json (per word backend cycles/sec and vectors/sec, fusion
+// stats, speedup ratios, the machine's core count) so CI can track perf
+// regressions.
 // Flags: --json=PATH (default BENCH_sim.json), --smoke (shorter timing
 // windows, skip the google-benchmark microbenches).
 #include <benchmark/benchmark.h>
@@ -70,7 +72,6 @@ double gatesim_cycles_per_sec(const silc::net::Netlist& nl, int cycles) {
 
 struct ConfigResult {
   silc::sim::WordKind word{};
-  int threads = 1;
   bool fused = false;
   int lanes = 64;
   double cycles_per_sec = 0;
@@ -95,7 +96,6 @@ ConfigResult measure_config(const silc::net::Netlist& nl,
   } while ((elapsed = seconds_since(t0)) < min_seconds);
   ConfigResult r;
   r.word = cs.word();
-  r.threads = cs.threads();
   r.fused = cfg.fuse;
   r.lanes = cs.lanes();
   r.cycles_per_sec = total / elapsed;
@@ -106,18 +106,17 @@ ConfigResult measure_config(const silc::net::Netlist& nl,
 
 void print_config(const char* tag, const ConfigResult& r) {
   std::printf("%-24s %12.1f cycles/sec x %4d lanes = %.3g vectors/sec "
-              "(%s, %d thread%s, %s)\n",
+              "(%s, %s)\n",
               tag, r.cycles_per_sec, r.lanes, r.vectors_per_sec,
-              silc::sim::to_string(r.word), r.threads,
-              r.threads == 1 ? "" : "s", r.fused ? "fused" : "unfused");
+              silc::sim::to_string(r.word), r.fused ? "fused" : "unfused");
 }
 
 void json_config(FILE* f, const ConfigResult& r, const char* indent) {
   std::fprintf(f,
-               "%s{\"word\": \"%s\", \"threads\": %d, \"fused\": %s, "
+               "%s{\"word\": \"%s\", \"fused\": %s, "
                "\"lanes\": %d, \"cycles_per_sec\": %.1f, "
                "\"vectors_per_sec\": %.1f}",
-               indent, silc::sim::to_string(r.word), r.threads,
+               indent, silc::sim::to_string(r.word),
                r.fused ? "true" : "false", r.lanes, r.cycles_per_sec,
                r.vectors_per_sec);
 }
@@ -143,35 +142,22 @@ int run_suite(const std::string& json_path, bool smoke) {
   std::printf("%-24s %12.1f cycles/sec (scalar, levelized)\n",
               "net::GateSim", gs);
 
-  // The PR 1 interpreter: one uint64 word, one thread, no fusion.
+  // The PR 1 interpreter: one uint64 word, no fusion.
   sim::SimConfig base_cfg;
   base_cfg.word = sim::WordKind::U64;
-  base_cfg.threads = 1;
   base_cfg.fuse = false;
   const ConfigResult baseline = measure_config(nl, base_cfg, min_s);
   print_config("baseline (PR 1)", baseline);
 
-  // Every word backend x thread count, fused. Threaded rows lower the
-  // strip-mine threshold so TapePool actually engages on this ~700-op
-  // tape; a row whose pool still collapsed to 1 thread would duplicate
-  // the sequential row and is dropped.
-  std::vector<int> thread_counts{1};
-  const int hw = static_cast<int>(std::thread::hardware_concurrency());
-  if (hw > 1) thread_counts.push_back(hw);
+  // Every word backend, fused.
   std::vector<ConfigResult> configs;
-  for (const sim::WordKind w :
-       {sim::WordKind::U64, sim::WordKind::V256, sim::WordKind::V512}) {
-    for (const int threads : thread_counts) {
-      sim::SimConfig cfg;
-      cfg.word = w;
-      cfg.threads = threads;
-      cfg.fuse = true;
-      if (threads > 1) cfg.parallel_min_ops = 16;
-      const ConfigResult r = measure_config(nl, cfg, min_s);
-      if (threads > 1 && r.threads == 1) continue;  // pool never engaged
-      print_config("sim::CompiledSim", r);
-      configs.push_back(r);
-    }
+  for (const sim::WordKind w : {sim::WordKind::U64, sim::WordKind::V512}) {
+    sim::SimConfig cfg;
+    cfg.word = w;
+    cfg.fuse = true;
+    const ConfigResult r = measure_config(nl, cfg, min_s);
+    print_config("sim::CompiledSim", r);
+    configs.push_back(r);
   }
   const sim::FuseStats& fuse_stats = configs.front().fuse_stats;
 
@@ -186,7 +172,7 @@ int run_suite(const std::string& json_path, bool smoke) {
               "compiled / swsim", best->cycles_per_sec / sw,
               best->vectors_per_sec / sw,
               best->cycles_per_sec >= 10 * sw ? "HOLDS" : "FAILS");
-  std::printf("%-24s %.2fx vectors/sec over the 64-lane single-thread "
+  std::printf("%-24s %.2fx vectors/sec over the 64-lane unfused "
               "baseline (>=4x: %s)\n",
               "wide+fused / baseline", speedup,
               speedup >= 4.0 ? "HOLDS" : "FAILS");
@@ -209,8 +195,8 @@ int run_suite(const std::string& json_path, bool smoke) {
                nl.logic_gate_count(), nl.dff_count());
   std::fprintf(f, "  \"tape_ops_unfused\": %zu,\n  \"tape_ops_fused\": %zu,\n",
                fuse_stats.ops_before, fuse_stats.ops_after);
-  std::fprintf(f, "  \"hardware_threads\": %d,\n  \"smoke\": %s,\n", hw,
-               smoke ? "true" : "false");
+  std::fprintf(f, "  \"hardware_threads\": %u,\n  \"smoke\": %s,\n",
+               std::thread::hardware_concurrency(), smoke ? "true" : "false");
   std::fprintf(f, "  \"swsim_cycles_per_sec\": %.1f,\n", sw);
   std::fprintf(f, "  \"gatesim_cycles_per_sec\": %.1f,\n", gs);
   std::fprintf(f, "  \"baseline\": ");
@@ -259,16 +245,14 @@ BENCHMARK(BM_FuseTape);
 void BM_CompiledCycle(benchmark::State& state) {
   const silc::rtl::Design d = silc::rtl::parse(kPdp8);
   silc::sim::SimConfig cfg;
-  cfg.word = state.range(0) == 64   ? silc::sim::WordKind::U64
-             : state.range(0) == 256 ? silc::sim::WordKind::V256
-                                     : silc::sim::WordKind::V512;
-  cfg.threads = 1;
+  cfg.word = state.range(0) == 64 ? silc::sim::WordKind::U64
+                                  : silc::sim::WordKind::V512;
   silc::sim::CompiledSim cs(d, cfg);
   cs.poke("run", 1);
   for (auto _ : state) cs.step();
   state.SetItemsProcessed(state.iterations() * cs.lanes());
 }
-BENCHMARK(BM_CompiledCycle)->Arg(64)->Arg(256)->Arg(512);
+BENCHMARK(BM_CompiledCycle)->Arg(64)->Arg(512);
 
 void BM_GateSimCycle(benchmark::State& state) {
   const silc::rtl::Design d = silc::rtl::parse(kPdp8);

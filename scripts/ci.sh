@@ -8,7 +8,7 @@
 #     fails the run, it does not skip;
 #   * ctest runs with --no-tests=error and any skipped/not-run test fails;
 #   * the sim bench must produce BENCH_sim.json (cycles/sec and
-#     vectors/sec per word backend x thread count), the flows bench
+#     vectors/sec per word backend), the flows bench
 #     must produce BENCH_compile.json (per-stage ms + compile_many batch
 #     throughput at 1 and N threads), and the drc bench must produce
 #     BENCH_drc.json (flat vs hier ms, byte-identical violation sets

@@ -357,9 +357,7 @@ Pipeline make_behavioral() {
     // checked against it on every minterm (a few bit-parallel passes)
     // decide every input sequence. A prover that throws fails the stage
     // at the boundary with a structured error diag.
-    sim::SimConfig sc;
-    sc.threads = db.options.sim_threads;
-    db.gate_check = sim::prove_gates(*db.design, *db.fsm, sc);
+    db.gate_check = sim::prove_gates(*db.design, *db.fsm);
     if (!db.gate_check->ok) {
       // The cheap check failed; the pipeline stops before the expensive
       // artwork run.
@@ -658,10 +656,10 @@ BatchResult compile_many(const std::vector<BatchJob>& jobs, int threads) {
   }
   std::vector<bool> served(n, true);  // consult the cache (firsts always)
 
-  // Same crew pattern as sim::TapePool, one job granularity: an atomic
-  // cursor hands out the next design; every job owns a private Library so
-  // workers never touch shared mutable state, and results land in
-  // index-parallel slots — identical output at any thread count.
+  // The crew: an atomic cursor hands out the next design; every job owns
+  // a private Library so workers never touch shared mutable state, and
+  // results land in index-parallel slots — identical output at any
+  // thread count.
   //
   // Batch isolation: compile() never throws on malformed source, but the
   // machinery around it (allocation, an injected fault, a bug) can — and
@@ -678,7 +676,6 @@ BatchResult compile_many(const std::vector<BatchJob>& jobs, int threads) {
       SILC_FAULT_POINT("batch.job");
       auto lib = std::make_unique<layout::Library>(job.options.name);
       CompileOptions opt = job.options;
-      opt.sim_threads = 1;  // one level of parallelism: across designs
       opt.cache_dir.clear();  // the batch owns the persistence cycle
       br.results[i] = compile_wired(*lib, job.flow, job.source, opt,
                                     served[i] ? &result_cache : nullptr);

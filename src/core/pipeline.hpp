@@ -37,13 +37,13 @@
 //     extracted transistors under the switch-level simulator.
 //
 //   * compile_many — the batch front end ("heavy traffic"): N independent
-//     designs dispatched across a persistent worker crew (same
-//     atomic-cursor pattern as sim::TapePool), one layout::Library per
-//     design so jobs never share mutable state. Its one cache tier is a
-//     core::ResultCache: the first job of each fingerprint compiles, and
-//     every repeat of a clean result is served from it. Results are
-//     deterministic and identical at any thread count; the BatchResult
-//     aggregates a per-stage timing profile across the compiled jobs.
+//     designs dispatched across a worker crew (an atomic cursor hands out
+//     the next job), one layout::Library per design so jobs never share
+//     mutable state. Its one cache tier is a core::ResultCache: the first
+//     job of each fingerprint compiles, and every repeat of a clean result
+//     is served from it. Results are deterministic and identical at any
+//     thread count; the BatchResult aggregates a per-stage timing profile
+//     across the compiled jobs.
 //
 // To add a stage: give it a name, append `p.stage("name", fn)` in the
 // flow builder at the right point in the order, read your inputs from the
@@ -147,10 +147,11 @@ struct CompileOptions {
   static constexpr sim::PlaCheckMode pla_check_mode =
       sim::PlaCheckMode::Exhaustive;
   static constexpr int pla_verify_cycles = 256;
-  /// Threads for the compiled-simulator checks (0 = auto). compile_many
-  /// pins this to 1 so design-level parallelism is never oversubscribed
-  /// by per-design sim pools.
-  int sim_threads = 0;
+  /// Threads for the compiled-simulator checks, fixed at 1: a
+  /// sim::CompiledSim runs on the calling thread, so a compile's
+  /// parallelism is across designs (compile_many), never inside one. A
+  /// constant, not an option; perfbench still reads it.
+  static constexpr int sim_threads = 1;
   /// Wall-clock budget for the whole compile (0 = none). When exceeded,
   /// the run stops at the next stage boundary or long-loop checkpoint
   /// (the DRC and extraction cache misses, sim eval cycles) and returns a
@@ -301,12 +302,11 @@ struct CompileResult {
   /// for (see StageTiming).
   double pipeline_ms = 0;
   /// Structured measurement of the run: the obs::Metrics registry delta
-  /// across this compile (cache hits/misses, stage counters, sim-pool
-  /// occupancy, ...), nonzero entries only. Exact when compiles don't
-  /// overlap; under a concurrent compile_many batch the registry is
-  /// process-wide, so an overlapping job's counts land in this delta too.
-  /// Empty under SILC_OBS=OFF. Excluded from same_outcome(), like
-  /// timings.
+  /// across this compile (cache hits/misses, stage counters, ...),
+  /// nonzero entries only. Exact when compiles don't overlap; under a
+  /// concurrent compile_many batch the registry is process-wide, so an
+  /// overlapping job's counts land in this delta too. Empty under
+  /// SILC_OBS=OFF. Excluded from same_outcome(), like timings.
   std::vector<obs::MetricSample> metrics;
   /// True when this result was materialized from a ResultCache instead of
   /// a pipeline run. Cached results carry no chip pointer (the Library
@@ -397,8 +397,8 @@ struct BatchResult {
 
 /// Compile N independent designs across a worker crew (threads = 0 picks
 /// hardware concurrency, clamped to the job count). Each job gets a
-/// private layout::Library and sim_threads pinned to 1, so results are
-/// bit-identical whatever the thread count.
+/// private layout::Library, so results are bit-identical whatever the
+/// thread count.
 ///
 /// Repeated jobs: the batch owns one ResultCache (loaded from and saved to
 /// the store only when a job names a cache_dir). The first job of each

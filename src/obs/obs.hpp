@@ -23,10 +23,10 @@
 //
 //   * Metrics — a process-wide registry of named monotonic counters
 //     (relaxed atomics; always on when the layer is compiled in). The
-//     caches count hits/misses/bytes, the hierarchical engines
-//     count interaction windows and their areas, the sim pool counts
-//     per-worker ops — and `core::compile()` attaches the registry delta
-//     across each run to `CompileResult::metrics`, so every compile
+//     caches count hits/misses/bytes, the hierarchical engines count
+//     interaction windows and their areas, the batch counts its jobs —
+//     and `core::compile()` attaches the registry delta across each run
+//     to `CompileResult::metrics`, so every compile
 //     carries its own structured measurement. Snapshots are cheap;
 //     `delta(before, after)` keeps only what changed.
 //
@@ -41,7 +41,7 @@
 // instrumentation macro below expands to `((void)0)` — zero code, zero
 // data, zero dependencies in the hot paths — while these types still exist
 // so exporters and tests compile. `obs::kEnabled` mirrors the gate for
-// `if constexpr` blocks (e.g. the sim pool's occupancy flush).
+// code that must know whether anything can be recorded.
 //
 // Instrumenting a new stage — the house conventions:
 //
@@ -56,10 +56,7 @@
 //   2. Count what the work did with literal-named counters:
 //        SILC_OBS_COUNT("mystage.windows", windows.size());
 //      Counter names are "subsystem.noun[.verb]" and values must be
-//      monotonic deltas (they aggregate across threads and runs). Use
-//      SILC_OBS_COUNT_DYN when the name is computed (e.g. per-worker
-//      "sim.pool.ops.t3") — it pays a registry lookup, so keep it out of
-//      per-item loops.
+//      monotonic deltas (they aggregate across threads and runs).
 //   3. Mark point events worth seeing on the timeline (cache misses,
 //      retries) with SILC_OBS_INSTANT("mystage.cache.miss", "cache").
 //   4. Give the stage a line in scripts/latency_budgets.txt once it has a
@@ -329,10 +326,6 @@ bool write_chrome_trace(const std::string& path);
                                 ::std::memory_order_relaxed);              \
   } while (0)
 
-/// Computed-name counter bump: pays a registry lookup per call.
-#define SILC_OBS_COUNT_DYN(name, delta) \
-  ::silc::obs::Metrics::global().add((name), static_cast<long long>(delta))
-
 /// Point event on the trace timeline (no-op while tracing is disabled).
 #define SILC_OBS_INSTANT(name, category) \
   ::silc::obs::Tracer::global().instant((name), (category))
@@ -341,7 +334,6 @@ bool write_chrome_trace(const std::string& path);
 
 #define SILC_OBS_SPAN(name, category) ((void)0)
 #define SILC_OBS_COUNT(name, delta) ((void)0)
-#define SILC_OBS_COUNT_DYN(name, delta) ((void)0)
 #define SILC_OBS_INSTANT(name, category) ((void)0)
 
 #endif  // SILC_OBS_ENABLED

@@ -13,7 +13,7 @@
 // A backward liveness pass then drops every op whose result no one can
 // observe: roots are the caller's observable slots plus register D inputs.
 // The survivors are re-levelized (assemble_tape), so the fused tape keeps
-// the parallel-evaluation invariant.
+// the level invariant.
 //
 // Rewrites only ever point an op at slots written *earlier* (a producer's
 // operands, a copy's source), so dependency order is preserved throughout.

@@ -12,25 +12,21 @@
 //     gates are decomposed into two-input ops at compile time, so the inner
 //     loop is a branch-light switch over a dense op array. Levels are
 //     op-granular: an op at level l reads only slots finalized at levels
-//     < l, which makes every level a data-parallel strip.
+//     < l.
 //   * fuse_tape(): a post-levelize peephole pass — Not folds into its
 //     And/Or/Nand/Nor/Xor/Xnor producer, Copy chains are bypassed,
 //     constant operands fold, and ops whose results are unobservable are
 //     dead-code-eliminated — so the tape shrinks before it ever runs.
 //   * word backends (word.hpp): the interpreter is templated over the word
-//     type; one pass evaluates 64 lanes (uint64), 256 or 512 lanes
-//     (GCC/Clang vector extensions, ISA selected at load time via
-//     target_clones, portable fallbacks elsewhere). One bit of every slot
-//     word is one independent stimulus lane.
-//   * TapePool: a persistent worker pool that strip-mines each level's op
-//     range across threads with one barrier per level — level boundaries
-//     are the only sync points a levelized tape needs. Levels below a
-//     configurable op threshold run sequentially so small designs don't
-//     pay barrier latency.
-//   * CompiledSim: owns netlist + fused tape + lane storage, evaluates via
-//     the configured word/threads (SimConfig), and synchronizes all
-//     registers once per clock cycle with a two-phase gather-then-commit
-//     (no event queue, no relaxation);
+//     type; one pass evaluates 64 lanes (uint64, the portable reference) or
+//     512 lanes (a GCC/Clang vector extension, ISA selected at load time
+//     via target_clones, portable fallback elsewhere). One bit of every
+//     slot word is one independent stimulus lane.
+//   * CompiledSim: built one way (levelize, then fuse_tape), it owns
+//     netlist + fused tape + lane storage, runs the tape on the calling
+//     thread over the configured word (the widest by default), and
+//     synchronizes all registers once per clock cycle with a two-phase
+//     gather-then-commit (no event queue, no relaxation);
 //   * to_switch_level(): expands a gate netlist into a ratioed-NMOS
 //     transistor network (depletion pullups, enhancement pulldown trees,
 //     two-phase dynamic master/slave registers) so the *same* design can be
@@ -96,8 +92,8 @@ struct TapeOp {
 };
 
 /// A levelized netlist: ops sorted by combinational level (an op at level l
-/// reads only slots written at levels < l or source slots — op-granular, so
-/// any level may be evaluated in parallel), plus the register commit list.
+/// reads only slots written at levels < l or source slots), plus the
+/// register commit list.
 /// Slots 0..net_count-1 mirror the netlist's nets; slots beyond that are
 /// temporaries introduced by n-ary gate decomposition.
 struct Tape {
@@ -118,35 +114,6 @@ struct Tape {
 /// Compile a netlist into an evaluation tape. Throws std::runtime_error on
 /// combinational cycles or multiply-driven nets.
 [[nodiscard]] Tape levelize(const net::Netlist& nl);
-
-/// The pre-levelling half of levelize: every gate decomposed into two-input
-/// ops in topological order (n-ary chains via fresh temp slots), registers
-/// split out as commit pairs, nothing ranked yet. Deterministic for a given
-/// netlist, so two decompositions are comparable op by op — which is what
-/// CompiledSim::update diffs to find the tape region an edit actually
-/// reaches. Throws like levelize on cycles or multiple drivers.
-struct RawTape {
-  std::vector<TapeOp> ops;  // dependency order, slot ids as in Tape
-  std::size_t slots = 0;
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> dffs;
-
-  friend bool operator==(const RawTape&, const RawTape&) = default;
-};
-[[nodiscard]] RawTape decompose(const net::Netlist& nl);
-
-/// Op-granular levels of a dependency-ordered op list: 1 + deepest operand,
-/// unwritten slots are level-0 sources.
-[[nodiscard]] std::vector<std::uint32_t> op_levels(
-    const std::vector<TapeOp>& ops, std::size_t slots);
-
-/// Bucket a dependency-ordered op list by precomputed per-op levels (stable
-/// counting sort) and emit level_begin. assemble_tape composes op_levels
-/// with this; CompiledSim::update calls it directly with a mix of cached
-/// and recomputed levels.
-[[nodiscard]] Tape bucket_by_level(
-    std::vector<TapeOp> ops, std::size_t slots,
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> dffs,
-    const std::vector<std::uint32_t>& op_level);
 
 /// Rebuild a tape from a topologically ordered op list: compute op-granular
 /// levels (1 + deepest operand; unwritten slots are level-0 sources), bucket
@@ -179,13 +146,9 @@ struct FuseStats {
 
 // ------------------------------------------------------------- evaluation --
 
-/// Evaluate ops [first, last) over the given word. `slots` is the lane
-/// buffer described in word.hpp (words_of(word) uint64 limbs per slot,
-/// 64-byte aligned for the wide words).
-void eval_range(const Tape& tape, WordKind word, std::uint64_t* slots,
-                std::uint32_t first, std::uint32_t last);
-
-/// Evaluate every tape op, in order, over the given word.
+/// Evaluate every tape op, in order, over the given word. `slots` is the
+/// lane buffer described in word.hpp (words_of(word) uint64 limbs per slot,
+/// 64-byte aligned for the wide word).
 void eval_tape(const Tape& tape, WordKind word, std::uint64_t* slots);
 inline void eval_tape(const Tape& tape, std::uint64_t* slots) {
   eval_tape(tape, WordKind::U64, slots);
@@ -200,36 +163,6 @@ inline void commit_tape(const Tape& tape, std::uint64_t* slots,
                         std::uint64_t* scratch) {
   commit_tape(tape, WordKind::U64, slots, scratch);
 }
-
-// --------------------------------------------------- level-parallel pool --
-
-/// Persistent worker pool that strip-mines each tape level across threads
-/// (static chunking, one barrier per level). Levels smaller than
-/// `min_level_ops` — and runs of them — are evaluated by the calling
-/// thread alone, so shallow/narrow stretches don't pay barrier latency.
-class TapePool {
- public:
-  /// `threads` is the total worker count including the calling thread
-  /// (>= 2). The tape and word must outlive the pool.
-  TapePool(const Tape& tape, WordKind word, int threads,
-           std::uint32_t min_level_ops);
-  ~TapePool();
-  TapePool(const TapePool&) = delete;
-  TapePool& operator=(const TapePool&) = delete;
-
-  /// One full tape pass over `slots` (same buffer contract as eval_tape).
-  void eval(std::uint64_t* slots);
-
-  [[nodiscard]] int threads() const;
-
-  /// True when some level is wide enough that strip-mining can pay.
-  [[nodiscard]] static bool worth_threading(const Tape& tape,
-                                            std::uint32_t min_level_ops);
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
-};
 
 // ------------------------------------------------------- traces & vectors --
 
@@ -297,31 +230,19 @@ class LaneBuffer {
 
 // ------------------------------------------------------------ CompiledSim --
 
-/// Evaluation knobs. The defaults give the fastest safe configuration:
-/// widest word, auto thread count (engaged only when some level clears
-/// parallel_min_ops), fusion on.
+/// Evaluation knobs. The defaults give the fastest configuration: widest
+/// word, fusion on.
 struct SimConfig {
   WordKind word = widest_word();
-  /// Total evaluation threads: 1 = sequential, 0 = hardware concurrency.
-  /// A pool is spun up only when the tape has a level worth splitting.
+  /// Inert: nothing reads it, a CompiledSim always evaluates on the calling
+  /// thread. Kept only because perfbench still writes it; deleted at the
+  /// next benchmark revision (ROADMAP "Deferred").
   int threads = 0;
   bool fuse = true;
-  /// Strip-mine a level across threads only when it has at least this many
-  /// ops; smaller levels run on the calling thread.
-  std::uint32_t parallel_min_ops = 4096;
   /// Extra signal names whose nets must stay observable (peekable) under
   /// fusion, beyond the defaults (primary inputs/outputs, registers, and —
   /// for the Design constructor — every declared signal).
   std::vector<std::string> keep;
-};
-
-/// What CompiledSim::update did with one netlist edit: how much of the
-/// old tape's levelling survived. Mirrored as incr.sim.* counters.
-struct IncrTapeStats {
-  std::size_t ops_total = 0;       ///< ops in the new decomposition
-  std::size_t ops_reused = 0;      ///< levels carried over from the old tape
-  std::size_t ops_relevelized = 0; ///< levels recomputed (edit-reachable)
-  bool identical = false;          ///< netlist unchanged: tape kept verbatim
 };
 
 struct GateProofReport;
@@ -356,21 +277,6 @@ class CompiledSim {
   /// Set every register bit to `v` in all lanes and re-evaluate.
   void reset(bool v = false);
 
-  /// Re-compile against an edited netlist, reusing the old tape where the
-  /// edit can't reach: the fresh decomposition is diffed op-by-op against
-  /// the cached one, dirtiness is propagated through read slots in one
-  /// dependency-order pass, and only edit-reachable ops are re-levelized —
-  /// clean ops keep their cached levels (sound because a clean op's whole
-  /// producer cone is clean). Fusion then reruns globally (it is a cheap
-  /// linear pass). The resulting tape is byte-identical to building a
-  /// fresh CompiledSim from `nl`, and the sim is left at power-on state
-  /// exactly like a fresh build (tests/test_incremental.cpp proves both).
-  /// An identical netlist keeps the tape verbatim and only clears lane
-  /// state. Throws like the constructor on invalid netlists — before any
-  /// member is mutated, so the old sim stays usable (fault site
-  /// "incr.sim.update").
-  void update(const net::Netlist& nl, IncrTapeStats* stats = nullptr);
-
   /// Batch run: up to lanes() stimulus sequences, one lane each, all from
   /// reset state. Returns one trace per sequence recording `probes` (or the
   /// design's outputs when constructed from a Design and probes is empty)
@@ -385,17 +291,12 @@ class CompiledSim {
   /// Stimulus lanes per pass under the configured word.
   [[nodiscard]] int lanes() const { return lanes_of(word_); }
   [[nodiscard]] WordKind word() const { return word_; }
-  /// Worker threads actually engaged (1 when evaluating sequentially).
-  [[nodiscard]] int threads() const;
   [[nodiscard]] const FuseStats& fuse_stats() const { return fuse_stats_; }
 
  private:
+  /// Levelize nl_, fuse per `config`, size the lane storage, and leave
+  /// the sim at power-on state.
   void init(const SimConfig& config);
-  /// Fuse `assembled` per config_, rebuild liveness/storage/pool/name
-  /// resolution, and leave the sim at power-on state. init and update share
-  /// it — which is what makes update-vs-fresh-build byte-identity hold by
-  /// construction for everything downstream of levelling.
-  void adopt_tape(Tape assembled);
   void eval_now();
   /// LSB-first value slots of a named signal; resolved via "name" then
   /// "name[b]", design widths when known. Throws when unknown.
@@ -403,9 +304,6 @@ class CompiledSim {
   [[nodiscard]] std::uint64_t* slot_words() { return storage_.data(); }
 
   net::Netlist nl_;
-  SimConfig config_;       // update() re-applies the construction knobs
-  RawTape raw_;            // pre-levelling decomposition, diffed by update()
-  std::vector<std::uint32_t> raw_levels_;  // op levels of raw_, reused by update()
   Tape tape_;
   WordKind word_ = WordKind::U64;
   int words_per_slot_ = 1;
@@ -413,7 +311,6 @@ class CompiledSim {
   LaneBuffer storage_;   // 64-byte-aligned lane buffer
   LaneBuffer scratch_;   // register commit staging
   std::vector<std::uint8_t> live_;  // slot still carries a value post-fusion
-  std::unique_ptr<TapePool> pool_;
   std::map<std::string, std::vector<std::uint32_t>> by_name_;
   std::map<std::string, int> widths_;       // declared widths (Design ctor)
   std::vector<std::string> output_names_;   // default run() probes
@@ -487,10 +384,10 @@ struct GateProofReport {
 struct CrosscheckOptions {
   int cycles = 256;        // cycles checked behavioral-vs-compiled, per lane
   int lanes = 0;           // independent stimulus sequences; 0 = every lane
-                           // of the configured word (256-512 on GCC/Clang)
+                           // of the configured word (512 on GCC/Clang)
   int switch_cycles = 16;  // lane-0 prefix also run under swsim; 0 disables
   unsigned seed = 1;
-  SimConfig sim;           // word/threads/fusion for the compiled model
+  SimConfig sim;           // word/fusion for the compiled model
   /// When non-empty and the behavioral and compiled traces diverge, both
   /// are dumped here as VCD scopes "behavioral" and "compiled" (plus
   /// "switch_level" for switch-level divergence).

@@ -1,10 +1,10 @@
-// The bit-parallel inner loop: every value slot is one word (64, 256, or
-// 512 lanes) whose bit b of limb w is stimulus lane w*64+b, so each pass
+// The bit-parallel inner loop: every value slot is one word (64 or 512
+// lanes) whose bit b of limb w is stimulus lane w*64+b, so each pass
 // through the tape evaluates lanes_of(word) independent vectors with
 // ordinary word-wide boolean ops — no events, no relaxation, no per-lane
 // dispatch. The kernel is one template instantiated per word type; the
 // instantiations are wrapped in target_clones so the AVX2/AVX-512
-// encodings of the wide words are picked at load time where the hardware
+// encodings of the wide word are picked at load time where the hardware
 // has them (SSE/scalar lowering elsewhere — same results, fewer lanes per
 // instruction). Plus trace utilities (seeded random stimulus,
 // first-divergence diff) shared by crosscheck and the tests.
@@ -69,29 +69,19 @@ void run_u64(const TapeOp* b, const TapeOp* e, std::uint64_t* v) {
   eval_ops<std::uint64_t>(b, e, v);
 }
 SILC_SIM_ISA_CLONES
-void run_v256(const TapeOp* b, const TapeOp* e, Word256* v) {
-  eval_ops<Word256>(b, e, v);
-}
-SILC_SIM_ISA_CLONES
 void run_v512(const TapeOp* b, const TapeOp* e, Word512* v) {
   eval_ops<Word512>(b, e, v);
 }
 
 }  // namespace
 
-void eval_range(const Tape& tape, WordKind word, std::uint64_t* slots,
-                std::uint32_t first, std::uint32_t last) {
-  const TapeOp* const b = tape.ops.data() + first;
-  const TapeOp* const e = tape.ops.data() + last;
+void eval_tape(const Tape& tape, WordKind word, std::uint64_t* slots) {
+  const TapeOp* const b = tape.ops.data();
+  const TapeOp* const e = b + tape.ops.size();
   switch (word) {
     case WordKind::U64: run_u64(b, e, slots); break;
-    case WordKind::V256: run_v256(b, e, reinterpret_cast<Word256*>(slots)); break;
     case WordKind::V512: run_v512(b, e, reinterpret_cast<Word512*>(slots)); break;
   }
-}
-
-void eval_tape(const Tape& tape, WordKind word, std::uint64_t* slots) {
-  eval_range(tape, word, slots, 0, static_cast<std::uint32_t>(tape.ops.size()));
 }
 
 void commit_tape(const Tape& tape, WordKind word, std::uint64_t* v,

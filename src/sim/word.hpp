@@ -2,15 +2,16 @@
 //
 // A "word" is the unit the tape interpreter evaluates: one boolean op over
 // W lanes at once, one stimulus lane per bit. The baseline word is a plain
-// uint64 (64 lanes). On GCC/Clang the 256- and 512-bit words are compiler
-// vector extensions (__attribute__((vector_size))), which lower to the best
+// uint64 (64 lanes): the portable path, and the lane-by-lane reference the
+// wide word is tested against. On GCC/Clang the 512-bit word is a compiler
+// vector extension (__attribute__((vector_size))), which lowers to the best
 // ISA the *translation unit* is allowed to use; the kernel in vector.cpp is
 // additionally compiled with target_clones so AVX2/AVX-512 encodings are
 // selected at load time on machines that have them, with a plain SSE/scalar
-// lowering everywhere else. On other compilers the wide words fall back to
-// portable structs of uint64 limbs — same semantics, auto-vectorizable.
+// lowering everywhere else. On other compilers the wide word falls back to
+// a portable struct of uint64 limbs — same semantics, auto-vectorizable.
 //
-// Memory layout contract (shared with CompiledSim and the parallel pool):
+// Memory layout contract (shared by CompiledSim and the kernel):
 // a value slot occupies words_of(kind) consecutive uint64 limbs; lane L of
 // slot S is bit (L % 64) of limb S * words_of(kind) + L / 64. Buffers fed
 // to the wide kernels must be 64-byte aligned.
@@ -27,16 +28,11 @@ namespace silc::sim {
 // 64-byte *aligned* loads (lane storage comes from LaneBuffer, which
 // over-aligns to 64). may_alias keeps the uint64-limb view of the same
 // buffer (poke/peek/commit) defined under strict aliasing.
-typedef std::uint64_t Word256
-    __attribute__((vector_size(32), aligned(32), may_alias));
 typedef std::uint64_t Word512
     __attribute__((vector_size(64), aligned(64), may_alias));
 #else
-// Portable fallback: fixed-size limb arrays with the four bitwise ops the
+// Portable fallback: a fixed-size limb array with the four bitwise ops the
 // kernel needs. Plain loops so an optimizer can still vectorize them.
-struct alignas(32) Word256 {
-  std::uint64_t w[4];
-};
 struct alignas(64) Word512 {
   std::uint64_t w[8];
 };
@@ -62,19 +58,16 @@ struct alignas(64) Word512 {
     for (int i = 0; i < N; ++i) r.w[i] = a.w[i] ^ b.w[i];             \
     return r;                                                         \
   }
-SILC_SIM_WORD_OPS(Word256, 4)
 SILC_SIM_WORD_OPS(Word512, 8)
 #undef SILC_SIM_WORD_OPS
 #endif
 
-/// Which word the tape interpreter runs over. Values are stable knobs
-/// (config files, bench JSON), not indices.
-enum class WordKind : std::uint8_t { U64, V256, V512 };
+/// Which word the tape interpreter runs over.
+enum class WordKind : std::uint8_t { U64, V512 };
 
 [[nodiscard]] constexpr int lanes_of(WordKind k) {
   switch (k) {
     case WordKind::U64: return 64;
-    case WordKind::V256: return 256;
     case WordKind::V512: return 512;
   }
   return 64;
@@ -86,7 +79,6 @@ enum class WordKind : std::uint8_t { U64, V256, V512 };
 [[nodiscard]] constexpr const char* to_string(WordKind k) {
   switch (k) {
     case WordKind::U64: return "u64";
-    case WordKind::V256: return "v256";
     case WordKind::V512: return "v512";
   }
   return "?";
@@ -103,20 +95,5 @@ enum class WordKind : std::uint8_t { U64, V256, V512 };
   return WordKind::U64;
 #endif
 }
-
-template <WordKind K>
-struct WordType;
-template <>
-struct WordType<WordKind::U64> {
-  using type = std::uint64_t;
-};
-template <>
-struct WordType<WordKind::V256> {
-  using type = Word256;
-};
-template <>
-struct WordType<WordKind::V512> {
-  using type = Word512;
-};
 
 }  // namespace silc::sim

@@ -1,9 +1,11 @@
 #include "store/store.hpp"
 
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <random>
 
 #if defined(__unix__) || defined(__APPLE__)
 #define SILC_STORE_MMAP 1
@@ -100,6 +102,25 @@ struct Cursor {
     return s;
   }
 };
+
+/// Open a temp file that no other save shares, next to `path` so the
+/// commit rename stays atomic: "<path>.tmp.<salt>.<n>" with a per-process
+/// random salt and a per-save counter, created exclusively ("x"), so a
+/// name collision is a retry, never a shared file. Concurrent writers of
+/// one store, threads or processes, each write their own file, and each
+/// rename commits a whole one. Sets `tmp` to the name; nullptr when no
+/// file can be created.
+std::FILE* open_private_tmp(const std::string& path, std::string& tmp) {
+  static const unsigned salt = std::random_device{}();
+  static std::atomic<unsigned> next{0};
+  for (int attempt = 0; attempt < 16; ++attempt) {
+    tmp = path + ".tmp." + std::to_string(salt) + "." +
+          std::to_string(next.fetch_add(1, std::memory_order_relaxed));
+    if (std::FILE* f = std::fopen(tmp.c_str(), "wbx")) return f;
+    if (errno != EEXIST) return nullptr;
+  }
+  return nullptr;
+}
 
 }  // namespace
 
@@ -400,8 +421,8 @@ bool Store::save(const std::string& path) const {
     SILC_OBS_COUNT("store.save_ms", clock.ms());
     return false;
   }
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
+  std::string tmp;
+  std::FILE* f = open_private_tmp(path, tmp);
   if (f == nullptr) {
     save_error_ = "store: cannot write " + tmp;
     SILC_OBS_COUNT("store.save_ms", clock.ms());

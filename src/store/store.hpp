@@ -41,9 +41,12 @@
 //      compile is cheap next to a wrong artifact (the spirit of the
 //      in-memory caches' poison-evict rule, applied at file scope).
 //
-//   4. Atomic save. save() serializes to "<path>.tmp" and renames over
-//      the target, so a crashed or faulted save leaves either the old
-//      file or a stray tmp — never a half-written store at the live path.
+//   4. Atomic save. save() serializes to a temp file of its own next to
+//      the target ("<path>.tmp.<salt>.<n>") and renames it over the
+//      target, so a crashed or faulted save leaves either the old file or
+//      a stray tmp — never a half-written store at the live path — and two
+//      writers saving one path at once never share a temp file: the last
+//      rename wins whole (the other save's records are lost, not torn).
 //
 //   5. What may be cached: values that are pure deterministic functions
 //      of the bits folded into their key (whole-cell DRC verdicts, partial
@@ -109,7 +112,8 @@ class Store {
   /// contained here and degrades like corruption).
   bool load(const std::string& path);
 
-  /// Serialize to "<path>.tmp", then atomically rename onto `path`.
+  /// Serialize to a temp file of this save's own beside `path`, then
+  /// atomically rename it onto `path`.
   /// Returns false with save_error() set on any failure (the old file, if
   /// any, survives). file_bytes() reports the bytes written.
   bool save(const std::string& path) const;

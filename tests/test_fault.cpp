@@ -19,8 +19,10 @@
 //     is bit-identical to a fault-free run — proved differentially over
 //     dozens of seeded chaos schedules (the Chaos* tests, which ci.sh also
 //     drives explicitly under a fixed seed);
-//   * worker-thread exceptions (batch crew, sim::TapePool) are captured
-//     and surfaced on the caller — never std::terminate, never a deadlock.
+//   * worker-thread exceptions in the batch crew are captured and
+//     surfaced on the caller — never std::terminate, never a deadlock —
+//     and a compiled model that cannot be built fails sim::crosscheck's
+//     report instead of escaping it.
 //
 // Injection-dependent tests skip themselves under -DSILC_FAULT=OFF (the
 // macros are compiled out, so nothing would fire); the cancellation and
@@ -389,74 +391,23 @@ TEST(Poison, NetlistCachePoisoningReExtractsTheSameNetlist) {
 
 // ------------------------------------------------------ worker containment --
 
-TEST(Contain, TapePoolWorkerExceptionSurfacesOnTheCaller) {
-  if (!fault::kEnabled) GTEST_SKIP() << "built with SILC_FAULT=OFF";
-  const DisarmOnExit disarm;
-  // Drive the pool directly (CompiledSim clamps its thread count to
-  // hardware concurrency, so a 1-core CI box would never spin it up) and
-  // blow up a worker thread mid-pass: the exception must arrive on the
-  // calling thread — not std::terminate, not a barrier deadlock — and the
-  // pool must survive to run the next pass cleanly.
-  using sim::TapeOp;
-  std::vector<TapeOp> ops;
-  // Slots 0,1 are sources; a two-level ladder wide enough to strip-mine.
-  for (std::uint32_t i = 0; i < 8; ++i) {
-    ops.push_back({TapeOp::Code::And, 2 + i, 0, 1, 0});
-  }
-  for (std::uint32_t i = 0; i < 8; ++i) {
-    ops.push_back({TapeOp::Code::Xor, 10 + i, 2 + i, 1, 0});
-  }
-  const sim::Tape tape = sim::assemble_tape(std::move(ops), 18, {});
-  ASSERT_EQ(tape.depth(), 2);
-  sim::TapePool pool(tape, sim::WordKind::U64, 2, 1);
-
-  std::vector<std::uint64_t> slots(18, 0);
-  slots[0] = 0xffffffffffffffffULL;
-  slots[1] = 0x00000000ffffffffULL;
-
-  Schedule s;
-  s.triggers.push_back({"sim.pool.worker", Kind::Throw, 0, false, 0, ""});
-  Injector::global().arm(s);
-  EXPECT_THROW(pool.eval(slots.data()), fault::InjectedFault);
-  Injector::global().disarm();
-
-  // Containment left no poison behind: the same pool computes the pass.
-  std::fill(slots.begin() + 2, slots.end(), 0);
-  pool.eval(slots.data());
-  for (std::uint32_t i = 0; i < 8; ++i) {
-    EXPECT_EQ(slots[2 + i], 0x00000000ffffffffULL) << i;
-    EXPECT_EQ(slots[10 + i], 0x0000000000000000ULL) << i;
-  }
-}
-
 TEST(Contain, CrosscheckSwallowsWorkerFaultsIntoTheReport) {
-  if (!fault::kEnabled) GTEST_SKIP() << "built with SILC_FAULT=OFF";
-  const DisarmOnExit disarm;
-  // End-to-end when the machine can actually run a pool: the contained
-  // worker exception must surface as a failed report detail, never escape
-  // sim::crosscheck.
-  if (std::thread::hardware_concurrency() < 2) {
-    GTEST_SKIP() << "needs >= 2 cores for CompiledSim to spin up the pool";
-  }
-  Schedule s;
-  s.triggers.push_back({"sim.pool.worker", Kind::Throw, 0, false, 0, ""});
-  Injector::global().arm(s);
-
+  // A compiled model that throws while it is built (a kept signal the
+  // design does not have) must surface as a failed report, never escape
+  // sim::crosscheck. Needs neither fault injection nor a second core.
   const rtl::Design design = rtl::parse(silc_fixtures::kGray2Source);
   sim::CrosscheckOptions o;
   o.cycles = 32;
   o.switch_cycles = 0;
-  o.sim.threads = 2;
-  o.sim.parallel_min_ops = 1;
+  o.sim.keep = {"no_such_signal"};
   sim::CrosscheckReport r;
   EXPECT_NO_THROW(r = sim::crosscheck(design, o));
   EXPECT_FALSE(r.ok);
-  EXPECT_NE(r.detail.find("injected fault at sim.pool.worker"),
-            std::string::npos)
-      << r.detail;
+  EXPECT_EQ(r.detail.rfind("crosscheck error:", 0), 0u) << r.detail;
+  EXPECT_NE(r.detail.find("no_such_signal"), std::string::npos) << r.detail;
 
-  // The pool survives containment: a clean run right after passes.
-  Injector::global().disarm();
+  // The same options without the bad pin pass.
+  o.sim.keep.clear();
   const sim::CrosscheckReport clean = sim::crosscheck(design, o);
   EXPECT_TRUE(clean.ok) << clean.detail;
 }

@@ -8,9 +8,8 @@
 // CURES a violation, an edit inside a seam window, a naming-only edit
 // that must invalidate extraction but not DRC, the empty-EditSet no-op
 // that reuses everything), the chaos leg sweeping the incr.* fault sites
-// against the flat-recompute fallback, the persistent-store baseline
-// warm-up across sessions, and CompiledSim::update's tape-level version
-// of the same invariant.
+// against the flat-recompute fallback, and the persistent-store baseline
+// warm-up across sessions.
 //
 // The footprint tests pin core::diff's chip-coordinate footprint for each
 // edit kind and the paths IncrementalSession serves each stage by: the
@@ -48,9 +47,7 @@
 #include "obs/obs.hpp"
 #include "random_edits.hpp"
 #include "random_layout.hpp"
-#include "random_netlist.hpp"
 #include "rtl/rtl.hpp"
-#include "sim/sim.hpp"
 #include "synth/synth.hpp"
 #include "tech/tech.hpp"
 
@@ -920,214 +917,6 @@ TEST(Incremental, LongEditChainsOnAChipMatchFlat) {
                           .chip;
         run_chain(lib, chip, rng, 6, 3);
       });
-}
-
-// -------------------------------------------------- CompiledSim::update --
-
-using net::GateKind;
-using net::Netlist;
-using sim::CompiledSim;
-using sim::diff_traces;
-using sim::IncrTapeStats;
-using sim::Trace;
-using sim::TraceDiff;
-using sim::Vector;
-
-/// The appended-gate edit: same netlist plus one new output gate, so the
-/// old decomposition survives verbatim at its old indices.
-Netlist with_extra_gate(const Netlist& nl) {
-  Netlist out = nl;
-  const int g = out.add_gate(GateKind::Nand,
-                             {out.inputs()[0], out.inputs()[1]}, "extra");
-  out.mark_output(g, "extra_out");
-  return out;
-}
-
-std::vector<Trace> random_stimuli(const Netlist& nl, int lanes, int cycles,
-                                  unsigned seed) {
-  std::mt19937_64 vals(seed);
-  std::vector<Trace> stimuli(static_cast<std::size_t>(lanes));
-  for (Trace& t : stimuli) {
-    t.resize(static_cast<std::size_t>(cycles));
-    for (Vector& row : t) {
-      for (const int in : nl.inputs()) row[nl.net_name(in)] = vals() & 1u;
-    }
-  }
-  return stimuli;
-}
-
-void expect_tapes_identical(const CompiledSim& updated,
-                            const CompiledSim& fresh,
-                            const std::string& context) {
-  EXPECT_EQ(updated.tape().ops, fresh.tape().ops) << context;
-  EXPECT_EQ(updated.tape().level_begin, fresh.tape().level_begin) << context;
-  EXPECT_EQ(updated.tape().dffs, fresh.tape().dffs) << context;
-  EXPECT_EQ(updated.tape().slots, fresh.tape().slots) << context;
-}
-
-TEST(IncrementalSim, UpdateMatchesFreshBuildByteForByte) {
-  silc_fixtures::fuzz_seeds(
-      "test_incremental", "IncrementalSim.UpdateMatchesFreshBuildByteForByte",
-      1, 4, [](unsigned seed) {
-        const Netlist before = silc_fixtures::random_netlist(seed);
-        const Netlist after = with_extra_gate(before);
-
-        CompiledSim updated(before);
-        IncrTapeStats st;
-        updated.update(after, &st);
-        CompiledSim fresh(after);
-
-        // Tape-level byte identity. (An appended gate adds a net, which
-        // shifts every temp-slot id, so reuse may legitimately be zero
-        // here — the in-place edit test below is the reuse proof; this
-        // one proves the worst case still lands byte-identical.)
-        expect_tapes_identical(updated, fresh,
-                               "seed " + std::to_string(seed));
-        EXPECT_FALSE(st.identical);
-        EXPECT_EQ(st.ops_reused + st.ops_relevelized, st.ops_total);
-
-        // Behavioral identity from power-on — update leaves the sim in
-        // the same state a fresh build starts in.
-        const auto probes = silc_fixtures::output_probe_names(after);
-        const auto stimuli = random_stimuli(after, 4, 24, seed * 7 + 1);
-        const std::vector<Trace> got = updated.run(stimuli, probes);
-        const std::vector<Trace> want = fresh.run(stimuli, probes);
-        ASSERT_EQ(got.size(), want.size());
-        for (std::size_t l = 0; l < got.size(); ++l) {
-          const TraceDiff d = diff_traces(want[l], got[l]);
-          EXPECT_TRUE(d.identical)
-              << "seed " << seed << " lane " << l << ": " << d.to_string();
-        }
-      });
-}
-
-/// Two netlists identical except for the KIND of one mid-stream gate:
-/// same nets, same slots, same op indices — the shape of an in-place
-/// edit. Downstream logic splits into the edit's cone (re-levelized) and
-/// independent gates (reused verbatim).
-Netlist editable_netlist(GateKind edited_kind) {
-  Netlist nl;
-  std::vector<int> in;
-  for (int i = 0; i < 4; ++i) {
-    in.push_back(nl.add_input("in" + std::to_string(i)));
-  }
-  const int a = nl.add_gate(GateKind::And, {in[0], in[1]}, "a");
-  const int b = nl.add_gate(GateKind::Or, {in[2], in[3]}, "b");
-  const int c = nl.add_gate(GateKind::Xor, {a, b}, "c");
-  const int e = nl.add_gate(edited_kind, {c, in[0]}, "edited");
-  const int d0 = nl.add_gate(GateKind::Nand, {e, b}, "d0");
-  const int d1 = nl.add_gate(GateKind::Not, {d0}, "d1");
-  const int f0 = nl.add_gate(GateKind::Nor, {a, in[2]}, "f0");
-  const int f1 = nl.add_gate(GateKind::Xnor, {f0, b}, "f1");
-  const int q = nl.add_net("q");
-  nl.add_gate_driving(GateKind::Dff, {f1}, q, "r0");
-  nl.mark_output(d1, "out_edit_cone");
-  nl.mark_output(f1, "out_independent");
-  nl.mark_output(q, "out_state");
-  return nl;
-}
-
-TEST(IncrementalSim, InPlaceGateEditReusesTheUntouchedCone) {
-  const Netlist before = editable_netlist(GateKind::And);
-  const Netlist after = editable_netlist(GateKind::Nand);
-
-  CompiledSim updated(before);
-  IncrTapeStats st;
-  updated.update(after, &st);
-  CompiledSim fresh(after);
-  expect_tapes_identical(updated, fresh, "in-place edit");
-
-  // Only the edited gate and its fanout cone paid; the independent
-  // gates (and everything upstream of the edit) kept their levels.
-  EXPECT_FALSE(st.identical);
-  EXPECT_GT(st.ops_reused, 0u);
-  EXPECT_GT(st.ops_relevelized, 0u);
-  EXPECT_LT(st.ops_relevelized, st.ops_total);
-  EXPECT_EQ(st.ops_reused + st.ops_relevelized, st.ops_total);
-
-  const auto probes = silc_fixtures::output_probe_names(after);
-  const auto stimuli = random_stimuli(after, 3, 20, 55);
-  const std::vector<Trace> got = updated.run(stimuli, probes);
-  const std::vector<Trace> want = fresh.run(stimuli, probes);
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t l = 0; l < got.size(); ++l) {
-    const TraceDiff d = diff_traces(want[l], got[l]);
-    EXPECT_TRUE(d.identical) << "lane " << l << ": " << d.to_string();
-  }
-}
-
-TEST(IncrementalSim, UpdateAcrossDisjointNetlistsStaysCorrect) {
-  // The worst case: nothing survives the diff. Still byte-identical.
-  const Netlist a = silc_fixtures::random_netlist(31);
-  const Netlist b = silc_fixtures::random_netlist(
-      32, {.inputs = 4, .gates = 80, .dffs = 4, .outputs = 4});
-  CompiledSim updated(a);
-  IncrTapeStats st;
-  updated.update(b, &st);
-  CompiledSim fresh(b);
-  expect_tapes_identical(updated, fresh, "disjoint");
-
-  const auto probes = silc_fixtures::output_probe_names(b);
-  const auto stimuli = random_stimuli(b, 2, 16, 99);
-  const std::vector<Trace> got = updated.run(stimuli, probes);
-  const std::vector<Trace> want = fresh.run(stimuli, probes);
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t l = 0; l < got.size(); ++l) {
-    EXPECT_TRUE(diff_traces(want[l], got[l]).identical);
-  }
-}
-
-TEST(IncrementalSim, IdenticalNetlistKeepsTapeVerbatim) {
-  const Netlist nl = silc_fixtures::random_netlist(5);
-  CompiledSim updated(nl);
-  const std::vector<sim::TapeOp> ops_before = updated.tape().ops;
-
-  IncrTapeStats st;
-  updated.update(nl, &st);
-  EXPECT_TRUE(st.identical);
-  EXPECT_EQ(st.ops_reused, st.ops_total);
-  EXPECT_EQ(st.ops_relevelized, 0u);
-  EXPECT_EQ(updated.tape().ops, ops_before);
-
-  CompiledSim fresh(nl);
-  const auto probes = silc_fixtures::output_probe_names(nl);
-  const auto stimuli = random_stimuli(nl, 2, 16, 123);
-  const std::vector<Trace> got = updated.run(stimuli, probes);
-  const std::vector<Trace> want = fresh.run(stimuli, probes);
-  for (std::size_t l = 0; l < got.size(); ++l) {
-    EXPECT_TRUE(diff_traces(want[l], got[l]).identical);
-  }
-}
-
-TEST(IncrementalSim, UpdateChaosLeavesOldSimUsable) {
-  if (!fault::kEnabled) GTEST_SKIP() << "built with SILC_FAULT=OFF";
-  const DisarmOnExit disarm;
-
-  const Netlist before = silc_fixtures::random_netlist(8);
-  const Netlist after = with_extra_gate(before);
-  CompiledSim updated(before);
-
-  fault::Schedule s;
-  s.triggers.push_back({"incr.sim.update", fault::Kind::Throw, 0, true, 0, ""});
-  fault::Injector::global().arm(s);
-  EXPECT_THROW(updated.update(after), fault::InjectedFault);
-  fault::Injector::global().disarm();
-
-  // The fault fired before any member mutation: the old sim still runs
-  // and still matches a fresh build of the ORIGINAL netlist.
-  CompiledSim fresh(before);
-  const auto probes = silc_fixtures::output_probe_names(before);
-  const auto stimuli = random_stimuli(before, 2, 16, 77);
-  const std::vector<Trace> got = updated.run(stimuli, probes);
-  const std::vector<Trace> want = fresh.run(stimuli, probes);
-  for (std::size_t l = 0; l < got.size(); ++l) {
-    EXPECT_TRUE(diff_traces(want[l], got[l]).identical);
-  }
-
-  // And a disarmed retry of the same update succeeds normally.
-  updated.update(after);
-  CompiledSim fresh_after(after);
-  expect_tapes_identical(updated, fresh_after, "post-chaos retry");
 }
 
 }  // namespace

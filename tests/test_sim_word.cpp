@@ -1,12 +1,9 @@
-// Word-backend and level-parallel tests: lane accounting per word kind,
-// >64-lane poke/peek/run semantics, bit-identical traces across
-// u64/v256/v512 backends, GateSim as an independent scalar reference, and
-// threaded-vs-sequential evaluation equality (strip-mined levels, forced
-// low thresholds).
+// Word-backend tests: lane accounting per word kind, >64-lane
+// poke/peek/run semantics, bit-identical traces across the u64 and v512
+// backends, and GateSim as an independent scalar reference.
 #include <gtest/gtest.h>
 
 #include <random>
-#include <thread>
 
 #include "net/net.hpp"
 #include "random_netlist.hpp"
@@ -16,13 +13,10 @@
 namespace silc::sim {
 namespace {
 
-SimConfig cfg(WordKind w, int threads, bool fuse = true,
-              std::uint32_t min_ops = 4096) {
+SimConfig cfg(WordKind w, bool fuse = true) {
   SimConfig c;
   c.word = w;
-  c.threads = threads;
   c.fuse = fuse;
-  c.parallel_min_ops = min_ops;
   return c;
 }
 
@@ -43,17 +37,15 @@ const char* kCounter = R"(
 
 TEST(Word, LaneAccounting) {
   EXPECT_EQ(lanes_of(WordKind::U64), 64);
-  EXPECT_EQ(lanes_of(WordKind::V256), 256);
   EXPECT_EQ(lanes_of(WordKind::V512), 512);
   EXPECT_EQ(words_of(WordKind::U64), 1);
-  EXPECT_EQ(words_of(WordKind::V256), 4);
   EXPECT_EQ(words_of(WordKind::V512), 8);
   EXPECT_EQ(lanes_of(widest_word()), 64 * words_of(widest_word()));
 }
 
 TEST(Word, FiveHundredTwelveIndependentAdderVectors) {
   const rtl::Design d = rtl::parse(kAdder);
-  CompiledSim cs(d, cfg(WordKind::V512, 1));
+  CompiledSim cs(d, cfg(WordKind::V512));
   ASSERT_EQ(cs.lanes(), 512);
   for (int lane = 0; lane < cs.lanes(); ++lane) {
     cs.poke_lane(lane, "a", static_cast<std::uint64_t>(lane & 63));
@@ -72,8 +64,8 @@ TEST(Word, FiveHundredTwelveIndependentAdderVectors) {
 
 TEST(Word, PokeBroadcastsAcrossEveryWideLane) {
   const rtl::Design d = rtl::parse(kAdder);
-  CompiledSim cs(d, cfg(WordKind::V256, 1));
-  ASSERT_EQ(cs.lanes(), 256);
+  CompiledSim cs(d, cfg(WordKind::V512));
+  ASSERT_EQ(cs.lanes(), 512);
   cs.poke("a", 9);
   cs.poke("b", 4);
   cs.poke_lane(200, "b", 60);
@@ -81,14 +73,14 @@ TEST(Word, PokeBroadcastsAcrossEveryWideLane) {
   EXPECT_EQ(cs.peek_lane(0, "sum"), 13u);
   EXPECT_EQ(cs.peek_lane(63, "sum"), 13u);
   EXPECT_EQ(cs.peek_lane(64, "sum"), 13u);   // beyond the first limb
-  EXPECT_EQ(cs.peek_lane(255, "sum"), 13u);
+  EXPECT_EQ(cs.peek_lane(511, "sum"), 13u);
   EXPECT_EQ(cs.peek_lane(200, "sum"), (9u + 60u) & 63u);
   EXPECT_EQ(cs.peek_lane(200, "carry"), 1u);
 }
 
 TEST(Word, RunCarriesMoreThanSixtyFourSequences) {
   const rtl::Design d = rtl::parse(kCounter);
-  CompiledSim cs(d, cfg(WordKind::V512, 1));
+  CompiledSim cs(d, cfg(WordKind::V512));
   const int n = 100;  // > 64: only a wide word can batch these in one pass
   std::vector<Trace> stimuli;
   for (int l = 0; l < n; ++l) {
@@ -123,9 +115,8 @@ TEST(Word, BackendsProduceIdenticalTraces) {
     // Word backends must agree bit-for-bit, fused or not.
     for (const bool fuse : {false, true}) {
       std::vector<std::vector<Trace>> results;
-      for (const WordKind w :
-           {WordKind::U64, WordKind::V256, WordKind::V512}) {
-        CompiledSim cs(nl, cfg(w, 1, fuse));
+      for (const WordKind w : {WordKind::U64, WordKind::V512}) {
+        CompiledSim cs(nl, cfg(w, fuse));
         results.push_back(cs.run(stimuli, probes));
       }
       for (std::size_t i = 1; i < results.size(); ++i) {
@@ -143,7 +134,7 @@ TEST(Word, MatchesScalarGateSimReference) {
   const net::Netlist nl = silc_fixtures::random_netlist(23);
   net::GateSim gs(nl);
   gs.reset_state(false);
-  CompiledSim cs(nl, cfg(WordKind::V512, 1));
+  CompiledSim cs(nl, cfg(WordKind::V512));
   cs.reset();
 
   std::mt19937 rng(5);
@@ -160,87 +151,6 @@ TEST(Word, MatchesScalarGateSimReference) {
       ASSERT_EQ(cs.peek(nl.net_name(out)), gs.get(out) ? 1u : 0u)
           << "cycle " << cycle << " net " << nl.net_name(out);
     }
-  }
-}
-
-// ------------------------------------------------------------- threading --
-
-TEST(Threads, WorthThreadingRespectsThreshold) {
-  const net::Netlist nl = silc_fixtures::random_netlist(1);
-  const Tape t = levelize(nl);
-  EXPECT_TRUE(TapePool::worth_threading(t, 1));
-  EXPECT_FALSE(TapePool::worth_threading(t, 1u << 30));
-}
-
-TEST(Threads, SmallDesignsFallBackToSequential) {
-  const rtl::Design d = rtl::parse(kCounter);
-  // Even with threads forced on, the default threshold keeps a tiny tape
-  // sequential: no pool, no barrier cost.
-  CompiledSim cs(d, cfg(WordKind::U64, 4));
-  EXPECT_EQ(cs.threads(), 1);
-}
-
-TEST(Threads, ThreadedTracesMatchSequential) {
-  // A wide shallow netlist so levels clear the (lowered) threshold and
-  // chunks land on every worker.
-  silc_fixtures::RandomNetlistSpec spec;
-  spec.inputs = 16;
-  spec.gates = 3000;
-  spec.dffs = 24;
-  spec.outputs = 10;
-  const net::Netlist nl = silc_fixtures::random_netlist(77, spec);
-  const std::vector<std::string> probes =
-      silc_fixtures::output_probe_names(nl);
-
-  std::mt19937_64 vals(8);
-  std::vector<Trace> stimuli(32);
-  for (Trace& t : stimuli) {
-    t.resize(12);
-    for (Vector& row : t) {
-      for (const int in : nl.inputs()) row[nl.net_name(in)] = vals() & 1u;
-    }
-  }
-
-  CompiledSim seq(nl, cfg(WordKind::V256, 1));
-  const std::vector<Trace> want = seq.run(stimuli, probes);
-  const int hw = static_cast<int>(std::thread::hardware_concurrency());
-  for (const int threads : {2, 3, 5}) {
-    CompiledSim par(nl, cfg(WordKind::V256, threads, true, 8));
-    // Worker counts are clamped to the machine: on a multi-core box the
-    // pool engages as asked, on a 1-core box it folds to sequential.
-    ASSERT_EQ(par.threads(), hw >= 1 ? std::min(threads, hw) : threads);
-    const std::vector<Trace> got = par.run(stimuli, probes);
-    for (std::size_t l = 0; l < stimuli.size(); ++l) {
-      const TraceDiff d = diff_traces(want[l], got[l]);
-      ASSERT_TRUE(d.identical)
-          << threads << " threads, lane " << l << ": " << d.to_string();
-    }
-  }
-}
-
-TEST(Threads, RepeatedEvalsAreStable) {
-  // Exercise the pool's park/wake cycle: many small passes through the
-  // same pool must not race or deadlock.
-  silc_fixtures::RandomNetlistSpec spec;
-  spec.gates = 1200;
-  const net::Netlist nl = silc_fixtures::random_netlist(31, spec);
-  CompiledSim par(nl, cfg(WordKind::U64, 3, true, 4));
-  if (std::thread::hardware_concurrency() > 1) {
-    ASSERT_GT(par.threads(), 1);  // clamped to the machine on 1-core boxes
-  }
-  CompiledSim seq(nl, cfg(WordKind::U64, 1));
-  par.reset();
-  seq.reset();
-  for (const int in : nl.inputs()) {
-    par.poke(nl.net_name(in), 1);
-    seq.poke(nl.net_name(in), 1);
-  }
-  for (int i = 0; i < 200; ++i) {
-    par.step();
-    seq.step();
-  }
-  for (const int out : nl.outputs()) {
-    EXPECT_EQ(par.peek(nl.net_name(out)), seq.peek(nl.net_name(out)));
   }
 }
 

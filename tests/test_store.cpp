@@ -17,6 +17,8 @@
 //   * whole-result memoization: a compile served from the store is
 //     same_outcome-identical to the compile that produced it, and
 //     compile_many's second run over a warm cache_dir is all store hits;
+//   * concurrent writers: two compiles saving one cache_dir at once each
+//     commit a whole file (entries may be lost, never torn);
 //   * chaos: injected faults and corruption at store.load / store.save
 //     degrade to cold compiles with unchanged artifacts — never a wrong
 //     answer, never a missing one.
@@ -26,11 +28,16 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <barrier>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/compiler.hpp"
@@ -222,10 +229,19 @@ TEST(Store, CorruptionColdStartsNeverThrows) {
 TEST(Store, SaveIsAtomicTmpPlusRename) {
   const TempDir dir("atomic");
   const std::string path = dir.file("silc.store");
+  // Only the store itself is left in the directory: no tmp file survives
+  // a save, successful or failed.
+  const auto only_the_store = [&] {
+    std::vector<std::string> names;
+    for (const auto& e : std::filesystem::directory_iterator(dir.path)) {
+      names.push_back(e.path().filename().string());
+    }
+    return names == std::vector<std::string>{"silc.store"};
+  };
   store::Store a;
   a.put("drc", "k", "v1");
   ASSERT_TRUE(a.save(path));
-  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"))
+  EXPECT_TRUE(only_the_store())
       << "tmp file must not survive a successful save";
 
   // Saving over an existing file replaces it wholesale.
@@ -242,6 +258,7 @@ TEST(Store, SaveIsAtomicTmpPlusRename) {
   d.put("drc", "k", "v3");
   EXPECT_FALSE(d.save(dir.file("no_such_dir/silc.store")));
   EXPECT_FALSE(d.save_error().empty());
+  EXPECT_TRUE(only_the_store());
 }
 
 TEST(Store, WriterReaderRoundTripAndBoundsChecks) {
@@ -449,14 +466,13 @@ TEST(StoreInvalidation, FingerprintMissesOnEveryInputEdit) {
                                      100, 200),
             base);
 
-  // Determinism-neutral options must NOT change the key: thread counts,
-  // deadlines, cache wiring, cache_dir.
-  CompileOptions threads = base_opt;
-  threads.sim_threads = 7;
-  threads.deadline_ms = 12345;
-  threads.cache_dir = "/somewhere/else";
+  // Determinism-neutral options must NOT change the key: deadlines,
+  // cache wiring, cache_dir.
+  CompileOptions neutral = base_opt;
+  neutral.deadline_ms = 12345;
+  neutral.cache_dir = "/somewhere/else";
   EXPECT_EQ(ResultCache::fingerprint(Flow::Behavioral,
-                                     silc_fixtures::kGray2Source, threads,
+                                     silc_fixtures::kGray2Source, neutral,
                                      100, 200),
             base);
 }
@@ -559,6 +575,84 @@ TEST(StoreResults, CompileManySecondRunIsAllStoreHits) {
     EXPECT_TRUE(second.results[i].same_outcome(ref.results[i]))
         << "warm job " << i << " drifted\n"
         << second.results[i].diag_text();
+  }
+}
+
+TEST(StoreResults, ConcurrentCompilesShareOneCacheDirWithoutTearing) {
+  // Two compiles saving one cache_dir at once, round after round. Each
+  // save writes a temp file of its own and renames it whole, so the last
+  // writer wins: entries may be lost, but no store file is ever torn, and
+  // everything the store serves is the cache-less answer.
+  const TempDir dir("concurrent");
+  const std::vector<std::pair<std::string, std::string>> designs = {
+      {"gray2", silc_fixtures::kGray2Source},
+      {"counter3", silc_fixtures::counter_source(3)}};
+  std::vector<CompileResult> ref;
+  for (const auto& [name, source] : designs) {
+    Library lib(name);
+    ref.push_back(core::compile(lib, Flow::Behavioral, source, quick(name)));
+    ASSERT_TRUE(ref.back().ok()) << ref.back().diag_text();
+  }
+
+  // A bulky foreign stream rides along in every save (compile() writes
+  // back whatever streams it loaded), so each save's write lasts long
+  // enough for the two writers to overlap.
+  const std::string bulk(1 << 20, 'x');
+  {
+    store::Store seed;
+    seed.put("bulk", "k", bulk);
+    ASSERT_TRUE(seed.save(dir.file("silc.store"))) << seed.save_error();
+  }
+
+  constexpr int kRounds = 123;
+  std::barrier start(2);
+  std::vector<std::string> failures[2];
+  const auto worker = [&](std::size_t t) {
+    const auto& [name, source] = designs[t];
+    CompileOptions o = quick(name);
+    o.cache_dir = dir.path.string();
+    for (int round = 0; round < kRounds; ++round) {
+      start.arrive_and_wait();  // line the two load-compile-save cycles up
+      // Sweep one thread's head start over +-1 ms across the rounds, so
+      // some rounds line the two saves up whatever each compile costs.
+      const int skew_us = (round % 41 - 20) * 50;
+      if (skew_us != 0 && (skew_us > 0) == (t == 1)) {
+        const auto until = std::chrono::steady_clock::now() +
+                           std::chrono::microseconds(std::abs(skew_us));
+        while (std::chrono::steady_clock::now() < until) {
+        }
+      }
+      Library lib(name);
+      const CompileResult r = core::compile(lib, Flow::Behavioral, source, o);
+      const std::string at = name + " round " + std::to_string(round) + ": ";
+      for (const core::Diag& d : r.diags) {
+        if (d.stage == "store") failures[t].push_back(at + d.message);
+      }
+      if (!r.same_outcome(ref[t])) failures[t].push_back(at + "drifted");
+    }
+  };
+  std::thread other(worker, 1);
+  worker(0);
+  other.join();
+  for (const std::vector<std::string>& f : failures) {
+    EXPECT_TRUE(f.empty()) << f.size() << " failures, first: " << f.front();
+  }
+
+  store::Store after;
+  EXPECT_TRUE(after.load(dir.file("silc.store"))) << after.load_error();
+  ASSERT_NE(after.get("bulk", "k"), nullptr);
+  EXPECT_EQ(*after.get("bulk", "k"), bulk);
+  for (std::size_t t = 0; t < designs.size(); ++t) {
+    CompileOptions o = quick(designs[t].first);
+    o.cache_dir = dir.path.string();
+    Library lib(designs[t].first);
+    const CompileResult r =
+        core::compile(lib, Flow::Behavioral, designs[t].second, o);
+    EXPECT_TRUE(r.same_outcome(ref[t])) << r.diag_text();
+  }
+  for (const auto& e : std::filesystem::directory_iterator(dir.path)) {
+    EXPECT_EQ(e.path().filename().string(), "silc.store")
+        << "a temp file survived its save";
   }
 }
 
