@@ -1,16 +1,9 @@
-// E7 (paper claim C6): the "costs and benefits of placing emphasis on a
-// structural or behavioral approach to silicon compilation". The same
-// designs go through both flows; we also ablate the FSM state encoding
-// (binary/gray/one-hot), a choice the behavioral flow makes for the
-// designer and the structural flow exposes.
-//
-// Since the stage-pipeline refactor this bench also records the compile
-// pipeline's own performance: per-stage wall clock (aggregated by
-// core::compile_many over a mixed batch) and batch throughput in
-// designs/sec at 1 thread and at hardware concurrency (both legs
-// untraced, min over the same samples of the same laps), emitted as
-// BENCH_compile.json so CI tracks the compile-path trajectory the same
-// way BENCH_sim.json tracks the simulator.
+// The compile pipeline's own performance: per-stage wall clock
+// (aggregated by core::compile_many over a mixed batch) and batch
+// throughput in designs/sec at 1 thread and at hardware concurrency (both
+// legs untraced, min over the same samples of the same laps), emitted as
+// BENCH_compile.json so CI tracks the compile-path trajectory the same way
+// BENCH_sim.json tracks the simulator.
 //
 // Since the observability layer (src/obs/) this bench is also its
 // enforcement point:
@@ -42,18 +35,15 @@
 // --artifacts=FILE writes one deterministic line per job (content hashes,
 // no wall clocks) for byte-identity diffs across processes.
 // Flags: --json=PATH (default BENCH_compile.json), --smoke (fewer batch
-// repetitions, skip the google-benchmark microbenches, report tracing
-// overhead without gating it — a 8-job smoke batch is inside the noise
-// floor), --trace=FILE, --budgets=FILE, --check-budgets=JSON,
-// --obs-overhead-limit=PCT, --cache-dir=DIR, --artifacts=FILE.
-#include <benchmark/benchmark.h>
-
+// repetitions, report tracing overhead without gating it — a 8-job smoke
+// batch is inside the noise floor), --trace=FILE, --budgets=FILE,
+// --check-budgets=JSON, --obs-overhead-limit=PCT, --cache-dir=DIR,
+// --artifacts=FILE.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -66,95 +56,8 @@
 #include "extract/extract.hpp"
 #include "obs/obs.hpp"
 #include "store/store.hpp"
-#include "synth/synth.hpp"
 
 namespace {
-
-const std::string kBehavioralCounter = silc_fixtures::counter_source(3);
-
-// The equivalent design expressed structurally: the designer instantiates
-// and places generators themselves (shift-register state + hand-wired
-// increment is impractical by hand, so the honest structural equivalent is
-// a ripple of toggle stages built from cells — more designer text, more
-// designer knowledge, no behavioral verification for free).
-const char* kStructuralCounter = R"(
-  func toggle_bit(name) {
-    -- master/slave stage pair wired as a toggle cell placeholder: the
-    -- structural designer lays out stages and wiring explicitly.
-    let c = cell(name);
-    let s = shiftstage();
-    place(c, s, 0, 0);
-    place(c, s, 76, 0);
-    return c;
-  }
-  let chip = cell("struct_counter");
-  for b in 0 .. 2 { place(chip, toggle_bit("bit" + str(b)), 0, b * 90); }
-  write_cif(chip);
-  return chip;
-)";
-
-const char* kGray2 = silc_fixtures::kGray2Source;
-const char* kTraffic = silc_fixtures::kTrafficSource;
-
-void print_flow_table() {
-  std::printf("=== E7a: behavioral vs structural flow on the same design ===\n");
-  std::printf("%-12s %-12s %-12s %-10s %-12s %-10s\n", "flow", "input bytes",
-              "area", "DRC", "verified", "transistors");
-
-  silc::layout::Library lib;
-  const auto b = silc::core::compile(lib, silc::core::Flow::Behavioral,
-                                     kBehavioralCounter,
-                                     {.name = "beh", .verify_cycles = 16});
-  std::printf("%-12s %-12zu %-12lld %-10s %-12s %-10zu\n", "behavioral",
-              std::string(kBehavioralCounter).size(),
-              static_cast<long long>(b.stats.area()),
-              b.drc.ok() ? "clean" : "FAIL", b.verified ? "yes" : "no",
-              b.transistors);
-
-  const auto s = silc::core::compile(lib, silc::core::Flow::Structural,
-                                     kStructuralCounter);
-  const auto sbb = s.chip != nullptr ? s.chip->bbox() : silc::geom::Rect{};
-  std::printf("%-12s %-12zu %-12lld %-10s %-12s %-10zu\n", "structural",
-              std::string(kStructuralCounter).size(),
-              static_cast<long long>(sbb.area()),
-              s.drc.ok() ? "clean" : "FAIL", "manual", s.transistors);
-  std::printf("(structural: less tooling between designer and silicon; "
-              "behavioral: automatic verification and feedback wiring)\n\n");
-}
-
-void print_encoding_table() {
-  std::printf("=== E7b: state-encoding ablation (8-state ring FSM) ===\n");
-  std::printf("%-8s %-12s %-8s %-10s\n", "code", "state bits", "terms",
-              "crosspoints");
-  silc::synth::Fsm fsm;
-  fsm.num_states = 8;
-  fsm.num_inputs = 1;
-  fsm.num_outputs = 1;
-  fsm.next.assign(8, std::vector<int>(2));
-  fsm.out.assign(8, std::vector<std::uint32_t>(2));
-  for (int st = 0; st < 8; ++st) {
-    fsm.next[static_cast<std::size_t>(st)][0] = st;
-    fsm.next[static_cast<std::size_t>(st)][1] = (st + 1) % 8;
-    fsm.out[static_cast<std::size_t>(st)][0] = st == 7 ? 1u : 0u;
-    fsm.out[static_cast<std::size_t>(st)][1] = st == 7 ? 1u : 0u;
-  }
-  for (const auto enc : {silc::synth::Encoding::Binary,
-                         silc::synth::Encoding::Gray,
-                         silc::synth::Encoding::OneHot}) {
-    const auto f = silc::synth::encode(fsm, enc);
-    silc::layout::Library lib;
-    const auto p = silc::pla::generate(lib, f, {.name = "enc"});
-    const char* name = enc == silc::synth::Encoding::Binary ? "binary"
-                       : enc == silc::synth::Encoding::Gray ? "gray"
-                                                            : "one-hot";
-    std::printf("%-8s %-12d %-8d %-10zu\n", name,
-                silc::synth::bits_for(8, enc), p.stats.num_terms,
-                p.stats.crosspoints);
-  }
-  std::printf("\n");
-}
-
-// --------------------------------------------- compile pipeline tracking --
 
 silc::core::CompileOptions bench_verify(const std::string& name) {
   silc::core::CompileOptions o;
@@ -167,11 +70,13 @@ std::vector<silc::core::BatchJob> one_rep() {
   using silc::core::BatchJob;
   using silc::core::Flow;
   std::vector<BatchJob> jobs;
-  jobs.push_back({Flow::Behavioral, kBehavioralCounter,
+  jobs.push_back({Flow::Behavioral, silc_fixtures::counter_source(3),
                   bench_verify("counter3")});
-  jobs.push_back({Flow::Behavioral, kGray2, bench_verify("gray2")});
-  jobs.push_back({Flow::Behavioral, kTraffic, bench_verify("traffic")});
-  jobs.push_back({Flow::Structural, kStructuralCounter,
+  jobs.push_back({Flow::Behavioral, silc_fixtures::kGray2Source,
+                  bench_verify("gray2")});
+  jobs.push_back({Flow::Behavioral, silc_fixtures::kTrafficSource,
+                  bench_verify("traffic")});
+  jobs.push_back({Flow::Structural, silc_fixtures::kStructuralCounterSource,
                   silc::core::CompileOptions{.name = "struct_counter"}});
   return jobs;
 }
@@ -864,26 +769,6 @@ int run_suite(const std::string& json_path, bool smoke,
   return rc;
 }
 
-void BM_BehavioralFlow(benchmark::State& state) {
-  for (auto _ : state) {
-    silc::layout::Library lib;
-    benchmark::DoNotOptimize(silc::core::compile(
-        lib, silc::core::Flow::Behavioral, kBehavioralCounter,
-        {.stop_after = "extract", .skip = {"drc"}}));
-  }
-}
-BENCHMARK(BM_BehavioralFlow);
-
-void BM_StructuralFlow(benchmark::State& state) {
-  for (auto _ : state) {
-    silc::layout::Library lib;
-    benchmark::DoNotOptimize(silc::core::compile(
-        lib, silc::core::Flow::Structural, kStructuralCounter,
-        {.skip = {"drc"}}));
-  }
-}
-BENCHMARK(BM_StructuralFlow);
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -895,7 +780,6 @@ int main(int argc, char** argv) {
   std::string artifacts_path;
   double overhead_limit = 2.0;
   bool smoke = false;
-  std::vector<char*> passthrough{argv[0]};
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--json=", 7) == 0) json_path = argv[i] + 7;
     else if (std::strncmp(argv[i], "--trace=", 8) == 0) trace_path = argv[i] + 8;
@@ -910,7 +794,6 @@ int main(int argc, char** argv) {
     else if (std::strncmp(argv[i], "--artifacts=", 12) == 0)
       artifacts_path = argv[i] + 12;
     else if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    else passthrough.push_back(argv[i]);
   }
   if (!check_budgets_path.empty()) {
     // Pure re-check of an existing bench JSON: no compiling, no benching.
@@ -920,14 +803,6 @@ int main(int argc, char** argv) {
     }
     return check_budgets_file(check_budgets_path, budgets_path);
   }
-  print_flow_table();
-  print_encoding_table();
-  const int rc = run_suite(json_path, smoke, trace_path, budgets_path,
-                           overhead_limit, cache_dir, artifacts_path);
-  if (!smoke) {
-    int bench_argc = static_cast<int>(passthrough.size());
-    benchmark::Initialize(&bench_argc, passthrough.data());
-    benchmark::RunSpecifiedBenchmarks();
-  }
-  return rc;
+  return run_suite(json_path, smoke, trace_path, budgets_path,
+                   overhead_limit, cache_dir, artifacts_path);
 }

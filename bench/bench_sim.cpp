@@ -13,9 +13,7 @@
 // stats, speedup ratios, the machine's core count) so CI can track perf
 // regressions.
 // Flags: --json=PATH (default BENCH_sim.json), --smoke (shorter timing
-// windows, skip the google-benchmark microbenches).
-#include <benchmark/benchmark.h>
-
+// windows).
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -220,89 +218,14 @@ int run_suite(const std::string& json_path, bool smoke) {
   return r.ok ? 0 : 2;
 }
 
-void BM_Levelize(benchmark::State& state) {
-  const silc::rtl::Design d = silc::rtl::parse(kPdp8);
-  const silc::net::Netlist nl = silc::synth::bit_blast(d);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(silc::sim::levelize(nl));
-  }
-}
-BENCHMARK(BM_Levelize);
-
-void BM_FuseTape(benchmark::State& state) {
-  const silc::rtl::Design d = silc::rtl::parse(kPdp8);
-  const silc::net::Netlist nl = silc::synth::bit_blast(d);
-  const silc::sim::Tape tape = silc::sim::levelize(nl);
-  std::vector<std::uint8_t> observable(tape.slots, 0);
-  for (const int n : nl.inputs()) observable[static_cast<std::size_t>(n)] = 1;
-  for (const int n : nl.outputs()) observable[static_cast<std::size_t>(n)] = 1;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(silc::sim::fuse_tape(tape, observable));
-  }
-}
-BENCHMARK(BM_FuseTape);
-
-void BM_CompiledCycle(benchmark::State& state) {
-  const silc::rtl::Design d = silc::rtl::parse(kPdp8);
-  silc::sim::SimConfig cfg;
-  cfg.word = state.range(0) == 64 ? silc::sim::WordKind::U64
-                                  : silc::sim::WordKind::V512;
-  silc::sim::CompiledSim cs(d, cfg);
-  cs.poke("run", 1);
-  for (auto _ : state) cs.step();
-  state.SetItemsProcessed(state.iterations() * cs.lanes());
-}
-BENCHMARK(BM_CompiledCycle)->Arg(64)->Arg(512);
-
-void BM_GateSimCycle(benchmark::State& state) {
-  const silc::rtl::Design d = silc::rtl::parse(kPdp8);
-  const silc::net::Netlist nl = silc::synth::bit_blast(d);
-  silc::net::GateSim gs(nl);
-  gs.reset_state(false);
-  gs.set("run", true);
-  for (auto _ : state) gs.tick();
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_GateSimCycle);
-
-void BM_SwsimCycle(benchmark::State& state) {
-  using namespace silc;
-  const rtl::Design d = rtl::parse(kPdp8);
-  const net::Netlist nl = synth::bit_blast(d);
-  const extract::Netlist xnl = sim::to_switch_level(nl);
-  swsim::Simulator sw(xnl);
-  std::string detail;
-  if (!sim::switch_power_on(nl, xnl, sw, detail)) {
-    state.SkipWithError(detail.c_str());
-    return;
-  }
-  sw.set("run", true);
-  for (auto _ : state) {
-    if (!sim::switch_cycle(sw, detail)) {
-      state.SkipWithError(detail.c_str());
-      return;
-    }
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_SwsimCycle)->Iterations(4);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   std::string json_path = "BENCH_sim.json";
   bool smoke = false;
-  std::vector<char*> passthrough{argv[0]};
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--json=", 7) == 0) json_path = argv[i] + 7;
     else if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    else passthrough.push_back(argv[i]);
   }
-  const int rc = run_suite(json_path, smoke);
-  if (!smoke) {
-    int bench_argc = static_cast<int>(passthrough.size());
-    benchmark::Initialize(&bench_argc, passthrough.data());
-    benchmark::RunSpecifiedBenchmarks();
-  }
-  return rc;
+  return run_suite(json_path, smoke);
 }

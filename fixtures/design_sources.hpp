@@ -46,6 +46,28 @@ inline const char* kInvChainSource = R"(
   return inv_chain(5);
 )";
 
+/// A 3-bit counter expressed structurally: the designer places and wires
+/// the generators themselves. Shift-register state plus a hand-wired
+/// increment is impractical by hand, so the honest structural equivalent
+/// of counter_source(3) is a ripple of toggle stages built from cells —
+/// more designer text, more designer knowledge, no behavioral
+/// verification for free.
+inline const char* kStructuralCounterSource = R"(
+  func toggle_bit(name) {
+    -- master/slave stage pair wired as a toggle cell placeholder: the
+    -- structural designer lays out stages and wiring explicitly.
+    let c = cell(name);
+    let s = shiftstage();
+    place(c, s, 0, 0);
+    place(c, s, 76, 0);
+    return c;
+  }
+  let chip = cell("struct_counter");
+  for b in 0 .. 2 { place(chip, toggle_bit("bit" + str(b)), 0, b * 90); }
+  write_cif(chip);
+  return chip;
+)";
+
 /// An enable-gated counter of the given width.
 inline std::string counter_source(int width) {
   return "processor counter (input en; output q<" + std::to_string(width) +

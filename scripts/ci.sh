@@ -7,13 +7,15 @@
 #     silently drops out of the build (glob typo, filter, GTest missing)
 #     fails the run, it does not skip;
 #   * ctest runs with --no-tests=error and any skipped/not-run test fails;
-#   * the sim bench must produce BENCH_sim.json (cycles/sec and
-#     vectors/sec per word backend), the flows bench
-#     must produce BENCH_compile.json (per-stage ms + compile_many batch
-#     throughput at 1 and N threads), and the drc bench must produce
-#     BENCH_drc.json (flat vs hier ms, byte-identical violation sets
-#     enforced) so perf regressions are visible; set
-#     SILC_SKIP_BENCH=1 to bypass on machines without google-benchmark;
+#   * the paper's claims (E1-E8) are tier-1 assertions in
+#     tests/test_paper_claims.cpp, so ctest runs them;
+#   * every bench is built and runs in --smoke mode: the sim bench must
+#     produce BENCH_sim.json (cycles/sec and vectors/sec per word
+#     backend), the flows bench must produce BENCH_compile.json
+#     (per-stage ms + compile_many batch throughput at 1 and N threads),
+#     and the drc bench must produce BENCH_drc.json (flat vs hier ms,
+#     byte-identical violation sets enforced) so perf regressions are
+#     visible;
 #   * the flows smoke bench enforces scripts/latency_budgets.txt (every
 #     profiled stage must hold its per-stage ms budget), and the gate is
 #     itself tested: a deliberately busted budget table must make the
@@ -74,139 +76,123 @@ fi
 rm -f "$CTEST_LOG"
 
 # --- smoke perf bench: BENCH_sim.json tracks the speedup claims ---------
-if [ "${SILC_SKIP_BENCH:-0}" = "1" ]; then
-  echo "SILC_SKIP_BENCH=1: skipping the sim smoke bench"
-elif [ -x "$BUILD_DIR/bench_sim" ]; then
-  # Smoke output goes to the build dir; the repo-root JSON is the
-  # committed full-run baseline.
-  "$BUILD_DIR/bench_sim" --smoke --json="$BUILD_DIR/BENCH_sim.json"
-  echo "--- BENCH_sim.json (smoke) ---"
-  cat "$BUILD_DIR/BENCH_sim.json"
-else
-  echo "ERROR: $BUILD_DIR/bench_sim was not built (google-benchmark" \
-       "missing?); set SILC_SKIP_BENCH=1 to bypass" >&2
-  exit 1
-fi
+# Smoke output goes to the build dir; the repo-root JSON is the committed
+# full-run baseline.
+"$BUILD_DIR/bench_sim" --smoke --json="$BUILD_DIR/BENCH_sim.json"
+echo "--- BENCH_sim.json (smoke) ---"
+cat "$BUILD_DIR/BENCH_sim.json"
 
 # --- smoke compile bench: BENCH_compile.json tracks the pipeline --------
-if [ "${SILC_SKIP_BENCH:-0}" = "1" ]; then
-  echo "SILC_SKIP_BENCH=1: skipping the compile smoke bench"
-elif [ -x "$BUILD_DIR/bench_flows" ]; then
-  # Smoke output goes to the build dir: the repo-root BENCH_compile.json
-  # holds full-run baselines and must not be clobbered by CI smoke data.
-  # --budgets makes this run the latency gate: any stage over its line in
-  # scripts/latency_budgets.txt (x margin) fails CI.
-  "$BUILD_DIR/bench_flows" --smoke --json="$BUILD_DIR/BENCH_compile.json" \
-      --budgets=scripts/latency_budgets.txt
-  echo "--- BENCH_compile.json (smoke) ---"
-  cat "$BUILD_DIR/BENCH_compile.json"
+# Smoke output goes to the build dir: the repo-root BENCH_compile.json
+# holds full-run baselines and must not be clobbered by CI smoke data.
+# --budgets makes this run the latency gate: any stage over its line in
+# scripts/latency_budgets.txt (x margin) fails CI.
+"$BUILD_DIR/bench_flows" --smoke --json="$BUILD_DIR/BENCH_compile.json" \
+    --budgets=scripts/latency_budgets.txt
+echo "--- BENCH_compile.json (smoke) ---"
+cat "$BUILD_DIR/BENCH_compile.json"
 
-  # --- the budget gate must actually gate: busted-budget self-test ------
-  # Re-check the JSON just produced against a table whose drc budget is
-  # impossible; the checker exiting zero would mean the gate is dead.
-  BUSTED=$(mktemp)
-  sed 's/^drc .*/drc 0.000001/' scripts/latency_budgets.txt > "$BUSTED"
-  if "$BUILD_DIR/bench_flows" --check-budgets="$BUILD_DIR/BENCH_compile.json" \
-      --budgets="$BUSTED" > /dev/null 2>&1; then
-    echo "ERROR: budget checker passed a deliberately busted table —" \
-         "the latency gate is not gating" >&2
-    rm -f "$BUSTED"
-    exit 1
-  fi
+# --- the budget gate must actually gate: busted-budget self-test ------
+# Re-check the JSON just produced against a table whose drc budget is
+# impossible; the checker exiting zero would mean the gate is dead.
+BUSTED=$(mktemp)
+sed 's/^drc .*/drc 0.000001/' scripts/latency_budgets.txt > "$BUSTED"
+if "$BUILD_DIR/bench_flows" --check-budgets="$BUILD_DIR/BENCH_compile.json" \
+    --budgets="$BUSTED" > /dev/null 2>&1; then
+  echo "ERROR: budget checker passed a deliberately busted table —" \
+       "the latency gate is not gating" >&2
   rm -f "$BUSTED"
-  echo "busted-budget self-test: checker correctly failed"
-
-  # --- and it must fail loudly on a missing/empty table, not pass -------
-  # An unreadable or empty budget file used to fall through as "no
-  # budgets, nothing to check"; a truncated table must fail the gate.
-  EMPTY=$(mktemp)
-  if "$BUILD_DIR/bench_flows" --check-budgets="$BUILD_DIR/BENCH_compile.json" \
-      --budgets="$EMPTY" > /dev/null 2>&1; then
-    echo "ERROR: budget checker passed an empty budget table —" \
-         "a truncated table would silently disable the latency gate" >&2
-    rm -f "$EMPTY"
-    exit 1
-  fi
-  rm -f "$EMPTY"
-  if "$BUILD_DIR/bench_flows" --check-budgets="$BUILD_DIR/BENCH_compile.json" \
-      --budgets=/nonexistent/budgets.txt > /dev/null 2>&1; then
-    echo "ERROR: budget checker passed a missing budget table" >&2
-    exit 1
-  fi
-  echo "empty/missing-budget self-test: checker correctly failed"
-
-  # --- persistent store: warm compiles across processes -----------------
-  # Two smoke batches against one --cache-dir, separate processes. The
-  # second must (a) produce byte-identical artifacts to the first and
-  # (b) serve warm store hits. Then the corruption self-test: a store
-  # truncated mid-record must cold-start with a warning diag and a
-  # non-zero poisoned counter — and still exit clean.
-  CACHE_DIR=$(mktemp -d)
-  "$BUILD_DIR/bench_flows" --smoke --cache-dir="$CACHE_DIR" \
-      --json="$BUILD_DIR/BENCH_compile_persist1.json" \
-      --artifacts="$BUILD_DIR/artifacts_cold.txt"
-  # --budgets on the warm run gates its store-less profile again; the
-  # warm run itself must serve every job (bench_flows exits non-zero
-  # otherwise), which the hit-count check below repeats.
-  "$BUILD_DIR/bench_flows" --smoke --cache-dir="$CACHE_DIR" \
-      --json="$BUILD_DIR/BENCH_compile_persist2.json" \
-      --artifacts="$BUILD_DIR/artifacts_warm.txt" \
-      --budgets=scripts/latency_budgets.txt \
-      | tee "$BUILD_DIR/persist_warm.log"
-  if ! diff "$BUILD_DIR/artifacts_cold.txt" "$BUILD_DIR/artifacts_warm.txt"; then
-    echo "ERROR: warm (second-process) artifacts differ from cold" >&2
-    rm -rf "$CACHE_DIR"
-    exit 1
-  fi
-  if ! grep -qE '"store_hits": [1-9]' "$BUILD_DIR/BENCH_compile_persist2.json"; then
-    echo "ERROR: second run against a warm store recorded no hits" >&2
-    rm -rf "$CACHE_DIR"
-    exit 1
-  fi
-  STORE_FILE="$CACHE_DIR/silc.store"
-  STORE_SIZE=$(stat -c%s "$STORE_FILE" 2>/dev/null || stat -f%z "$STORE_FILE")
-  truncate -s "$((STORE_SIZE - 7))" "$STORE_FILE"
-  "$BUILD_DIR/bench_flows" --smoke --cache-dir="$CACHE_DIR" \
-      --json="$BUILD_DIR/BENCH_compile_persist3.json" \
-      | tee "$BUILD_DIR/persist_poisoned.log"
-  if ! grep -q 'cold start' "$BUILD_DIR/persist_poisoned.log"; then
-    echo "ERROR: truncated store did not produce a cold-start warning" >&2
-    rm -rf "$CACHE_DIR"
-    exit 1
-  fi
-  if ! grep -qE '"store_poisoned": [1-9]' "$BUILD_DIR/BENCH_compile_persist3.json"; then
-    echo "ERROR: truncated store was not counted as poisoned" >&2
-    rm -rf "$CACHE_DIR"
-    exit 1
-  fi
-  rm -rf "$CACHE_DIR"
-  echo "persistent-store leg: warm hits byte-identical, corruption cold-starts"
-else
-  echo "ERROR: $BUILD_DIR/bench_flows was not built (google-benchmark" \
-       "missing?); set SILC_SKIP_BENCH=1 to bypass" >&2
   exit 1
 fi
+rm -f "$BUSTED"
+echo "busted-budget self-test: checker correctly failed"
+
+# --- and it must fail loudly on a missing/empty table, not pass -------
+# An unreadable or empty budget file used to fall through as "no
+# budgets, nothing to check"; a truncated table must fail the gate.
+EMPTY=$(mktemp)
+if "$BUILD_DIR/bench_flows" --check-budgets="$BUILD_DIR/BENCH_compile.json" \
+    --budgets="$EMPTY" > /dev/null 2>&1; then
+  echo "ERROR: budget checker passed an empty budget table —" \
+       "a truncated table would silently disable the latency gate" >&2
+  rm -f "$EMPTY"
+  exit 1
+fi
+rm -f "$EMPTY"
+if "$BUILD_DIR/bench_flows" --check-budgets="$BUILD_DIR/BENCH_compile.json" \
+    --budgets=/nonexistent/budgets.txt > /dev/null 2>&1; then
+  echo "ERROR: budget checker passed a missing budget table" >&2
+  exit 1
+fi
+echo "empty/missing-budget self-test: checker correctly failed"
+
+# --- persistent store: warm compiles across processes -----------------
+# Two smoke batches against one --cache-dir, separate processes. The
+# second must (a) produce byte-identical artifacts to the first and
+# (b) serve warm store hits. Then the corruption self-test: a store
+# truncated mid-record must cold-start with a warning diag and a
+# non-zero poisoned counter — and still exit clean.
+CACHE_DIR=$(mktemp -d)
+"$BUILD_DIR/bench_flows" --smoke --cache-dir="$CACHE_DIR" \
+    --json="$BUILD_DIR/BENCH_compile_persist1.json" \
+    --artifacts="$BUILD_DIR/artifacts_cold.txt"
+# --budgets on the warm run gates its store-less profile again; the
+# warm run itself must serve every job (bench_flows exits non-zero
+# otherwise), which the hit-count check below repeats.
+"$BUILD_DIR/bench_flows" --smoke --cache-dir="$CACHE_DIR" \
+    --json="$BUILD_DIR/BENCH_compile_persist2.json" \
+    --artifacts="$BUILD_DIR/artifacts_warm.txt" \
+    --budgets=scripts/latency_budgets.txt \
+    | tee "$BUILD_DIR/persist_warm.log"
+if ! diff "$BUILD_DIR/artifacts_cold.txt" "$BUILD_DIR/artifacts_warm.txt"; then
+  echo "ERROR: warm (second-process) artifacts differ from cold" >&2
+  rm -rf "$CACHE_DIR"
+  exit 1
+fi
+if ! grep -qE '"store_hits": [1-9]' "$BUILD_DIR/BENCH_compile_persist2.json"; then
+  echo "ERROR: second run against a warm store recorded no hits" >&2
+  rm -rf "$CACHE_DIR"
+  exit 1
+fi
+STORE_FILE="$CACHE_DIR/silc.store"
+STORE_SIZE=$(stat -c%s "$STORE_FILE" 2>/dev/null || stat -f%z "$STORE_FILE")
+truncate -s "$((STORE_SIZE - 7))" "$STORE_FILE"
+"$BUILD_DIR/bench_flows" --smoke --cache-dir="$CACHE_DIR" \
+    --json="$BUILD_DIR/BENCH_compile_persist3.json" \
+    | tee "$BUILD_DIR/persist_poisoned.log"
+if ! grep -q 'cold start' "$BUILD_DIR/persist_poisoned.log"; then
+  echo "ERROR: truncated store did not produce a cold-start warning" >&2
+  rm -rf "$CACHE_DIR"
+  exit 1
+fi
+if ! grep -qE '"store_poisoned": [1-9]' "$BUILD_DIR/BENCH_compile_persist3.json"; then
+  echo "ERROR: truncated store was not counted as poisoned" >&2
+  rm -rf "$CACHE_DIR"
+  exit 1
+fi
+rm -rf "$CACHE_DIR"
+echo "persistent-store leg: warm hits byte-identical, corruption cold-starts"
 
 # --- smoke drc bench: BENCH_drc.json tracks the checking modes ----------
-# bench_drc needs only libsilc (built unconditionally) and enforces the
-# engine contract — byte-identical violation sets across flat, cold hier,
-# warm hier and a store replay, and clean generated artwork (non-zero exit) — so it always runs.
+# bench_drc enforces the engine contract with a non-zero exit:
+# byte-identical violation sets across flat, cold hier, warm hier and a
+# store replay, and clean generated artwork.
 "$BUILD_DIR/bench_drc" --smoke --json="$BUILD_DIR/BENCH_drc.json"
 echo "--- BENCH_drc.json (smoke) ---"
 cat "$BUILD_DIR/BENCH_drc.json"
 
 # --- smoke extract bench: BENCH_extract.json tracks the extraction modes -
-# bench_extract likewise always runs: byte-identical canonical netlists
-# flat vs hier (cold + warm cache), warning-free committed artwork, and
-# batch-mode agreement are enforced with a non-zero exit.
+# bench_extract likewise enforces byte-identical canonical netlists flat
+# vs hier (cold + warm cache) and warning-free committed artwork with a
+# non-zero exit.
 "$BUILD_DIR/bench_extract" --smoke --json="$BUILD_DIR/BENCH_extract.json"
 echo "--- BENCH_extract.json (smoke) ---"
 cat "$BUILD_DIR/BENCH_extract.json"
 
 # --- incremental recompilation: edit == scratch, cells reused -----------
-# bench_incremental needs only libsilc, so it always runs: a smoke batch
-# applies scripted one-cell edits to the counter12 chip and re-verifies
-# through a warm IncrementalSession. The bench itself enforces
+# bench_incremental's smoke batch applies scripted one-cell edits to the
+# counter12 chip and re-verifies through a warm IncrementalSession. The
+# bench itself enforces
 # byte-identity and the 10x edit-vs-cold-compile floor; CI additionally
 # diffs the dumped incremental-vs-scratch artifacts (so a rendering bug in
 # the bench's own equality check cannot hide a divergence) and requires

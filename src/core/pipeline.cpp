@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <iterator>
 #include <sstream>
 #include <thread>
@@ -550,12 +551,14 @@ CompileResult compile(layout::Library& lib, Flow flow,
     return compile_wired(lib, flow, source, options, nullptr);
   }
   // The persistent path: load the store, run through its result cache,
-  // save it back (with whatever other streams the file held).
+  // and save it back (with whatever other streams the file held) only
+  // when the compile added a record; a hit leaves the file untouched.
   const std::string path = options.cache_dir + "/silc.store";
   store::Store persist;
   persist.load(path);
   ResultCache result_cache;
   result_cache.load_from(persist);
+  const std::size_t loaded = result_cache.size();
   CompileResult r = compile_wired(lib, flow, source, options, &result_cache);
   // Store-layer notices ride as warnings on this result (warnings never
   // flip ok()); the batch path keeps them in BatchResult::store_diags
@@ -564,6 +567,7 @@ CompileResult compile(layout::Library& lib, Flow flow,
     r.diags.push_back(
         {Severity::Warning, "store", persist.load_error() + " (cold start)"});
   }
+  if (result_cache.size() == loaded) return r;
   result_cache.save_to(persist);
   if (!persist.save(path)) {
     r.diags.push_back({Severity::Warning, "store", persist.save_error()});
@@ -625,6 +629,7 @@ BatchResult compile_many(const std::vector<BatchJob>& jobs, int threads) {
   }
   store::Store persist;
   ResultCache result_cache;
+  std::size_t loaded = 0;  // result records the store file brought in
   if (!cache_dir.empty()) {
     const auto t_load = std::chrono::steady_clock::now();
     persist.load(cache_dir + "/silc.store");
@@ -638,6 +643,7 @@ BatchResult compile_many(const std::vector<BatchJob>& jobs, int threads) {
     }
     br.store.loaded_records = persist.records();
     result_cache.load_from(persist);
+    loaded = result_cache.size();
   }
 
   // Dedupe: the first job of each fingerprint compiles in the first pass;
@@ -726,10 +732,12 @@ BatchResult compile_many(const std::vector<BatchJob>& jobs, int threads) {
   br.store.hits = result_cache.hits();
   br.store.misses = result_cache.misses();
 
-  // Save once after the crew joins: everything the batch learned — the
-  // union of what was loaded and what was computed — goes back in one
-  // atomic rename. A failed save is a warning, never a failed batch.
-  if (!cache_dir.empty()) {
+  // Save once after the crew joins, and only when the batch memoized a
+  // result the file lacked: everything the batch learned — the union of
+  // what was loaded and what was computed — goes back in one atomic
+  // rename. A fully served batch leaves the file untouched. A failed save
+  // is a warning, never a failed batch.
+  if (!cache_dir.empty() && result_cache.size() > loaded) {
     result_cache.save_to(persist);
     const auto t_save = std::chrono::steady_clock::now();
     if (!persist.save(cache_dir + "/silc.store")) {
@@ -740,6 +748,11 @@ BatchResult compile_many(const std::vector<BatchJob>& jobs, int threads) {
                            std::chrono::steady_clock::now() - t_save)
                            .count();
     br.store.file_bytes = persist.file_bytes();
+  } else if (!cache_dir.empty()) {
+    std::error_code ec;
+    const std::uintmax_t on_disk =
+        std::filesystem::file_size(cache_dir + "/silc.store", ec);
+    br.store.file_bytes = ec ? 0 : on_disk;
   }
 
   // Aggregate the per-stage profile in deterministic (job, stage) order.

@@ -365,7 +365,9 @@ struct StoreCounters {
                                // first job, unless the store held it)
   std::uint64_t poisoned = 0;  // corrupt/skewed store file cold starts
   std::uint64_t loaded_records = 0;  // records read from the store file
-  std::uint64_t file_bytes = 0;      // bytes of the saved store file
+  std::uint64_t file_bytes = 0;      // store file size after the batch:
+                                     // bytes saved, or the untouched
+                                     // file's size when nothing was new
   double load_ms = 0;
   double save_ms = 0;
 };
