@@ -3,6 +3,8 @@
 # then a smoke perf bench.
 #
 # Guard rails:
+#   * the normal configuration compiles with -Werror, so a change that
+#     adds a compiler warning fails the run;
 #   * every tests/test_*.cpp must be registered with ctest — a suite that
 #     silently drops out of the build (glob typo, filter, GTest missing)
 #     fails the run, it does not skip;
@@ -53,7 +55,9 @@ cd "$(dirname "$0")/.."
 ROOT="$(pwd)"
 BUILD_DIR="${1:-build}"
 
-cmake -B "$BUILD_DIR" -S .
+# The normal configuration builds with -Werror: the build is warning-free,
+# so any warning a change introduces fails here instead of scrolling by.
+cmake -B "$BUILD_DIR" -S . -DCMAKE_CXX_FLAGS=-Werror
 cmake --build "$BUILD_DIR" -j
 
 # --- every test suite in tests/ must actually be registered -------------

@@ -127,8 +127,8 @@ struct CompileOptions {
   /// Stage policy: run every stage not listed in `skip`, ending the run
   /// after the stage named by `stop_after` (empty = run to the end).
   /// Unknown stage names are diagnosed as errors, not ignored.
-  std::string stop_after;
-  std::vector<std::string> skip;
+  std::string stop_after{};
+  std::vector<std::string> skip{};
   int verify_cycles = 32;  // artwork-check: switch-level cycles on the
                            // extracted chip (slow, relaxation-based)
   /// The gate-check stage proves the gates against the tabulated FSM
@@ -171,7 +171,7 @@ struct CompileOptions {
   /// file is a silent cold start; a corrupt/version-skewed one cold-starts
   /// with a warning diagnostic (see store/store.hpp). Never changes
   /// results — only how fast they arrive.
-  std::string cache_dir;
+  std::string cache_dir{};
 };
 
 /// Wall-clock record of one stage slot in a run. Every stage of the flow

@@ -106,7 +106,7 @@ Result footprint_check(const layout::Cell& top, const tech::Tech& t,
   SILC_OBS_SPAN("drc.footprint", "drc");
   const RuleEngine engine(t);
   const geom::Coord h = engine.halo() + t.lambda;
-  auto fresh = std::make_shared<LayerTable>(*base.table, layout::flatten(top),
+  auto fresh = std::make_shared<LayerTable>(*base.table, top,
                                             edits.geometry_layers,
                                             edits.geometry_footprint);
   RectSet zone = edits.geometry_footprint.dilated(h);
@@ -205,16 +205,15 @@ Result check_incremental(const layout::Cell& top, const tech::Tech& technology,
                    static_cast<std::int64_t>(st.cells_reproved));
   };
   const bool warm = baseline.result.has_value() && !edits.tech_drc_changed;
-  // The next baseline's table: patched from this one when the edit says
-  // which layers moved, otherwise built (lazily) from scratch.
+  // The next baseline's table: spliced from this one when the edit says
+  // where the geometry moved, otherwise built (lazily) from scratch.
   const auto next_table = [&] {
-    std::vector<layout::Shape> flat = layout::flatten(top);
     baseline.table =
         warm && edits.has_footprint && baseline.table != nullptr
-            ? std::make_shared<LayerTable>(*baseline.table, flat,
+            ? std::make_shared<LayerTable>(*baseline.table, top,
                                            edits.geometry_layers,
                                            edits.geometry_footprint)
-            : std::make_shared<LayerTable>(flat, technology);
+            : std::make_shared<LayerTable>(layout::flatten(top), technology);
   };
 
   if (warm && (edits.empty() || edits.naming_only() ||

@@ -7,6 +7,7 @@
 #include <tuple>
 
 #include "core/cancel.hpp"
+#include "obs/obs.hpp"
 
 namespace silc::drc {
 
@@ -64,71 +65,89 @@ LayerTable::LayerTable(std::array<RectSet, tech::kNumLayers> masks,
                        const Tech& t)
     : tech_(&t), masks_(std::move(masks)) {}
 
-LayerTable::LayerTable(const LayerTable& base,
-                       const std::vector<layout::Shape>& shapes,
+LayerTable::LayerTable(const LayerTable& base, const layout::Cell& top,
                        std::uint32_t changed, const RectSet& region)
     : tech_(base.tech_) {
-  const auto dirty = [changed](Layer l) {
-    return (changed >> tech::index(l) & 1u) != 0;
-  };
-  for (const layout::Shape& s : shapes) {
-    if (dirty(s.layer)) masks_[tech::index(s.layer)].add(s.rect);
+  // Per spliced layer, RectSet::spliced's `from`.
+  std::array<std::vector<int>, tech::kNumLayers> mask_from;
+  std::map<std::string, std::vector<int>> derived_from;
+  {
+    SILC_OBS_SPAN("drc.splice", "drc");
+    const auto dirty = [changed](Layer l) {
+      return (changed >> tech::index(l) & 1u) != 0;
+    };
+    const DerivedLayer* none = nullptr;
+    const auto def = [&](const std::string& name) {
+      for (const DerivedLayer& d : tech_->drc_derived) {
+        if (d.name == name) return &d;
+      }
+      return none;
+    };
+    const auto reads_dirty = [&](const auto& self,
+                                 const std::string& name) -> bool {
+      Layer l{};
+      if (mask_layer(name, l)) return dirty(l);
+      const DerivedLayer* d = def(name);
+      return d == nullptr || self(self, d->a) || self(self, d->b);
+    };
+    // The edited geometry inside `region`, per layer expression: each mask
+    // from the post-edit shapes that meet the region, each derived layer by
+    // its boolean over those (derived layers are pointwise).
+    std::vector<layout::Shape> near;
+    layout::collect_shapes_near(top, {}, region, near);
+    std::array<std::vector<Rect>, tech::kNumLayers> shapes;
+    for (const layout::Shape& s : near) {
+      shapes[tech::index(s.layer)].push_back(s.rect);
+    }
+    std::map<std::string, RectSet> local;
+    const auto in_region = [&](const auto& self,
+                               const std::string& name) -> const RectSet& {
+      const auto seen = local.find(name);
+      if (seen != local.end()) return seen->second;
+      RectSet v;
+      Layer l{};
+      if (mask_layer(name, l)) {
+        v = RectSet(shapes[tech::index(l)]).intersect(region);
+      } else {
+        const DerivedLayer& d = *def(name);
+        const RectSet& a = self(self, d.a);
+        const RectSet& b = self(self, d.b);
+        switch (d.op) {
+          case DerivedLayer::Op::Intersect: v = a.intersect(b); break;
+          case DerivedLayer::Op::Subtract: v = a.subtract(b); break;
+          case DerivedLayer::Op::Union: v = a.unite(b); break;
+        }
+      }
+      return local.emplace(name, std::move(v)).first->second;
+    };
+    // The masks and derived layers changed only inside `region`: splice the
+    // edited part into each one that reads a changed layer, copy the rest.
+    for (int i = 0; i < tech::kNumLayers; ++i) {
+      const Layer l = static_cast<Layer>(i);
+      const std::size_t li = tech::index(l);
+      masks_[li] = dirty(l) ? base.masks_[li].spliced(
+                                  region, in_region(in_region, tech::name(l)),
+                                  mask_from[li])
+                            : base.masks_[li];
+    }
+    for (const auto& [name, set] : base.derived_) {
+      if (!reads_dirty(reads_dirty, name)) {
+        derived_.emplace(name, set);
+      } else if (def(name) != nullptr) {
+        derived_.emplace(name, set.spliced(region, in_region(in_region, name),
+                                           derived_from[name]));
+      }
+    }
   }
+  SILC_OBS_SPAN("drc.relabel", "drc");
   for (int i = 0; i < tech::kNumLayers; ++i) {
-    const Layer l = static_cast<Layer>(i);
-    if (dirty(l)) continue;
-    masks_[tech::index(l)] = base.masks_[tech::index(l)];
+    const std::size_t li = tech::index(static_cast<Layer>(i));
+    if (!mask_from[li].empty()) {
+      masks_[li].splice_labels(base.masks_[li], mask_from[li]);
+    }
   }
-  // Derived layers are pointwise booleans of the masks, and the masks
-  // changed only inside `region`: outside it each derived layer is the
-  // base's, inside it is re-derived from the new masks clipped to it.
-  const DerivedLayer* none = nullptr;
-  const auto def = [&](const std::string& name) {
-    for (const DerivedLayer& d : tech_->drc_derived) {
-      if (d.name == name) return &d;
-    }
-    return none;
-  };
-  const auto reads_dirty = [&](const auto& self,
-                               const std::string& name) -> bool {
-    Layer l{};
-    if (mask_layer(name, l)) return dirty(l);
-    const DerivedLayer* d = def(name);
-    return d == nullptr || self(self, d->a) || self(self, d->b);
-  };
-  const Rect rb = region.bbox();
-  std::map<std::string, RectSet> local;
-  const auto in_region = [&](const auto& self,
-                             const std::string& name) -> const RectSet& {
-    const auto seen = local.find(name);
-    if (seen != local.end()) return seen->second;
-    RectSet v;
-    Layer l{};
-    if (mask_layer(name, l)) {
-      std::vector<Rect> near;
-      for (const Rect& r : masks_[tech::index(l)].rects()) {
-        if (rb.touches(r) && region.touches(r)) near.push_back(r);
-      }
-      v = RectSet(std::move(near)).intersect(region);
-    } else {
-      const DerivedLayer& d = *def(name);
-      const RectSet& a = self(self, d.a);
-      const RectSet& b = self(self, d.b);
-      switch (d.op) {
-        case DerivedLayer::Op::Intersect: v = a.intersect(b); break;
-        case DerivedLayer::Op::Subtract: v = a.subtract(b); break;
-        case DerivedLayer::Op::Union: v = a.unite(b); break;
-      }
-    }
-    return local.emplace(name, std::move(v)).first->second;
-  };
-  for (const auto& [name, set] : base.derived_) {
-    if (!reads_dirty(reads_dirty, name)) {
-      derived_.emplace(name, set);
-    } else if (def(name) != nullptr) {
-      derived_.emplace(
-          name, set.subtract(region).unite(in_region(in_region, name)));
-    }
+  for (const auto& [name, from] : derived_from) {
+    derived_.at(name).splice_labels(base.derived_.at(name), from);
   }
 }
 

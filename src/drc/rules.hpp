@@ -45,14 +45,17 @@ class LayerTable {
   LayerTable(const std::vector<layout::Shape>& shapes, const tech::Tech& t);
   LayerTable(std::array<geom::RectSet, tech::kNumLayers> masks,
              const tech::Tech& t);
-  /// The table of an edited layout, from the table of its pre-edit
+  /// The table of the edited layout `top`, from the table of its pre-edit
   /// version, when the edit changed only the mask layers whose bit
-  /// (tech::index) is set in `changed` and only inside `region`. Those
-  /// layers are rebuilt from `shapes`; every other mask layer (sharing its
-  /// index and labels) is copied from `base`, and so is every derived layer base
-  /// already computed, re-derived inside `region` where it reads a
-  /// changed layer.
-  LayerTable(const LayerTable& base, const std::vector<layout::Shape>& shapes,
+  /// (tech::index) is set in `changed` and only inside `region`. Each
+  /// changed mask, and each derived layer base already computed that reads
+  /// one, is base's spliced with its edited part inside the region
+  /// (RectSet::spliced over the shapes layout::collect_shapes_near gathers
+  /// there), and so are their component labels where base had them
+  /// (RectSet::splice_labels). Every other layer is copied from base,
+  /// sharing its index and labels. The work is proportional to the rects
+  /// near the region, plus one copy of each spliced list.
+  LayerTable(const LayerTable& base, const layout::Cell& top,
              std::uint32_t changed, const geom::RectSet& region);
 
   [[nodiscard]] const geom::RectSet& mask(tech::Layer l) const {

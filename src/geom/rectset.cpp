@@ -381,6 +381,112 @@ RectSet RectSet::subtract(const RectSet& o) const {
   return out;
 }
 
+std::vector<std::size_t> RectSet::touching(const RectSet& zone) const {
+  const Rect zb = zone.bbox();
+  const std::vector<Rect>& rs = rects();
+  std::vector<std::size_t> near;
+  for (std::size_t i = 0; i < rs.size(); ++i) {
+    if (zb.touches(rs[i]) && zone.touches(rs[i])) near.push_back(i);
+  }
+  return near;
+}
+
+RectSet RectSet::spliced(const RectSet& zone, const RectSet& inside,
+                         std::vector<int>& from) const {
+  const std::vector<std::size_t> near = touching(zone);
+  // The rects near the zone are a subset of a canonical list, so they are
+  // canonical as they stand.
+  RectSet redo;
+  for (const std::size_t i : near) redo.rects_.push_back(rects_[i]);
+  const std::vector<Rect> local = redo.subtract(zone).unite(inside).rects();
+  // Merge the copied runs between near rects with the re-normalized rects,
+  // in canonical order (disjoint rects never share a lower-left corner, so
+  // lower_bound places each re-normalized rect exactly).
+  RectSet out;
+  out.rects_.reserve(rects_.size() - near.size() + local.size());
+  from.clear();
+  from.reserve(out.rects_.capacity());
+  std::size_t i = 0;
+  std::size_t skip = 0;  // next entry of `near`
+  const auto copy_until = [&](std::size_t end) {
+    while (i < end) {
+      while (skip < near.size() && near[skip] < i) ++skip;
+      const std::size_t stop =
+          skip < near.size() ? std::min(end, near[skip]) : end;
+      out.rects_.insert(out.rects_.end(),
+                        rects_.begin() + static_cast<std::ptrdiff_t>(i),
+                        rects_.begin() + static_cast<std::ptrdiff_t>(stop));
+      from.resize(from.size() + (stop - i));
+      std::iota(from.end() - static_cast<std::ptrdiff_t>(stop - i), from.end(),
+                static_cast<int>(i));
+      i = stop;
+      if (i < end) ++i;  // a near rect: dropped
+    }
+  };
+  for (const Rect& q : local) {
+    copy_until(static_cast<std::size_t>(
+        std::lower_bound(rects_.begin(), rects_.end(), q, by_y0_x0) -
+        rects_.begin()));
+    out.rects_.push_back(q);
+    from.push_back(-1);
+  }
+  copy_until(rects_.size());
+  return out;
+}
+
+void RectSet::splice_labels(const RectSet& base,
+                            const std::vector<int>& from) const {
+  if (base.labels_ == nullptr) return;
+  const std::vector<int>& bl = *base.labels_;
+  int nb = 0;
+  for (const int l : bl) nb = std::max(nb, l + 1);
+  // A base component is hit when one of its rects was not copied over: the
+  // copied indices ascend, so those are the gaps between them.
+  std::vector<char> hit(static_cast<std::size_t>(nb), 0);
+  std::size_t next_copied = 0;
+  const auto hit_until = [&](std::size_t end) {
+    for (; next_copied < end; ++next_copied) {
+      hit[static_cast<std::size_t>(bl[next_copied])] = 1;
+    }
+  };
+  for (const int f : from) {
+    if (f < 0) continue;
+    hit_until(static_cast<std::size_t>(f));
+    next_copied = static_cast<std::size_t>(f) + 1;
+  }
+  hit_until(bl.size());
+  // Copied rects of a component that was not hit keep its label; the rest
+  // are labelled afresh, numbered after base's labels.
+  const std::vector<Rect>& rs = rects();
+  std::vector<int> raw(rs.size());
+  std::vector<Rect> redo;
+  std::vector<std::size_t> at;
+  for (std::size_t k = 0; k < rs.size(); ++k) {
+    const int f = from[k];
+    if (f >= 0) {
+      const int l = bl[static_cast<std::size_t>(f)];
+      if (hit[static_cast<std::size_t>(l)] == 0) {
+        raw[k] = l;
+        continue;
+      }
+    }
+    redo.push_back(rs[k]);
+    at.push_back(k);
+  }
+  const std::vector<int> fresh = label_components(redo);
+  for (std::size_t m = 0; m < at.size(); ++m) raw[at[m]] = nb + fresh[m];
+  // Dense labels in order of first appearance, as label_components numbers.
+  std::vector<int> remap(static_cast<std::size_t>(nb) + redo.size(), -1);
+  int next = 0;
+  for (int& l : raw) {
+    int& to = remap[static_cast<std::size_t>(l)];
+    if (to < 0) to = next++;
+    l = to;
+  }
+  labels_ = std::make_shared<const std::vector<int>>(std::move(raw));
+  comps_.reset();
+}
+
 RectSet RectSet::dilated(Coord d) const {
   if (d == 0) return *this;
   assert(d > 0);

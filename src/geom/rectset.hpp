@@ -147,6 +147,28 @@ class RectSet {
   [[nodiscard]] RectSet intersect(const RectSet& o) const;
   [[nodiscard]] RectSet subtract(const RectSet& o) const;
 
+  /// (this − zone) ∪ inside, for a region `inside` within `zone`: the
+  /// region with its part in the zone replaced, built from the canonical
+  /// rects near the zone. A canonical rect whose closed region misses the
+  /// zone is still canonical in the result: its runs, and the
+  /// cross-sections just past its ends, lie outside the zone, and removing
+  /// other rects of a canonical list leaves it canonical. So only the rects
+  /// that touch the zone are re-normalized, with `inside`, and the rest are
+  /// copied. `from` receives, per result rect, the index in rects() it was
+  /// copied from, or -1 when it was re-normalized. O(rects) scan of the
+  /// zone test and copy plus the sweeps over the rects near the zone.
+  [[nodiscard]] RectSet spliced(const RectSet& zone, const RectSet& inside,
+                                std::vector<int>& from) const;
+  /// Memoize the component labels of this set, which is
+  /// base.spliced(zone, inside, from), from base's memoized ones (a no-op
+  /// when base has none). A component of base whose rects were all copied
+  /// kept its rects and their connections (a copied rect touches no
+  /// re-normalized one unless its base component lost a rect), so it keeps
+  /// its label. Only the rects of the other components are labelled afresh,
+  /// and one pass renumbers by first appearance, so the labels equal
+  /// label_components(rects()).
+  void splice_labels(const RectSet& base, const std::vector<int>& from) const;
+
   /// Minkowski sum with a [-d,d]^2 square (grow by d on every side).
   [[nodiscard]] RectSet dilated(Coord d) const;
   /// Morphological erosion by a [-d,d]^2 square (shrink by d on every side):
@@ -169,6 +191,9 @@ class RectSet {
  private:
   void normalize() const;
   [[nodiscard]] const RectGrid& grid() const;
+  /// Indices, ascending, of the canonical rects whose closed region meets
+  /// `zone`'s.
+  [[nodiscard]] std::vector<std::size_t> touching(const RectSet& zone) const;
 
   mutable std::vector<Rect> rects_;
   mutable bool dirty_ = false;

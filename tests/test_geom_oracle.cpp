@@ -4,7 +4,9 @@
 // label_components against its original pair scan, of the width rule's
 // per-component opening against the whole set's, and of the spatial index
 // (RectGrid) behind RectSet's point and region queries against the linear
-// scans it replaced and a brute-force scan. The contract is
+// scans it replaced and a brute-force scan; of RectSet::spliced and its
+// spliced labels against a rebuild, with the property the splice rests on
+// (a subset of a canonical list is canonical). The contract is
 // exact: every operation returns the same canonical rects in the same
 // order, because hash(), the verdict-cache keys, violation sets and
 // netlists are all built from that vector. Inputs are
@@ -188,6 +190,74 @@ void check_labels(unsigned seed) {
   EXPECT_EQ(label_components(rc), oracle::label_components(rc));
 }
 
+/// Any subset of a canonical decomposition is canonical: it normalizes to
+/// itself, rect for rect. LayerTable::labels' binary search of a window's
+/// rects in the full list, and RectSet::spliced's copy of the rects away
+/// from a zone, both rest on it.
+void check_subsets(unsigned seed) {
+  std::mt19937 rng(seed);
+  static constexpr std::size_t kCaps[] = {4, 32, 256, 2048};
+  static constexpr Coord kSpans[] = {3, 12, 60, 400};
+  const std::vector<Rect> canonical =
+      RectSet(random_soup(rng, 1 + rng() % kCaps[seed % 4],
+                          kSpans[(seed / 4) % 4]))
+          .rects();
+  for (const unsigned keep_pct : {0u, 10u, 50u, 90u, 100u}) {
+    std::vector<Rect> subset;
+    for (const Rect& r : canonical) {
+      if (rng() % 100 < keep_pct) subset.push_back(r);
+    }
+    EXPECT_TRUE(RectSet(subset).rects() == subset)
+        << keep_pct << "% subset is not canonical: " << text(subset)
+        << "\n    normalized: " << text(RectSet(subset).rects());
+    EXPECT_TRUE(oracle::normalize(subset) == subset)
+        << keep_pct << "% subset is not canonical to the oracle";
+  }
+  if (!canonical.empty()) {  // every rect but one
+    std::vector<Rect> subset = canonical;
+    subset.erase(subset.begin() +
+                 static_cast<std::ptrdiff_t>(rng() % canonical.size()));
+    EXPECT_TRUE(RectSet(subset).rects() == subset)
+        << "a set less one rect is not canonical: " << text(subset);
+  }
+}
+
+/// RectSet::spliced against the oracle's (set − zone) ∪ inside, and its
+/// spliced labels against label_components of the result, on zones of one
+/// to a few rects (some of them degenerate) over the soup's span.
+void check_splice(unsigned seed) {
+  std::mt19937 rng(seed);
+  static constexpr std::size_t kCaps[] = {4, 32, 256, 2048};
+  static constexpr Coord kSpans[] = {3, 12, 60, 400};
+  const Coord span = kSpans[(seed / 4) % 4];
+  const RectSet base(random_soup(rng, 1 + rng() % kCaps[seed % 4], span));
+  (void)base.component_labels();
+  std::vector<Rect> zs;
+  for (std::size_t i = 0, n = 1 + rng() % 4; i < n; ++i) {
+    zs.push_back(random_rect(rng, span));
+  }
+  const RectSet zone(zs);
+  const RectSet inside =
+      RectSet(random_soup(rng, 1 + rng() % kCaps[seed % 4], span))
+          .intersect(zone);
+  std::vector<int> from;
+  const RectSet got = base.spliced(zone, inside, from);
+  expect_same(got, oracle::unite(oracle::subtract(base.rects(), zone.rects()),
+                                 inside.rects()),
+              "spliced");
+  ASSERT_EQ(from.size(), got.rects().size());
+  for (std::size_t k = 0; k < from.size(); ++k) {
+    if (from[k] >= 0) {
+      EXPECT_TRUE(base.rects()[static_cast<std::size_t>(from[k])] ==
+                  got.rects()[k])
+          << "from[" << k << "] names another rect";
+    }
+  }
+  got.splice_labels(base, from);
+  EXPECT_EQ(got.component_labels(), oracle::label_components(got.rects()))
+      << "spliced labels differ from a fresh labelling";
+}
+
 /// Separable erosion against the oracle's erosion through the complement,
 /// at radii from one unit to past the soup's feature sizes; and the
 /// property the width rule rests on: opening each connected component on
@@ -367,6 +437,18 @@ TEST(GeomOracle, SeparableErosionAndPerComponentOpening) {
   silc_fixtures::fuzz_seeds("test_geom_oracle",
                             "GeomOracle.SeparableErosionAndPerComponentOpening",
                             1, 200, check_erosion);
+}
+
+TEST(GeomOracle, CanonicalSubsetsAreCanonical) {
+  silc_fixtures::fuzz_seeds("test_geom_oracle",
+                            "GeomOracle.CanonicalSubsetsAreCanonical", 1, 200,
+                            check_subsets);
+}
+
+TEST(GeomOracle, SplicedMatchesRebuild) {
+  silc_fixtures::fuzz_seeds("test_geom_oracle",
+                            "GeomOracle.SplicedMatchesRebuild", 1, 200,
+                            check_splice);
 }
 
 TEST(GeomOracle, LabelComponentsMatchesPairScan) {

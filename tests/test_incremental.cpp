@@ -15,7 +15,9 @@
 // edit kind and the paths IncrementalSession serves each stage by: the
 // long edit/undo chains, the distant net split that must trip the DRC
 // net guard, the top-port edit that must rename nodes, and a verify
-// cancelled mid-extraction that must leave the session unchanged.
+// cancelled mid-extraction that must leave the session unchanged. The
+// splice fuzz compares the DRC layer table an edit or undo splices from
+// the last one with a table rebuilt from the flattened chip.
 //
 // Every randomized test follows the fixtures/fuzz_env.hpp convention:
 // SILC_FUZZ_TRIALS scales the sweep, SILC_FUZZ_SEED reruns one seed, and
@@ -39,6 +41,7 @@
 #include "core/incremental_session.hpp"
 #include "design_sources.hpp"
 #include "drc/drc.hpp"
+#include "drc/rules.hpp"
 #include "extract/extract.hpp"
 #include "fault/fault.hpp"
 #include "fuzz_env.hpp"
@@ -916,6 +919,102 @@ TEST(Incremental, LongEditChainsOnAChipMatchFlat) {
                           {.name = "counter3"})
                           .chip;
         run_chain(lib, chip, rng, 6, 3);
+      });
+}
+
+// ------------------------------------------- the spliced DRC layer table --
+
+/// Compute every derived layer and every component label of `t`, so the
+/// next splice from it carries them all instead of leaving them lazy.
+void warm_table(drc::LayerTable& t, const tech::Tech& technology) {
+  for (int i = 0; i < tech::kNumLayers; ++i) {
+    (void)t.labels(static_cast<Layer>(i));
+  }
+  for (const tech::DerivedLayer& d : technology.drc_derived) {
+    (void)t.get(d.name).component_labels();
+  }
+}
+
+void expect_same_set(const RectSet& spliced, const RectSet& rebuilt,
+                     const std::string& what) {
+  EXPECT_TRUE(spliced.rects() == rebuilt.rects())
+      << what << "\n    spliced: " << rects_text(spliced)
+      << "\n    rebuilt: " << rects_text(rebuilt);
+  EXPECT_EQ(spliced.component_labels(), rebuilt.component_labels())
+      << "labels of " << what;
+}
+
+void expect_same_table(drc::LayerTable& spliced, drc::LayerTable& rebuilt,
+                       const tech::Tech& technology) {
+  for (int i = 0; i < tech::kNumLayers; ++i) {
+    const Layer l = static_cast<Layer>(i);
+    expect_same_set(spliced.mask(l), rebuilt.mask(l),
+                    std::string("mask ") + tech::name(l));
+  }
+  for (const tech::DerivedLayer& d : technology.drc_derived) {
+    expect_same_set(spliced.get(d.name), rebuilt.get(d.name),
+                    "derived " + d.name);
+  }
+}
+
+/// Episodes of `edits` random edits then one undo of the whole episode.
+/// After every step the table is spliced from the last one inside the
+/// step's geometry footprint, as an incremental verify splices it, and
+/// compared with a table built from the flattened chip.
+void run_splice_chain(Library& lib, Cell& top, std::mt19937& rng,
+                      int episodes, int edits) {
+  const tech::Tech& t = tech::nmos();
+  core::LibrarySnapshot snap = core::snapshot(lib, t);
+  auto table = std::make_shared<drc::LayerTable>(layout::flatten(top), t);
+  const auto step = [&](const std::string& what) {
+    SCOPED_TRACE(what);
+    core::LibrarySnapshot next = core::snapshot(lib, t);
+    const core::EditSet es = core::diff(snap, next, top.name());
+    snap = std::move(next);
+    ASSERT_TRUE(es.has_footprint);
+    warm_table(*table, t);
+    table = std::make_shared<drc::LayerTable>(
+        *table, top, es.geometry_layers, es.geometry_footprint);
+    drc::LayerTable rebuilt(layout::flatten(top), t);
+    expect_same_table(*table, rebuilt, t);
+  };
+  for (int ep = 0; ep < episodes; ++ep) {
+    std::vector<std::pair<std::string, CellState>> undo;
+    for (int e = 0; e < edits; ++e) {
+      const std::map<std::string, CellState> before = save_cells(lib);
+      const EditLog log = random_edit(lib, top, rng, /*allow_retech=*/false);
+      undo.emplace_back(log.cell, before.at(log.cell));
+      step("episode " + std::to_string(ep) + " edit " + std::to_string(e) +
+           ": " + log.detail);
+    }
+    while (!undo.empty()) {
+      restore_cell(*lib.find(undo.back().first), undo.back().second);
+      undo.pop_back();
+    }
+    step("episode " + std::to_string(ep) + " undo");
+  }
+}
+
+TEST(Incremental, SplicedTableMatchesRebuild) {
+  // counter12's chip is built once: every episode ends in an undo, so each
+  // seed starts from the same geometry.
+  Library chip_lib;
+  Cell& chip = *assemble::assemble_fsm_chip(
+                    chip_lib,
+                    synth::tabulate(
+                        rtl::parse(silc_fixtures::counter_source(12))),
+                    {.name = "counter12"})
+                    .chip;
+  silc_fixtures::fuzz_seeds(
+      "test_incremental", "Incremental.SplicedTableMatchesRebuild", 0, 20,
+      [&](unsigned seed) {
+        std::mt19937 rng(seed * 2654435761u + 99u);
+        Library lib;
+        silc_fixtures::RandomHierarchyOptions o;
+        o.transposing = true;  // leaves under all eight orientations
+        silc_fixtures::random_hierarchy(lib, seed, o);
+        run_splice_chain(lib, *lib.find("top"), rng, 3, 3);
+        run_splice_chain(chip_lib, chip, rng, 1, 3);
       });
 }
 

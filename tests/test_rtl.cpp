@@ -182,7 +182,7 @@ TEST(RtlSim, WiresChainAndCyclesDetected) {
       y = c;
     })");
   BehavioralSim sim2(cyc);
-  EXPECT_THROW(sim2.get("y"), std::runtime_error);
+  EXPECT_THROW((void)sim2.get("y"), std::runtime_error);
 }
 
 TEST(RtlSim, PokeAndNextOf) {
