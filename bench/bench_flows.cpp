@@ -1,17 +1,18 @@
 // The compile pipeline's own performance: per-stage wall clock
 // (aggregated by core::compile_many over a mixed batch) and batch
 // throughput in designs/sec at 1 thread and at hardware concurrency (both
-// legs untraced, min over the same samples of the same laps), emitted as
+// legs untraced, the min over samples of the per-batch mean), emitted as
 // BENCH_compile.json so CI tracks the compile-path trajectory the same way
 // BENCH_sim.json tracks the simulator.
 //
 // Since the observability layer (src/obs/) this bench is also its
 // enforcement point:
-//   * the serial batch is timed untraced and traced (min of 3 smoke or 6
-//     full samples each) and the tracing overhead must stay under
-//     --obs-overhead-limit percent (default 2%) on the full 24-job batch
-//     — the "<2% when enabled" contract is verified by the bench itself,
-//     not asserted;
+//   * every design of the batch is compiled untraced and traced in
+//     adjacent pairs (8 smoke or 150 full passes), and the tracing
+//     overhead — the median over passes of traced / untraced — must stay
+//     under --obs-overhead-limit percent (default 2%) in a full run: the
+//     "<2% when enabled" contract is verified by the bench itself, not
+//     asserted;
 //   * --budgets=FILE checks the measured smoke per-stage ms_per_run
 //     against the checked-in latency-budget table (scripts/
 //     latency_budgets.txt) and exits non-zero on any breach;
@@ -29,14 +30,16 @@
 // behind). Emitted as the "persist" block in the JSON; a preloaded
 // (second-process) run must serve every job from the store, byte-identical
 // to the cache-less batch, or the bench exits non-zero.
-// compile_many serves a batch's repeated jobs from its result cache, so a
-// batch's per-stage profile holds one cold run per design; the stage_ms
-// rows and the budgets read the mean over every untraced serial batch.
+// Every job of the batch has its own name, and the result cache's
+// fingerprint covers the name, so every job compiles: nothing is served
+// from a repeat. The stage_ms rows and the budgets read the mean over
+// every untraced serial batch; one untimed warm-up batch runs first.
 // --artifacts=FILE writes one deterministic line per job (content hashes,
 // no wall clocks) for byte-identity diffs across processes.
 // Flags: --json=PATH (default BENCH_compile.json), --smoke (fewer batch
-// repetitions, report tracing overhead without gating it — a 8-job smoke
-// batch is inside the noise floor), --trace=FILE, --budgets=FILE,
+// repetitions and compile pairs; report tracing overhead without gating
+// it — 8 pairs per design are inside the noise floor), --trace=FILE,
+// --budgets=FILE,
 // --check-budgets=JSON, --obs-overhead-limit=PCT, --cache-dir=DIR,
 // --artifacts=FILE.
 #include <algorithm>
@@ -81,10 +84,15 @@ std::vector<silc::core::BatchJob> one_rep() {
   return jobs;
 }
 
+/// `repetitions` copies of one_rep(), each job renamed by its repetition
+/// so that the result cache serves none of them.
 std::vector<silc::core::BatchJob> bench_jobs(int repetitions) {
   std::vector<silc::core::BatchJob> jobs;
   for (int r = 0; r < repetitions; ++r) {
-    for (const silc::core::BatchJob& j : one_rep()) jobs.push_back(j);
+    for (silc::core::BatchJob j : one_rep()) {
+      j.options.name += "_r" + std::to_string(r);
+      jobs.push_back(std::move(j));
+    }
   }
   return jobs;
 }
@@ -109,32 +117,17 @@ std::vector<std::pair<std::string, double>> profile_ms(
   return sm;
 }
 
-/// Serial-batch wall clocks with the tracer off vs on: `reps` samples of
-/// each, interleaved in alternating order (U-T, T-U, U-T, ...) so slow
-/// machine drift biases neither side, min-of-N against scheduler noise.
-/// Each sample times `laps` back-to-back batches and reports the per-batch
-/// mean: the 24-job batch takes only ~100 ms, where a 2% overhead (~2 ms)
-/// sits inside one scheduler tick — stretching the measured work keeps
-/// the contract resolvable instead of gating on jitter. The first untraced
-/// batch's BatchResult is kept — results are deterministic, so any rep
-/// would do. The stage profile sums every untraced batch: a batch compiles
-/// each distinct design once and serves its repeats, so one batch holds a
-/// single cold run per design, and the budgets read the mean over all of
-/// them. The traced minimum stays 0 when the obs layer is compiled out.
-struct SerialWalls {
-  double untraced_ms = 0;
-  double traced_ms = 0;
-  std::vector<silc::core::StageProfile> profile;
-};
-
-/// Mean wall clock of `laps` back-to-back untraced batches at `threads`;
-/// the first batch's result goes to `keep` and every batch's stage profile
-/// adds into `profile`, each when non-null.
+/// Mean wall clock of back-to-back untraced batches at `threads`, run
+/// until their walls sum to `sample_ms` (one batch at least); the first
+/// batch's result goes to `keep` and every batch's stage profile adds into
+/// `profile`, each when non-null.
 double mean_batch_ms(const std::vector<silc::core::BatchJob>& jobs,
-                     int threads, int laps, silc::core::BatchResult* keep,
+                     int threads, double sample_ms,
+                     silc::core::BatchResult* keep,
                      std::vector<silc::core::StageProfile>* profile) {
   double ms = 0;
-  for (int l = 0; l < laps; ++l) {
+  int batches = 0;
+  do {
     silc::core::BatchResult br = silc::core::compile_many(jobs, threads);
     ms += br.wall_ms;
     for (const silc::core::StageProfile& s : br.profile) {
@@ -149,41 +142,64 @@ double mean_batch_ms(const std::vector<silc::core::BatchJob>& jobs,
         it->total_ms += s.total_ms;
       }
     }
-    if (l == 0 && keep != nullptr) *keep = std::move(br);
-  }
-  return ms / laps;
+    if (batches == 0 && keep != nullptr) *keep = std::move(br);
+    ++batches;
+  } while (ms < sample_ms);
+  return ms / batches;
 }
 
-SerialWalls serial_walls(const std::vector<silc::core::BatchJob>& jobs,
-                         int reps, int laps, silc::core::BatchResult* keep) {
-  SerialWalls w;
-  const auto untraced = [&](int r) {
-    const double ms =
-        mean_batch_ms(jobs, 1, laps, r == 0 ? keep : nullptr, &w.profile);
-    w.untraced_ms = r == 0 ? ms : std::min(w.untraced_ms, ms);
-  };
-  const auto traced = [&](int r) {
-    if (!silc::obs::kEnabled) return;
-    double ms = 0;
-    for (int l = 0; l < laps; ++l) {
-      silc::obs::Tracer::global().enable(1u << 16);
-      const silc::core::BatchResult br = silc::core::compile_many(jobs, 1);
-      silc::obs::Tracer::global().disable();
-      ms += br.wall_ms;
-    }
-    ms /= laps;
-    w.traced_ms = r == 0 ? ms : std::min(w.traced_ms, ms);
-  };
-  for (int r = 0; r < reps; ++r) {
-    if (r % 2 == 0) {
-      untraced(r);
-      traced(r);
-    } else {
-      traced(r);
-      untraced(r);
+/// The tracing overhead, from compile pairs: the median pass's untraced
+/// and traced compile time (every design once each), and the median over
+/// passes of the traced / untraced ratio, as a percentage over 1.
+struct TraceCost {
+  double untraced_ms = 0;
+  double traced_ms = 0;
+  double overhead_pct = 0;
+};
+
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t mid = v.size() / 2;
+  return v.size() % 2 == 1 ? v[mid] : (v[mid - 1] + v[mid]) / 2;
+}
+
+/// Each pass compiles every design twice back to back, untraced and
+/// traced, in alternating order, so both sides of a pair meet the same
+/// machine state, and a pass's ratio cancels whatever drift the machine
+/// had then. Batch-sized samples cannot resolve 2%: on a shared 4-core box
+/// the compile throughput drifts by several percent between stretches of
+/// ~100 ms, and min-of-6 samples of >= 400 ms of batches each read -5% to
+/// +8% overhead on one build. Everything stays 0 when the obs layer is
+/// compiled out.
+TraceCost trace_cost(const std::vector<silc::core::BatchJob>& designs,
+                     int passes) {
+  TraceCost cost;
+  if (!silc::obs::kEnabled) return cost;
+  const auto n = static_cast<std::size_t>(passes);
+  std::vector<double> untraced(n, 0.0);
+  std::vector<double> traced(n, 0.0);
+  for (std::size_t p = 0; p < n; ++p) {
+    for (std::size_t d = 0; d < designs.size(); ++d) {
+      for (std::size_t k = 0; k < 2; ++k) {
+        const bool on = (p + d + k) % 2 == 1;
+        const silc::core::BatchJob& job = designs[d];
+        if (on) silc::obs::Tracer::global().enable(1u << 16);
+        silc::layout::Library lib;
+        const auto t0 = std::chrono::steady_clock::now();
+        (void)silc::core::compile(lib, job.flow, job.source, job.options);
+        (on ? traced : untraced)[p] += std::chrono::duration<double, std::milli>(
+                                           std::chrono::steady_clock::now() - t0)
+                                           .count();
+        if (on) silc::obs::Tracer::global().disable();
+      }
     }
   }
-  return w;
+  std::vector<double> ratio(n);
+  for (std::size_t p = 0; p < n; ++p) ratio[p] = traced[p] / untraced[p];
+  cost.untraced_ms = median(untraced);
+  cost.traced_ms = median(traced);
+  cost.overhead_pct = 100.0 * (median(ratio) - 1.0);
+  return cost;
 }
 
 /// Re-check an existing bench JSON's stage_ms rows against a budget table
@@ -462,13 +478,14 @@ int run_suite(const std::string& json_path, bool smoke,
   using silc::core::compile_many;
 
   const int reps = smoke ? 2 : 6;
-  // Full runs gate the tracing-overhead contract, so they sample harder:
-  // each wall sample covers 4 consecutive batches (~400 ms of work) and
-  // the min is taken over 6 samples per leg. The 24-job batch takes
-  // only ~100 ms, where 2% (~2 ms) sits inside one scheduler tick — a
-  // min-of-3 of single batches reads pure jitter as a contract breach.
+  // A full run's wall sample runs whole batches until it holds >= 400 ms
+  // of compiling (about 6 batches of 24 jobs); the min is taken over 6
+  // samples per leg. A smoke sample is one batch. The overhead gate reads
+  // 150 compile pairs per design in a full run (~1.6 s of compiling per
+  // side), 8 in a smoke run, which reports it only.
   const int walls = smoke ? 3 : 6;
-  const int laps = smoke ? 1 : 4;
+  const double sample_ms = smoke ? 0.0 : 400.0;
+  const int trace_passes = smoke ? 8 : 150;
   const std::vector<silc::core::BatchJob> designs = one_rep();
   const std::vector<silc::core::BatchJob> jobs = bench_jobs(reps);
   const unsigned hw = std::thread::hardware_concurrency();
@@ -476,16 +493,29 @@ int run_suite(const std::string& json_path, bool smoke,
 
   std::printf("=== compile pipeline: %zu jobs (%zu designs x %d reps) ===\n",
               jobs.size(), designs.size(), reps);
+  // One untimed batch first, kept out of every sample and the stage
+  // profile: the first batch in a process runs the slowest (its first
+  // touches of the code, the allocator and the tech tables), and right
+  // after a rebuild it once put the smoke drc mean over its budget.
+  (void)compile_many(jobs, 1);
+  // The first serial batch's result is kept — results are deterministic,
+  // so any would do. The stage profile sums every serial batch, and the
+  // budgets read the mean over all of them.
   BatchResult serial;
-  const SerialWalls wallclocks = serial_walls(jobs, walls, laps, &serial);
-  const double untraced_ms = wallclocks.untraced_ms;
-  const double traced_ms = wallclocks.traced_ms;
+  std::vector<silc::core::StageProfile> profile;
+  double serial_ms = 0;
+  for (int r = 0; r < walls; ++r) {
+    const double ms =
+        mean_batch_ms(jobs, 1, sample_ms, r == 0 ? &serial : nullptr, &profile);
+    serial_ms = r == 0 ? ms : std::min(serial_ms, ms);
+  }
+  const TraceCost trace = trace_cost(designs, trace_passes);
 
-  // The N-thread leg is timed like the serial one: untraced, the min over
-  // the same samples of the mean over the same laps.
+  // The N-thread leg is timed like the serial one: the min over as many
+  // samples of the per-batch mean, each sample as long.
   double parallel_ms = 0;
   for (int r = 0; r < walls; ++r) {
-    const double ms = mean_batch_ms(jobs, many, laps, nullptr, nullptr);
+    const double ms = mean_batch_ms(jobs, many, sample_ms, nullptr, nullptr);
     parallel_ms = r == 0 ? ms : std::min(parallel_ms, ms);
   }
   // One more parallel batch runs traced, only for the exported timeline
@@ -510,11 +540,6 @@ int run_suite(const std::string& json_path, bool smoke,
       return 1;
     }
   }
-  const double overhead_pct =
-      silc::obs::kEnabled && untraced_ms > 0
-          ? 100.0 * (traced_ms - untraced_ms) / untraced_ms
-          : 0.0;
-
   const bool identical = same_results(serial, parallel);
   const bool all_ok = serial.ok_count() == jobs.size();
 
@@ -568,7 +593,7 @@ int run_suite(const std::string& json_path, bool smoke,
   }
 
   silc::core::BatchResult profiled;  // the summed profile, for its table
-  profiled.profile = wallclocks.profile;
+  profiled.profile = profile;
   std::printf("%s", profiled.profile_text().c_str());
   const std::vector<PlaModeMs> pla_modes =
       measure_pla_modes(serial, smoke ? 1 : reps);
@@ -578,7 +603,7 @@ int run_suite(const std::string& json_path, bool smoke,
   }
   std::printf("\n");
   const double serial_dps = 1000.0 * static_cast<double>(jobs.size()) /
-                            untraced_ms;
+                            serial_ms;
   const double parallel_dps = 1000.0 * static_cast<double>(jobs.size()) /
                               parallel_ms;
   std::printf("batch: %7.2f designs/sec at 1 thread, %7.2f at %d threads "
@@ -586,10 +611,10 @@ int run_suite(const std::string& json_path, bool smoke,
               serial_dps, parallel_dps, parallel.threads,
               identical ? "identical" : "DIVERGED");
   if (silc::obs::kEnabled) {
-    std::printf("obs: traced %.1f ms vs untraced %.1f ms serial "
-                "(min of %d, %d batch%s/sample) = %+.2f%% overhead%s\n\n",
-                traced_ms, untraced_ms, walls, laps, laps == 1 ? "" : "es",
-                overhead_pct,
+    std::printf("obs: traced %.2f ms vs untraced %.2f ms per pass (median "
+                "of %d passes of compile pairs) = %+.2f%% overhead%s\n\n",
+                trace.traced_ms, trace.untraced_ms, trace_passes,
+                trace.overhead_pct,
                 smoke ? " (smoke: reported, not gated)" : "");
   } else {
     std::printf("obs: compiled out (SILC_OBS=OFF)\n\n");
@@ -611,7 +636,6 @@ int run_suite(const std::string& json_path, bool smoke,
   std::fprintf(f, "  \"hardware_threads\": %u,\n", hw);
   std::fprintf(f, "  \"smoke\": %s,\n", smoke ? "true" : "false");
   std::fprintf(f, "  \"stage_ms\": [\n");
-  const std::vector<silc::core::StageProfile>& profile = wallclocks.profile;
   for (std::size_t i = 0; i < profile.size(); ++i) {
     const silc::core::StageProfile& s = profile[i];
     std::fprintf(f,
@@ -636,18 +660,20 @@ int run_suite(const std::string& json_path, bool smoke,
   std::fprintf(f,
                "    {\"threads\": 1, \"wall_ms\": %.1f, "
                "\"designs_per_sec\": %.2f},\n",
-               untraced_ms, serial_dps);
+               serial_ms, serial_dps);
   std::fprintf(f,
                "    {\"threads\": %d, \"wall_ms\": %.1f, "
                "\"designs_per_sec\": %.2f}\n",
                parallel.threads, parallel_ms, parallel_dps);
   std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"obs\": {\"enabled\": %s, \"untraced_wall_ms\": %.1f, "
-               "\"traced_wall_ms\": %.1f, \"trace_overhead_pct\": %.2f, "
+  std::fprintf(f, "  \"obs\": {\"enabled\": %s, \"trace_pairs\": %d, "
+               "\"untraced_ms\": %.3f, \"traced_ms\": %.3f, "
+               "\"trace_overhead_pct\": %.2f, "
                "\"overhead_limit_pct\": %.2f, \"trace_events\": %llu, "
                "\"trace_dropped\": %llu},\n",
-               silc::obs::kEnabled ? "true" : "false", untraced_ms, traced_ms,
-               overhead_pct, overhead_limit,
+               silc::obs::kEnabled ? "true" : "false", trace_passes,
+               trace.untraced_ms, trace.traced_ms,
+               trace.overhead_pct, overhead_limit,
                static_cast<unsigned long long>(trace_events),
                static_cast<unsigned long long>(trace_dropped));
   if (persist.active) {
@@ -704,11 +730,11 @@ int run_suite(const std::string& json_path, bool smoke,
                 parallel.threads);
     rc = 1;
   }
-  // The <2% tracing-overhead contract, enforced on the full 24-job batch
-  // (the smoke batch is too small to measure 2% against scheduler noise).
-  if (!smoke && silc::obs::kEnabled && overhead_pct > overhead_limit) {
+  // The <2% tracing-overhead contract, enforced on a full run's 150 pairs
+  // per design (a smoke run's 8 are too few to resolve 2%).
+  if (!smoke && silc::obs::kEnabled && trace.overhead_pct > overhead_limit) {
     std::printf("ERROR: tracing overhead %.2f%% exceeds %.2f%% limit\n",
-                overhead_pct, overhead_limit);
+                trace.overhead_pct, overhead_limit);
     rc = 1;
   }
   if (persist.active) {
@@ -758,7 +784,7 @@ int run_suite(const std::string& json_path, bool smoke,
       return 1;
     }
     std::vector<std::pair<std::string, double>> sm =
-        profile_ms(wallclocks.profile);
+        profile_ms(profile);
     // The incremental edit path is budgeted like any pipeline stage: a
     // regression that makes an "incremental" verify quietly re-prove the
     // chip breaks the latency gate, not just the speedup floor.

@@ -29,6 +29,9 @@
 #     byte-identical to the cold run and record store hits; a store
 #     truncated mid-record must cold-start with a warning and a poisoned
 #     counter; the warm run re-checks the stage latency budgets too;
+#   * every committed BENCH_*.json must have the same key set as the
+#     smoke JSON its bench writes, so a renamed or dropped field cannot
+#     leave a stale committed baseline behind;
 #   * the incremental leg runs bench_incremental (which itself enforces
 #     edit == scratch byte-identity and the 10x edit-vs-cold-compile
 #     floor), diffs the incremental-vs-scratch artifact dumps externally,
@@ -221,6 +224,26 @@ if ! grep -qE '"cells_reused": [1-9]' "$BUILD_DIR/BENCH_incremental.json"; then
 fi
 echo "--- BENCH_incremental.json (smoke) ---"
 cat "$BUILD_DIR/BENCH_incremental.json"
+
+# --- committed baselines keep the keys their benches write -------------
+# Each committed BENCH_*.json must carry the same set of JSON keys as the
+# smoke file its bench just wrote to the build dir: a renamed mode or a
+# dropped field then fails here instead of leaving a stale baseline.
+for COMMITTED in BENCH_*.json; do
+  SMOKE="$BUILD_DIR/$COMMITTED"
+  if [ ! -f "$SMOKE" ]; then
+    echo "ERROR: no bench wrote $SMOKE to compare $COMMITTED with" >&2
+    exit 1
+  fi
+  if ! diff <(grep -o '"[^"]*":' "$COMMITTED" | sort -u) \
+            <(grep -o '"[^"]*":' "$SMOKE" | sort -u); then
+    echo "ERROR: $COMMITTED and the smoke $SMOKE have different key" \
+         "sets (< committed, > smoke): regenerate $COMMITTED from a full" \
+         "run of its bench" >&2
+    exit 1
+  fi
+done
+echo "committed BENCH_*.json key sets match their smoke runs"
 
 # --- nightly-style long fuzz: SILC_FUZZ_TRIALS scales the harnesses -----
 # Every differential/fuzz harness honors SILC_FUZZ_TRIALS (fixtures/

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <map>
 #include <stdexcept>
-#include <unordered_map>
 
 namespace silc::logic {
 
@@ -306,77 +305,164 @@ std::vector<Cube> minimize_heuristic(const TruthTable& f) {
   return minimize_heuristic(f, std::move(seed));
 }
 
-std::vector<Cube> minimize_heuristic(const TruthTable& f, std::vector<Cube> seed) {
-  std::vector<std::uint8_t> off(f.size());
-  for (std::uint32_t r = 0; r < f.size(); ++r) off[r] = f.get(r) == Tri::Zero;
-  // Does cube c cover an OFF row? Enumerate its minterms; seeds expand
-  // through the same cubes over and over, so remember each answer.
-  std::unordered_map<std::uint64_t, bool> memo;
-  const std::uint32_t full_mask = f.size() - 1;
-  const auto hits_off = [&](const Cube& c) {
-    const auto [it, fresh] =
-        memo.try_emplace((std::uint64_t{c.mask} << 32) | c.value, false);
-    if (!fresh) return it->second;
-    const std::uint32_t free = full_mask & ~c.mask;
+namespace {
+
+// Bit j of kLowVar[i] is bit i of j: the rows of one 64-row word in which
+// variable i is 1.
+constexpr std::uint64_t kLowVar[6] = {
+    0xAAAAAAAAAAAAAAAAull, 0xCCCCCCCCCCCCCCCCull, 0xF0F0F0F0F0F0F0F0ull,
+    0xFF00FF00FF00FF00ull, 0xFFFF0000FFFF0000ull, 0xFFFFFFFF00000000ull};
+
+/// The rows of a 64-row word that cube c covers: its bound low six
+/// variables as one 64-bit pattern.
+std::uint64_t low_pattern(const Cube& c) {
+  std::uint64_t pattern = ~std::uint64_t{0};
+  for (int i = 0; i < 6; ++i) {
+    if ((c.mask >> i & 1u) == 0) continue;
+    pattern &= (c.value >> i & 1u) != 0 ? kLowVar[i] : ~kLowVar[i];
+  }
+  return pattern;
+}
+
+/// One table's OFF and ON rows as two 2^n-bit bitsets: row r is bit r % 64
+/// of word r / 64. Tables under 6 inputs use the low 2^n bits of one word.
+/// A cube covers its low pattern in each word whose index matches its
+/// bound high variables (those from 6 up).
+class RowBits {
+ public:
+  explicit RowBits(const TruthTable& f)
+      : high_full_((f.size() - 1) >> 6),
+        off_(high_full_ + 1, 0),
+        on_(high_full_ + 1, 0) {
+    for (std::uint32_t r = 0; r < f.size(); ++r) {
+      const std::uint64_t bit = std::uint64_t{1} << (r & 63);
+      if (f.get(r) == Tri::Zero) off_[r >> 6] |= bit;
+      if (f.get(r) == Tri::One) on_[r >> 6] |= bit;
+    }
+  }
+
+  [[nodiscard]] std::uint32_t words() const { return high_full_ + 1; }
+  [[nodiscard]] std::uint64_t on(std::uint32_t w) const { return on_[w]; }
+
+  /// Visits cube c's words in ascending order until `visit` returns true,
+  /// and says whether it did: only the subsets of the free high variables
+  /// are enumerated.
+  template <typename Visit>
+  bool any_word(const Cube& c, Visit&& visit) const {
+    const std::uint32_t free = high_full_ & ~(c.mask >> 6);
+    const std::uint32_t base = c.value >> 6;
     std::uint32_t s = 0;
     do {
-      if (off[c.value | s] != 0) return it->second = true;
-      s = (s - free) & free;  // next subset of the free variables
+      if (visit(base | s)) return true;
+      s = (s - free) & free;  // next subset of the free high variables
     } while (s != 0);
     return false;
-  };
+  }
+
+  /// Does cube c, whose low pattern is `pattern`, cover an OFF row?
+  [[nodiscard]] bool hits_off(const Cube& c, std::uint64_t pattern) const {
+    return any_word(c, [&](std::uint32_t w) { return (off_[w] & pattern) != 0; });
+  }
+
+ private:
+  std::uint32_t high_full_;
+  std::vector<std::uint64_t> off_;
+  std::vector<std::uint64_t> on_;
+};
+
+}  // namespace
+
+std::vector<Cube> minimize_heuristic(const TruthTable& f, std::vector<Cube> seed) {
+  const RowBits rows(f);
   // Expand: greedily drop each literal, in variable order, whose removal
-  // keeps the cube off the OFF-set.
+  // keeps the cube off the OFF-set. The cube entering step b fixes every
+  // later step, so a trail keeps, per step, the cube some earlier seed
+  // entered it with and the cube that seed ended as; a seed that meets the
+  // trail takes that ending. The sentinel matches no seed.
+  const Cube none{~std::uint32_t{0}, ~std::uint32_t{0}};
+  const auto levels = static_cast<std::size_t>(f.num_inputs());
+  std::vector<Cube> trail_at(levels, none);
+  std::vector<Cube> trail_end(levels);
   for (Cube& c : seed) {
-    for (int b = 0; b < f.num_inputs(); ++b) {
+    std::uint64_t pattern = low_pattern(c);
+    std::size_t b = 0;
+    for (; b < levels; ++b) {
+      if (trail_at[b] == c) {
+        c = trail_end[b];
+        break;
+      }
+      trail_at[b] = c;
       const std::uint32_t bit = 1u << b;
       if ((c.mask & bit) == 0) continue;
       const Cube widened{c.mask & ~bit, c.value & ~bit};
-      if (!hits_off(widened)) c = widened;
+      // Freeing low variable b adds its other half: the pattern shifted by
+      // 2^b, which is `bit`.
+      std::uint64_t wider = pattern;
+      if (b < 6) wider |= (c.value & bit) != 0 ? pattern >> bit : pattern << bit;
+      if (!rows.hits_off(widened, wider)) {
+        c = widened;
+        pattern = wider;
+      }
     }
+    for (std::size_t k = 0; k < b; ++k) trail_end[k] = c;
   }
-  // Containment pruning.
-  std::sort(seed.begin(), seed.end(), [](const Cube& a, const Cube& b) {
-    return a.literal_count() < b.literal_count();
-  });
+  // Containment pruning, fewest literals first. The sort keys on a
+  // precomputed literal count; std::sort makes the same comparisons on the
+  // same keys, so its (unstable) permutation is unchanged.
+  struct Ranked {
+    std::uint32_t lits;
+    std::uint32_t index;
+  };
+  std::vector<Ranked> ranked(seed.size());
+  for (std::size_t i = 0; i < seed.size(); ++i) {
+    ranked[i] = {static_cast<std::uint32_t>(seed[i].literal_count()),
+                 static_cast<std::uint32_t>(i)};
+  }
+  std::sort(ranked.begin(), ranked.end(),
+            [](const Ranked& a, const Ranked& b) { return a.lits < b.lits; });
   std::vector<Cube> kept;
-  for (const Cube& c : seed) {
+  for (const Ranked& r : ranked) {
+    const Cube& c = seed[r.index];
     const bool contained = std::any_of(kept.begin(), kept.end(), [&c](const Cube& k) {
       return k.contains(c);
     });
     if (!contained) kept.push_back(c);
   }
-  // Irredundant: drop cubes whose ON rows are all covered elsewhere.
-  // (Scan ON rows, counting covering cubes.)
-  const std::vector<std::uint32_t> ons = f.on_set();
-  std::vector<std::size_t> needed_by(kept.size(), 0);
-  for (const std::uint32_t r : ons) {
-    int only = -1;
-    int count = 0;
-    for (std::size_t i = 0; i < kept.size(); ++i) {
-      if (kept[i].covers(r)) {
-        ++count;
-        only = static_cast<int>(i);
-        if (count > 1) break;
-      }
+  // Irredundant: from the last cube back, drop each cube that was the only
+  // cover of no ON row in the pruned list, as long as every ON row stays
+  // covered by the cubes still kept. Word by word, uncovered(w, skip) is
+  // the ON rows of word w that no kept cube but `skip` covers.
+  std::vector<std::uint64_t> patterns(kept.size());
+  for (std::size_t i = 0; i < kept.size(); ++i) patterns[i] = low_pattern(kept[i]);
+  std::vector<std::uint8_t> dropped(kept.size(), 0);
+  const auto uncovered = [&](std::uint32_t w, std::size_t skip) {
+    std::uint64_t left = rows.on(w);
+    for (std::size_t j = 0; j < kept.size() && left != 0; ++j) {
+      if (j == skip || dropped[j] != 0) continue;
+      const std::uint32_t high_mask = kept[j].mask >> 6;
+      if ((w & high_mask) == kept[j].value >> 6) left &= ~patterns[j];
     }
-    if (count == 1) ++needed_by[static_cast<std::size_t>(only)];
-  }
-  // Remove unneeded cubes one at a time, rechecking coverage.
-  for (std::size_t i = kept.size(); i-- > 0;) {
-    if (needed_by[i] > 0) continue;
-    std::vector<Cube> without = kept;
-    without.erase(without.begin() + static_cast<std::ptrdiff_t>(i));
-    const bool still_ok = std::all_of(ons.begin(), ons.end(), [&](std::uint32_t r) {
-      return std::any_of(without.begin(), without.end(),
-                         [r](const Cube& c) { return c.covers(r); });
+    return left;
+  };
+  const auto sole_cover = [&](std::size_t i) {
+    return rows.any_word(kept[i], [&](std::uint32_t w) {
+      return (uncovered(w, i) & patterns[i]) != 0;
     });
-    if (still_ok) {
-      kept = std::move(without);
-      needed_by.erase(needed_by.begin() + static_cast<std::ptrdiff_t>(i));
-    }
+  };
+  // An ON row no cube covers stays uncovered, so then nothing may go.
+  for (std::uint32_t w = 0; w < rows.words(); ++w) {
+    if (uncovered(w, kept.size()) != 0) return kept;
   }
-  return kept;
+  std::vector<std::uint8_t> needed(kept.size());
+  for (std::size_t i = 0; i < kept.size(); ++i) needed[i] = sole_cover(i);
+  for (std::size_t i = kept.size(); i-- > 0;) {
+    if (needed[i] == 0 && !sole_cover(i)) dropped[i] = 1;
+  }
+  std::vector<Cube> out;
+  for (std::size_t i = 0; i < kept.size(); ++i) {
+    if (dropped[i] == 0) out.push_back(kept[i]);
+  }
+  return out;
 }
 
 std::vector<Cube> minimize(const TruthTable& f) {

@@ -14,8 +14,12 @@
 //                   completion for large ones)
 //   * minimize_heuristic - espresso-flavored expand / containment /
 //                   irredundant pass for wide functions; expand asks "does
-//                   the widened cube hit the OFF-set?" of an OFF bitmap by
-//                   enumerating the cube's minterms, memoized per cube
+//                   the widened cube hit the OFF-set?" of an OFF bitset one
+//                   64-row word at a time (a 64-bit pattern for the bound
+//                   low six variables, one word per subset of the free high
+//                   ones), and a trail of the previous seeds' steps lets a
+//                   seed that reaches a cube some earlier seed entered the
+//                   same step with take that seed's result
 //   * minimize_multi - multi-output minimization with product-term sharing,
 //                   the form a PLA personality wants
 //
@@ -32,7 +36,8 @@
 // Memory: prime_implicants (and so minimize_qm) allocates one byte per
 // ternary cube, 3^n bytes: 59 KB at the 10 inputs minimize() sends it,
 // 1.6 MB at 13, 3.5 GB at 20. Direct callers with wide tables should use
-// minimize_heuristic, whose OFF bitmap is 2^n bytes plus its memo.
+// minimize_heuristic, whose OFF and ON bitsets are 2^n bits each, plus one
+// pair of cubes per input for its trail.
 #pragma once
 
 #include <cstdint>

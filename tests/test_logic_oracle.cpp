@@ -5,8 +5,8 @@
 // heuristic's unstable sort and minimize_multi's term sharing all depend
 // on that order. Inputs are random tables with don't-cares over 0..13
 // inputs (dense noise, or unions of random cubes), custom heuristic seeds
-// (some already hitting the OFF-set), and the complemented tables of the
-// cold_ladder benchmark designs.
+// (some already hitting the OFF-set) in ascending, descending and shuffled
+// order, and the complemented tables of the cold_ladder benchmark designs.
 //
 // Honors fixtures/fuzz_env.hpp: SILC_FUZZ_TRIALS scales the sweep,
 // SILC_FUZZ_SEED reruns one failing trial.
@@ -130,6 +130,53 @@ TEST(MinimizerOracle, RandomTablesMatchExactly) {
           expect_same(minimize_multi(f, true), oracle::minimize_multi(f, true),
                       "minimize_multi(heuristic)");
         }
+      });
+}
+
+/// The expand's word-wide OFF test and its trail of earlier seeds' steps,
+/// at the table widths where the OFF bitset is a partial word (5 inputs),
+/// one word (6), two words (7) and 128 words (13). Each seed list holds ON
+/// minterms, duplicates and cubes that already have free bits (some of
+/// them covering OFF rows), and runs ascending, descending and shuffled:
+/// the trail must give the oracle's cover whatever the seed order.
+TEST(MinimizerOracle, ExpandReuseMatchesAcrossSeedOrders) {
+  silc_fixtures::fuzz_seeds(
+      "test_logic_oracle", "MinimizerOracle.ExpandReuseMatchesAcrossSeedOrders",
+      1, 24, [](unsigned seed) {
+        std::mt19937 rng(seed);
+        constexpr int kWidths[] = {5, 6, 7, 13};
+        const int n = kWidths[seed % 4];
+        const TruthTable t = n == 13 || rng() % 2 == 0 ? cube_sum_table(rng, n)
+                                                       : random_table(rng, n);
+        const std::uint32_t space = t.size() - 1;
+        // A run of consecutive ON minterms, so neighbours share most of
+        // their expand steps; at 13 inputs a window keeps the oracle cheap.
+        const std::vector<std::uint32_t> ons = t.on_set();
+        const std::size_t take = std::min<std::size_t>(ons.size(), 256);
+        const std::size_t from = ons.size() == take ? 0 : rng() % (ons.size() - take);
+        std::vector<Cube> seeds;
+        for (std::size_t i = from; i < from + take; ++i) {
+          seeds.push_back({space, ons[i]});
+        }
+        const std::size_t minterms = seeds.size();
+        for (std::size_t i = 0; i < minterms / 4 + 4; ++i) {
+          Cube c{space, static_cast<std::uint32_t>(rng()) & space};
+          if (minterms > 0 && rng() % 2 == 0) c = seeds[rng() % minterms];
+          const std::uint32_t freed = static_cast<std::uint32_t>(rng()) & space;
+          seeds.push_back({c.mask & ~freed, c.value & ~freed});
+        }
+        for (std::size_t i = 0; i < minterms / 8 + 2 && !seeds.empty(); ++i) {
+          seeds.push_back(seeds[rng() % seeds.size()]);
+        }
+        std::sort(seeds.begin(), seeds.end());
+        expect_same(minimize_heuristic(t, seeds), oracle::minimize_heuristic(t, seeds),
+                    n, "minimize_heuristic(ascending seeds)");
+        std::reverse(seeds.begin(), seeds.end());
+        expect_same(minimize_heuristic(t, seeds), oracle::minimize_heuristic(t, seeds),
+                    n, "minimize_heuristic(descending seeds)");
+        std::shuffle(seeds.begin(), seeds.end(), rng);
+        expect_same(minimize_heuristic(t, seeds), oracle::minimize_heuristic(t, seeds),
+                    n, "minimize_heuristic(shuffled seeds)");
       });
 }
 
