@@ -49,8 +49,9 @@
 #     observability layer compiled out (SILC_OBS=OFF) and with fault
 #     injection compiled out (SILC_FAULT=OFF), so neither no-op macro
 #     path can rot;
-#   * an ASan+UBSan build runs the whole suite; set SILC_SKIP_ASAN=1 to
-#     bypass on toolchains without sanitizer runtimes.
+#   * an ASan+UBSan build runs the whole suite, then the front ends'
+#     token-mutation fuzz and lexer oracle at SILC_FUZZ_TRIALS=200; set
+#     SILC_SKIP_ASAN=1 to bypass on toolchains without sanitizer runtimes.
 # Usage: scripts/ci.sh [build-dir]   (default: build)
 set -euo pipefail
 
@@ -307,4 +308,12 @@ else
   cmake --build "$ASAN_DIR" -j
   (cd "$ASAN_DIR" && ctest --output-on-failure --no-tests=error -j)
   echo "ASan+UBSan build + tier-1 tests: ok"
+  # The front ends read hostile text: the token-mutation fuzz and the
+  # lexer oracle re-run at nightly depth under the sanitizers, so a read
+  # past a buffer in a lexer scan or a stack overflow in a parser is a
+  # hard failure, not a latent crash.
+  SILC_FUZZ_TRIALS=200 "$ASAN_DIR/test_fault" \
+      --gtest_filter='Adversarial.TokenMutants*'
+  SILC_FUZZ_TRIALS=200 "$ASAN_DIR/test_lex"
+  echo "ASan+UBSan token-mutation fuzz (SILC_FUZZ_TRIALS=200): ok"
 fi

@@ -4,6 +4,7 @@
 #include <sstream>
 #include <tuple>
 
+#include "geom/fnv.hpp"
 #include "obs/obs.hpp"
 
 namespace silc::core {
@@ -17,21 +18,17 @@ using geom::Rect;
 /// leaves them out on purpose: it keys the per-cell netlist cache, and
 /// ports only name nodes at the top).
 std::uint64_t ports_hash(const layout::Cell& c, std::uint64_t h) {
-  const auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ull;
-  };
-  mix(c.ports().size());
+  geom::Fnv f{h};
+  f.mix(c.ports().size());
   for (const layout::Port& p : c.ports()) {
-    mix(p.name.size());
-    for (const char ch : p.name) mix(static_cast<unsigned char>(ch));
-    mix(static_cast<std::uint64_t>(p.layer));
-    mix(static_cast<std::uint64_t>(p.rect.x0));
-    mix(static_cast<std::uint64_t>(p.rect.y0));
-    mix(static_cast<std::uint64_t>(p.rect.x1));
-    mix(static_cast<std::uint64_t>(p.rect.y1));
+    f.mix_str(p.name);
+    f.mix(static_cast<std::uint64_t>(p.layer));
+    f.mix(static_cast<std::uint64_t>(p.rect.x0));
+    f.mix(static_cast<std::uint64_t>(p.rect.y0));
+    f.mix(static_cast<std::uint64_t>(p.rect.x1));
+    f.mix(static_cast<std::uint64_t>(p.rect.y1));
   }
-  return h;
+  return f.h;
 }
 
 }  // namespace

@@ -1,20 +1,11 @@
 #include "core/result_cache.hpp"
 
+#include "geom/fnv.hpp"
 #include "store/store.hpp"
 
 namespace silc::core {
 
 namespace {
-
-/// FNV-1a mixers, same flavour as every content hash in the repo.
-struct Fnv {
-  std::uint64_t h = 1469598103934665603ULL;
-  void mix(std::uint64_t x) { h = (h ^ x) * 1099511628211ULL; }
-  void mix_str(const std::string& s) {
-    mix(s.size());
-    for (const char c : s) mix(static_cast<unsigned char>(c));
-  }
-};
 
 std::string encode_result(const CompileResult& r) {
   store::Writer w;
@@ -108,7 +99,7 @@ std::uint64_t ResultCache::fingerprint(Flow flow, const std::string& source,
                                        const CompileOptions& options,
                                        std::uint64_t drc_sig,
                                        std::uint64_t extract_sig) {
-  Fnv f;
+  geom::Fnv f;
   f.mix(store::kSchemaVersion);
   f.mix(static_cast<std::uint64_t>(flow));
   f.mix_str(source);

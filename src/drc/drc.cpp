@@ -6,6 +6,7 @@
 #include "core/cancel.hpp"
 #include "drc/rules.hpp"
 #include "fault/fault.hpp"
+#include "geom/fnv.hpp"
 
 namespace silc::drc {
 
@@ -69,26 +70,19 @@ std::uint64_t VerdictTraits::bytes(const Value& vs) {
 /// bytes — padding is indeterminate). FNV-1a, same flavour the layout
 /// hashes use.
 std::uint64_t VerdictTraits::checksum(const Value& vs) {
-  std::uint64_t h = 1469598103934665603ULL;
-  const auto mix = [&h](std::uint64_t x) {
-    h = (h ^ x) * 1099511628211ULL;
-  };
-  const auto mix_str = [&](const std::string& s) {
-    mix(s.size());
-    for (const char c : s) mix(static_cast<unsigned char>(c));
-  };
-  mix(vs.size());
+  geom::Fnv f;
+  f.mix(vs.size());
   for (const Violation& v : vs) {
-    mix_str(v.rule);
-    mix_str(v.detail);
-    mix(static_cast<std::uint64_t>(v.where.x0));
-    mix(static_cast<std::uint64_t>(v.where.y0));
-    mix(static_cast<std::uint64_t>(v.where.x1));
-    mix(static_cast<std::uint64_t>(v.where.y1));
-    mix(static_cast<std::uint64_t>(v.anchor.x));
-    mix(static_cast<std::uint64_t>(v.anchor.y));
+    f.mix_str(v.rule);
+    f.mix_str(v.detail);
+    f.mix(static_cast<std::uint64_t>(v.where.x0));
+    f.mix(static_cast<std::uint64_t>(v.where.y0));
+    f.mix(static_cast<std::uint64_t>(v.where.x1));
+    f.mix(static_cast<std::uint64_t>(v.where.y1));
+    f.mix(static_cast<std::uint64_t>(v.anchor.x));
+    f.mix(static_cast<std::uint64_t>(v.anchor.y));
   }
-  return h;
+  return f.h;
 }
 
 // Persistence: field-by-field serialization (never raw structs) into the

@@ -46,6 +46,7 @@
 #include "extract/extract.hpp"
 #include "extract/hier.hpp"
 #include "fault/fault.hpp"
+#include "geom/fnv.hpp"
 #include "store/store.hpp"
 
 namespace silc::extract {
@@ -119,36 +120,29 @@ std::uint64_t NetlistTraits::bytes(const CellNet& n) {
 /// every field byte-perfectly, only be deterministic for a given entry, so
 /// a flipped stored checksum is always detected on hit.
 std::uint64_t NetlistTraits::checksum(const CellNet& n) {
-  std::uint64_t h = 1469598103934665603ULL;
-  const auto mix = [&h](std::uint64_t x) {
-    h = (h ^ x) * 1099511628211ULL;
-  };
-  const auto mix_str = [&](const std::string& s) {
-    mix(s.size());
-    for (const char c : s) mix(static_cast<unsigned char>(c));
-  };
-  mix(n.pieces.size());
+  geom::Fnv f;
+  f.mix(n.pieces.size());
   for (const CellNet::Piece& p : n.pieces) {
-    mix(p.cls);
-    mix(static_cast<std::uint64_t>(p.rect.x0));
-    mix(static_cast<std::uint64_t>(p.rect.y0));
-    mix(static_cast<std::uint64_t>(p.rect.x1));
-    mix(static_cast<std::uint64_t>(p.rect.y1));
-    mix(static_cast<std::uint64_t>(p.node));
+    f.mix(p.cls);
+    f.mix(static_cast<std::uint64_t>(p.rect.x0));
+    f.mix(static_cast<std::uint64_t>(p.rect.y0));
+    f.mix(static_cast<std::uint64_t>(p.rect.x1));
+    f.mix(static_cast<std::uint64_t>(p.rect.y1));
+    f.mix(static_cast<std::uint64_t>(p.node));
   }
-  mix(static_cast<std::uint64_t>(n.node_count));
-  mix(n.transistors.size());
-  mix(n.junctions.size());
-  mix(n.warnings.size());
-  for (const Warning& w : n.warnings) mix_str(w.text);
-  mix(n.labels.size());
+  f.mix(static_cast<std::uint64_t>(n.node_count));
+  f.mix(n.transistors.size());
+  f.mix(n.junctions.size());
+  f.mix(n.warnings.size());
+  for (const Warning& w : n.warnings) f.mix_str(w.text);
+  f.mix(n.labels.size());
   for (const CellNet::Label& l : n.labels) {
-    mix_str(l.text);
-    mix(static_cast<std::uint64_t>(l.at.x));
-    mix(static_cast<std::uint64_t>(l.at.y));
-    mix(static_cast<std::uint64_t>(l.node));
+    f.mix_str(l.text);
+    f.mix(static_cast<std::uint64_t>(l.at.x));
+    f.mix(static_cast<std::uint64_t>(l.at.y));
+    f.mix(static_cast<std::uint64_t>(l.node));
   }
-  return h;
+  return f.h;
 }
 
 // Persistence: field-by-field serialization of the full CellNet (never

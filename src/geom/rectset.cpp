@@ -6,6 +6,8 @@
 #include <tuple>
 #include <utility>
 
+#include "geom/fnv.hpp"
+
 namespace silc::geom {
 namespace {
 
@@ -349,18 +351,14 @@ RectSet RectSet::clipped(const Rect& w) const {
 }
 
 std::uint64_t RectSet::hash() const {
-  std::uint64_t h = 1469598103934665603ull;  // FNV-1a offset basis
-  const auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ull;
-  };
+  Fnv f;
   for (const Rect& r : rects()) {
-    mix(static_cast<std::uint64_t>(r.x0));
-    mix(static_cast<std::uint64_t>(r.y0));
-    mix(static_cast<std::uint64_t>(r.x1));
-    mix(static_cast<std::uint64_t>(r.y1));
+    f.mix(static_cast<std::uint64_t>(r.x0));
+    f.mix(static_cast<std::uint64_t>(r.y0));
+    f.mix(static_cast<std::uint64_t>(r.x1));
+    f.mix(static_cast<std::uint64_t>(r.y1));
   }
-  return h;
+  return f.h;
 }
 
 RectSet RectSet::unite(const RectSet& o) const {

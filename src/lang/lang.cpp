@@ -1,11 +1,10 @@
 #include "lang/lang.hpp"
 
-#include <cctype>
-#include <functional>
 #include <sstream>
 #include <stdexcept>
 
 #include "cells/cells.hpp"
+#include "core/cancel.hpp"
 #include "cif/cif.hpp"
 #include "drc/drc.hpp"
 #include "mem/mem.hpp"
@@ -16,22 +15,7 @@ namespace silc::lang {
 
 namespace {
 
-enum class Tok : std::uint8_t {
-  End, Ident, Int, Str,
-  LParen, RParen, LBrace, RBrace, LBracket, RBracket,
-  Comma, Semi, Colon, Dot, DotDot,
-  Assign, Plus, Minus, Star, Slash, Percent,
-  Eq, Ne, Lt, Le, Gt, Ge,
-  KwLet, KwFunc, KwReturn, KwIf, KwElse, KwFor, KwIn, KwWhile,
-  KwTrue, KwFalse, KwAnd, KwOr, KwNot,
-};
-
-struct Token {
-  Tok kind{};
-  std::string text;
-  std::int64_t number = 0;
-  std::size_t line = 1;
-};
+using lex::Tok;
 
 struct ExprNode;
 struct StmtNode;
@@ -53,7 +37,7 @@ struct ExprNode {
 };
 
 enum class SK : std::uint8_t {
-  Let, Assign, IndexAssign, FieldAssign, Expr, Return, If, For, While, Func, Block,
+  Let, Assign, IndexAssign, FieldAssign, Expr, Return, If, For, While, Func,
 };
 
 struct StmtNode {
@@ -113,162 +97,13 @@ std::string Value::to_string() const {
   return std::visit(Visitor{}, v);
 }
 
-// ------------------------------------------------------------------ lexer --
+// ----------------------------------------------------------------- parser --
 
 namespace {
 
-class Lexer {
- public:
-  explicit Lexer(const std::string& src) : src_(src) { advance(); }
-  [[nodiscard]] const Token& peek() const { return tok_; }
-  [[nodiscard]] const Token& peek2() {
-    if (!have2_) {
-      saved_ = tok_;
-      advance();
-      ahead_ = tok_;
-      tok_ = saved_;
-      have2_ = true;
-    }
-    return ahead_;
-  }
-  Token take() {
-    Token t = tok_;
-    if (have2_) {
-      tok_ = ahead_;
-      have2_ = false;
-    } else {
-      advance();
-    }
-    return t;
-  }
-  [[nodiscard]] bool at(Tok k) const { return tok_.kind == k; }
-  Token expect(Tok k, const std::string& what) {
-    if (!at(k)) throw SilcError(tok_.line, "expected " + what);
-    return take();
-  }
-
- private:
-  void advance() {
-    skip();
-    tok_ = {};
-    tok_.line = line_;
-    if (pos_ >= src_.size()) {
-      tok_.kind = Tok::End;
-      return;
-    }
-    const char c = src_[pos_];
-    if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-      std::string w;
-      while (pos_ < src_.size() &&
-             (std::isalnum(static_cast<unsigned char>(src_[pos_])) ||
-              src_[pos_] == '_')) {
-        w.push_back(src_[pos_++]);
-      }
-      static const std::map<std::string, Tok> kw = {
-          {"let", Tok::KwLet},       {"func", Tok::KwFunc},
-          {"return", Tok::KwReturn}, {"if", Tok::KwIf},
-          {"else", Tok::KwElse},     {"for", Tok::KwFor},
-          {"in", Tok::KwIn},         {"while", Tok::KwWhile},
-          {"true", Tok::KwTrue},     {"false", Tok::KwFalse},
-          {"and", Tok::KwAnd},       {"or", Tok::KwOr},
-          {"not", Tok::KwNot}};
-      const auto it = kw.find(w);
-      tok_.kind = it == kw.end() ? Tok::Ident : it->second;
-      tok_.text = std::move(w);
-      return;
-    }
-    if (std::isdigit(static_cast<unsigned char>(c))) {
-      std::int64_t v = 0;
-      while (pos_ < src_.size() &&
-             std::isdigit(static_cast<unsigned char>(src_[pos_]))) {
-        v = v * 10 + (src_[pos_++] - '0');
-      }
-      tok_.kind = Tok::Int;
-      tok_.number = v;
-      return;
-    }
-    if (c == '"') {
-      ++pos_;
-      std::string s;
-      while (pos_ < src_.size() && src_[pos_] != '"') {
-        if (src_[pos_] == '\\' && pos_ + 1 < src_.size()) {
-          ++pos_;
-          s.push_back(src_[pos_] == 'n' ? '\n' : src_[pos_]);
-          ++pos_;
-        } else {
-          s.push_back(src_[pos_++]);
-        }
-      }
-      if (pos_ >= src_.size()) throw SilcError(line_, "unterminated string");
-      ++pos_;
-      tok_.kind = Tok::Str;
-      tok_.text = std::move(s);
-      return;
-    }
-    ++pos_;
-    const auto two = [&](char second, Tok yes, Tok no) {
-      if (pos_ < src_.size() && src_[pos_] == second) {
-        ++pos_;
-        tok_.kind = yes;
-      } else {
-        tok_.kind = no;
-      }
-    };
-    switch (c) {
-      case '(': tok_.kind = Tok::LParen; return;
-      case ')': tok_.kind = Tok::RParen; return;
-      case '{': tok_.kind = Tok::LBrace; return;
-      case '}': tok_.kind = Tok::RBrace; return;
-      case '[': tok_.kind = Tok::LBracket; return;
-      case ']': tok_.kind = Tok::RBracket; return;
-      case ',': tok_.kind = Tok::Comma; return;
-      case ';': tok_.kind = Tok::Semi; return;
-      case ':': tok_.kind = Tok::Colon; return;
-      case '.': two('.', Tok::DotDot, Tok::Dot); return;
-      case '+': tok_.kind = Tok::Plus; return;
-      case '-': tok_.kind = Tok::Minus; return;
-      case '*': tok_.kind = Tok::Star; return;
-      case '/': tok_.kind = Tok::Slash; return;
-      case '%': tok_.kind = Tok::Percent; return;
-      case '=': two('=', Tok::Eq, Tok::Assign); return;
-      case '!': two('=', Tok::Ne, Tok::End); if (tok_.kind == Tok::End) throw SilcError(line_, "unexpected '!'"); return;
-      case '<': two('=', Tok::Le, Tok::Lt); return;
-      case '>': two('=', Tok::Ge, Tok::Gt); return;
-      default:
-        throw SilcError(line_, std::string("unexpected character '") + c + "'");
-    }
-  }
-
-  void skip() {
-    while (pos_ < src_.size()) {
-      const char c = src_[pos_];
-      if (c == '\n') {
-        ++line_;
-        ++pos_;
-      } else if (std::isspace(static_cast<unsigned char>(c))) {
-        ++pos_;
-      } else if (c == '-' && pos_ + 1 < src_.size() && src_[pos_ + 1] == '-') {
-        while (pos_ < src_.size() && src_[pos_] != '\n') ++pos_;
-      } else if (c == '/' && pos_ + 1 < src_.size() && src_[pos_ + 1] == '/') {
-        while (pos_ < src_.size() && src_[pos_] != '\n') ++pos_;
-      } else {
-        break;
-      }
-    }
-  }
-
-  const std::string& src_;
-  std::size_t pos_ = 0;
-  std::size_t line_ = 1;
-  Token tok_, ahead_, saved_;
-  bool have2_ = false;
-};
-
-// ----------------------------------------------------------------- parser --
-
 class Parser {
  public:
-  explicit Parser(const std::string& src) : lex_(src) {}
+  explicit Parser(const std::string& src) : lex_(src, kKeywords) {}
 
   std::vector<StmtP> run() {
     std::vector<StmtP> prog;
@@ -293,6 +128,7 @@ class Parser {
   }
 
   StmtP statement() {
+    const lex::Depth scope(depth_, lex_);
     if (lex_.at(Tok::KwLet)) {
       auto s = make(SK::Let);
       lex_.take();
@@ -370,7 +206,7 @@ class Parser {
     if (lex_.at(Tok::KwElse)) {
       lex_.take();
       if (lex_.at(Tok::KwIf)) {
-        s->alt.push_back(if_statement());
+        s->alt.push_back(statement());
       } else {
         s->alt = block();
       }
@@ -385,65 +221,47 @@ class Parser {
     return e;
   }
 
-  ExprP expression() { return parse_or(); }
-
-  ExprP binary(const char* op, ExprP a, ExprP b) {
-    auto e = std::make_unique<ExprNode>();
-    e->kind = EK::Binary;
-    e->line = a->line;
-    e->text = op;
-    e->args.push_back(std::move(a));
-    e->args.push_back(std::move(b));
-    return e;
+  ExprP expression() {
+    const lex::Depth scope(depth_, lex_);
+    return parse_binary(0);
   }
 
-  ExprP parse_or() {
-    ExprP a = parse_and();
-    while (lex_.at(Tok::KwOr)) {
-      lex_.take();
-      a = binary("or", std::move(a), parse_and());
+  /// A binary operator's precedence level, loosest first (-1: none).
+  static int level_of(Tok t) {
+    switch (t) {
+      case Tok::KwOr: return 0;
+      case Tok::KwAnd: return 1;
+      case Tok::Eq: case Tok::Ne: case Tok::Lt:
+      case Tok::Le: case Tok::Gt: case Tok::Ge: return 2;
+      case Tok::Plus: case Tok::Minus: return 3;
+      case Tok::Star: case Tok::Slash: case Tok::Percent: return 4;
+      default: return -1;
     }
-    return a;
   }
-  ExprP parse_and() {
-    ExprP a = parse_cmp();
-    while (lex_.at(Tok::KwAnd)) {
-      lex_.take();
-      a = binary("and", std::move(a), parse_cmp());
-    }
-    return a;
-  }
-  ExprP parse_cmp() {
-    ExprP a = parse_add();
-    static const std::map<Tok, const char*> ops = {
-        {Tok::Eq, "=="}, {Tok::Ne, "!="}, {Tok::Lt, "<"},
-        {Tok::Le, "<="}, {Tok::Gt, ">"},  {Tok::Ge, ">="}};
-    const auto it = ops.find(lex_.peek().kind);
-    if (it != ops.end()) {
-      lex_.take();
-      a = binary(it->second, std::move(a), parse_add());
-    }
-    return a;
-  }
-  ExprP parse_add() {
-    ExprP a = parse_mul();
-    while (lex_.at(Tok::Plus) || lex_.at(Tok::Minus)) {
-      const char* op = lex_.take().kind == Tok::Plus ? "+" : "-";
-      a = binary(op, std::move(a), parse_mul());
-    }
-    return a;
-  }
-  ExprP parse_mul() {
-    ExprP a = parse_unary();
-    while (lex_.at(Tok::Star) || lex_.at(Tok::Slash) || lex_.at(Tok::Percent)) {
-      const Tok t = lex_.take().kind;
-      const char* op = t == Tok::Star ? "*" : t == Tok::Slash ? "/" : "%";
-      a = binary(op, std::move(a), parse_unary());
+  static constexpr int kCompareLevel = 2;  // comparisons do not chain
+  static constexpr int kUnaryLevel = 5;
+
+  /// Left-associative binary operators at `level` and tighter; a node's
+  /// text is its operator's spelling.
+  ExprP parse_binary(int level) {
+    if (level == kUnaryLevel) return parse_unary();
+    ExprP a = parse_binary(level + 1);
+    while (level_of(lex_.peek().kind) == level) {
+      lex::deepen(depth_, lex_);
+      auto e = std::make_unique<ExprNode>();
+      e->kind = EK::Binary;
+      e->line = a->line;
+      e->text = lex::spelling(lex_.take().kind);
+      e->args.push_back(std::move(a));
+      e->args.push_back(parse_binary(level + 1));
+      a = std::move(e);
+      if (level == kCompareLevel) break;
     }
     return a;
   }
   ExprP parse_unary() {
     if (lex_.at(Tok::Minus) || lex_.at(Tok::KwNot)) {
+      lex::deepen(depth_, lex_);
       auto e = make_e(EK::Unary);
       e->text = lex_.take().kind == Tok::Minus ? "-" : "not";
       e->args.push_back(parse_unary());
@@ -454,6 +272,9 @@ class Parser {
   ExprP parse_postfix() {
     ExprP a = parse_primary();
     while (true) {
+      if (lex_.at(Tok::LParen) || lex_.at(Tok::LBracket) || lex_.at(Tok::Dot)) {
+        lex::deepen(depth_, lex_);
+      }
       if (lex_.at(Tok::LParen)) {
         auto call = make_e(EK::Call);
         lex_.take();
@@ -483,9 +304,10 @@ class Parser {
     }
   }
   ExprP parse_primary() {
-    if (lex_.at(Tok::Int)) {
+    if (lex_.at(Tok::Number)) {
+      if (lex_.peek().number > INT64_MAX) lex_.fail("integer literal out of range");
       auto e = make_e(EK::Int);
-      e->number = lex_.take().number;
+      e->number = static_cast<std::int64_t>(lex_.take().number);
       return e;
     }
     if (lex_.at(Tok::Str)) {
@@ -531,16 +353,14 @@ class Parser {
       lex_.take();
       return e;
     }
-    throw SilcError(lex_.peek().line, "expected expression");
+    lex_.fail("expected expression");
   }
 
-  Lexer lex_;
+  lex::Lexer lex_;
+  std::size_t depth_ = 0;
 };
 
 }  // namespace
-
-// StmtNode needs a params list for Func; keep it in `name`+args_names.
-// (Declared after the fact to keep the struct above simple.)
 
 // ------------------------------------------------------------ interpreter --
 
@@ -567,8 +387,19 @@ struct Interpreter::Impl {
   explicit Impl(layout::Library& l, std::size_t limit)
       : lib(l), step_limit(limit) {}
 
+  /// One step; every kCancelPoll steps also polls the ambient cancel
+  /// token, so a deadline stops a runaway program.
+  static constexpr std::size_t kCancelPoll = 4096;
   void tick(std::size_t line) {
     if (++steps > step_limit) throw SilcError(line, "step limit exceeded");
+    if (steps % kCancelPoll == 0) core::check_cancel("lang.step");
+  }
+
+  const FuncDecl* find_func(const std::string& name) const {
+    for (const auto& f : funcs) {
+      if (f->name == name) return f.get();
+    }
+    return nullptr;
   }
 
   Value* lookup(const std::string& name) {
@@ -778,12 +609,10 @@ struct Interpreter::Impl {
       case EK::Bool: return Value(e.boolean);
       case EK::Var: {
         if (Value* v = lookup(e.text)) return *v;
-        for (const auto& f : funcs) {
-          if (f->name == e.text) {
-            Value v;
-            v.v = f.get();
-            return v;
-          }
+        if (const FuncDecl* f = find_func(e.text)) {
+          Value v;
+          v.v = f;
+          return v;
         }
         throw SilcError(e.line, "undefined name " + e.text);
       }
@@ -803,8 +632,12 @@ struct Interpreter::Impl {
       }
       case EK::Unary: {
         Value a = eval(*e.args[0]);
-        if (e.text == "-") return Value(-as_int(a, e.line));
-        return Value(!as_bool(a, e.line));
+        if (e.text != "-") return Value(!as_bool(a, e.line));
+        std::int64_t r = 0;
+        if (__builtin_sub_overflow(std::int64_t{0}, as_int(a, e.line), &r)) {
+          throw SilcError(e.line, "integer overflow in -");
+        }
+        return Value(r);
       }
       case EK::Binary: return eval_binary(e);
       case EK::Index: {
@@ -852,24 +685,31 @@ struct Interpreter::Impl {
     }
     const std::int64_t x = as_int(a, e.line);
     const std::int64_t y = as_int(b, e.line);
-    if (op == "+") return Value(x + y);
-    if (op == "-") return Value(x - y);
-    if (op == "*") return Value(x * y);
-    if (op == "/") {
-      if (y == 0) throw SilcError(e.line, "division by zero");
-      return Value(x / y);
-    }
-    if (op == "%") {
-      if (y == 0) throw SilcError(e.line, "modulo by zero");
-      return Value(x % y);
-    }
     if (op == "==") return Value(x == y);
     if (op == "!=") return Value(x != y);
     if (op == "<") return Value(x < y);
     if (op == "<=") return Value(x <= y);
     if (op == ">") return Value(x > y);
     if (op == ">=") return Value(x >= y);
-    throw SilcError(e.line, "bad operator " + op);
+    std::int64_t r = 0;
+    bool overflow = false;
+    if (op == "+") {
+      overflow = __builtin_add_overflow(x, y, &r);
+    } else if (op == "-") {
+      overflow = __builtin_sub_overflow(x, y, &r);
+    } else if (op == "*") {
+      overflow = __builtin_mul_overflow(x, y, &r);
+    } else if (op == "/" || op == "%") {
+      if (y == 0) {
+        throw SilcError(e.line, op == "/" ? "division by zero" : "modulo by zero");
+      }
+      overflow = x == INT64_MIN && y == -1;  // the quotient is INT64_MAX + 1
+      if (!overflow) r = op == "/" ? x / y : x % y;
+    } else {
+      throw SilcError(e.line, "bad operator " + op);
+    }
+    if (overflow) throw SilcError(e.line, "integer overflow in " + op);
+    return Value(r);
   }
 
   Value eval_call(const ExprNode& e) {
@@ -883,14 +723,7 @@ struct Interpreter::Impl {
       if (Value* v = lookup(callee.text)) {
         if (const auto* f = std::get_if<const FuncDecl*>(&v->v)) fn = *f;
       }
-      if (fn == nullptr) {
-        for (const auto& f : funcs) {
-          if (f->name == callee.text) {
-            fn = f.get();
-            break;
-          }
-        }
-      }
+      if (fn == nullptr) fn = find_func(callee.text);
       if (fn == nullptr) return builtin(callee.text, args, e.line);
     } else {
       Value v = eval(callee);
@@ -974,6 +807,7 @@ struct Interpreter::Impl {
         for (std::int64_t i = lo; i <= hi; ++i) {
           scopes.back()[s.name] = Value(i);
           run_block(s.body);
+          if (i == hi) break;  // ++i would overflow at INT64_MAX
         }
         scopes.pop_back();
         return;
@@ -994,9 +828,6 @@ struct Interpreter::Impl {
         funcs.push_back(std::move(f));
         return;
       }
-      case SK::Block:
-        run_block(s.body);
-        return;
     }
   }
 
@@ -1012,7 +843,11 @@ struct Interpreter::Impl {
   }
 
   RunResult run(const std::string& source) {
-    program = Parser(source).run();
+    try {
+      program = Parser(source).run();
+    } catch (const lex::Error& e) {
+      throw SilcError(e.line(), e.what());
+    }
     scopes.clear();
     scopes.emplace_back();
     RunResult result;

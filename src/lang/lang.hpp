@@ -36,8 +36,18 @@
 #include <vector>
 
 #include "layout/layout.hpp"
+#include "lex/lex.hpp"
 
 namespace silc::lang {
+
+/// SILC's keywords in the shared token table (lex/lex.hpp); every other
+/// word is an identifier.
+inline constexpr lex::Tok kKeywords[] = {
+    lex::Tok::KwLet,  lex::Tok::KwFunc,  lex::Tok::KwReturn,
+    lex::Tok::KwIf,   lex::Tok::KwElse,  lex::Tok::KwFor,
+    lex::Tok::KwIn,   lex::Tok::KwWhile, lex::Tok::KwTrue,
+    lex::Tok::KwFalse, lex::Tok::KwAnd,  lex::Tok::KwOr,
+    lex::Tok::KwNot};
 
 class SilcError : public std::runtime_error {
  public:
@@ -91,7 +101,9 @@ class Interpreter {
   explicit Interpreter(layout::Library& lib, std::size_t step_limit = 10'000'000);
   ~Interpreter();
 
-  /// Parse and execute a program. Throws SilcError on any error.
+  /// Parse and execute a program. Throws SilcError on any error, and
+  /// lets core::Cancelled through when the calling thread's ambient
+  /// cancel token (core/cancel.hpp) fires mid-run.
   RunResult run(const std::string& source);
 
  private:

@@ -5,6 +5,7 @@
 #include <set>
 #include <stdexcept>
 
+#include "geom/fnv.hpp"
 #include "geom/rectset.hpp"
 
 namespace silc::layout {
@@ -230,28 +231,24 @@ namespace {
 std::uint64_t hash_cell(const Cell& c, std::map<const Cell*, std::uint64_t>& memo) {
   const auto it = memo.find(&c);
   if (it != memo.end()) return it->second;
-  std::uint64_t h = 1469598103934665603ull;  // FNV-1a offset basis
-  const auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ull;
-  };
-  mix(c.shapes().size());
+  geom::Fnv f;
+  f.mix(c.shapes().size());
   for (const Shape& s : c.shapes()) {
-    mix(static_cast<std::uint64_t>(s.layer));
-    mix(static_cast<std::uint64_t>(s.rect.x0));
-    mix(static_cast<std::uint64_t>(s.rect.y0));
-    mix(static_cast<std::uint64_t>(s.rect.x1));
-    mix(static_cast<std::uint64_t>(s.rect.y1));
+    f.mix(static_cast<std::uint64_t>(s.layer));
+    f.mix(static_cast<std::uint64_t>(s.rect.x0));
+    f.mix(static_cast<std::uint64_t>(s.rect.y0));
+    f.mix(static_cast<std::uint64_t>(s.rect.x1));
+    f.mix(static_cast<std::uint64_t>(s.rect.y1));
   }
-  mix(c.instances().size());
+  f.mix(c.instances().size());
   for (const Instance& i : c.instances()) {
-    mix(hash_cell(*i.cell, memo));
-    mix(static_cast<std::uint64_t>(i.transform.orient));
-    mix(static_cast<std::uint64_t>(i.transform.offset.x));
-    mix(static_cast<std::uint64_t>(i.transform.offset.y));
+    f.mix(hash_cell(*i.cell, memo));
+    f.mix(static_cast<std::uint64_t>(i.transform.orient));
+    f.mix(static_cast<std::uint64_t>(i.transform.offset.x));
+    f.mix(static_cast<std::uint64_t>(i.transform.offset.y));
   }
-  memo.emplace(&c, h);
-  return h;
+  memo.emplace(&c, f.h);
+  return f.h;
 }
 
 }  // namespace
@@ -267,29 +264,21 @@ std::uint64_t naming_hash_cell(const Cell& c,
                                std::map<const Cell*, std::uint64_t>& memo) {
   const auto it = memo.find(&c);
   if (it != memo.end()) return it->second;
-  std::uint64_t h = 1469598103934665603ull;  // FNV-1a offset basis
-  const auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ull;
-  };
-  const auto mix_str = [&](const std::string& s) {
-    mix(s.size());
-    for (const char ch : s) mix(static_cast<unsigned char>(ch));
-  };
-  mix(c.labels().size());
+  geom::Fnv f;
+  f.mix(c.labels().size());
   for (const TextLabel& l : c.labels()) {
-    mix_str(l.text);
-    mix(static_cast<std::uint64_t>(l.layer));
-    mix(static_cast<std::uint64_t>(l.at.x));
-    mix(static_cast<std::uint64_t>(l.at.y));
+    f.mix_str(l.text);
+    f.mix(static_cast<std::uint64_t>(l.layer));
+    f.mix(static_cast<std::uint64_t>(l.at.x));
+    f.mix(static_cast<std::uint64_t>(l.at.y));
   }
-  mix(c.instances().size());
+  f.mix(c.instances().size());
   for (const Instance& i : c.instances()) {
-    mix_str(i.name);
-    mix(naming_hash_cell(*i.cell, memo));
+    f.mix_str(i.name);
+    f.mix(naming_hash_cell(*i.cell, memo));
   }
-  memo.emplace(&c, h);
-  return h;
+  memo.emplace(&c, f.h);
+  return f.h;
 }
 
 }  // namespace

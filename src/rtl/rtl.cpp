@@ -1,7 +1,6 @@
 #include "rtl/rtl.hpp"
 
 #include <algorithm>
-#include <cctype>
 
 namespace silc::rtl {
 
@@ -22,29 +21,21 @@ std::vector<const Signal*> Design::of_kind(SignalKind k) const {
   return out;
 }
 
-std::size_t Design::state_bits() const {
+namespace {
+
+std::size_t bits_of(const Design& d, SignalKind k) {
   std::size_t n = 0;
-  for (const Signal& s : signals) {
-    if (s.kind == SignalKind::Reg) n += static_cast<std::size_t>(s.width);
+  for (const Signal& s : d.signals) {
+    if (s.kind == k) n += static_cast<std::size_t>(s.width);
   }
   return n;
 }
 
-std::size_t Design::input_bits() const {
-  std::size_t n = 0;
-  for (const Signal& s : signals) {
-    if (s.kind == SignalKind::Input) n += static_cast<std::size_t>(s.width);
-  }
-  return n;
-}
+}  // namespace
 
-std::size_t Design::output_bits() const {
-  std::size_t n = 0;
-  for (const Signal& s : signals) {
-    if (s.kind == SignalKind::Output) n += static_cast<std::size_t>(s.width);
-  }
-  return n;
-}
+std::size_t Design::state_bits() const { return bits_of(*this, SignalKind::Reg); }
+std::size_t Design::input_bits() const { return bits_of(*this, SignalKind::Input); }
+std::size_t Design::output_bits() const { return bits_of(*this, SignalKind::Output); }
 
 std::string Design::summary() const {
   return "processor " + name + ": " + std::to_string(input_bits()) +
@@ -52,194 +43,12 @@ std::string Design::summary() const {
          std::to_string(state_bits()) + " state bits";
 }
 
-// ------------------------------------------------------------------ lexer --
+// ----------------------------------------------------------------- parser --
 
 namespace {
 
-enum class Tok : std::uint8_t {
-  End, Ident, Number,
-  LParen, RParen, LBrace, RBrace, LBracket, RBracket,
-  Semi, Comma, Colon, Question,
-  Assign, NonBlock,  // = and :=
-  Or, And, Xor, Not, Plus, Minus,
-  Eq, Ne, Lt, Le, Gt, Ge, Shl, Shr,
-  KwProcessor, KwInput, KwOutput, KwReg, KwWire, KwAlways, KwIf, KwElse,
-  KwCase, KwDefault,
-};
-
-struct Token {
-  Tok kind{};
-  std::string text;
-  std::uint64_t number = 0;
-  std::size_t line = 1;
-};
-
-class Lexer {
- public:
-  explicit Lexer(const std::string& src) : src_(src) { advance(); }
-
-  [[nodiscard]] const Token& peek() const { return tok_; }
-  Token take() {
-    Token t = tok_;
-    advance();
-    return t;
-  }
-  [[nodiscard]] bool at(Tok k) const { return tok_.kind == k; }
-  Token expect(Tok k, const std::string& what) {
-    if (!at(k)) throw ParseError(tok_.line, "expected " + what);
-    return take();
-  }
-  [[noreturn]] void fail(const std::string& msg) const {
-    throw ParseError(tok_.line, msg);
-  }
-
- private:
-  void advance() {
-    skip_space();
-    tok_ = {};
-    tok_.line = line_;
-    if (pos_ >= src_.size()) {
-      tok_.kind = Tok::End;
-      return;
-    }
-    const char c = src_[pos_];
-    if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-      std::string w;
-      while (pos_ < src_.size() &&
-             (std::isalnum(static_cast<unsigned char>(src_[pos_])) ||
-              src_[pos_] == '_')) {
-        w.push_back(src_[pos_++]);
-      }
-      static const std::map<std::string, Tok> kw = {
-          {"processor", Tok::KwProcessor}, {"input", Tok::KwInput},
-          {"output", Tok::KwOutput},       {"reg", Tok::KwReg},
-          {"wire", Tok::KwWire},           {"always", Tok::KwAlways},
-          {"if", Tok::KwIf},               {"else", Tok::KwElse},
-          {"case", Tok::KwCase},           {"default", Tok::KwDefault}};
-      const auto it = kw.find(w);
-      tok_.kind = it == kw.end() ? Tok::Ident : it->second;
-      tok_.text = std::move(w);
-      return;
-    }
-    if (std::isdigit(static_cast<unsigned char>(c))) {
-      std::uint64_t v = 0;
-      if (c == '0' && pos_ + 1 < src_.size() &&
-          (src_[pos_ + 1] == 'x' || src_[pos_ + 1] == 'b')) {
-        const char base = src_[pos_ + 1];
-        pos_ += 2;
-        bool any = false;
-        while (pos_ < src_.size()) {
-          const char d = src_[pos_];
-          int digit;
-          if (d >= '0' && d <= '9') {
-            digit = d - '0';
-          } else if (base == 'x' && std::isxdigit(static_cast<unsigned char>(d))) {
-            digit = std::tolower(d) - 'a' + 10;
-          } else {
-            break;
-          }
-          if (base == 'b' && digit > 1) break;
-          v = v * (base == 'x' ? 16 : 2) + static_cast<std::uint64_t>(digit);
-          ++pos_;
-          any = true;
-        }
-        if (!any) throw ParseError(line_, "malformed numeric literal");
-      } else {
-        while (pos_ < src_.size() &&
-               std::isdigit(static_cast<unsigned char>(src_[pos_]))) {
-          v = v * 10 + static_cast<std::uint64_t>(src_[pos_++] - '0');
-        }
-      }
-      tok_.kind = Tok::Number;
-      tok_.number = v;
-      return;
-    }
-    ++pos_;
-    const auto two = [&](char second, Tok yes, Tok no) {
-      if (pos_ < src_.size() && src_[pos_] == second) {
-        ++pos_;
-        tok_.kind = yes;
-      } else {
-        tok_.kind = no;
-      }
-    };
-    switch (c) {
-      case '(': tok_.kind = Tok::LParen; return;
-      case ')': tok_.kind = Tok::RParen; return;
-      case '{': tok_.kind = Tok::LBrace; return;
-      case '}': tok_.kind = Tok::RBrace; return;
-      case '[': tok_.kind = Tok::LBracket; return;
-      case ']': tok_.kind = Tok::RBracket; return;
-      case ';': tok_.kind = Tok::Semi; return;
-      case ',': tok_.kind = Tok::Comma; return;
-      case '?': tok_.kind = Tok::Question; return;
-      case '|': tok_.kind = Tok::Or; return;
-      case '&': tok_.kind = Tok::And; return;
-      case '^': tok_.kind = Tok::Xor; return;
-      case '~': tok_.kind = Tok::Not; return;
-      case '+': tok_.kind = Tok::Plus; return;
-      case '-': tok_.kind = Tok::Minus; return;
-      case '=': two('=', Tok::Eq, Tok::Assign); return;
-      case ':': two('=', Tok::NonBlock, Tok::Colon); return;
-      case '!':
-        if (pos_ < src_.size() && src_[pos_] == '=') {
-          ++pos_;
-          tok_.kind = Tok::Ne;
-          return;
-        }
-        throw ParseError(line_, "unexpected '!'");
-      case '<':
-        if (pos_ < src_.size() && src_[pos_] == '<') {
-          ++pos_;
-          tok_.kind = Tok::Shl;
-        } else {
-          two('=', Tok::Le, Tok::Lt);
-        }
-        return;
-      case '>':
-        if (pos_ < src_.size() && src_[pos_] == '>') {
-          ++pos_;
-          tok_.kind = Tok::Shr;
-        } else {
-          two('=', Tok::Ge, Tok::Gt);
-        }
-        return;
-      default:
-        throw ParseError(line_, std::string("unexpected character '") + c + "'");
-    }
-  }
-
-  void skip_space() {
-    while (pos_ < src_.size()) {
-      const char c = src_[pos_];
-      if (c == '\n') {
-        ++line_;
-        ++pos_;
-      } else if (std::isspace(static_cast<unsigned char>(c))) {
-        ++pos_;
-      } else if (c == '/' && pos_ + 1 < src_.size() && src_[pos_ + 1] == '/') {
-        while (pos_ < src_.size() && src_[pos_] != '\n') ++pos_;
-      } else if (c == '/' && pos_ + 1 < src_.size() && src_[pos_ + 1] == '*') {
-        pos_ += 2;
-        while (pos_ + 1 < src_.size() &&
-               !(src_[pos_] == '*' && src_[pos_ + 1] == '/')) {
-          if (src_[pos_] == '\n') ++line_;
-          ++pos_;
-        }
-        pos_ += 2;
-      } else {
-        break;
-      }
-    }
-  }
-
-  const std::string& src_;
-  std::size_t pos_ = 0;
-  std::size_t line_ = 1;
-  Token tok_;
-};
-
-// ----------------------------------------------------------------- parser --
+using lex::Tok;
+using lex::Token;
 
 ExprPtr make_expr(Expr e) { return std::make_shared<Expr>(std::move(e)); }
 
@@ -259,7 +68,7 @@ int const_width(std::uint64_t v) {
 
 class Parser {
  public:
-  explicit Parser(const std::string& src) : lex_(src) {}
+  explicit Parser(const std::string& src) : lex_(src, kKeywords) {}
 
   Design run() {
     lex_.expect(Tok::KwProcessor, "'processor'");
@@ -276,7 +85,7 @@ class Parser {
   }
 
  private:
-  void declare(SignalKind kind, const std::string& name, int width,
+  void declare(SignalKind kind, const std::string& name, std::uint64_t width,
                std::size_t line) {
     if (design_.find(name) != nullptr) {
       throw ParseError(line, "duplicate signal " + name);
@@ -284,15 +93,15 @@ class Parser {
     if (width < 1 || width > 32) {
       throw ParseError(line, "signal width must be 1..32");
     }
-    design_.signals.push_back({name, width, kind});
+    design_.signals.push_back({name, static_cast<int>(width), kind});
   }
 
-  int parse_width() {
+  std::uint64_t parse_width() {
     if (!lex_.at(Tok::Lt)) return 1;
     lex_.take();
     const Token w = lex_.expect(Tok::Number, "width");
     lex_.expect(Tok::Gt, "'>'");
-    return static_cast<int>(w.number);
+    return w.number;
   }
 
   void parse_port() {
@@ -306,7 +115,7 @@ class Parser {
       throw ParseError(kw.line, "expected input/output port declaration");
     }
     const Token name = lex_.expect(Tok::Ident, "port name");
-    const int width = parse_width();
+    const std::uint64_t width = parse_width();
     lex_.expect(Tok::Semi, "';'");
     declare(kind, name.text, width, name.line);
   }
@@ -315,7 +124,7 @@ class Parser {
     if (lex_.at(Tok::KwReg) || lex_.at(Tok::KwWire)) {
       const bool is_reg = lex_.take().kind == Tok::KwReg;
       const Token name = lex_.expect(Tok::Ident, "signal name");
-      const int width = parse_width();
+      const std::uint64_t width = parse_width();
       lex_.expect(Tok::Semi, "';'");
       declare(is_reg ? SignalKind::Reg : SignalKind::Wire, name.text, width,
               name.line);
@@ -344,6 +153,7 @@ class Parser {
 
   // Clocked statements, flattened under `cond` (nullptr = unconditional).
   void parse_stmt(ExprPtr cond) {
+    const lex::Depth scope(depth_, lex_);
     if (lex_.at(Tok::LBrace)) {
       lex_.take();
       while (!lex_.at(Tok::RBrace)) parse_stmt(cond);
@@ -384,8 +194,7 @@ class Parser {
   }
 
   void parse_case(ExprPtr cond) {
-    const Token kw = lex_.take();
-    (void)kw;
+    lex_.take();
     lex_.expect(Tok::LParen, "'('");
     ExprPtr subject = parse_expr();
     lex_.expect(Tok::RParen, "')'");
@@ -401,185 +210,124 @@ class Parser {
       }
       const Token k = lex_.expect(Tok::Number, "case label");
       lex_.expect(Tok::Colon, "':'");
-      Expr eq;
-      eq.op = Op::Eq;
-      eq.width = 1;
-      eq.args = {subject, make_const(k.number, subject->width)};
-      ExprPtr arm = make_expr(std::move(eq));
-      any_arm = any_arm == nullptr ? arm : disj(any_arm, arm);
+      ExprPtr arm = node(Op::Eq, 1, {subject, make_const(k.number, subject->width)});
+      any_arm = any_arm == nullptr ? arm : node(Op::Or, 1, {any_arm, arm});
       parse_stmt(conj(cond, arm));
     }
     lex_.take();
   }
 
   // ---- expression helpers ----
+  /// Elaboration chains grow trees past the parse depth: every assignment
+  /// to a register under a condition adds a mux to its next state, every
+  /// case arm a term to the default's condition. Bounding each node's
+  /// height bounds the recursion of everything that walks the design.
+  static constexpr int kMaxHeight = 4 * static_cast<int>(lex::kMaxDepth);
+  ExprPtr make(Expr e) {
+    for (const ExprPtr& a : e.args) e.height = std::max(e.height, a->height + 1);
+    if (e.height > kMaxHeight) lex_.fail("nesting too deep");
+    return make_expr(std::move(e));
+  }
+  ExprPtr node(Op op, int width, std::vector<ExprPtr> args) {
+    Expr e;
+    e.op = op;
+    e.width = width;
+    e.args = std::move(args);
+    return make(std::move(e));
+  }
   ExprPtr ref(const std::string& name, int width) {
     Expr e;
     e.op = Op::Ref;
     e.name = name;
     e.width = width;
-    return make_expr(std::move(e));
+    return make(std::move(e));
   }
   ExprPtr mux(ExprPtr c, ExprPtr t, ExprPtr f, int width) {
-    Expr e;
-    e.op = Op::Mux;
-    e.width = width;
-    e.args = {std::move(c), fit(std::move(t), width), fit(std::move(f), width)};
-    return make_expr(std::move(e));
+    return node(Op::Mux, width,
+                {std::move(c), fit(std::move(t), width), fit(std::move(f), width)});
   }
   ExprPtr negate(ExprPtr c) {
-    Expr e;
-    e.op = Op::Eq;
-    e.width = 1;
-    e.args = {std::move(c), make_const(0, 1)};
-    return make_expr(std::move(e));
+    return node(Op::Eq, 1, {std::move(c), make_const(0, 1)});
   }
   ExprPtr to_bool(ExprPtr c) {
-    if (c->width == 1) return c;
-    Expr e;
-    e.op = Op::Ne;
-    e.width = 1;
-    e.args = {c, make_const(0, c->width)};
-    return make_expr(std::move(e));
+    return c->width == 1 ? c : node(Op::Ne, 1, {c, make_const(0, c->width)});
   }
   ExprPtr conj(ExprPtr a, ExprPtr b) {
     if (a == nullptr) return b;
     if (b == nullptr) return a;
-    Expr e;
-    e.op = Op::And;
-    e.width = 1;
-    e.args = {std::move(a), std::move(b)};
-    return make_expr(std::move(e));
-  }
-  ExprPtr disj(ExprPtr a, ExprPtr b) {
-    Expr e;
-    e.op = Op::Or;
-    e.width = 1;
-    e.args = {std::move(a), std::move(b)};
-    return make_expr(std::move(e));
+    return node(Op::And, 1, {std::move(a), std::move(b)});
   }
   /// Adapt an expression to an exact width (zero-extend or truncate).
   ExprPtr fit(ExprPtr e, int width) {
     if (e->width == width) return e;
-    if (e->width > width) {
-      Expr s;
-      s.op = Op::Slice;
-      s.hi = width - 1;
-      s.lo = 0;
-      s.width = width;
-      s.args = {std::move(e)};
-      return make_expr(std::move(s));
+    if (e->width < width) {  // zero-extension via widening concat-with-0
+      return node(Op::Concat, width, {make_const(0, width - e->width), e});
     }
-    Expr z;  // zero-extension via widening concat-with-0
-    z.op = Op::Concat;
-    z.width = width;
-    z.args = {make_const(0, width - e->width), std::move(e)};
-    return make_expr(std::move(z));
+    Expr s;
+    s.op = Op::Slice;
+    s.hi = width - 1;
+    s.lo = 0;
+    s.width = width;
+    s.args = {std::move(e)};
+    return make(std::move(s));
   }
 
   // ---- precedence-climbing expression parser ----
   ExprPtr parse_expr() {
-    ExprPtr c = parse_or();
-    if (!lex_.at(Tok::Question)) return c;
-    lex_.take();
-    ExprPtr t = parse_expr();
-    lex_.expect(Tok::Colon, "':'");
-    ExprPtr f = parse_expr();
-    const int w = std::max(t->width, f->width);
-    return mux(to_bool(c), t, f, w);
-  }
-  ExprPtr binary(Op op, ExprPtr a, ExprPtr b, int width) {
-    Expr e;
-    e.op = op;
-    e.width = width;
-    e.args = {std::move(a), std::move(b)};
-    return make_expr(std::move(e));
-  }
-  ExprPtr parse_or() {
-    ExprPtr a = parse_xor();
-    while (lex_.at(Tok::Or)) {
+    const lex::Depth scope(depth_, lex_);
+    ExprPtr c = parse_binary(0);
+    if (lex_.at(Tok::Question)) {
       lex_.take();
-      ExprPtr b = parse_xor();
-      const int w = std::max(a->width, b->width);
-      a = binary(Op::Or, fit(a, w), fit(b, w), w);
+      ExprPtr t = parse_expr();
+      lex_.expect(Tok::Colon, "':'");
+      ExprPtr f = parse_expr();
+      const int w = std::max(t->width, f->width);
+      c = mux(to_bool(c), t, f, w);
     }
-    return a;
+    return c;
   }
-  ExprPtr parse_xor() {
-    ExprPtr a = parse_and();
-    while (lex_.at(Tok::Xor)) {
+  /// The binary operators by precedence level, loosest first. All are
+  /// left-associative; comparisons yield one bit, shifts take a constant
+  /// amount, the rest yield the operands' common width.
+  struct BinOp {
+    Tok tok;
+    Op op;
+    int level;
+  };
+  static constexpr BinOp kBinOps[] = {
+      {Tok::Or, Op::Or, 0},   {Tok::Xor, Op::Xor, 1}, {Tok::And, Op::And, 2},
+      {Tok::Eq, Op::Eq, 3},   {Tok::Ne, Op::Ne, 3},   {Tok::Lt, Op::Lt, 4},
+      {Tok::Le, Op::Le, 4},   {Tok::Gt, Op::Gt, 4},   {Tok::Ge, Op::Ge, 4},
+      {Tok::Shl, Op::Shl, 5}, {Tok::Shr, Op::Shr, 5}, {Tok::Plus, Op::Add, 6},
+      {Tok::Minus, Op::Sub, 6}};
+  static constexpr int kUnaryLevel = 7;
+  ExprPtr parse_binary(int level) {
+    if (level == kUnaryLevel) return parse_unary();
+    ExprPtr a = parse_binary(level + 1);
+    for (;;) {
+      const BinOp* b = std::find_if(
+          std::begin(kBinOps), std::end(kBinOps),
+          [&](const BinOp& o) { return o.level == level && lex_.at(o.tok); });
+      if (b == std::end(kBinOps)) return a;
+      lex::deepen(depth_, lex_);
       lex_.take();
-      ExprPtr b = parse_and();
-      const int w = std::max(a->width, b->width);
-      a = binary(Op::Xor, fit(a, w), fit(b, w), w);
+      if (b->op == Op::Shl || b->op == Op::Shr) {
+        const Token amount = lex_.expect(Tok::Number, "constant shift amount");
+        a = node(b->op, a->width, {a, make_const(amount.number, 6)});
+        continue;
+      }
+      ExprPtr c = parse_binary(level + 1);
+      const int w = std::max(a->width, c->width);
+      const bool compare = b->op >= Op::Eq && b->op <= Op::Ge;
+      a = node(b->op, compare ? 1 : w, {fit(a, w), fit(c, w)});
     }
-    return a;
-  }
-  ExprPtr parse_and() {
-    ExprPtr a = parse_eq();
-    while (lex_.at(Tok::And)) {
-      lex_.take();
-      ExprPtr b = parse_eq();
-      const int w = std::max(a->width, b->width);
-      a = binary(Op::And, fit(a, w), fit(b, w), w);
-    }
-    return a;
-  }
-  ExprPtr parse_eq() {
-    ExprPtr a = parse_rel();
-    while (lex_.at(Tok::Eq) || lex_.at(Tok::Ne)) {
-      const Op op = lex_.take().kind == Tok::Eq ? Op::Eq : Op::Ne;
-      ExprPtr b = parse_rel();
-      const int w = std::max(a->width, b->width);
-      a = binary(op, fit(a, w), fit(b, w), 1);
-    }
-    return a;
-  }
-  ExprPtr parse_rel() {
-    ExprPtr a = parse_shift();
-    while (lex_.at(Tok::Lt) || lex_.at(Tok::Le) || lex_.at(Tok::Gt) ||
-           lex_.at(Tok::Ge)) {
-      const Tok t = lex_.take().kind;
-      const Op op = t == Tok::Lt ? Op::Lt
-                    : t == Tok::Le ? Op::Le
-                    : t == Tok::Gt ? Op::Gt
-                                   : Op::Ge;
-      ExprPtr b = parse_shift();
-      const int w = std::max(a->width, b->width);
-      a = binary(op, fit(a, w), fit(b, w), 1);
-    }
-    return a;
-  }
-  ExprPtr parse_shift() {
-    ExprPtr a = parse_add();
-    while (lex_.at(Tok::Shl) || lex_.at(Tok::Shr)) {
-      const Op op = lex_.take().kind == Tok::Shl ? Op::Shl : Op::Shr;
-      const Token amount = lex_.expect(Tok::Number, "constant shift amount");
-      a = binary(op, a, make_const(amount.number, 6), a->width);
-    }
-    return a;
-  }
-  ExprPtr parse_add() {
-    ExprPtr a = parse_unary();
-    while (lex_.at(Tok::Plus) || lex_.at(Tok::Minus)) {
-      const Op op = lex_.take().kind == Tok::Plus ? Op::Add : Op::Sub;
-      ExprPtr b = parse_unary();
-      const int w = std::max(a->width, b->width);
-      a = binary(op, fit(a, w), fit(b, w), w);
-    }
-    return a;
   }
   ExprPtr parse_unary() {
-    if (lex_.at(Tok::Not)) {
-      lex_.take();
-      ExprPtr a = parse_unary();
-      Expr e;
-      e.op = Op::Not;
-      e.width = a->width;
-      e.args = {std::move(a)};
-      return make_expr(std::move(e));
-    }
-    return parse_primary();
+    if (!lex_.at(Tok::Not)) return parse_primary();
+    lex::deepen(depth_, lex_);
+    lex_.take();
+    ExprPtr a = parse_unary();
+    return node(Op::Not, a->width, {a});
   }
   ExprPtr parse_primary() {
     if (lex_.at(Tok::Number)) {
@@ -606,7 +354,7 @@ class Parser {
       for (const ExprPtr& p : parts) e.width += p->width;
       if (e.width > 32) lex_.fail("concatenation wider than 32 bits");
       e.args = std::move(parts);
-      return make_expr(std::move(e));
+      return make(std::move(e));
     }
     const Token name = lex_.expect(Tok::Ident, "expression");
     const Signal* sig = design_.find(name.text);
@@ -614,23 +362,24 @@ class Parser {
     ExprPtr e = ref(sig->name, sig->width);
     if (lex_.at(Tok::LBracket)) {
       lex_.take();
-      const Token hi = lex_.expect(Tok::Number, "bit index");
-      int h = static_cast<int>(hi.number), l = h;
+      const std::uint64_t hi = lex_.expect(Tok::Number, "bit index").number;
+      std::uint64_t lo = hi;
       if (lex_.at(Tok::Colon)) {
         lex_.take();
-        l = static_cast<int>(lex_.expect(Tok::Number, "low bit index").number);
+        lo = lex_.expect(Tok::Number, "low bit index").number;
       }
       lex_.expect(Tok::RBracket, "']'");
-      if (h < l || h >= sig->width) {
+      if (hi < lo || hi >= static_cast<std::uint64_t>(sig->width)) {
         throw ParseError(name.line, "bit range out of bounds for " + name.text);
       }
+      const int h = static_cast<int>(hi), l = static_cast<int>(lo);
       Expr s;
       s.op = h == l ? Op::Index : Op::Slice;
       s.hi = h;
       s.lo = l;
       s.width = h - l + 1;
       s.args = {std::move(e)};
-      return make_expr(std::move(s));
+      return make(std::move(s));
     }
     return e;
   }
@@ -644,13 +393,20 @@ class Parser {
     }
   }
 
-  Lexer lex_;
+  lex::Lexer lex_;
   Design design_;
+  std::size_t depth_ = 0;
 };
 
 }  // namespace
 
-Design parse(const std::string& source) { return Parser(source).run(); }
+Design parse(const std::string& source) {
+  try {
+    return Parser(source).run();
+  } catch (const lex::Error& e) {
+    throw ParseError(e.line(), e.what());
+  }
+}
 
 // -------------------------------------------------------------- simulator --
 

@@ -14,7 +14,8 @@
 //
 // Expressions: | ^ & + - == != < <= > >= << >> ~ ?: bit-select x[i],
 // slice x[hi:lo], concat {a, b, ...}; decimal/0x/0b constants; widths are
-// 1..32 bits, all arithmetic is unsigned modulo the result width.
+// 1..32 bits, all arithmetic is unsigned modulo the result width. The
+// lexical grammar is the one lex/lex.hpp shares with the SILC language.
 //
 // Elaboration flattens every `always` into one next-state expression per
 // register (condition trees become mux chains; unassigned paths hold).
@@ -28,7 +29,17 @@
 #include <string>
 #include <vector>
 
+#include "lex/lex.hpp"
+
 namespace silc::rtl {
+
+/// The RTL's keywords in the shared token table; every other word is an
+/// identifier.
+inline constexpr lex::Tok kKeywords[] = {
+    lex::Tok::KwProcessor, lex::Tok::KwInput, lex::Tok::KwOutput,
+    lex::Tok::KwReg,       lex::Tok::KwWire,  lex::Tok::KwAlways,
+    lex::Tok::KwIf,        lex::Tok::KwElse,  lex::Tok::KwCase,
+    lex::Tok::KwDefault};
 
 enum class Op : std::uint8_t {
   Const, Ref, Index, Slice, Concat,
@@ -49,6 +60,7 @@ struct Expr {
   std::string name;            // Ref
   int hi = 0, lo = 0;          // Index/Slice
   std::vector<ExprPtr> args;
+  int height = 1;              // longest path to a leaf (parse bounds it)
 };
 
 enum class SignalKind : std::uint8_t { Input, Output, Reg, Wire };

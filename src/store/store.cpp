@@ -125,10 +125,9 @@ std::FILE* open_private_tmp(const std::string& path, std::string& tmp) {
 }  // namespace
 
 std::uint64_t fnv1a(const std::string& bytes, std::uint64_t h) {
-  for (const char c : bytes) {
-    h = (h ^ static_cast<unsigned char>(c)) * 1099511628211ULL;
-  }
-  return h;
+  geom::Fnv f{h};
+  f.mix_bytes(bytes);
+  return f.h;
 }
 
 // ---------------------------------------------------------------- writer --

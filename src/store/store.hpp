@@ -80,6 +80,7 @@
 #include <string>
 #include <utility>
 
+#include "geom/fnv.hpp"
 #include "geom/geom.hpp"
 
 namespace silc::store {
@@ -92,7 +93,7 @@ inline constexpr std::uint64_t kSchemaVersion = 1;
 /// FNV-1a over a byte string — the store's record checksum, same flavour
 /// as the in-memory caches' content checksums.
 [[nodiscard]] std::uint64_t fnv1a(const std::string& bytes,
-                                  std::uint64_t h = 1469598103934665603ULL);
+                                  std::uint64_t h = geom::Fnv{}.h);
 
 // -------------------------------------------------------------- the store --
 

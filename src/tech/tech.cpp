@@ -1,5 +1,7 @@
 #include "tech/tech.hpp"
 
+#include "geom/fnv.hpp"
+
 namespace silc::tech {
 
 const char* name(Layer l) {
@@ -96,43 +98,34 @@ Coord Tech::max_rule_dist() const {
 }
 
 std::uint64_t Tech::drc_signature() const {
-  std::uint64_t h = 1469598103934665603ull;  // FNV-1a
-  const auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ull;
-  };
-  const auto mix_str = [&mix](const std::string& s) {
-    mix(s.size());
-    for (const char c : s) mix(static_cast<unsigned char>(c));
-  };
-  mix(static_cast<std::uint64_t>(lambda));
-  mix(drc_derived.size());
+  geom::Fnv f;
+  f.mix(static_cast<std::uint64_t>(lambda));
+  f.mix(drc_derived.size());
   for (const DerivedLayer& d : drc_derived) {
-    mix_str(d.name);
-    mix(static_cast<std::uint64_t>(d.op));
-    mix_str(d.a);
-    mix_str(d.b);
+    f.mix_str(d.name);
+    f.mix(static_cast<std::uint64_t>(d.op));
+    f.mix_str(d.a);
+    f.mix_str(d.b);
   }
-  mix(drc_rules.size());
+  f.mix(drc_rules.size());
   for (const DrcRule& r : drc_rules) {
-    mix(static_cast<std::uint64_t>(r.kind));
-    mix_str(r.name);
-    mix_str(r.layer);
-    mix(r.operands.size());
-    for (const std::string& o : r.operands) mix_str(o);
-    mix_str(r.excuse);
-    mix(static_cast<std::uint64_t>(r.dist));
-    mix(static_cast<std::uint64_t>(r.dist2));
-    mix(static_cast<std::uint64_t>(r.dist3));
+    f.mix(static_cast<std::uint64_t>(r.kind));
+    f.mix_str(r.name);
+    f.mix_str(r.layer);
+    f.mix(r.operands.size());
+    for (const std::string& o : r.operands) f.mix_str(o);
+    f.mix_str(r.excuse);
+    f.mix(static_cast<std::uint64_t>(r.dist));
+    f.mix(static_cast<std::uint64_t>(r.dist2));
+    f.mix(static_cast<std::uint64_t>(r.dist3));
   }
-  return h;
+  return f.h;
 }
 
 std::uint64_t Tech::extract_signature() const {
-  std::uint64_t h = 1469598103934665603ull;  // FNV-1a
-  h ^= static_cast<std::uint64_t>(lambda);
-  h *= 1099511628211ull;
-  return h;
+  geom::Fnv f;
+  f.mix(static_cast<std::uint64_t>(lambda));
+  return f.h;
 }
 
 const Tech& nmos() {

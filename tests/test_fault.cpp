@@ -47,6 +47,7 @@
 #include "rtl/rtl.hpp"
 #include "sim/sim.hpp"
 #include "synth/synth.hpp"
+#include "token_mutants.hpp"
 
 namespace silc {
 namespace {
@@ -785,6 +786,20 @@ TEST(Chaos, CacheStoreSitesInASession) {
 
 // ------------------------------------------------------ adversarial corpus --
 
+TEST(Cancel, DeadlineStopsARunawayStructuralProgram) {
+  // The interpreter polls the ambient token every few thousand steps, so
+  // a deadline ends the program long before its 10M-step limit would.
+  layout::Library lib("runaway");
+  CompileOptions o = quick("runaway");
+  o.deadline_ms = 5;
+  const auto t0 = std::chrono::steady_clock::now();
+  const CompileResult r = core::compile(
+      lib, Flow::Structural, "let i = 0; while true { i = i + 1; }", o);
+  EXPECT_LT(ms_since(t0), 1000.0);
+  EXPECT_TRUE(r.cancelled()) << r.diag_text();
+  EXPECT_TRUE(diag_mentions(r, "lang.step")) << r.diag_text();
+}
+
 TEST(Adversarial, MalformedInputsDiagnoseNeverThrowNeverHang) {
   struct Case {
     const char* what;
@@ -808,6 +823,26 @@ TEST(Adversarial, MalformedInputsDiagnoseNeverThrowNeverHang) {
       {"unknown layer", Flow::Structural,
        "let c = cell(\"z\"); rect(c, \"bogus\", 0, 0, 4, 4); return c;"},
       {"no cell returned", Flow::Structural, "let x = 1;"},
+      // Nesting far past the parsers' depth limit: a diag, not a stack
+      // overflow.
+      {"deep ( behavioral", Flow::Behavioral,
+       "processor d (input a; output y;) { y = " + std::string(200000, '(') +
+           "a; }"},
+      {"deep { behavioral", Flow::Behavioral,
+       "processor d (input a; output y;) { y = a; always " +
+           std::string(200000, '{') + " }"},
+      {"deep ( structural", Flow::Structural,
+       "let x = " + std::string(200000, '(') + "1;"},
+      {"deep { structural", Flow::Structural, [] {
+         std::string s;
+         for (int i = 0; i < 100000; ++i) s += "if true {";
+         return s;
+       }()},
+      {"long operator chain", Flow::Structural, [] {
+         std::string s = "let x = 1";
+         for (int i = 0; i < 100000; ++i) s += " + 1";
+         return s + "; return cell(\"c\");";
+       }()},
   };
   for (const Case& c : corpus) {
     SCOPED_TRACE(c.what);
@@ -834,6 +869,36 @@ TEST(Adversarial, MalformedInputsDiagnoseNeverThrowNeverHang) {
                         " rect(c, \"metal\", 0, 0, 0, 0); return c;",
                         o));
   EXPECT_NO_THROW((void)r.diag_text());
+}
+
+TEST(Adversarial, TokenMutantsDiagnoseNeverThrowNeverHang) {
+  // Seeded token- and byte-level mutants of the committed sources
+  // (fixtures/token_mutants.hpp) through the whole compile: a mutant may
+  // compile or fail, but it never throws out of compile, never outlives
+  // its deadline by more than the margin, and never fails without an
+  // error or cancellation diag.
+  constexpr int kDeadlineMs = 1000;
+  constexpr double kMarginMs = 4000.0;
+  const std::vector<silc_fixtures::FrontSource> corpus =
+      silc_fixtures::front_corpus();
+  silc_fixtures::fuzz_seeds(
+      "test_fault", "Adversarial.TokenMutants*", 1, 60, [&](unsigned seed) {
+        const silc_fixtures::Mutant m = silc_fixtures::mutate(corpus, seed);
+        SCOPED_TRACE(m.source->name + " mutant:\n" + m.text);
+        const Flow flow = m.source->lang == silc_fixtures::FrontLang::Rtl
+                              ? Flow::Behavioral
+                              : Flow::Structural;
+        layout::Library lib("mutant");
+        CompileOptions o = quick("mutant");
+        o.deadline_ms = kDeadlineMs;
+        const auto t0 = std::chrono::steady_clock::now();
+        CompileResult r;
+        EXPECT_NO_THROW(r = core::compile(lib, flow, m.text, o));
+        EXPECT_LT(ms_since(t0), kDeadlineMs + kMarginMs);
+        if (!r.ok()) {
+          EXPECT_TRUE(r.has_errors()) << r.diag_text();
+        }
+      });
 }
 
 }  // namespace

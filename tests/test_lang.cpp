@@ -125,6 +125,27 @@ TEST(Silc, Errors) {
   bad("func f() { return f(); } f();");   // recursion limit
   bad("while true { }");                  // step limit
   bad("let x = 3; x.y = 1;");             // field on non-record
+  // Integer overflow is an error, never wrapped arithmetic.
+  bad("print(99999999999999999999);");              // literal > 64 bits
+  bad("print(9223372036854775808);");               // literal > INT64_MAX
+  bad("print(9223372036854775807 + 1);");
+  bad("print(-9223372036854775807 - 2);");
+  bad("print(4294967296 * 4294967296);");
+  bad("let m = -9223372036854775807 - 1; print(-m);");
+  bad("let m = -9223372036854775807 - 1; print(m / -1);");
+  bad("let m = -9223372036854775807 - 1; print(m % -1);");
+  bad("print(" + std::string(300, '(') + "1" + std::string(300, ')') + ");");
+}
+
+TEST(Silc, Int64ExtremesAndLoopBoundsDoNotOverflow) {
+  layout::Library lib;
+  const RunResult r = run(R"(
+    let m = -9223372036854775807 - 1;
+    let n = 0;
+    for i in 9223372036854775806 .. 9223372036854775807 { n = n + 1; }
+    print(m, m / 1, m % 7, n);
+  )", lib);
+  EXPECT_EQ(r.output, "-9223372036854775808 -9223372036854775808 -1 2\n");
 }
 
 TEST(Silc, StepCountReported) {

@@ -36,6 +36,14 @@ TEST(RtlParse, Errors) {
   bad("processor x (input a; output y;) { y = a[3]; }");  // out of range
   bad("processor x (input a; output y;) {}");             // y unassigned
   bad("processor x (input a; output y;) { y = a +; }");   // syntax
+  // Hostile text: a width or bit index above 32 bits must not narrow into
+  // range, a literal must fit in 64 bits, and a comment must close.
+  bad("processor x (input a<4294967297>; output y;) { y = a; }");
+  bad("processor x (input a<4>; output y;) { y = a[4294967296]; }");
+  bad("processor x (input a; output y;) { y = 18446744073709551617; }");
+  bad("processor x (input a; output y;) { y = a; } /* unterminated");
+  bad("processor x (input a; output y;) { y = " + std::string(300, '(') + "a" +
+      std::string(300, ')') + "; }");  // nesting too deep
 }
 
 TEST(RtlParse, EmptyProcessorIsLegal) {
